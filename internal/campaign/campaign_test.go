@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"os"
@@ -320,5 +322,32 @@ func TestResolveRefs(t *testing.T) {
 	}
 	if err := sp.Validate(); err != nil {
 		t.Fatalf("Validate after Resolve: %v", err)
+	}
+}
+
+// TestCompareSmallReportPinned pins the exact bytes of the local report for
+// the shipped campaigns/compare-small.json, as `ncccampaign -json` prints
+// them: any change to records, trace hashes or report math moves the hash.
+func TestCompareSmallReportPinned(t *testing.T) {
+	path := filepath.Join("..", "..", "campaigns", "compare-small.json")
+	sp, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Resolve(filepath.Dir(path)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Execute(sp, Local())
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(append(line, '\n'))
+	const want = "a2018f4165a351f4f2e3a6608f3866fe35b0687f7655c80428a9984dea0ee492"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("compare-small report sha256 %s, want %s", got, want)
 	}
 }
