@@ -11,7 +11,7 @@
 //	nccrun -list
 //	nccrun -algo mst -graph gnm -n 128 -m 384
 //	nccrun -algo mis -graph kforest -n 256 -k 4 -json
-//	nccrun -algo bfs -graph grid -rows 8 -cols 16 -src 0 -timeline rounds.csv
+//	nccrun -algo bfs -graph grid -rows 8 -cols 16 -src 0
 //	nccrun -algo matching -graph bipartite -gparam n1=64,n2=32,p=0.1
 //	nccrun -algo coloring -graph pa -n 200 -k 3 -sweep-n 64,128,256 -sweep-seeds 1,2,3 -json
 //	nccrun -algo mis -graph kforest -n 256 -k 4 -sweep-seeds 1,2,3 -trace run.ndjson
@@ -79,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	gparam := fs.String("gparam", "", "extra graph params as name=value,... (for families like bipartite or disjoint)")
 	aparam := fs.String("aparam", "", "extra algorithm params as name=value,...")
 	workers := fs.Int("workers", 0, "round-engine delivery workers (0 = GOMAXPROCS); does not change results")
-	timelineCSV := fs.String("timeline", "", "write a per-round traffic CSV (round,messages,words,maxRecvOffered) to this file")
 	traceFile := fs.String("trace", "", "write the run's canonical NDJSON telemetry trace to this file (with -remote, fetched from the daemon)")
 	traceTiming := fs.Bool("trace-timing", false, "interleave non-canonical per-shard timing lines into the -trace file (local runs only)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the local runs to `file` (pprof-labeled per run)")
@@ -160,19 +159,11 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	}
 
 	runs := s.Expand()
-	if *timelineCSV != "" && len(runs) != 1 {
-		fmt.Fprintln(stderr, "-timeline requires a single run, not a sweep")
-		return 2
-	}
 	if *traceTiming && *traceFile == "" {
 		fmt.Fprintln(stderr, "-trace-timing requires -trace")
 		return 2
 	}
 	if *remote != "" {
-		if *timelineCSV != "" {
-			fmt.Fprintln(stderr, "-timeline is not supported with -remote")
-			return 2
-		}
 		if *traceTiming {
 			fmt.Fprintln(stderr, "-trace-timing is not supported with -remote (daemon traces are canonical-only)")
 			return 2
@@ -227,19 +218,13 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	}
 	code := 0
 	for i, c := range runs {
-		var tl *ncc.Timeline
-		opts := scenario.RunOpts{}
-		if *timelineCSV != "" {
-			tl = &ncc.Timeline{}
-			opts.Probe = tl.Sample
-		}
 		var rec scenario.Record
 		var err error
 		runOne := func() {
 			if col != nil {
-				rec, err = scenario.RunTraced(c, col, opts)
+				rec, err = scenario.RunTraced(c, col, scenario.RunOpts{})
 			} else {
-				rec, err = scenario.RunOneWith(c, opts)
+				rec, err = scenario.RunOne(c)
 			}
 		}
 		if *cpuprofile != "" {
@@ -273,15 +258,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		case !rec.Verified:
 			fmt.Fprintln(stderr, "verification failed:", rec.VerifyErr)
 			code = 1
-		}
-		if tl != nil && rec.Error == "" {
-			if err := writeTimeline(*timelineCSV, tl); err != nil {
-				fmt.Fprintln(stderr, "error:", err)
-				return 1
-			}
-			if !*jsonOut {
-				fmt.Fprintf(stdout, "timeline: %d rounds written to %s\n", len(tl.Samples), *timelineCSV)
-			}
 		}
 	}
 	if col != nil {
@@ -551,21 +527,4 @@ func printRegistries(w io.Writer) {
 			fmt.Fprintf(w, "  %-12s params: %s\n", "", param.Describe(m.Params))
 		}
 	}
-}
-
-func writeTimeline(path string, tl *ncc.Timeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := fmt.Fprintln(f, "round,messages,words,maxRecvOffered"); err != nil {
-		return err
-	}
-	for i, s := range tl.Samples {
-		if _, err := fmt.Fprintf(f, "%d,%d,%d,%d\n", i, s.Messages, s.Words, s.MaxRecvOffered); err != nil {
-			return err
-		}
-	}
-	return nil
 }

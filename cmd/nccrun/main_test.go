@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"ncc/internal/obs"
 )
 
 // runCapture invokes run and returns (exit code, stdout, stderr).
@@ -49,68 +51,58 @@ func TestRunColoringWithWorkers(t *testing.T) {
 	}
 }
 
-func TestRunTimelineCSV(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tl.csv")
-	// JSON mode exposes the measured round count, so the CSV row count can be
-	// checked exactly: header + one row per round.
-	code, out, errw := runCapture(t, "-algo", "mis", "-graph", "cycle", "-n", "16", "-timeline", path, "-json")
+// TestRunTraceExportCSV checks the per-round CSV view of a run: nccrun -trace
+// parsed and rendered as `ncctrace export -csv` does has one row per round,
+// and its messages column sums to the run's message count.
+func TestRunTraceExportCSV(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.ndjson")
+	// JSON mode exposes the measured round and message counts, so the CSV
+	// can be checked exactly.
+	code, out, errw := runCapture(t, "-algo", "mis", "-graph", "cycle", "-n", "16", "-trace", path, "-json")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw)
 	}
 	var rec struct {
 		Stats struct {
-			Rounds int `json:"rounds"`
+			Rounds   int   `json:"rounds"`
+			Messages int64 `json:"messages"`
 		} `json:"stats"`
 	}
 	if err := json.Unmarshal([]byte(strings.TrimSpace(out)), &rec); err != nil {
 		t.Fatalf("JSON record does not parse: %v", err)
 	}
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if lines[0] != "round,messages,words,maxRecvOffered" {
+	defer f.Close()
+	tr, err := obs.Parse(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv strings.Builder
+	obs.WriteCSV(&csv, tr)
+	lines := strings.Split(strings.TrimRight(csv.String(), "\n"), "\n")
+	if lines[0] != "run,round,messages,words,maxRecvOffered" {
 		t.Errorf("CSV missing header: %q", lines[0])
 	}
 	if rows := len(lines) - 1; rows != rec.Stats.Rounds {
 		t.Errorf("CSV has %d rows, run took %d rounds", rows, rec.Stats.Rounds)
 	}
+	var msgs int64
 	for i, line := range lines[1:] {
-		if !strings.HasPrefix(line, strconv.Itoa(i)+",") {
-			t.Fatalf("row %d misnumbered: %q", i, line)
+		cols := strings.Split(line, ",")
+		if len(cols) != 5 || cols[0] != "0" || cols[1] != strconv.Itoa(i) {
+			t.Fatalf("row %d malformed: %q", i, line)
 		}
+		m, err := strconv.ParseInt(cols[2], 10, 64)
+		if err != nil {
+			t.Fatalf("row %d messages: %v", i, err)
+		}
+		msgs += m
 	}
-}
-
-func TestRunTimelineSummaryLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tl.csv")
-	code, out, errw := runCapture(t, "-algo", "mis", "-graph", "cycle", "-n", "16", "-timeline", path)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errw)
-	}
-	if !strings.Contains(out, "timeline:") {
-		t.Errorf("output missing timeline summary:\n%s", out)
-	}
-}
-
-func TestRunTimelineUnwritablePath(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "no", "such", "dir", "tl.csv")
-	code, _, errw := runCapture(t, "-algo", "mis", "-graph", "cycle", "-n", "16", "-timeline", path)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 for unwritable timeline path", code)
-	}
-	if !strings.Contains(errw, "error:") {
-		t.Errorf("stderr missing diagnosis: %s", errw)
-	}
-}
-
-func TestRunTimelineRejectsSweep(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tl.csv")
-	code, _, errw := runCapture(t, "-algo", "mis", "-graph", "cycle", "-n", "16",
-		"-timeline", path, "-sweep-seeds", "1,2")
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2; stderr: %s", code, errw)
+	if msgs != rec.Stats.Messages {
+		t.Errorf("CSV messages sum to %d, run sent %d", msgs, rec.Stats.Messages)
 	}
 }
 

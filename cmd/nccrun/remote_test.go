@@ -125,17 +125,6 @@ func TestRemoteFlagsMode(t *testing.T) {
 	}
 }
 
-func TestRemoteRejectsTimeline(t *testing.T) {
-	code, _, errw := runCapture(t, "-algo", "mis", "-graph", "cycle", "-n", "16",
-		"-remote", "http://127.0.0.1:1", "-timeline", filepath.Join(t.TempDir(), "tl.csv"))
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2; stderr: %s", code, errw)
-	}
-	if !strings.Contains(errw, "-timeline is not supported with -remote") {
-		t.Errorf("stderr missing diagnosis: %s", errw)
-	}
-}
-
 func init() {
 	// Test-only algorithm that runs until the engine aborts it, so the
 	// canceled-job exit-code test has an in-flight run to kill.

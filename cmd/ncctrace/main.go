@@ -12,6 +12,8 @@
 //	ncctrace validate trace.ndjson       structural check + canonical hash
 //	ncctrace export -pprof-labels t.ndjson  phase table keyed for pprof tag
 //	                                        filtering (run=N labels)
+//	ncctrace export -csv t.ndjson        per-round CSV: run,round,messages,
+//	                                     words,maxRecvOffered
 //
 // A filename of "-" reads standard input, so daemon traces pipe directly:
 //
@@ -38,7 +40,8 @@ commands:
   summary   <trace>      human-readable per-run analysis
   diff      <a> <b>      structural comparison; exit 1 when traces differ
   validate  <trace>      structural check; prints the canonical hash
-  export    [-pprof-labels] <trace>  machine-readable phase table
+  export    [-pprof-labels | -csv] <trace>  machine-readable phase table,
+            or (-csv) one CSV row per round
 
 a trace argument of "-" reads standard input
 `
@@ -155,11 +158,12 @@ func cmdExport(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ncctrace export", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	pprofLabels := fs.Bool("pprof-labels", false, "frame the phase table as pprof tag keys (run=N), for -tagfocus on profiles from nccrun -cpuprofile")
+	csv := fs.Bool("csv", false, "write per-round traffic as CSV (run,round,messages,words,maxRecvOffered) instead of the phase table")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: ncctrace export [-pprof-labels] <trace.ndjson>")
+	if fs.NArg() != 1 || *csv && *pprofLabels {
+		fmt.Fprintln(stderr, "usage: ncctrace export [-pprof-labels | -csv] <trace.ndjson>")
 		return 2
 	}
 	t, err := load(fs.Arg(0), stdin)
@@ -167,7 +171,11 @@ func cmdExport(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ncctrace:", err)
 		return 1
 	}
-	obs.WritePhases(stdout, t, *pprofLabels)
+	if *csv {
+		obs.WriteCSV(stdout, t)
+	} else {
+		obs.WritePhases(stdout, t, *pprofLabels)
+	}
 	return 0
 }
 

@@ -141,6 +141,25 @@ func TestExportPprofLabels(t *testing.T) {
 	}
 }
 
+func TestExportCSV(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.ndjson")
+	synthTrace(t, path, 6, -1)
+	code, out, errw := runCapture(t, "", "export", "-csv", path)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errw)
+	}
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if lines[0] != "run,round,messages,words,maxRecvOffered" {
+		t.Errorf("CSV header = %q", lines[0])
+	}
+	if len(lines) != 1+6 || !strings.HasPrefix(lines[6], "0,5,") {
+		t.Errorf("CSV has rows %q, want 6 rounds of run 0", lines[1:])
+	}
+	if code, _, _ := runCapture(t, "", "export", "-csv", "-pprof-labels", path); code != 2 {
+		t.Errorf("-csv with -pprof-labels: exit %d, want 2", code)
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	if code, _, _ := runCapture(t, "", ""); code != 2 {
 		t.Errorf("empty command: exit %d, want 2", code)

@@ -29,7 +29,7 @@ func main() {
 		Params: param.Values{"maxw": 1000},
 		Model:  scenario.Model{Seed: 42},
 	}
-	rec, err := scenario.RunOne(s, nil)
+	rec, err := scenario.RunOne(s)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -107,13 +107,12 @@ type Result struct {
 // reliable network) return an error; verification failures only clear
 // Result.Verified.
 //
-// Under fault injection (a FaultPlan, DropProb, or Interceptor in cfg) the
-// contract shifts from fail-hard to degrade: a round-limit abort is treated
-// as a partial completion, a run with unfinished nodes skips the full
-// verifier and summarizer (dead nodes' outputs are zero values the hooks
-// were never written to tolerate), and every faulted Result carries a
-// DegradationReport with the surviving-component size and the survivor
-// verifier's verdict.
+// Under fault injection (a FaultPlan in cfg) the contract shifts from
+// fail-hard to degrade: a round-limit abort is treated as a partial
+// completion, a run with unfinished nodes skips the full verifier and
+// summarizer (dead nodes' outputs are zero values the hooks were never
+// written to tolerate), and every faulted Result carries a DegradationReport
+// with the surviving-component size and the survivor verifier's verdict.
 func Run[T any](a Algorithm[T], cfg ncc.Config, g *graph.Graph, p param.Values) (*Result, []T, error) {
 	vals, err := param.Resolve(p, a.Params)
 	if err != nil {
@@ -126,13 +125,12 @@ func Run[T any](a Algorithm[T], cfg ncc.Config, g *graph.Graph, p param.Values) 
 			return nil, nil, fmt.Errorf("algorithm %s: %w", a.Name, err)
 		}
 	}
-	faulty := cfg.FaultPlan != nil || cfg.DropProb > 0 || cfg.Interceptor != nil
 	outs, st, err := ncc.Collect(cfg, func(ctx *ncc.Context) T {
 		return a.Node(comm.NewSession(ctx), in)
 	})
 	partial := false
 	if err != nil {
-		if !faulty || !errors.Is(err, ncc.ErrMaxRounds) {
+		if cfg.FaultPlan == nil || !errors.Is(err, ncc.ErrMaxRounds) {
 			return nil, nil, err
 		}
 		partial = true // collected outputs are best-effort; degrade, don't fail
@@ -156,7 +154,7 @@ func Run[T any](a Algorithm[T], cfg ncc.Config, g *graph.Graph, p param.Values) 
 			res.Metrics = s.Metrics
 		}
 	}
-	if faulty {
+	if cfg.FaultPlan != nil {
 		res.Degradation = degradation(a, in, outs, st, partial, res.Verified, !degraded && a.Verify != nil)
 	}
 	return res, outs, nil

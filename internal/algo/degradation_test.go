@@ -95,7 +95,7 @@ func TestIIDDropAttachesReport(t *testing.T) {
 		Model:  "iid-drop",
 		Params: param.Values{"p": 0.005},
 	})
-	cfg := ncc.Config{Seed: 5, MaxRounds: 1 << 17, DropProb: plan.DropProb, FaultPlan: plan}
+	cfg := ncc.Config{Seed: 5, MaxRounds: 1 << 17, FaultPlan: plan}
 	res, _, err := Run(misAlgo, cfg, g, nil)
 	if err != nil {
 		t.Fatalf("lossy run failed hard: %v", err)

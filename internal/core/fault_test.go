@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"ncc/internal/comm"
+	"ncc/internal/faultmodel"
 	"ncc/internal/graph"
 	"ncc/internal/ncc"
+	"ncc/internal/param"
 	"ncc/internal/verify"
 )
 
@@ -15,11 +17,23 @@ import (
 // collectives run with a bounded patience budget, so a lossy network either
 // completes degraded (and the verifiers reject the output), aborts with an
 // explicit error, or — when a protocol invariant breaks outright — panics the
-// node, which without a FaultPlan aborts the run. Never silent corruption.
+// node, which the attached FaultPlan's failure isolation retires as a crashed
+// node. Never silent corruption.
+
+// faultPlan compiles fault-model specs into a FaultPlan for an n-node run.
+func faultPlan(t *testing.T, n int, specs ...faultmodel.Spec) ncc.FaultPlan {
+	t.Helper()
+	plan, err := faultmodel.Build(specs, faultmodel.Env{N: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
 
 func TestHeavyMessageLossIsDetected(t *testing.T) {
 	g := graph.KForest(24, 2, 5)
-	cfg := ncc.Config{N: g.N(), Seed: 4, DropProb: 0.3, MaxRounds: 3000}
+	cfg := ncc.Config{N: g.N(), Seed: 4, MaxRounds: 3000,
+		FaultPlan: faultPlan(t, g.N(), faultmodel.Spec{Model: "iid-drop", Params: param.Values{"p": 0.3}})}
 	in, _, err := RunMIS(cfg, g)
 	if err != nil {
 		// Detected: a stall (MaxRounds), an explicit protocol failure, or a
@@ -37,12 +51,12 @@ func TestHeavyMessageLossIsDetected(t *testing.T) {
 
 func TestTargetedLinkFailureDoesNotDeadlock(t *testing.T) {
 	// Killing every message into node 0 breaks the reduction tree's root, so
-	// Synchronize can never actually synchronize — but with an interceptor
-	// installed the session runs with a patience budget, so every node must
+	// Synchronize can never actually synchronize — but with a fault plan
+	// attached the session runs with a patience budget, so every node must
 	// give up and return well before MaxRounds instead of deadlocking.
 	cfg := ncc.Config{
 		N: 16, Seed: 1, MaxRounds: 5000,
-		Interceptor: func(round int, from, to ncc.NodeID) bool { return to != 0 },
+		FaultPlan: faultPlan(t, 16, faultmodel.Spec{Model: "link-cut", To: []int{0}}),
 	}
 	st, err := ncc.Run(cfg, func(ctx *ncc.Context) {
 		s := comm.NewSession(ctx)
@@ -62,9 +76,15 @@ func TestLateFaultAfterCleanPrefixStillDetected(t *testing.T) {
 	// the verifier rejects — never as a silently valid spanning forest.
 	g := graph.Grid(4, 4)
 	wg := graph.RandomWeights(g, 50, 1)
+	all := make([]int, g.N())
+	for v := range all {
+		all[v] = v
+	}
 	cfg := ncc.Config{
 		N: g.N(), Seed: 2, MaxRounds: 20000,
-		Interceptor: func(round int, from, to ncc.NodeID) bool { return round < 100 },
+		FaultPlan: faultPlan(t, g.N(), faultmodel.Spec{
+			Model: "link-cut", Params: param.Values{"fromround": 100}, To: all,
+		}),
 	}
 	outs, _, err := RunMST(cfg, wg)
 	if err != nil {

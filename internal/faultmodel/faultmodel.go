@@ -1,10 +1,11 @@
 // Package faultmodel is the fault-model registry: it compiles declarative
 // fault specifications (model name + parameter bag, as written in scenario
 // JSON) into deterministic, seeded Schedules the ncc engine executes. A
-// Schedule bundles the three fault surfaces the engine exposes — an i.i.d.
-// message-drop probability, a link interceptor, and a node-liveness FaultPlan
-// — so one scenario block can combine stochastic loss, targeted link cuts,
-// and node crash/churn schedules.
+// Schedule is an ncc.FaultPlan holding every fault a scenario declares — an
+// i.i.d. message-drop probability, link cuts (a start round plus to/from
+// node sets), and node-liveness transitions — so one scenario block can
+// combine stochastic loss, targeted link cuts, and node crash/churn
+// schedules.
 //
 // Every random decision a model makes is drawn from a PCG seeded by the run
 // seed, the model name, and the spec's position, never from global state:
@@ -66,14 +67,30 @@ type Event struct {
 	Up    []ncc.Revival
 }
 
-// Schedule is a compiled, merged fault schedule. It implements ncc.FaultPlan;
-// DropProb and Interceptor are handed to the matching ncc.Config fields by
-// the caller. The zero Schedule is a valid "no faults" plan (attaching it
-// still switches the engine to failure-isolation mode).
+// linkCut is one link cut from round start on. Its node sets are cumulative
+// within a Schedule: each entry also holds every earlier-starting cut.
+type linkCut struct {
+	start int
+	ncc.LinkCut
+}
+
+// Schedule is a compiled, merged fault schedule; it implements ncc.FaultPlan.
+// The zero Schedule is a valid "no faults" plan (attaching it still switches
+// the engine to failure-isolation mode).
 type Schedule struct {
-	DropProb    float64
-	Interceptor ncc.Interceptor
-	events      []Event // sorted by Round, one entry per distinct round
+	drop   float64   // i.i.d. per-message drop probability
+	cuts   []linkCut // sorted by start, cumulative
+	events []Event   // sorted by Round, one entry per distinct round
+}
+
+// Loss implements ncc.FaultPlan: the drop probability, and the union of the
+// link cuts active at round (those that start at or before it).
+func (s *Schedule) Loss(round int) (float64, ncc.LinkCut) {
+	i := sort.Search(len(s.cuts), func(i int) bool { return s.cuts[i].start > round })
+	if i == 0 {
+		return s.drop, ncc.LinkCut{}
+	}
+	return s.drop, s.cuts[i-1].LinkCut
 }
 
 // Transitions implements ncc.FaultPlan by binary search over the sorted
@@ -92,8 +109,16 @@ func (s *Schedule) Events() []Event { return s.events }
 
 // normalize sorts events by round and coalesces same-round entries, keeping
 // append order within a round (outage-before-revival ordering inside one
-// round is the engine's concern, not the schedule's).
+// round is the engine's concern, not the schedule's). It also sorts the link
+// cuts by start and folds every cut into the later-starting ones, so Loss
+// answers a round with one search.
 func (s *Schedule) normalize() {
+	sort.SliceStable(s.cuts, func(i, j int) bool { return s.cuts[i].start < s.cuts[j].start })
+	for i := 1; i < len(s.cuts); i++ {
+		c, prev := &s.cuts[i], &s.cuts[i-1]
+		c.To = union(c.To, prev.To)
+		c.From = union(c.From, prev.From)
+	}
 	sort.SliceStable(s.events, func(i, j int) bool { return s.events[i].Round < s.events[j].Round })
 	out := s.events[:0]
 	for _, e := range s.events {
@@ -107,9 +132,24 @@ func (s *Schedule) normalize() {
 	s.events = out
 }
 
+// union ORs node set b into a (either may be nil, meaning empty); a is
+// updated in place, b is never aliased.
+func union(a, b []bool) []bool {
+	if b == nil {
+		return a
+	}
+	if a == nil {
+		return slices.Clone(b)
+	}
+	for v, in := range b {
+		a[v] = a[v] || in
+	}
+	return a
+}
+
 // merge folds b into a: drop probabilities compose as independent losses,
-// interceptors conjoin (a message survives only if every interceptor keeps
-// it), and event lists concatenate then normalize.
+// link cuts OR together (a message survives only if no cut drops it), and
+// event lists concatenate then normalize.
 func merge(a, b *Schedule) *Schedule {
 	if a == nil {
 		return b
@@ -117,23 +157,11 @@ func merge(a, b *Schedule) *Schedule {
 	if b == nil {
 		return a
 	}
-	a.DropProb = 1 - (1-a.DropProb)*(1-b.DropProb)
-	a.Interceptor = chainInterceptors(a.Interceptor, b.Interceptor)
+	a.drop = 1 - (1-a.drop)*(1-b.drop)
+	a.cuts = append(a.cuts, b.cuts...)
 	a.events = append(a.events, b.events...)
 	a.normalize()
 	return a
-}
-
-func chainInterceptors(a, b ncc.Interceptor) ncc.Interceptor {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(round int, from, to ncc.NodeID) bool {
-		return a(round, from, to) && b(round, from, to)
-	}
 }
 
 var registry = map[string]Model{}

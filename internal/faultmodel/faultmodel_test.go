@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ncc/internal/graph"
+	"ncc/internal/ncc"
 	"ncc/internal/param"
 )
 
@@ -34,7 +35,7 @@ func TestScheduleDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !reflect.DeepEqual(a.Events(), b.Events()) || a.DropProb != b.DropProb {
+		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: same seed compiled different schedules", name)
 		}
 	}
@@ -52,32 +53,42 @@ func TestScheduleDeterminism(t *testing.T) {
 	}
 }
 
+// TestIIDDropAndLinkCut checks the plan's link loss: drop probabilities
+// compose as independent losses, and each link cut joins the round's cut
+// from its fromround on.
 func TestIIDDropAndLinkCut(t *testing.T) {
 	s, err := Build([]Spec{
 		{Model: "iid-drop", Params: param.Values{"p": 0.25}},
 		{Model: "link-cut", Params: param.Values{"fromround": 10}, To: []int{3}, From: []int{5}},
+		{Model: "iid-drop", Params: param.Values{"p": 0.2}},
+		{Model: "link-cut", Params: param.Values{"fromround": 4}, To: []int{7}},
 	}, env(16, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.DropProb != 0.25 {
-		t.Errorf("dropProb = %v, want 0.25", s.DropProb)
-	}
-	ic := s.Interceptor
-	if ic == nil {
-		t.Fatal("link-cut compiled no interceptor")
+	p1, p2 := 0.25, 0.2
+	wantP := 1 - (1-p1)*(1-p2)
+	cutOff := func(c ncc.LinkCut, from, to int) bool {
+		return c.To != nil && c.To[to] || c.From != nil && c.From[from]
 	}
 	for _, c := range []struct {
 		round, from, to int
-		keep            bool
+		cut             bool
 	}{
-		{9, 0, 3, true},   // before fromround
-		{10, 0, 3, false}, // into the to-set
-		{10, 5, 0, false}, // out of the from-set
-		{10, 0, 1, true},  // unrelated link
+		{3, 0, 7, false}, // before both fromrounds
+		{4, 0, 7, true},  // into the second cut's to-set
+		{9, 0, 3, false}, // before the first cut's fromround
+		{10, 0, 3, true}, // into the to-set
+		{10, 5, 0, true}, // out of the from-set
+		{10, 0, 7, true}, // the earlier cut still holds
+		{10, 0, 1, false},
 	} {
-		if got := ic(c.round, c.from, c.to); got != c.keep {
-			t.Errorf("interceptor(%d, %d, %d) = %v, want %v", c.round, c.from, c.to, got, c.keep)
+		p, cut := s.Loss(c.round)
+		if p != wantP {
+			t.Errorf("round %d: drop probability %v, want %v", c.round, p, wantP)
+		}
+		if got := cutOff(cut, c.from, c.to); got != c.cut {
+			t.Errorf("round %d: link %d->%d cut = %v, want %v", c.round, c.from, c.to, got, c.cut)
 		}
 	}
 	if len(s.Events()) != 0 {

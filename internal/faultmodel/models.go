@@ -26,7 +26,7 @@ func init() {
 			if prob < 0 || prob > 1 {
 				return nil, fmt.Errorf("p = %v out of [0,1]", prob)
 			}
-			return &Schedule{DropProb: prob}, nil
+			return &Schedule{drop: prob}, nil
 		},
 	})
 
@@ -45,20 +45,8 @@ func init() {
 			if len(sp.To) == 0 && len(sp.From) == 0 {
 				return nil, fmt.Errorf("needs a non-empty to or from node set")
 			}
-			to := make(map[ncc.NodeID]bool, len(sp.To))
-			for _, v := range sp.To {
-				to[v] = true
-			}
-			from := make(map[ncc.NodeID]bool, len(sp.From))
-			for _, v := range sp.From {
-				from[v] = true
-			}
-			return &Schedule{Interceptor: func(round int, src, dst ncc.NodeID) bool {
-				if round < start {
-					return true
-				}
-				return !to[dst] && !from[src]
-			}}, nil
+			cut := ncc.LinkCut{To: nodeSet(sp.To, env.N), From: nodeSet(sp.From, env.N)}
+			return &Schedule{cuts: []linkCut{{start: start, LinkCut: cut}}}, nil
 		},
 	})
 
@@ -184,6 +172,18 @@ func randomVictims(count, round int, env Env, rng *rand.Rand) ([]int, error) {
 	victims := rng.Perm(env.N)[:count]
 	sort.Ints(victims)
 	return victims, nil
+}
+
+// nodeSet marks ids in a set over [0, n), or returns nil when ids is empty.
+func nodeSet(ids []int, n int) []bool {
+	if len(ids) == 0 {
+		return nil
+	}
+	set := make([]bool, n)
+	for _, v := range ids {
+		set[v] = true
+	}
+	return set
 }
 
 func kills(victims []int) []ncc.Outage {

@@ -26,10 +26,6 @@ type Observer interface {
 	ObserveRound(round int, msgs []Envelope)
 }
 
-// Interceptor decides the fate of a single transmitted message; returning
-// false drops it. It models targeted link faults for failure-injection tests.
-type Interceptor func(round int, from, to NodeID) bool
-
 // Outage takes one node out of service at a round boundary. A plain outage
 // suspends the node: its program keeps executing, but every message it sends
 // or is sent is suppressed until a Revival returns it to service (the node is
@@ -51,16 +47,29 @@ type Revival struct {
 	Reset bool
 }
 
-// FaultPlan schedules node-liveness transitions. The coordinator calls
-// Transitions exactly once per round r = 0, 1, 2, ... while every node is
-// parked at the round barrier, and applies the returned outages and revivals
-// before the round's messages move. Implementations must be pure functions of
-// the plan and the round — never of goroutine scheduling — to preserve the
-// engine's bit-for-bit determinism; they run on the coordinator goroutine
-// only. Transitions naming finished, already-down (for outages), or in-service
-// (for revivals) nodes are ignored.
+// LinkCut is one round's set of severed links: every message into a node
+// whose To entry is set, or out of a node whose From entry is set, is lost.
+// A nil slice cuts nothing on its side; a non-nil one has one entry per node.
+type LinkCut struct {
+	To, From []bool
+}
+
+// FaultPlan is the engine's one fault input: it schedules node-liveness
+// transitions and link loss. The coordinator calls Transitions and Loss
+// exactly once each per round r = 0, 1, 2, ... while every node is parked at
+// the round barrier. The returned outages and revivals apply before the
+// round's messages move. Loss gives the round's i.i.d. drop probability p
+// and its link cut, which the sender phase applies to every message that
+// leaves a live sender for a live receiver: first one seeded drop draw when
+// p > 0, then the cut. Implementations must be pure functions of the plan
+// and the round — never of goroutine scheduling — to preserve the engine's
+// bit-for-bit determinism; they run on the coordinator goroutine only, and a
+// panic in either method aborts the run with an error. Transitions naming
+// finished, already-down (for outages), or in-service (for revivals) nodes
+// are ignored.
 type FaultPlan interface {
 	Transitions(round int) (down []Outage, up []Revival)
+	Loss(round int) (p float64, cut LinkCut)
 }
 
 // Config parameterizes a simulation run.
@@ -91,19 +100,11 @@ type Config struct {
 	// DefaultMaxRounds.
 	MaxRounds int
 
-	// DropProb drops each transmitted message independently with this
-	// probability (fault injection). Zero means a reliable network, which
-	// is what the model specifies below the capacity bound.
-	DropProb float64
-
-	// Interceptor, if non-nil, can drop individual messages. With Workers >
-	// 1 it is called from multiple goroutines concurrently and must be safe
-	// for concurrent use (pure functions trivially are).
-	Interceptor Interceptor
-
-	// FaultPlan, if non-nil, schedules node crashes, outages, and revivals
-	// (see the FaultPlan docs for timing and determinism requirements). A
-	// non-nil plan also switches the engine to failure-isolation mode: a
+	// FaultPlan, if non-nil, injects faults: node crashes, outages, and
+	// revivals, and per-round message loss (see the FaultPlan docs for timing
+	// and determinism requirements). Nil means a reliable network, which is
+	// what the model specifies below the capacity bound. A non-nil plan
+	// also switches the engine to failure-isolation mode: a
 	// panicking node program is retired as a crashed node (counted in
 	// Stats.NodeFailures) instead of aborting the run, and Stats reports the
 	// unfinished and down node sets at the end of the run.
@@ -178,9 +179,6 @@ func (c Config) validate() error {
 	}
 	if c.CapFactor < 1 {
 		return fmt.Errorf("ncc: config CapFactor = %d, need >= 1", c.CapFactor)
-	}
-	if c.DropProb < 0 || c.DropProb > 1 {
-		return fmt.Errorf("ncc: config DropProb = %v out of [0,1]", c.DropProb)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("ncc: config Workers = %d, need >= 0", c.Workers)

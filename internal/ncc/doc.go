@@ -35,16 +35,18 @@
 // rounds. TestSteadyStateAllocs pins ~0 allocs/message; BenchmarkEngineScale
 // tracks 64k/256k/1M-node throughput against BENCH_baseline.json in CI.
 //
-// Node liveness is a separate plane from message faults. Setting
-// Config.FaultPlan attaches a schedule of per-round Outage/Revival
-// transitions: a down node sends and receives nothing (its traffic is
+// Config.FaultPlan is the one fault input. Per round it gives Outage/Revival
+// transitions — a down node sends and receives nothing (its traffic is
 // silently dropped at the round barrier), a killed node never returns, and
-// a revival brings the node back — optionally with its program restarted
-// from scratch. Attaching any plan (even an empty one) also switches the
-// engine into failure-isolation mode: a node goroutine that panics is
-// counted in Stats.NodeFailures instead of crashing the run, and Stats
-// reports Unfinished/DownAtEnd so callers can distinguish "completed" from
-// "survived". Liveness decisions come only from the plan — which the
+// a revival brings the node back, optionally with its program restarted
+// from scratch — and the round's link loss: an i.i.d. drop probability drawn
+// from a seeded per-(round, sender) stream, and a LinkCut of severed links.
+// The only loss the model itself specifies is capacity overflow; every
+// other drop comes from the plan. Attaching any plan (even an empty one)
+// also switches the engine into failure-isolation mode: a node goroutine
+// that panics is counted in Stats.NodeFailures instead of crashing the run,
+// and Stats reports Unfinished/DownAtEnd so callers can distinguish
+// "completed" from "survived". Fault decisions come only from the plan — which the
 // faultmodel package derives deterministically from the run seed — so
 // faulted runs remain bit-for-bit reproducible across worker counts.
 package ncc

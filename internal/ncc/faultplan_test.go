@@ -5,10 +5,29 @@ import (
 	"testing"
 )
 
-// planFunc adapts a function to the FaultPlan interface for tests.
+// planFunc adapts a liveness-transition function to the FaultPlan interface
+// for tests; its plan loses no messages.
 type planFunc func(round int) ([]Outage, []Revival)
 
 func (f planFunc) Transitions(round int) ([]Outage, []Revival) { return f(round) }
+
+func (planFunc) Loss(int) (float64, LinkCut) { return 0, LinkCut{} }
+
+// lossPlan is a test FaultPlan with link loss only: drop probability p in
+// every round, and the link cut cut returns for the round (none if nil).
+type lossPlan struct {
+	p   float64
+	cut func(round int) LinkCut
+}
+
+func (lossPlan) Transitions(int) ([]Outage, []Revival) { return nil, nil }
+
+func (l lossPlan) Loss(round int) (float64, LinkCut) {
+	if l.cut == nil {
+		return l.p, LinkCut{}
+	}
+	return l.p, l.cut(round)
+}
 
 // TestFaultPlanKill fail-stops one node mid-run: the victim must retire with
 // no output, appear in Unfinished and DownAtEnd, and traffic addressed to it

@@ -79,41 +79,3 @@ type ShardTiming struct {
 // slice is reused every round and must not be retained. A panicking probe
 // aborts the run like a panicking Observer.
 type RoundProbe func(s RoundSample, timing []ShardTiming)
-
-// Timeline records the probe's per-round series — the raw material for
-// round/load plots (e.g. visualizing an algorithm's phase structure or the
-// O(log n) load discipline over time). Attach it with Config{Probe:
-// tl.Sample}.
-type Timeline struct {
-	Samples []RoundSample
-}
-
-// Sample is the RoundProbe: it appends the sample and ignores timing.
-func (tl *Timeline) Sample(s RoundSample, _ []ShardTiming) {
-	tl.Samples = append(tl.Samples, s)
-}
-
-// Busiest returns the index and sample of the round with the most messages
-// (zeroes if the timeline is empty).
-func (tl *Timeline) Busiest() (int, RoundSample) {
-	best := -1
-	var out RoundSample
-	for i, s := range tl.Samples {
-		if best == -1 || s.Messages > out.Messages {
-			best, out = i, s
-		}
-	}
-	if best == -1 {
-		return 0, RoundSample{}
-	}
-	return best, out
-}
-
-// TotalMessages sums the series.
-func (tl *Timeline) TotalMessages() int64 {
-	var t int64
-	for _, s := range tl.Samples {
-		t += int64(s.Messages)
-	}
-	return t
-}

@@ -47,7 +47,7 @@ func TestProbeMatchesStats(t *testing.T) {
 			ctx.EndRound()
 		}
 	}
-	samples, st := collectSamples(t, Config{N: n, Seed: 7, CapFactor: 1, DropProb: 0.1, Workers: 4}, program)
+	samples, st := collectSamples(t, Config{N: n, Seed: 7, CapFactor: 1, FaultPlan: lossPlan{p: 0.1}, Workers: 4}, program)
 	if len(samples) != st.Rounds {
 		t.Fatalf("got %d samples for %d rounds", len(samples), st.Rounds)
 	}
@@ -105,7 +105,7 @@ func TestProbeWorkerInvariance(t *testing.T) {
 		}
 	}
 	run := func(workers int) []RoundSample {
-		samples, _ := collectSamples(t, Config{N: 24, Seed: 42, CapFactor: 1, DropProb: 0.2, Workers: workers}, program)
+		samples, _ := collectSamples(t, Config{N: 24, Seed: 42, CapFactor: 1, FaultPlan: lossPlan{p: 0.2}, Workers: workers}, program)
 		return samples
 	}
 	base := run(1)

@@ -59,14 +59,11 @@ func (c *Context) Rand() *rand.Rand { return c.rng }
 // consult it to model crash-aware behavior; ignoring it is also correct.
 func (c *Context) Alive() bool { return c.r.down == nil || !c.r.down[c.id] }
 
-// Faulty reports whether the run injects faults of any kind (message drops,
-// link cuts, or node outages). Protocol layers use it to switch from
-// wait-forever semantics — correct on the reliable network the model
+// Faulty reports whether the run has a FaultPlan attached, i.e. may inject
+// message drops, link cuts, or node outages. Protocol layers use it to switch
+// from wait-forever semantics — correct on the reliable network the model
 // specifies — to bounded waits that degrade instead of hanging.
-func (c *Context) Faulty() bool {
-	cfg := &c.r.cfg
-	return cfg.FaultPlan != nil || cfg.DropProb > 0 || cfg.Interceptor != nil
-}
+func (c *Context) Faulty() bool { return c.r.cfg.FaultPlan != nil }
 
 // Pending returns the number of messages buffered for sending this round.
 func (c *Context) Pending() int { return len(c.out) }
@@ -291,6 +288,11 @@ type run struct {
 	killed       []bool
 	crashed      []bool // retired by fail-stop or isolated panic: no output
 	nodeFailures int64
+
+	// This round's link loss from the fault plan (zero without one), set by
+	// the coordinator in applyFaults and read by the sender phase.
+	dropP float64
+	cut   LinkCut
 
 	// Scratch, reused across rounds. buckets[i][j] holds the envelopes sent
 	// by sender shard i to receiver shard j this round; recvCounts[v] is
@@ -575,7 +577,10 @@ func (r *run) coordinate() {
 			return
 		}
 		if r.cfg.FaultPlan != nil {
-			r.applyTransitions(r.stats.Rounds)
+			if err := r.applyFaults(r.stats.Rounds); err != nil {
+				r.fail(err)
+				return
+			}
 		}
 		if !r.deliverRound() {
 			return
@@ -587,12 +592,15 @@ func (r *run) coordinate() {
 	}
 }
 
-// applyTransitions asks the fault plan for round's liveness transitions and
-// applies them while every live node is parked at the barrier. Outages hitting
-// finished or already-down nodes are ignored (except to escalate an outage to
-// a kill); revivals only lift plain outages — a kill is permanent.
-func (r *run) applyTransitions(round int) {
+// applyFaults asks the fault plan for round's liveness transitions and link
+// loss, and applies the transitions, while every live node is parked at the
+// barrier. Outages hitting finished or already-down nodes are ignored (except
+// to escalate an outage to a kill); revivals only lift plain outages — a kill
+// is permanent. A panicking plan is returned as an error.
+func (r *run) applyFaults(round int) (err error) {
+	defer recoverDeliveryPanic(&err)
 	downs, ups := r.cfg.FaultPlan.Transitions(round)
+	r.dropP, r.cut = r.cfg.FaultPlan.Loss(round)
 	for _, o := range downs {
 		id := o.Node
 		if id < 0 || id >= r.cfg.N || r.finished[id] || r.killed[id] {
@@ -633,6 +641,7 @@ func (r *run) applyTransitions(round int) {
 			ctx.out = ctx.out[:0]
 		}
 	}
+	return nil
 }
 
 // shardRange returns the contiguous node-id range [lo, hi) covered by shard i
@@ -691,7 +700,7 @@ func pcgIntN(p *rand.PCG, n int) int {
 }
 
 // sendPhase (phase A) filters sender shard i's outboxes (send-capacity
-// truncation, finished/fault/interceptor drops) into per-receiver-shard
+// truncation, finished/down/link-loss drops) into per-receiver-shard
 // buckets, preserving ascending sender-id order within each bucket.
 func (r *run) sendPhase(i int) {
 	round := r.stats.Rounds
@@ -711,6 +720,7 @@ func (r *run) sendPhase(i int) {
 		r.obsShards[i] = r.obsShards[i][:0]
 	}
 	faulty := r.down != nil
+	dropP, cut := r.dropP, r.cut
 	lo, hi := r.shardRange(i)
 	for id := lo; id < hi; id++ {
 		if r.finished[id] {
@@ -740,7 +750,7 @@ func (r *run) sendPhase(i int) {
 			r.peakSend[id] = int32(len(out))
 		}
 		var frng rand.PCG
-		if r.cfg.DropProb > 0 {
+		if dropP > 0 {
 			frng = roundPCG(r.cfg.Seed, round, id, saltFault)
 		}
 		for k := range out {
@@ -753,11 +763,11 @@ func (r *run) sendPhase(i int) {
 				st.DroppedDead++
 				continue
 			}
-			if r.cfg.DropProb > 0 && pcgFloat64(&frng) < r.cfg.DropProb {
+			if dropP > 0 && pcgFloat64(&frng) < dropP {
 				st.DroppedFault++
 				continue
 			}
-			if r.cfg.Interceptor != nil && !r.cfg.Interceptor(round, e.From, e.To) {
+			if cut.To != nil && cut.To[e.To] || cut.From != nil && cut.From[e.From] {
 				st.DroppedFault++
 				continue
 			}
@@ -914,8 +924,7 @@ func (r *run) recvPhase(j int) {
 // its inbox for the round just completed. Work is partitioned over r.workers
 // shards: senders are sharded for capacity/fault filtering, receivers for
 // grouping, overload truncation, and inbox fill. Returns false if the round
-// was aborted by a worker panic (user Interceptor, Observer, or Payload
-// callback).
+// was aborted by a worker panic (user Observer or Payload callback).
 func (r *run) deliverRound() bool {
 	if err := r.runShards(r.sendFn); err != nil {
 		r.fail(err)
@@ -1006,8 +1015,8 @@ func (r *run) probeRound() (err error) {
 	return nil
 }
 
-// recoverDeliveryPanic converts a panic in user callback code (Interceptor,
-// Observer, Payload.Words) run during round delivery into an error via the
+// recoverDeliveryPanic converts a panic in user callback code (FaultPlan,
+// Observer, Probe, Payload.Words) run between barriers into an error via the
 // named return, so the run aborts cleanly instead of crashing the process or
 // deadlocking the node goroutines.
 func recoverDeliveryPanic(err *error) {
@@ -1070,8 +1079,8 @@ func pushEnvelope(s []Envelope, e *Envelope) []Envelope {
 
 // runShards executes fn(i) for every shard 0..workers-1, inline when the run
 // is serial and on the worker pool otherwise. A panic inside fn (user
-// Interceptor, Observer, or Payload code) is returned as an error instead of
-// crashing the process.
+// Observer or Payload code) is returned as an error instead of crashing the
+// process.
 func (r *run) runShards(fn func(int)) (err error) {
 	if r.pool == nil {
 		defer recoverDeliveryPanic(&err)

@@ -285,8 +285,8 @@ func TestObserver(t *testing.T) {
 	}
 }
 
-func TestDropProbOne(t *testing.T) {
-	cfg := Config{N: 4, Seed: 1, DropProb: 1}
+func TestPlanDropOne(t *testing.T) {
+	cfg := Config{N: 4, Seed: 1, FaultPlan: lossPlan{p: 1}}
 	var deliveredAny bool
 	_, err := Run(cfg, func(ctx *Context) {
 		ctx.Send((ctx.ID()+1)%ctx.N(), Word(0))
@@ -298,14 +298,14 @@ func TestDropProbOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	if deliveredAny {
-		t.Error("DropProb=1 still delivered messages")
+		t.Error("drop probability 1 still delivered messages")
 	}
 }
 
-func TestInterceptor(t *testing.T) {
-	cfg := Config{N: 4, Seed: 1, Interceptor: func(round int, from, to NodeID) bool {
-		return to != 2 // kill everything addressed to node 2
-	}}
+func TestPlanLinkCut(t *testing.T) {
+	// Cut every link into node 2.
+	cut := LinkCut{To: []bool{false, false, true, false}}
+	cfg := Config{N: 4, Seed: 1, FaultPlan: lossPlan{cut: func(int) LinkCut { return cut }}}
 	counts := make([]int, 4)
 	_, err := Run(cfg, func(ctx *Context) {
 		for to := 0; to < ctx.N(); to++ {
@@ -319,7 +319,7 @@ func TestInterceptor(t *testing.T) {
 		t.Fatal(err)
 	}
 	if counts[2] != 0 {
-		t.Errorf("node 2 received %d messages despite interceptor", counts[2])
+		t.Errorf("node 2 received %d messages despite the link cut", counts[2])
 	}
 	if counts[1] != 3 {
 		t.Errorf("node 1 received %d messages, want 3", counts[1])
@@ -371,47 +371,5 @@ func TestConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTimeline(t *testing.T) {
-	tl := &Timeline{}
-	cfg := Config{N: 8, Seed: 1, Probe: tl.Sample, Strict: true}
-	st, err := Run(cfg, func(ctx *Context) {
-		for r := 0; r < 5; r++ {
-			if r == 3 { // make round 3 the busiest
-				for to := 0; to < ctx.N(); to++ {
-					if to != ctx.ID() {
-						ctx.Send(to, Word(1))
-					}
-				}
-			} else {
-				ctx.Send((ctx.ID()+1)%ctx.N(), Word(1))
-			}
-			ctx.EndRound()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tl.Samples) != st.Rounds {
-		t.Fatalf("timeline has %d samples, run had %d rounds", len(tl.Samples), st.Rounds)
-	}
-	if tl.TotalMessages() != st.Messages {
-		t.Errorf("timeline total %d != stats %d", tl.TotalMessages(), st.Messages)
-	}
-	busyRound, sample := tl.Busiest()
-	if busyRound != 3 {
-		t.Errorf("busiest round = %d, want 3", busyRound)
-	}
-	if sample.MaxRecvOffered != 7 {
-		t.Errorf("busiest MaxRecvOffered = %d, want 7", sample.MaxRecvOffered)
-	}
-}
-
-func TestTimelineEmpty(t *testing.T) {
-	tl := &Timeline{}
-	if i, s := tl.Busiest(); i != 0 || s.Messages != 0 {
-		t.Error("empty timeline Busiest not zero")
 	}
 }

@@ -40,7 +40,8 @@ type Stats struct {
 	// send more than cap messages in one round (non-strict mode only).
 	DroppedSendOverflow int64 `json:"droppedSendOverflow,omitempty"`
 
-	// DroppedFault counts messages dropped by DropProb or Interceptor.
+	// DroppedFault counts messages lost to the FaultPlan's link loss: its
+	// i.i.d. drops and its link cuts.
 	DroppedFault int64 `json:"droppedFault,omitempty"`
 
 	// DroppedToFinished counts messages addressed to nodes whose program

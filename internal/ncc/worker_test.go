@@ -2,6 +2,7 @@ package ncc
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -19,10 +20,17 @@ func TestWorkerCountInvariance(t *testing.T) {
 		sum []uint64
 	}
 	runWith := func(workers int, dropProb float64) digest {
-		cfg := Config{N: n, Seed: 12345, CapFactor: 2, Workers: workers, DropProb: dropProb,
-			Interceptor: func(round int, from, to NodeID) bool {
-				return (round+from+to)%17 != 0 // deterministic targeted faults
-			}}
+		// Deterministic targeted faults: a different link cut every round.
+		cut := func(round int) LinkCut {
+			c := LinkCut{To: make([]bool, n), From: make([]bool, n)}
+			for v := 0; v < n; v++ {
+				c.To[v] = (round+v)%17 == 0
+				c.From[v] = (round+2*v)%23 == 0
+			}
+			return c
+		}
+		cfg := Config{N: n, Seed: 12345, CapFactor: 2, Workers: workers,
+			FaultPlan: lossPlan{p: dropProb, cut: cut}}
 		sums := make([]uint64, n)
 		st, err := Run(cfg, func(ctx *Context) {
 			me := ctx.ID()
@@ -150,26 +158,34 @@ func TestObserverPanicSurfaces(t *testing.T) {
 	}
 }
 
-// TestInterceptorPanicSurfaces checks that a panic inside user callback code
-// running on a delivery worker aborts the run with an error instead of
-// crashing the process.
-func TestInterceptorPanicSurfaces(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		cfg := Config{N: 8, Seed: 1, Workers: workers,
-			Interceptor: func(round int, from, to NodeID) bool {
-				if round == 2 {
-					panic("interceptor boom")
+// TestFaultPlanPanicSurfaces checks that a panic inside either FaultPlan
+// method aborts the run with an error instead of escaping the coordinator,
+// crashing the process, and leaving every node goroutine parked.
+func TestFaultPlanPanicSurfaces(t *testing.T) {
+	transitions := planFunc(func(round int) ([]Outage, []Revival) {
+		if round == 2 {
+			panic("plan boom")
+		}
+		return nil, nil
+	})
+	loss := lossPlan{cut: func(round int) LinkCut {
+		if round == 2 {
+			panic("plan boom")
+		}
+		return LinkCut{}
+	}}
+	for _, plan := range []FaultPlan{transitions, loss} {
+		for _, workers := range []int{1, 4} {
+			cfg := Config{N: 8, Seed: 1, Workers: workers, FaultPlan: plan}
+			_, err := Run(cfg, func(ctx *Context) {
+				for r := 0; r < 10; r++ {
+					ctx.Send((ctx.ID()+1)%ctx.N(), Word(0))
+					ctx.EndRound()
 				}
-				return true
-			}}
-		_, err := Run(cfg, func(ctx *Context) {
-			for r := 0; r < 10; r++ {
-				ctx.Send((ctx.ID()+1)%ctx.N(), Word(0))
-				ctx.EndRound()
+			})
+			if err == nil || !strings.Contains(err.Error(), "plan boom") {
+				t.Fatalf("%T, workers=%d: err = %v, want the plan panic", plan, workers, err)
 			}
-		})
-		if err == nil {
-			t.Fatalf("workers=%d: interceptor panic not surfaced", workers)
 		}
 	}
 }

@@ -207,6 +207,18 @@ func WritePhases(w io.Writer, t *Trace, pprofLabels bool) {
 	}
 }
 
+// WriteCSV writes the trace's per-round traffic as CSV with the header
+// run,round,messages,words,maxRecvOffered: one row per round line, for
+// round/load plots of an algorithm's phase structure.
+func WriteCSV(w io.Writer, t *Trace) {
+	fmt.Fprintln(w, "run,round,messages,words,maxRecvOffered")
+	for ri := range t.Runs {
+		for _, s := range t.Runs[ri].Rounds {
+			fmt.Fprintf(w, "%d,%d,%d,%d,%d\n", ri, s.Round, s.Messages, s.Words, s.MaxRecvOffered)
+		}
+	}
+}
+
 func orDash(s string) string {
 	if s == "" {
 		return "-"

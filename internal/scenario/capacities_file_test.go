@@ -164,11 +164,11 @@ func TestRunOneFileFamilyWithCapacities(t *testing.T) {
 	}
 	genScen := Scenario{Algo: "mis", Graph: spec, Model: Model{Seed: 3}, Capacities: caps}
 
-	recFile, err := RunOne(fileScen, nil)
+	recFile, err := RunOne(fileScen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recGen, err := RunOne(genScen, nil)
+	recGen, err := RunOne(genScen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestRunOneFileFamilyWithCapacities(t *testing.T) {
 
 	// Uniform policy leaves the record homogeneous.
 	uni := Scenario{Algo: "mis", Graph: spec, Model: Model{Seed: 3}, Capacities: &graph.CapacitySpec{Policy: "uniform"}}
-	recUni, err := RunOne(uni, nil)
+	recUni, err := RunOne(uni)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,10 @@ import (
 //     hash) and cleared for generator families.
 //   - A capacities block resolves its policy parameter bag; the "uniform"
 //     policy normalizes to an absent block (same computation).
-//   - Faults normalize to their fault-model spec list (legacy DropProb and
-//     DropTo/DropFrom/FromRound knobs become the equivalent "iid-drop" and
-//     "link-cut" specs), with model parameter bags resolved and To/From sets
-//     sorted; a block that lowers to no specs at all normalizes to nil. The
-//     spec list order is preserved — it feeds each spec's seed derivation.
+//   - Faults normalize their fault-model spec list, with model parameter
+//     bags resolved and To/From sets sorted; a block with no specs at all
+//     normalizes to nil. The spec list order is preserved — it feeds each
+//     spec's seed derivation.
 //   - A kmachine accounting block keeps its K and has a defaulted Bandwidth
 //     filled in; an absent block stays absent (accounting is hash-relevant
 //     because it changes the Record).
@@ -132,7 +131,7 @@ func canonicalCapacities(cs *graph.CapacitySpec) (*graph.CapacitySpec, error) {
 }
 
 func canonicalFaults(f *Faults) (*Faults, error) {
-	specs := f.specs() // legacy knobs lower to their equivalent model specs
+	specs := f.specs()
 	if len(specs) == 0 {
 		return nil, nil
 	}

@@ -81,7 +81,7 @@ func TestHashInvariances(t *testing.T) {
 		},
 		{
 			name: "faults added",
-			js:   `{"algo":"mis","graph":{"family":"kforest","params":{"n":32,"k":2},"seed":1},"model":{"capfactor":8,"seed":1},"faults":{"dropprob":0.01},"sweep":{"n":[32,64],"seeds":[1,2,3]}}`,
+			js:   `{"algo":"mis","graph":{"family":"kforest","params":{"n":32,"k":2},"seed":1},"model":{"capfactor":8,"seed":1},"faults":{"models":[{"model":"iid-drop","params":{"p":0.01}}]},"sweep":{"n":[32,64],"seeds":[1,2,3]}}`,
 		},
 		{
 			name: "extra sweep value",
@@ -112,21 +112,21 @@ func TestHashFaultNormalization(t *testing.T) {
 	if a != b {
 		t.Fatal("empty faults block changed the hash")
 	}
-	// Link-fault sets are order-insensitive; fromround matters once a set exists.
-	c := mustHash(t, `{"algo":"bfs","graph":{"family":"grid"},"faults":{"dropto":[3,1,2],"fromround":5}}`)
-	d := mustHash(t, `{"algo":"bfs","graph":{"family":"grid"},"faults":{"dropto":[1,2,3],"fromround":5}}`)
+	// Link-cut node sets are order-insensitive; fromround matters.
+	c := mustHash(t, `{"algo":"bfs","graph":{"family":"grid"},"faults":{"models":[{"model":"link-cut","params":{"fromround":5},"to":[3,1,2]}]}}`)
+	d := mustHash(t, `{"algo":"bfs","graph":{"family":"grid"},"faults":{"models":[{"model":"link-cut","params":{"fromround":5},"to":[1,2,3]}]}}`)
 	if c != d {
-		t.Fatal("dropto order changed the hash")
+		t.Fatal("link-cut to-set order changed the hash")
 	}
-	e := mustHash(t, `{"algo":"bfs","graph":{"family":"grid"},"faults":{"dropto":[1,2,3],"fromround":6}}`)
+	e := mustHash(t, `{"algo":"bfs","graph":{"family":"grid"},"faults":{"models":[{"model":"link-cut","params":{"fromround":6},"to":[1,2,3]}]}}`)
 	if c == e {
 		t.Fatal("fromround change did not change the hash")
 	}
-	// fromround without a link set gates nothing and must not split the cache.
-	f := mustHash(t, `{"algo":"bfs","graph":{"family":"grid"},"faults":{"dropprob":0.1,"fromround":9}}`)
-	g := mustHash(t, `{"algo":"bfs","graph":{"family":"grid"},"faults":{"dropprob":0.1}}`)
+	// A spelled-out default parameter does not split the cache.
+	f := mustHash(t, `{"algo":"bfs","graph":{"family":"grid"},"faults":{"models":[{"model":"link-cut","params":{"fromround":0},"to":[1]}]}}`)
+	g := mustHash(t, `{"algo":"bfs","graph":{"family":"grid"},"faults":{"models":[{"model":"link-cut","to":[1]}]}}`)
 	if f != g {
-		t.Fatal("irrelevant fromround changed the hash")
+		t.Fatal("explicit default fromround changed the hash")
 	}
 }
 
@@ -161,12 +161,13 @@ func TestCanonicalPinsEngineDefaults(t *testing.T) {
 }
 
 func TestHashLegacyFaultsEqualModelSpecs(t *testing.T) {
-	// The legacy flat knobs canonicalize to the fault-model specs they mean,
-	// so either spelling shares one cache entry.
-	legacy := mustHash(t, `{"algo":"bfs","graph":{"family":"grid"},"faults":{"dropprob":0.1,"dropto":[3,1],"fromround":5}}`)
+	// The retired flat knobs {"dropprob":0.1,"dropto":[3,1],"fromround":5}
+	// hashed to this literal; the model-spec spelling that replaced them
+	// must keep it, so results cached under the old spelling stay reachable.
+	const legacy = "7d6ae8945e0a14c2006154769a11b2a180a506c673e2f698a20107177db6f01f"
 	models := mustHash(t, `{"algo":"bfs","graph":{"family":"grid"},"faults":{"models":[{"model":"iid-drop","params":{"p":0.1}},{"model":"link-cut","params":{"fromround":5},"to":[1,3]}]}}`)
-	if legacy != models {
-		t.Fatal("legacy fault knobs and their model-spec form hash differently")
+	if models != legacy {
+		t.Fatalf("model-spec faults hash %s, want the legacy spelling's %s", models, legacy)
 	}
 	crash := mustHash(t, `{"algo":"bfs","graph":{"family":"grid"},"faults":{"models":[{"model":"crash","params":{"count":2,"round":10}}]}}`)
 	if crash == models {

@@ -13,9 +13,8 @@
 // worker after a redispatch, or out of the result cache. Faulted runs do
 // not hard-fail verification; their Records instead carry a degradation
 // report (unfinished/down counts, reachable fraction, and a survivor-only
-// correctness verdict). The legacy flat knobs (dropprob, dropto/dropfrom/
-// fromround) remain accepted and canonicalize to the equivalent model
-// specs, so both spellings share one cache hash.
+// correctness verdict). Message loss is declared the same way, with the
+// "iid-drop" and "link-cut" models; there is no other fault spelling.
 package scenario
 
 import (
@@ -44,66 +43,28 @@ type Model struct {
 	NonStrict bool  `json:"nonstrict,omitempty"`
 }
 
-// Faults declares fault injection as a list of fault-model blocks (Models,
-// compiled by the faultmodel registry against the run seed and the built
-// graph). The flat legacy knobs — DropProb for i.i.d. message loss, and
-// DropTo/DropFrom/FromRound for a link cut — remain accepted and compile to
-// the equivalent "iid-drop" and "link-cut" model specs; new scenarios should
-// write Models directly. Declaring any fault block (even one that schedules
-// nothing) switches the engine into failure-isolation mode: node programs
-// degrade instead of failing hard, and Records carry a degradation report.
+// Faults declares fault injection as a list of fault-model blocks, compiled
+// by the faultmodel registry against the run seed and the built graph into
+// the run's one ncc.FaultPlan. Message loss is the "iid-drop" and "link-cut"
+// models; node crashes and churn are the others. Declaring any fault block
+// (even one that schedules nothing) switches the engine into
+// failure-isolation mode: node programs degrade instead of failing hard, and
+// Records carry a degradation report.
 type Faults struct {
-	DropProb  float64           `json:"dropprob,omitempty"`
-	DropTo    []int             `json:"dropto,omitempty"`
-	DropFrom  []int             `json:"dropfrom,omitempty"`
-	FromRound int               `json:"fromround,omitempty"`
-	Models    []faultmodel.Spec `json:"models,omitempty"`
+	Models []faultmodel.Spec `json:"models,omitempty"`
 }
 
-// specs lowers the block to the fault-model spec list it means: the legacy
-// knobs become their equivalent registry specs (in a fixed order, so the
-// compile seed derivation is stable), followed by the explicit Models.
+// specs returns the block's fault-model spec list (nil for a nil block).
 func (f *Faults) specs() []faultmodel.Spec {
 	if f == nil {
 		return nil
 	}
-	var out []faultmodel.Spec
-	if f.DropProb > 0 {
-		out = append(out, faultmodel.Spec{
-			Model:  "iid-drop",
-			Params: param.Values{"p": f.DropProb},
-		})
-	}
-	if len(f.DropTo) > 0 || len(f.DropFrom) > 0 {
-		out = append(out, faultmodel.Spec{
-			Model:  "link-cut",
-			Params: param.Values{"fromround": float64(f.FromRound)},
-			To:     f.DropTo,
-			From:   f.DropFrom,
-		})
-	}
-	return append(out, f.Models...)
+	return f.Models
 }
 
 // validate statically checks the block; n > 0 bounds node ids (0 means the
 // clique size is not yet known). Errors name the offending field.
 func (f *Faults) validate(n int) error {
-	if f.DropProb < 0 || f.DropProb > 1 {
-		return fmt.Errorf("dropprob = %v out of [0,1]", f.DropProb)
-	}
-	if f.FromRound < 0 {
-		return fmt.Errorf("fromround = %d, need >= 0", f.FromRound)
-	}
-	for i, v := range f.DropTo {
-		if v < 0 || (n > 0 && v >= n) {
-			return fmt.Errorf("dropto[%d] = %d out of [0,%d)", i, v, n)
-		}
-	}
-	for i, v := range f.DropFrom {
-		if v < 0 || (n > 0 && v >= n) {
-			return fmt.Errorf("dropfrom[%d] = %d out of [0,%d)", i, v, n)
-		}
-	}
 	for i, sp := range f.Models {
 		if err := faultmodel.Validate(sp, n); err != nil {
 			return fmt.Errorf("models[%d]: %w", i, err)
@@ -355,14 +316,13 @@ func (m Model) config(n int) ncc.Config {
 
 // RunOpts carries per-run hooks that are not part of the declarative spec
 // and therefore never appear in the Record's scenario echo or the canonical
-// hash: an Observer, a cancellation channel wired into the engine's abort
-// path, and a worker-count override (the service's scheduler hands each run
-// however many workers its global budget can spare; results are bit-identical
-// across worker counts, so the override is invisible in the Record).
+// hash: a cancellation channel wired into the engine's abort path, and a
+// worker-count override (the service's scheduler hands each run however many
+// workers its global budget can spare; results are bit-identical across
+// worker counts, so the override is invisible in the Record).
 type RunOpts struct {
-	Observer ncc.Observer
-	Cancel   <-chan struct{}
-	Workers  int
+	Cancel  <-chan struct{}
+	Workers int
 
 	// Probe, if non-nil, receives the engine's per-round telemetry samples
 	// (see ncc.RoundProbe). Like the other hooks it never enters the
@@ -371,12 +331,11 @@ type RunOpts struct {
 	Probe ncc.RoundProbe
 }
 
-// RunOne executes one concrete (sweep-free) scenario. obs, if non-nil, is
-// attached as the run's round observer (e.g. a *ncc.Timeline). The returned
-// error covers spec and simulation failures; verification failures are
-// recorded in the Record only.
-func RunOne(s Scenario, obs ncc.Observer) (Record, error) {
-	return RunOneWith(s, RunOpts{Observer: obs})
+// RunOne executes one concrete (sweep-free) scenario. The returned error
+// covers spec and simulation failures; verification failures are recorded in
+// the Record only.
+func RunOne(s Scenario) (Record, error) {
+	return RunOneWith(s, RunOpts{})
 }
 
 // RunOneWith is RunOne with the full set of per-run hooks.
@@ -396,7 +355,6 @@ func RunOneWith(s Scenario, opts RunOpts) (Record, error) {
 	deg, _ := graph.Degeneracy(g)
 	rec.Graph = GraphInfo{Desc: g.String(), N: g.N(), M: g.M(), MaxDegree: g.MaxDegree(), Degeneracy: deg}
 	cfg := s.Model.config(g.N())
-	cfg.Observer = opts.Observer
 	cfg.Probe = opts.Probe
 	cfg.Cancel = opts.Cancel
 	if opts.Workers != 0 {
@@ -417,8 +375,6 @@ func RunOneWith(s Scenario, opts RunOpts) (Record, error) {
 		if err != nil {
 			return rec, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
-		cfg.DropProb = plan.DropProb
-		cfg.Interceptor = plan.Interceptor
 		cfg.FaultPlan = plan
 	}
 	var acct *kmachine.Accountant
@@ -431,7 +387,7 @@ func RunOneWith(s Scenario, opts RunOpts) (Record, error) {
 		if err != nil {
 			return rec, err
 		}
-		cfg.Observer = chainObservers(acct, opts.Observer)
+		cfg.Observer = acct
 	}
 	rec.Capacity = cfg.Cap()
 	res, err := d.Execute(cfg, g, s.Params)
@@ -485,31 +441,13 @@ func RunTraced(c Scenario, col *obs.Collector, opts RunOpts) (Record, error) {
 	return rec, err
 }
 
-// multiObserver fans one engine round out to several observers in order.
-type multiObserver []ncc.Observer
-
-func (m multiObserver) ObserveRound(round int, msgs []ncc.Envelope) {
-	for _, o := range m {
-		o.ObserveRound(round, msgs)
-	}
-}
-
-// chainObservers combines the k-machine accountant with an optional caller
-// observer without boxing nils into the interface.
-func chainObservers(a ncc.Observer, b ncc.Observer) ncc.Observer {
-	if b == nil {
-		return a
-	}
-	return multiObserver{a, b}
-}
-
 // Run expands and executes a scenario. Individual run failures do not abort
 // the sweep; they are recorded in the Record's Error field so a sweep
 // artifact always has one entry per expanded scenario.
 func Run(s Scenario) []Record {
 	var out []Record
 	for _, c := range s.Expand() {
-		rec, err := RunOne(c, nil)
+		rec, err := RunOne(c)
 		if err != nil {
 			rec.Error = err.Error()
 		}

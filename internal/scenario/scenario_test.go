@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func misScenario() Scenario {
 }
 
 func TestRunOneProducesVerifiedRecord(t *testing.T) {
-	rec, err := RunOne(misScenario(), nil)
+	rec, err := RunOne(misScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestFaultInjectionIsRecordedNotFatal(t *testing.T) {
 		Algo:   "mis",
 		Graph:  graph.Spec{Family: "kforest", Params: param.Values{"n": 16, "k": 1}, Seed: 4},
 		Model:  Model{Seed: 4, NonStrict: true, MaxRounds: 3000},
-		Faults: &Faults{DropProb: 0.3},
+		Faults: &Faults{Models: []faultmodel.Spec{{Model: "iid-drop", Params: param.Values{"p": 0.3}}}},
 	}
 	recs := Run(s)
 	if len(recs) != 1 {
@@ -188,24 +189,21 @@ func TestFaultInjectionIsRecordedNotFatal(t *testing.T) {
 	}
 }
 
-func TestInterceptorFaults(t *testing.T) {
-	f := &Faults{DropTo: []int{0}, FromRound: 5}
+func TestLinkCutFaults(t *testing.T) {
+	f := &Faults{Models: []faultmodel.Spec{{Model: "link-cut", Params: param.Values{"fromround": 5}, To: []int{0}}}}
 	plan, err := faultmodel.Build(f.specs(), faultmodel.Env{N: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic := plan.Interceptor
-	if ic == nil {
-		t.Fatal("no interceptor compiled")
+	if _, cut := plan.Loss(4); cut.To != nil || cut.From != nil {
+		t.Error("cut links before fromround")
 	}
-	if !ic(4, 1, 0) {
-		t.Error("dropped before FromRound")
+	_, cut := plan.Loss(5)
+	if cut.To == nil || !cut.To[0] {
+		t.Error("kept the link into the cut node")
 	}
-	if ic(5, 1, 0) {
-		t.Error("kept a message to a dead node")
-	}
-	if !ic(5, 1, 2) {
-		t.Error("dropped an unrelated message")
+	if cut.To[2] || cut.From != nil {
+		t.Error("cut an unrelated link")
 	}
 }
 
@@ -215,10 +213,8 @@ func TestFaultValidationFieldPaths(t *testing.T) {
 		f    Faults
 		want string
 	}{
-		{"negative fromround", Faults{FromRound: -1}, "faults.fromround = -1"},
-		{"dropprob range", Faults{DropProb: 1.5}, "faults.dropprob = 1.5"},
-		{"dropto bound", Faults{DropTo: []int{24}}, "faults.dropto[0] = 24 out of [0,24)"},
-		{"dropfrom bound", Faults{DropFrom: []int{-1}}, "faults.dropfrom[0] = -1"},
+		{"dropto bound", Faults{Models: []faultmodel.Spec{{Model: "link-cut", To: []int{24}}}}, "faults.models[0]: to[0] = 24 out of [0,24)"},
+		{"dropfrom bound", Faults{Models: []faultmodel.Spec{{Model: "link-cut", From: []int{-1}}}}, "faults.models[0]: from[0] = -1"},
 		{"unknown model", Faults{Models: []faultmodel.Spec{{Model: "meteor"}}}, `faults.models[0]: model: unknown fault model "meteor"`},
 		{"links on non-link model", Faults{Models: []faultmodel.Spec{{Model: "crash", To: []int{1}}}}, "faults.models[0]: model crash takes no to/from link sets"},
 		{"link set bound", Faults{Models: []faultmodel.Spec{{Model: "link-cut", To: []int{30}}}}, "faults.models[0]: to[0] = 30 out of [0,24)"},
@@ -236,26 +232,27 @@ func TestFaultValidationFieldPaths(t *testing.T) {
 	}
 
 	s := misScenario()
-	s.Sweep = &Sweep{Faults: []Faults{{}, {FromRound: -2}}}
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "sweep.faults[1].fromround") {
-		t.Fatalf("Validate() = %v, want sweep.faults[1].fromround path", err)
+	s.Sweep = &Sweep{Faults: []Faults{{}, {Models: []faultmodel.Spec{{Model: "meteor"}}}}}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "sweep.faults[1].models[0]") {
+		t.Fatalf("Validate() = %v, want sweep.faults[1].models[0] path", err)
 	}
 }
 
 func TestSweepFaultsAxis(t *testing.T) {
 	s := misScenario()
-	s.Sweep = &Sweep{Seeds: []int64{1, 2}, Faults: []Faults{{}, {DropProb: 0.1}}}
+	drop := Faults{Models: []faultmodel.Spec{{Model: "iid-drop", Params: param.Values{"p": 0.1}}}}
+	s.Sweep = &Sweep{Seeds: []int64{1, 2}, Faults: []Faults{{}, drop}}
 	ex := s.Expand()
 	if len(ex) != 4 {
 		t.Fatalf("expanded to %d scenarios, want 4", len(ex))
 	}
 	for i, c := range ex {
-		wantDrop := 0.0
+		want := Faults{}
 		if i%2 == 1 {
-			wantDrop = 0.1
+			want = drop
 		}
-		if c.Faults == nil || c.Faults.DropProb != wantDrop {
-			t.Errorf("expansion %d: faults = %+v, want dropprob %v", i, c.Faults, wantDrop)
+		if c.Faults == nil || !reflect.DeepEqual(*c.Faults, want) {
+			t.Errorf("expansion %d: faults = %+v, want %+v", i, c.Faults, want)
 		}
 		if c.Sweep != nil {
 			t.Errorf("expansion %d still carries a sweep", i)
@@ -278,7 +275,7 @@ func TestCrashScenarioRecordsDegradation(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := RunOne(s, nil)
+	rec, err := RunOne(s)
 	if err != nil {
 		t.Fatalf("crashed run failed hard: %v", err)
 	}

@@ -24,7 +24,12 @@ func TestDecodeStrictUnknownFields(t *testing.T) {
 		{
 			name: "faults typo",
 			in:   `{"algo":"bfs","graph":{"family":"grid"},"faults":{"droprob":0.1}}`,
-			want: `unknown field "faults.droprob" (faults has dropfrom, dropprob,`,
+			want: `unknown field "faults.droprob" (faults has models)`,
+		},
+		{
+			name: "legacy faults knob",
+			in:   `{"algo":"bfs","graph":{"family":"grid"},"faults":{"dropprob":0.1}}`,
+			want: `unknown field "faults.dropprob" (faults has models)`,
 		},
 		{
 			name: "sweep typo",
