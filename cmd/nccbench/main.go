@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "shrink sweeps for a fast run")
 	list := fs.Bool("list", false, "list experiments and exit")
 	jsonOut := fs.Bool("json", false, "emit experiment output as JSON lines")
-	workers := fs.Int("workers", 0, "round-engine delivery workers (0 = GOMAXPROCS); does not change results")
+	workers := fs.Int("workers", 0, "round-engine delivery workers (0 = GOMAXPROCS, at most one per 128 nodes); does not change results")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to `file`")
 	memprofile := fs.String("memprofile", "", "write a heap profile to `file` after the experiments finish")
 	if err := fs.Parse(args); err != nil {

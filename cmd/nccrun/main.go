@@ -78,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	graphDir := fs.String("graph-dir", "", "content-addressed graph store directory (default $NCC_GRAPH_DIR or ./graphs)")
 	gparam := fs.String("gparam", "", "extra graph params as name=value,... (for families like bipartite or disjoint)")
 	aparam := fs.String("aparam", "", "extra algorithm params as name=value,...")
-	workers := fs.Int("workers", 0, "round-engine delivery workers (0 = GOMAXPROCS); does not change results")
+	workers := fs.Int("workers", 0, "round-engine delivery workers (0 = GOMAXPROCS, at most one per 128 nodes); does not change results")
 	traceFile := fs.String("trace", "", "write the run's canonical NDJSON telemetry trace to this file (with -remote, fetched from the daemon)")
 	traceTiming := fs.Bool("trace-timing", false, "interleave non-canonical per-shard timing lines into the -trace file (local runs only)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the local runs to `file` (pprof-labeled per run)")

@@ -15,7 +15,7 @@ import (
 )
 
 // Workers is the round-engine worker count applied to every experiment's
-// simulation run (0 = the engine default, GOMAXPROCS). It is set by
+// simulation run (0 = the engine default, ncc.DefaultWorkers(n)). It is set by
 // cmd/nccbench's -workers flag; changing it never changes measured rounds,
 // messages, or loads — the engine is deterministic per seed — only the
 // wall-clock time of the sweep.

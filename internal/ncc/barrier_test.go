@@ -77,9 +77,9 @@ func TestImmediateFinishAll(t *testing.T) {
 }
 
 // TestBarrierLargeNSmoke pushes N=4096 with mixed traffic, staggered
-// finishes, and pooled delivery through the sharded countdown and
-// generation-counted release. Run under -race in CI, it is the memory-model
-// check on the atomic barrier: any missing happens-before edge between node
+// finishes, and pooled delivery through the sharded countdown and the
+// per-node token release. Run under -race in CI, it is the memory-model
+// check on the barrier: any missing happens-before edge between node
 // outboxes, delivery workers, and inbox reads shows up here.
 func TestBarrierLargeNSmoke(t *testing.T) {
 	const n, rounds = 4096, 6

@@ -122,9 +122,10 @@ type Config struct {
 
 	// Workers is the number of goroutines the coordinator uses to filter,
 	// group, and deliver each round's traffic. 0 (the default) means
-	// GOMAXPROCS. Runs are bit-for-bit deterministic for a fixed Seed
-	// regardless of Workers: every random decision is seeded per (round,
-	// node), never drawn from a shared stream.
+	// DefaultWorkers(N): GOMAXPROCS, but at most one worker per 128 nodes.
+	// Runs are bit-for-bit deterministic for a fixed Seed regardless of
+	// Workers: every random decision is seeded per (round, node), never
+	// drawn from a shared stream.
 	Workers int
 
 	// NodeCaps, if non-nil, gives every node its own per-round send/receive
@@ -138,7 +139,7 @@ type Config struct {
 	// Cancel, if non-nil, aborts the run when it becomes readable (typically
 	// by closing it). The coordinator checks it at every round barrier, so an
 	// in-flight run unwinds within one round of the cancellation: parked
-	// nodes are released with the abort bit set and Run returns ErrCanceled.
+	// nodes are woken into an abort and Run returns ErrCanceled.
 	// Cancellation cannot preempt a node program that never reaches its next
 	// EndRound; that is what MaxRounds-style guards are for.
 	Cancel <-chan struct{}
@@ -168,9 +169,22 @@ func (c Config) withDefaults() Config {
 		c.MaxRounds = DefaultMaxRounds
 	}
 	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+		c.Workers = DefaultWorkers(c.N)
 	}
 	return c
+}
+
+// nodesPerWorker is the smallest shard worth a delivery worker of its own.
+// Below it a second worker costs more in dispatch and barrier shards than it
+// saves in delivery (see BenchmarkEngineSparse/Dense at n=64..1024).
+const nodesPerWorker = 128
+
+// DefaultWorkers is the delivery-worker count of an n-node run whose
+// Config.Workers is 0: GOMAXPROCS, but at most one worker per 128 nodes (and
+// at least one). Schedulers that budget engine workers across runs use it to
+// ask for what a run can actually use.
+func DefaultWorkers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/nodesPerWorker))
 }
 
 func (c Config) validate() error {

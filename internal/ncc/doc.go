@@ -14,7 +14,8 @@
 // barrier, returning the messages delivered to the node.
 //
 // Round delivery is executed by a pool of Config.Workers goroutines
-// (default GOMAXPROCS) that shard senders for capacity/fault filtering and
+// (default DefaultWorkers(n): GOMAXPROCS, at most one per 128 nodes) that
+// shard senders for capacity/fault filtering and
 // receivers for grouping, overload truncation, and inbox fill. Runs are
 // bit-for-bit deterministic for a fixed Config.Seed regardless of the worker
 // count: per-node program RNGs are derived from the seed, deliveries are
@@ -25,9 +26,10 @@
 // O(log n) capacity bounds become interesting). The round barrier is a set
 // of per-shard atomic countdowns: a node arriving at EndRound decrements its
 // shard's counter, the last arrival overall performs one coordinator wake,
-// and release is a generation-counted atomic bump plus a per-shard condvar
-// broadcast — no per-round channel allocation and no serialized submit
-// funnel. The steady-state message path allocates nothing: Word and Words2
+// and release sends one token to each live node's capacity-1 wake channel
+// (held for the run, reused after a clean one; an abort closes them all) — a
+// direct handoff per node, no shared lock, no per-round allocation and no
+// serialized submit funnel. The steady-state message path allocates nothing: Word and Words2
 // payloads travel inline inside Envelope/Received (use SendWord/SendWords2
 // and AsWord/AsWords2 to stay off the heap entirely), larger payloads keep
 // the Payload interface with Words() cached at Send time, and outboxes,

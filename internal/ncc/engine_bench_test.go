@@ -63,6 +63,34 @@ func BenchmarkEngineDense(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineBarrier is the L0 ladder point: empty rounds at the default
+// worker count, so every nanosecond is the round barrier itself — arrival,
+// coordinator wake, an empty delivery pass and release. ns/node-round is the
+// per-node price of one synchronous round. The n=2048 point is gated against
+// BENCH_baseline.json in CI.
+func BenchmarkEngineBarrier(b *testing.B) {
+	const rounds = 100
+	for _, n := range []int{64, 2048} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st, err := Run(Config{N: n, Seed: 1}, func(ctx *Context) {
+					for r := 0; r < rounds; r++ {
+						ctx.EndRound()
+					}
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.Rounds != rounds {
+					b.Fatalf("rounds = %d, want %d", st.Rounds, rounds)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*rounds*int64(n)), "ns/node-round")
+		})
+	}
+}
+
 // BenchmarkEngineScale is the large-N trajectory: the node counts where the
 // paper's O(log n) capacity bounds become interesting. The 64k point runs
 // dense traffic (every node saturates cap = log2 n) and is the regression

@@ -70,6 +70,12 @@ type ShardTiming struct {
 	// SendNanos / RecvNanos are the shard's two delivery-phase durations.
 	SendNanos int64
 	RecvNanos int64
+
+	// ComputeNanos is the shard's program-compute span: from the previous
+	// barrier release (or the run's start, for round 0) to the moment the
+	// shard's last live node arrived. It covers the node programs' own work
+	// plus the wake-up of the shard's nodes.
+	ComputeNanos int64
 }
 
 // RoundProbe receives one RoundSample per completed round, plus per-shard

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // collectSamples runs cfg with a probe that records every sample and sanity-
@@ -89,6 +90,36 @@ func TestProbeMatchesStats(t *testing.T) {
 	if maxSend != st.MaxSendLoad || maxOff != st.MaxRecvOffered || maxDel != st.MaxRecvDelivered {
 		t.Errorf("sample maxima (%d,%d,%d) != stats (%d,%d,%d)",
 			maxSend, maxOff, maxDel, st.MaxSendLoad, st.MaxRecvOffered, st.MaxRecvDelivered)
+	}
+}
+
+// TestProbeComputeSpan pins ShardTiming.ComputeNanos: each shard's span from
+// the previous release (the run's start, in round 0) to its last arrival
+// covers the programs' own per-round work, here a sleep of at least 2 ms.
+func TestProbeComputeSpan(t *testing.T) {
+	const work = 2 * time.Millisecond
+	var spans []int64
+	probe := func(_ RoundSample, timing []ShardTiming) {
+		for _, tm := range timing {
+			spans = append(spans, tm.ComputeNanos)
+		}
+	}
+	_, err := Run(Config{N: 8, Seed: 1, Workers: 2, Probe: probe}, func(ctx *Context) {
+		for r := 0; r < 3; r++ {
+			time.Sleep(work)
+			ctx.EndRound()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) != 3*2 {
+		t.Fatalf("got %d shard spans, want 3 rounds x 2 shards", len(spans))
+	}
+	for i, v := range spans {
+		if v < int64(work) {
+			t.Errorf("round %d shard %d: ComputeNanos = %d, want >= %d", i/2, i%2, v, int64(work))
+		}
 	}
 }
 

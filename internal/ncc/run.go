@@ -207,16 +207,8 @@ func (c *Context) EndRound() []Received {
 		panic(fmt.Sprintf("ncc: node %d sent %d messages in round %d, capacity is %d",
 			c.id, len(c.out), c.round, r.capOf(c.id)))
 	}
-	// The barrier generation must be captured before arriving: the
-	// coordinator may deliver and release the instant the last arrival
-	// lands. Before this node arrives no release can happen (the round is
-	// still incomplete), so the captured state is stable.
-	start := r.bar.state.Load()
-	if start&1 != 0 {
-		panic(errAborted)
-	}
 	r.bar.arrive(c.shard)
-	if r.bar.await(c.shard, start)&1 != 0 {
+	if !r.bar.await(c.id) {
 		panic(errAborted)
 	}
 	if r.killed != nil && r.killed[c.id] {
@@ -403,9 +395,10 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 		defer r.pool.close()
 	}
 	// Arm the first barrier before any node can arrive at it.
-	r.bar = newBarrier(w)
+	r.bar = newBarrier(w, cfg.N)
 	if r.probing {
 		r.bar.times = make([]int64, w)
+		r.bar.releasedAt = time.Now().UnixNano()
 	}
 	r.liveInShard = make([]int32, w)
 	for i := 0; i < w; i++ {
@@ -466,6 +459,7 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	}
 	r.coordinate()
 	wg.Wait()
+	r.bar.recycle()
 	if cfg.FaultPlan != nil {
 		// Nodes that returned after the final barrier are finished even if
 		// the coordinator never retired them (no goroutine is running now, so
@@ -515,11 +509,11 @@ func Collect[T any](cfg Config, program func(*Context) T) ([]T, Stats, error) {
 	return out, st, err
 }
 
-// fail records the abort cause and releases the barrier with the abort bit
-// set, unwinding every parked or late-arriving node.
+// fail records the abort cause and aborts the barrier, unwinding every parked
+// or late-arriving node.
 func (r *run) fail(err error) {
 	r.err = err
-	r.bar.release(true)
+	r.bar.abort()
 }
 
 func (r *run) coordinate() {
@@ -588,7 +582,7 @@ func (r *run) coordinate() {
 		// Re-arm the countdowns before waking anyone: released nodes may
 		// arrive at the next barrier immediately.
 		r.bar.reset(r.liveInShard)
-		r.bar.release(false)
+		r.bar.release(r.finished)
 	}
 }
 
@@ -1001,12 +995,15 @@ func (r *run) probeRound() (err error) {
 		t := &r.timing[i]
 		t.SendNanos = r.probeSend[i]
 		t.RecvNanos = r.probeRecv[i]
-		t.BarrierWaitNanos = 0
+		t.BarrierWaitNanos, t.ComputeNanos = 0, 0
 		// Shards with no live nodes never arrive; their stale timestamp (and
-		// any clock oddity) reads as zero wait.
-		if r.liveInShard[i] > 0 {
-			if at := r.bar.times[i]; at != 0 && at < r.wakeNanos {
+		// any clock oddity) reads as zero wait and zero compute.
+		if at := r.bar.times[i]; r.liveInShard[i] > 0 && at != 0 {
+			if at < r.wakeNanos {
 				t.BarrierWaitNanos = r.wakeNanos - at
+			}
+			if at > r.bar.releasedAt {
+				t.ComputeNanos = at - r.bar.releasedAt
 			}
 		}
 	}

@@ -24,11 +24,13 @@
 //
 // Optionally, a timing line may follow each round line:
 //
-//	{"t":"g","round":0,"shards":[[1200,3400,5600],…]}
+//	{"t":"g","round":0,"shards":[[1200,3400,5600,8800],…]}
 //
-// with one [barrierWaitNanos, sendNanos, recvNanos] triple per delivery
-// shard. Timing lines are non-canonical: they measure the host, not the
-// algorithm, and they vary run to run.
+// with one [barrierWaitNanos, sendNanos, recvNanos, computeNanos] entry per
+// delivery shard; computeNanos is the shard's program-compute span (release
+// to its last arrival). Lines from traces that predate the compute span carry
+// three elements and read as compute 0. Timing lines are non-canonical: they
+// measure the host, not the algorithm, and they vary run to run.
 //
 // # Stability guarantees
 //

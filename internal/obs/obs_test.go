@@ -55,7 +55,7 @@ func TestCollectorRoundTrip(t *testing.T) {
 }
 
 func TestHashIgnoresTimingLines(t *testing.T) {
-	timing := []ncc.ShardTiming{{BarrierWaitNanos: 10, SendNanos: 20, RecvNanos: 30}, {SendNanos: 5, RecvNanos: 5}}
+	timing := []ncc.ShardTiming{{BarrierWaitNanos: 10, SendNanos: 20, RecvNanos: 30, ComputeNanos: 40}, {SendNanos: 5, RecvNanos: 5}}
 	plain := &Collector{}
 	synthRun(plain, testHeader, 5, nil)
 	timed := &Collector{WithTiming: true}
@@ -74,8 +74,29 @@ func TestHashIgnoresTimingLines(t *testing.T) {
 	if !tr.HasTiming() || len(tr.Runs[0].Timing) != 5 {
 		t.Errorf("timed trace parsed %d timing lines, want 5", len(tr.Runs[0].Timing))
 	}
-	if got := tr.Runs[0].Timing[0].Shards[0]; got != [3]int64{10, 20, 30} {
-		t.Errorf("timing triple = %v", got)
+	if got := tr.Runs[0].Timing[0].Shards[0]; got != [4]int64{10, 20, 30, 40} {
+		t.Errorf("timing entry = %v", got)
+	}
+}
+
+// TestParseAcceptsThreeElementTiming pins that timing lines written before
+// the compute span existed still parse, with compute 0.
+func TestParseAcceptsThreeElementTiming(t *testing.T) {
+	data := `{"t":"h","v":1,"run":0,"n":4,"seed":1,"cap":16}` + "\n" +
+		`{"t":"r","round":0,"msgs":1,"delivered":1,"words":1,"active":1,"maxSend":1,"maxRecv":1,"maxRecvDelivered":1}` + "\n" +
+		`{"t":"g","round":0,"shards":[[10,20,30]]}` + "\n" +
+		`{"t":"e","run":0,"rounds":1,"msgs":1,"words":1}` + "\n"
+	tr, err := Parse(strings.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Runs[0].Timing[0].Shards[0]; got != [4]int64{10, 20, 30, 0} {
+		t.Errorf("three-element timing parsed as %v", got)
+	}
+	var buf bytes.Buffer
+	WriteSummary(&buf, tr)
+	if want := "shard time: barrier wait 16.7%, delivery 83.3% (no compute span recorded)"; !strings.Contains(buf.String(), want) {
+		t.Errorf("summary missing %q:\n%s", want, buf.String())
 	}
 }
 
@@ -180,8 +201,8 @@ func TestSummaryGolden(t *testing.T) {
 
 func TestSummaryImbalance(t *testing.T) {
 	timing := []ncc.ShardTiming{
-		{BarrierWaitNanos: 0, SendNanos: 100, RecvNanos: 100},
-		{BarrierWaitNanos: 50, SendNanos: 300, RecvNanos: 300},
+		{BarrierWaitNanos: 0, SendNanos: 100, RecvNanos: 100, ComputeNanos: 700},
+		{BarrierWaitNanos: 50, SendNanos: 300, RecvNanos: 300, ComputeNanos: 450},
 	}
 	c := &Collector{WithTiming: true}
 	synthRun(c, testHeader, 4, timing)
@@ -192,9 +213,14 @@ func TestSummaryImbalance(t *testing.T) {
 	var buf bytes.Buffer
 	WriteSummary(&buf, tr)
 	// peak = 600, mean = 400 -> imbalance 1.50 every round.
-	want := "shard imbalance (slowest/mean): p50 1.50, p90 1.50, max 1.50 over 4 timed rounds"
-	if !strings.Contains(buf.String(), want) {
-		t.Errorf("summary missing %q:\n%s", want, buf.String())
+	// Per round: compute 1150, wait 50, delivery 800 of 2000 ns.
+	for _, want := range []string{
+		"shard imbalance (slowest/mean): p50 1.50, p90 1.50, max 1.50 over 4 timed rounds",
+		"shard time: compute 57.5%, barrier wait 2.5%, delivery 40.0%",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("summary missing %q:\n%s", want, buf.String())
+		}
 	}
 }
 

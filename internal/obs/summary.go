@@ -179,6 +179,34 @@ func writeImbalance(w io.Writer, rt *RunTrace) {
 	sort.Float64s(imbs)
 	fmt.Fprintf(w, "  shard imbalance (slowest/mean): p50 %.2f, p90 %.2f, max %.2f over %d timed rounds\n",
 		pct(imbs, 0.50), pct(imbs, 0.90), pct(imbs, 1), len(imbs))
+	writeShardTime(w, rt)
+}
+
+// writeShardTime splits the shards' round time, summed over timed rounds,
+// into program compute (release to the shard's last arrival), barrier wait
+// (last arrival to the coordinator's wake) and delivery (send + recv phases).
+// Traces that predate the compute span report wait and delivery only.
+func writeShardTime(w io.Writer, rt *RunTrace) {
+	var compute, wait, deliver int64
+	for _, g := range rt.Timing {
+		for _, sh := range g.Shards {
+			wait += sh[0]
+			deliver += sh[1] + sh[2]
+			compute += sh[3]
+		}
+	}
+	total := float64(compute + wait + deliver)
+	if total == 0 {
+		return
+	}
+	share := func(v int64) float64 { return 100 * float64(v) / total }
+	if compute == 0 {
+		fmt.Fprintf(w, "  shard time: barrier wait %.1f%%, delivery %.1f%% (no compute span recorded)\n",
+			share(wait), share(deliver))
+		return
+	}
+	fmt.Fprintf(w, "  shard time: compute %.1f%%, barrier wait %.1f%%, delivery %.1f%%\n",
+		share(compute), share(wait), share(deliver))
 }
 
 // WritePhases emits the phase table in a machine-readable form. With

@@ -36,10 +36,12 @@ type End struct {
 }
 
 // RoundTiming is the parsed form of a non-canonical timing line: per-shard
-// [barrier-wait, send, recv] nanoseconds for one round.
+// [barrier-wait, send, recv, compute] nanoseconds for one round. Lines
+// written before the compute span existed carry three elements and parse
+// with compute 0.
 type RoundTiming struct {
 	Round  int
-	Shards [][3]int64
+	Shards [][4]int64
 }
 
 // Wire types. Field order is the serialization order; "t" MUST stay first —
@@ -87,7 +89,7 @@ type endLine struct {
 type timingLine struct {
 	T      string     `json:"t"`
 	Round  int        `json:"round"`
-	Shards [][3]int64 `json:"shards"`
+	Shards [][4]int64 `json:"shards"`
 }
 
 // mustMarshal serializes a wire line; the wire types cannot fail to marshal.
@@ -126,9 +128,9 @@ func marshalEnd(run int, st ncc.Stats, failed bool) []byte {
 }
 
 func marshalTiming(round int, timing []ncc.ShardTiming) []byte {
-	shards := make([][3]int64, len(timing))
+	shards := make([][4]int64, len(timing))
 	for i, t := range timing {
-		shards[i] = [3]int64{t.BarrierWaitNanos, t.SendNanos, t.RecvNanos}
+		shards[i] = [4]int64{t.BarrierWaitNanos, t.SendNanos, t.RecvNanos, t.ComputeNanos}
 	}
 	return mustMarshal(timingLine{T: "g", Round: round, Shards: shards})
 }

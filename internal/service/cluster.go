@@ -400,15 +400,17 @@ func (b *RemoteBackend) proxyLoop(j *Job, w *remoteWorker) {
 }
 
 func (b *RemoteBackend) finishJob(j *Job, state State, msg string) {
+	if state == StateDone {
+		lines, trace := j.logs()
+		if err := b.cache.put(j.Hash, lines, trace); err != nil {
+			b.m.cacheWriteErrors.Add(1)
+		}
+	}
 	j.finish(state, msg)
 	switch state {
 	case StateDone:
 		b.m.jobsDone.Add(1)
 		b.cfg.Logger.Info("job done", "job", j.ID, "trace", j.TraceID, "records", j.lineCount())
-		lines, trace := j.resultLines()
-		if err := b.cache.put(j.Hash, lines, trace); err != nil {
-			b.m.cacheWriteErrors.Add(1)
-		}
 	case StateFailed:
 		b.m.jobsFailed.Add(1)
 		b.cfg.Logger.Error("job failed", "job", j.ID, "trace", j.TraceID, "cause", msg)

@@ -40,13 +40,15 @@
 // while each job's expanded runs stay sequential, so a job's record stream is
 // ordered exactly like a local sweep. Engine parallelism comes from a global
 // worker budget shared across jobs: before each run an executor acquires
-// between 1 and GOMAXPROCS-equivalent tokens — whatever the budget can spare
-// — and hands the engine exactly that many delivery workers. Acquisition is
-// ticket-ordered FIFO and tokens return between runs, so a million-node sweep
-// can saturate the budget only until its current run ends; a small request
-// waits for one run, never for a whole sweep. Results are bit-identical
-// across worker counts (an engine invariant), so the scheduler's worker
-// assignment is invisible in the records.
+// between 1 and ncc.DefaultWorkers(n) tokens — the count the engine would
+// use at the run's size, or the model's explicit worker count, as far as the
+// budget can spare — and hands the engine exactly that many delivery
+// workers. Acquisition is ticket-ordered FIFO and tokens return between
+// runs, so a million-node sweep can saturate the budget only until its
+// current run ends; a small request waits for one run, never for a whole
+// sweep. Results are bit-identical across worker counts (an engine
+// invariant), so the scheduler's worker assignment is invisible in the
+// records.
 //
 // # Result cache and coalescing
 //
@@ -55,8 +57,10 @@
 // defaults, display names, worker counts, and sweep-axis order all
 // canonicalize away, so a semantically identical re-submission is answered
 // instantly from memory — or from the cache directory, which persists each
-// sweep as one <hash>.ndjson file across restarts. Cached streams replay the
-// exact bytes the original execution produced. The same hash also coalesces
+// sweep as one <hash>.ndjson file across restarts. A sweep enters the cache
+// before its job turns done, so a re-submission sent the moment the first
+// stream ends is already a hit. Cached streams replay the exact bytes the
+// original execution produced. The same hash also coalesces
 // in-flight duplicates: submitting a scenario identical to one still queued
 // or running returns that job (HTTP 200 instead of 201) rather than
 // executing it twice.

@@ -228,6 +228,16 @@ func (j *Job) nextTrace(from int) (lines [][]byte, terminal bool, changed <-chan
 	return lines, j.state.terminal(), j.changed
 }
 
+// logs returns the record and trace logs as they stand. A backend reads them
+// after the job's last run, to fill the cache before finish ends the job's
+// stream: a client that resubmits the moment its stream ends must hit the
+// cache.
+func (j *Job) logs() (lines, trace [][]byte) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.lines, j.trace
+}
+
 // resultLines returns the complete record and trace logs of a terminal job
 // (nil otherwise) — what the cache stores.
 func (j *Job) resultLines() (lines, trace [][]byte) {

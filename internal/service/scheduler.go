@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
+	"math"
 	"sync"
 	"time"
 
@@ -130,19 +130,20 @@ func (b *LocalBackend) executor() {
 }
 
 // workersFor decides how many engine workers a run would ideally use: its
-// model's explicit choice or GOMAXPROCS, capped by the graph size (a 32-node
-// run cannot use more than 32 workers — the engine clamps anyway, but tokens
-// reserved here stay reserved, so over-asking would idle budget other jobs
-// could use) and by the global budget.
+// model's explicit choice capped by the graph size, or else the engine's own
+// default for that size (ncc.DefaultWorkers), and never more than the global
+// budget. Tokens reserved here stay reserved for the whole run, so asking for
+// more than the run can use would idle budget that other jobs are waiting on.
 func (b *LocalBackend) workersFor(c scenario.Scenario) int {
+	n := specNodeCount(c.Graph)
+	if n < 1 {
+		n = math.MaxInt // unsized graph: no cap from its size
+	}
 	want := c.Model.Workers
 	if want <= 0 {
-		want = runtime.GOMAXPROCS(0)
+		want = ncc.DefaultWorkers(n)
 	}
-	if n := specNodeCount(c.Graph); n >= 1 && want > n {
-		want = n
-	}
-	return min(want, b.budget)
+	return min(want, n, b.budget)
 }
 
 // specNodeCount estimates a graph spec's node count from its resolved
@@ -232,15 +233,15 @@ func (b *LocalBackend) runJob(j *Job) {
 		b.log.Info("job canceled", "job", j.ID, "trace", j.TraceID)
 		return
 	}
-	j.finish(StateDone, "")
-	b.m.jobsDone.Add(1)
-	b.m.jobLatency.observeSince(j.Submitted)
-	b.log.Info("job done", "job", j.ID, "trace", j.TraceID, "records", j.lineCount())
-	lines, trace := j.resultLines()
+	lines, trace := j.logs()
 	if err := b.cache.put(j.Hash, lines, trace); err != nil {
 		// Disk persistence is best-effort; the in-memory entry is in place.
 		b.m.cacheWriteErrors.Add(1)
 	}
+	j.finish(StateDone, "")
+	b.m.jobsDone.Add(1)
+	b.m.jobLatency.observeSince(j.Submitted)
+	b.log.Info("job done", "job", j.ID, "trace", j.TraceID, "records", j.lineCount())
 }
 
 // Drain stops the executors after the already-queued jobs finish. If ctx

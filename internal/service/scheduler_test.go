@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"ncc/internal/graph"
+	"ncc/internal/ncc"
 	"ncc/internal/param"
+	"ncc/internal/scenario"
 )
 
 // TestSpecNodeCount pins the scheduler's sizing hint across every family
@@ -30,6 +32,36 @@ func TestSpecNodeCount(t *testing.T) {
 	for _, tc := range cases {
 		if got := specNodeCount(tc.spec); got != tc.want {
 			t.Errorf("specNodeCount(%v) = %d, want %d", tc.spec, got, tc.want)
+		}
+	}
+}
+
+// TestWorkersForFollowsEngineDefault pins that a run without an explicit
+// worker count reserves only what the engine would use at its size: a 48-node
+// job takes one token, so on a 2-token budget a second executor's job runs
+// alongside it instead of queueing behind it.
+func TestWorkersForFollowsEngineDefault(t *testing.T) {
+	b := &LocalBackend{budget: 2}
+	sized := func(n, workers int) scenario.Scenario {
+		return scenario.Scenario{
+			Graph: graph.Spec{Family: "kforest", Params: param.Values{"n": float64(n), "k": 2}},
+			Model: scenario.Model{Workers: workers},
+		}
+	}
+	cases := []struct {
+		name string
+		c    scenario.Scenario
+		want int
+	}{
+		{"small default", sized(48, 0), 1},
+		{"large default", sized(1<<20, 0), min(2, ncc.DefaultWorkers(1<<20))},
+		{"explicit", sized(48, 2), 2},
+		{"explicit above n", sized(1, 2), 1},
+		{"unsized default", scenario.Scenario{Graph: graph.Spec{Family: "no-such-family"}}, min(2, ncc.DefaultWorkers(1<<30))},
+	}
+	for _, tc := range cases {
+		if got := b.workersFor(tc.c); got != tc.want {
+			t.Errorf("%s: workersFor = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }
