@@ -1,38 +1,24 @@
 package nccrepro
 
-// One testing.B benchmark per experiment of cmd/nccbench (see README.md). The
-// interesting metric of the NCC model is rounds (and message counts), not
-// wall-clock time, so every benchmark reports rounds/op, msgs/op and
-// maxRecvLoad/op via b.ReportMetric; ns/op measures only the simulator.
-// `go test -bench=. -benchmem` regenerates the whole set; cmd/nccbench
-// prints the same data as readable tables with the theory-bound columns.
+// Raw-engine benchmarks of the paper's primitives and capacity bounds: each
+// runs one communication pattern through ncc.Run directly and reports the
+// model's cost metrics (rounds/op, msgs/op, maxRecvLoad/op, plus
+// primitive-specific ones) via b.ReportMetric; ns/op measures only the
+// simulator. The paper's evaluation tables for registered algorithms are
+// regenerated by campaigns/paper.json (`go run ./cmd/ncccampaign -spec
+// campaigns/paper.json`), not here.
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
 
-	"ncc/internal/algo"
 	"ncc/internal/baseline"
-	"ncc/internal/bench"
 	"ncc/internal/comm"
 	"ncc/internal/core"
 	"ncc/internal/graph"
-	"ncc/internal/kmachine"
 	"ncc/internal/ncc"
 )
-
-// measure resolves an algorithm through the registry and fails the benchmark
-// on run or verification errors.
-func measure(b *testing.B, name string, g *graph.Graph, seed int64) ncc.Stats {
-	b.Helper()
-	res, err := algo.MustGet(name).Execute(ncc.Config{Seed: seed, Strict: true}, g, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !res.Verified {
-		b.Fatalf("%s verification: %s", name, res.VerifyErr)
-	}
-	return res.Stats
-}
 
 func report(b *testing.B, st ncc.Stats) {
 	b.ReportMetric(float64(st.Rounds), "rounds/op")
@@ -43,153 +29,25 @@ func report(b *testing.B, st ncc.Stats) {
 	}
 }
 
-// reportLossy is report for the naive baselines, whose entire point is that
-// they overload receivers under tight capacities: drops are a measurement,
-// not a failure.
-func reportLossy(b *testing.B, st ncc.Stats) {
-	b.ReportMetric(float64(st.Rounds), "rounds/op")
-	b.ReportMetric(float64(st.Messages), "msgs/op")
-	b.ReportMetric(float64(st.MaxRecvOffered), "maxRecvLoad/op")
-	b.ReportMetric(float64(st.Dropped()), "dropped/op")
-}
-
-// BenchmarkMST regenerates experiment T1-MST (Table 1 row 1, Theorem 3.2).
-func BenchmarkMST(b *testing.B) {
-	for _, n := range []int{32, 64, 128} {
-		b.Run(sizeName("n", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st, err := bench.MeasureMST(n, 3*n, 42)
-				if err != nil {
-					b.Fatal(err)
-				}
-				report(b, st)
-			}
-		})
-	}
-}
-
-// BenchmarkMSTCentralizedBaseline is T1-MST's gather-and-solve comparator.
-func BenchmarkMSTCentralizedBaseline(b *testing.B) {
-	for _, n := range []int{64, 128} {
-		b.Run(sizeName("n", n), func(b *testing.B) {
-			g := graph.GNM(n, 3*n, 42)
-			wg := graph.RandomWeights(g, int64(n)*int64(n), 43)
-			for i := 0; i < b.N; i++ {
-				st, err := ncc.Run(ncc.Config{N: n, Seed: 42, Strict: true}, func(ctx *ncc.Context) {
-					baseline.CentralizedMST(comm.NewSession(ctx), wg)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				report(b, st)
-			}
-		})
-	}
-}
-
-// BenchmarkBFS regenerates experiment T1-BFS (Table 1 row 2, Theorem 5.2).
-func BenchmarkBFS(b *testing.B) {
-	cases := map[string]*graph.Graph{
-		"grid8x8": graph.Grid(8, 8),
-		"tree127": graph.BinaryTree(127),
-		"gnp128":  graph.GNP(128, 0.05, 7),
-		"star128": graph.Star(128),
-	}
-	for name, g := range cases {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st, err := bench.MeasureBFS(g, 0, 11)
-				if err != nil {
-					b.Fatal(err)
-				}
-				report(b, st)
-			}
-		})
-	}
-}
-
-// BenchmarkNaiveBFS is T1-BFS's flooding comparator (ablation A3).
-func BenchmarkNaiveBFS(b *testing.B) {
-	cases := map[string]*graph.Graph{
-		"grid8x8": graph.Grid(8, 8),
-		"star128": graph.Star(128),
-	}
-	for name, g := range cases {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st, err := ncc.Run(ncc.Config{N: g.N(), CapFactor: 1, Seed: 5}, func(ctx *ncc.Context) {
-					baseline.NaiveBFS(comm.NewSession(ctx), g, 0)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportLossy(b, st)
-			}
-		})
-	}
-}
-
-// BenchmarkMIS regenerates experiment T1-MIS (Table 1 row 3, Theorem 5.3).
-func BenchmarkMIS(b *testing.B) {
-	for _, k := range []int{1, 2, 4} {
-		b.Run(sizeName("arbo", k), func(b *testing.B) {
-			g := graph.KForest(96, k, 100+int64(k))
-			for i := 0; i < b.N; i++ {
-				report(b, measure(b, "mis", g, 3))
-			}
-		})
-	}
-}
-
-// BenchmarkMatching regenerates experiment T1-MM (Table 1 row 4, Thm 5.4).
-func BenchmarkMatching(b *testing.B) {
-	for _, k := range []int{1, 2, 4} {
-		b.Run(sizeName("arbo", k), func(b *testing.B) {
-			g := graph.KForest(96, k, 200+int64(k))
-			for i := 0; i < b.N; i++ {
-				report(b, measure(b, "matching", g, 5))
-			}
-		})
-	}
-}
-
-// BenchmarkColoring regenerates experiment T1-COL (Table 1 row 5, Thm 5.5).
-func BenchmarkColoring(b *testing.B) {
-	for _, k := range []int{1, 2, 4} {
-		b.Run(sizeName("arbo", k), func(b *testing.B) {
-			g := graph.KForest(96, k, 300+int64(k))
-			for i := 0; i < b.N; i++ {
-				report(b, measure(b, "coloring", g, 7))
-			}
-		})
-	}
-}
-
-// BenchmarkOrientation regenerates experiment E-ORI (Theorem 4.12).
-func BenchmarkOrientation(b *testing.B) {
-	for _, k := range []int{1, 2, 4} {
-		b.Run(sizeName("arbo", k), func(b *testing.B) {
-			g := graph.KForest(96, k, 400+int64(k))
-			for i := 0; i < b.N; i++ {
-				report(b, measure(b, "orientation", g, 9))
-			}
-		})
-	}
-}
-
 // BenchmarkAggregateBroadcast regenerates experiment E-AAB (Theorem 2.2).
+// aabRounds/op counts the rounds after session setup, the primitive alone.
 func BenchmarkAggregateBroadcast(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(sizeName("n", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				setup := 0 // written by node 0 only; read after Run returns
 				st, err := ncc.Run(ncc.Config{N: n, Seed: 1, Strict: true}, func(ctx *ncc.Context) {
 					s := comm.NewSession(ctx)
+					if ctx.ID() == 0 {
+						setup = ctx.Round()
+					}
 					comm.AggregateAndBroadcast(s, uint64(1), true, comm.Sum)
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				report(b, st)
+				b.ReportMetric(float64(st.Rounds-setup), "aabRounds/op")
 			}
 		})
 	}
@@ -209,7 +67,9 @@ func BenchmarkAggregation(b *testing.B) {
 						g := (me + j*37 + 1) % n
 						items = append(items, comm.Agg[uint64]{Group: uint64(g), Target: g, Val: 1})
 					}
-					comm.Aggregate(s, items, comm.Sum, members)
+					if len(comm.Aggregate(s, items, comm.Sum, members)) == 0 {
+						panic("aggregation produced no result")
+					}
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -220,12 +80,15 @@ func BenchmarkAggregation(b *testing.B) {
 	}
 }
 
-// BenchmarkTreeSetupAndMulticast regenerates E-TREE and E-MC (Thms 2.4/2.5).
+// BenchmarkTreeSetupAndMulticast regenerates E-TREE and E-MC (Thms 2.4/2.5):
+// congestion/op is the tree setup's congestion, multicastRounds/op the rounds
+// of the multicast over those trees.
 func BenchmarkTreeSetupAndMulticast(b *testing.B) {
 	const n = 128
 	for _, members := range []int{1, 4, 16} {
 		b.Run(sizeName("members", members), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				congestion, mcRounds := 0, 0 // written by node 0 only
 				st, err := ncc.Run(ncc.Config{N: n, Seed: 17, Strict: true}, func(ctx *ncc.Context) {
 					s := comm.NewSession(ctx)
 					me := ctx.ID()
@@ -234,12 +97,22 @@ func BenchmarkTreeSetupAndMulticast(b *testing.B) {
 						items = append(items, comm.TreeItem{Group: uint64((me + j*13 + 1) % n), Origin: me})
 					}
 					trees := s.SetupTrees(items)
-					comm.Multicast(s, trees, true, uint64(me), uint64(1), comm.U64Wire{}, members)
+					c, _ := s.MaxAll(uint64(trees.Congestion()), true)
+					before := ctx.Round()
+					got := comm.Multicast(s, trees, true, uint64(me), uint64(me), comm.U64Wire{}, members)
+					if len(got) != members {
+						panic(fmt.Sprintf("node got %d multicasts, want %d", len(got), members))
+					}
+					if me == 0 {
+						congestion, mcRounds = int(c), ctx.Round()-before
+					}
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				report(b, st)
+				b.ReportMetric(float64(congestion), "congestion/op")
+				b.ReportMetric(float64(mcRounds), "multicastRounds/op")
 			}
 		})
 	}
@@ -310,29 +183,6 @@ func BenchmarkBroadcast(b *testing.B) {
 	})
 }
 
-// BenchmarkKMachine regenerates experiment E-KM (Appendix A, Corollary 2).
-func BenchmarkKMachine(b *testing.B) {
-	g := graph.Grid(8, 8)
-	program := func(ctx *ncc.Context) {
-		s := comm.NewSession(ctx)
-		o := core.Orient(s, g, core.OrientParams{})
-		trees, lhat := core.BroadcastTrees(s, g, o)
-		core.BFS(s, g, trees, lhat, 0)
-	}
-	for _, k := range []int{2, 4, 8} {
-		b.Run(sizeName("k", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, st, err := kmachine.Simulate(k, 4, ncc.Config{N: g.N(), Seed: 5, Strict: true}, program)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.KRounds), "kRounds/op")
-				report(b, st)
-			}
-		})
-	}
-}
-
 // BenchmarkTreeSetupStar is ablation A1: naive vs orientation-based
 // broadcast-tree setup on the paper's star worst case.
 func BenchmarkTreeSetupStar(b *testing.B) {
@@ -363,45 +213,6 @@ func BenchmarkTreeSetupStar(b *testing.B) {
 	})
 }
 
-// BenchmarkSimulatorThroughput measures the raw simulator (rounds/sec with a
-// trivial program), to separate harness cost from algorithm cost. The
-// workers sub-benchmarks compare the serial coordinator against the sharded
-// delivery pool (identical results per seed; see also the BenchmarkEngine*
-// set in internal/ncc for dense/sparse/overload traffic shapes).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	const n = 256
-	for _, w := range []int{1, 0} { // 1 = serial, 0 = GOMAXPROCS
-		b.Run("workers="+itoa(w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := ncc.Run(ncc.Config{N: n, Seed: 1, Workers: w}, func(ctx *ncc.Context) {
-					for r := 0; r < 100; r++ {
-						ctx.Send((ctx.ID()+1)%n, ncc.Word(1))
-						ctx.EndRound()
-					}
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(100*b.N), "simRounds")
-		})
-	}
-}
-
 func sizeName(k string, v int) string {
-	return k + "=" + itoa(v)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return k + "=" + strconv.Itoa(v)
 }

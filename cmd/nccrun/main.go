@@ -181,9 +181,9 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		return runRemote(*remote, *token, s, *jsonOut, len(runs), *traceFile, stdout, stderr, sigs)
 	}
 
-	// Profiling hooks match nccbench's, so a slow scenario is diagnosable with
-	// the same workflow: go tool pprof <binary> cpu.out. CPU samples carry
-	// run/scenario pprof labels, so one sweep profile splits per run.
+	// Profiling hooks: a slow scenario is diagnosable with `go tool pprof
+	// <binary> cpu.out`. CPU samples carry run/scenario pprof labels, so one
+	// sweep profile splits per run.
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

@@ -109,8 +109,8 @@ func TestTraceTimingFlag(t *testing.T) {
 	}
 }
 
-// TestProfileFlags mirrors nccbench's contract: both profile files exist and
-// are non-empty after a run.
+// TestProfileFlags checks the profiling contract: both profile files exist
+// and are non-empty after a run.
 func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")

@@ -325,29 +325,64 @@ func TestResolveRefs(t *testing.T) {
 	}
 }
 
-// TestCompareSmallReportPinned pins the exact bytes of the local report for
-// the shipped campaigns/compare-small.json, as `ncccampaign -json` prints
-// them: any change to records, trace hashes or report math moves the hash.
-func TestCompareSmallReportPinned(t *testing.T) {
-	path := filepath.Join("..", "..", "campaigns", "compare-small.json")
-	sp, err := Load(path)
-	if err != nil {
+// TestShippedCampaignReportsPinned pins the exact bytes of the local report
+// for each shipped campaign file, as `ncccampaign -json` prints them: any
+// change to records, trace hashes or report math moves the hash. The paper
+// campaign regenerates the evaluation tables (tens of thousands of MST
+// rounds), so it is skipped under -short.
+func TestShippedCampaignReportsPinned(t *testing.T) {
+	for _, c := range []struct {
+		file, want string
+		slow       bool
+	}{
+		{"compare-small.json", "a2018f4165a351f4f2e3a6608f3866fe35b0687f7655c80428a9984dea0ee492", false},
+		{"paper.json", "994f4348efac62837f6c9a8d5667b900eaae2922828c74e9921ab129d7551e22", true},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			if c.slow && testing.Short() {
+				t.Skip("regenerates the paper's tables; skipped under -short")
+			}
+			path := filepath.Join("..", "..", "campaigns", c.file)
+			sp, err := Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.Resolve(filepath.Dir(path)); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Execute(sp, Local())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Errors != 0 || rep.Verified != rep.Runs {
+				t.Fatalf("%s: %d errors, %d of %d runs verified", c.file, rep.Errors, rep.Verified, rep.Runs)
+			}
+			line, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(append(line, '\n'))
+			if got := hex.EncodeToString(sum[:]); got != c.want {
+				t.Fatalf("%s report sha256 %s, want %s", c.file, got, c.want)
+			}
+		})
+	}
+}
+
+func TestRenderTextSpeedup(t *testing.T) {
+	r := Report{Campaign: "fix", Entries: []EntryReport{{
+		Name: "mst",
+		Variants: []VariantReport{
+			{Variant: VariantNCC, Algo: "mst", Runs: 1, Verified: 1, Rounds: 37913},
+			{Variant: VariantBaseline, Algo: "mst-central", Runs: 1, Verified: 1, Rounds: 156},
+		},
+		Speedup: 0.004,
+	}}}
+	var b strings.Builder
+	if err := RenderText(&b, r); err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.Resolve(filepath.Dir(path)); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Execute(sp, Local())
-	if err != nil {
-		t.Fatal(err)
-	}
-	line, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(append(line, '\n'))
-	const want = "a2018f4165a351f4f2e3a6608f3866fe35b0687f7655c80428a9984dea0ee492"
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Fatalf("compare-small report sha256 %s, want %s", got, want)
+	if !strings.Contains(b.String(), " 0.004x\n") {
+		t.Fatalf("speedup not printed as 0.004x:\n%s", b.String())
 	}
 }

@@ -199,7 +199,7 @@ func RenderText(w io.Writer, r Report) error {
 			}
 			speedup := ""
 			if vr.Variant == VariantBaseline && er.Speedup > 0 {
-				speedup = fmt.Sprintf("%.2fx", er.Speedup)
+				speedup = fmt.Sprintf("%.3fx", er.Speedup)
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%s\t%s\n",
 				er.Name, vr.Variant, vr.Algo, vr.Runs, vr.Verified,

@@ -7,8 +7,8 @@ import (
 )
 
 // Benchmarks for the typed collectives themselves (as opposed to the
-// engine-level BenchmarkEngine* set in internal/ncc and the experiment
-// regeneration set in the repo root): one session at n=4096, every node
+// engine-level BenchmarkEngine* set in internal/ncc and the raw-engine
+// primitive sweeps in the repo root): one session at n=4096, every node
 // performing b.N collective calls, so ns/op converges to the steady-state
 // cost of one primitive invocation with session setup amortized away.
 // ReportAllocs pins the zero-allocation property in the recorded numbers

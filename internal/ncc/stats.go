@@ -92,10 +92,10 @@ func (s Stats) String() string {
 }
 
 // Process-lifetime traffic totals, bumped once per completed Run (not on the
-// per-message hot path). They let a harness that triggers many nested runs —
-// cmd/nccbench wraps whole experiments, which run simulations through the
-// algorithm registry, baselines, and the k-machine simulator — meter the
-// total payload volume moved without threading every Stats value out.
+// per-message hot path). They let a process that triggers many runs — the
+// nccd daemon executes jobs through the algorithm registry, baselines and
+// k-machine accounting — meter the total payload volume moved without
+// threading every Stats value out.
 var processMessages, processWords, processRounds atomic.Int64
 
 // TrafficTotals returns the cumulative messages and payload words accepted
