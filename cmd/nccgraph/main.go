@@ -27,6 +27,7 @@ import (
 	"os"
 	"strings"
 
+	"ncc/internal/blob"
 	"ncc/internal/graph"
 	"ncc/internal/graphio"
 	"ncc/internal/param"
@@ -265,7 +266,7 @@ func policyRegistry() []policyInfo {
 
 // loadRef loads a graph named either by a store hash or a .nccg file path.
 func loadRef(dir, ref string) (*graph.Graph, string, error) {
-	if graphio.ValidHash(ref) {
+	if blob.ValidHash(ref) {
 		st, err := openStore(dir)
 		if err != nil {
 			return nil, "", err

@@ -36,6 +36,7 @@ import (
 	"syscall"
 
 	"ncc/internal/algo"
+	"ncc/internal/blob"
 	"ncc/internal/faultmodel"
 	"ncc/internal/graph"
 	"ncc/internal/graphio"
@@ -138,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	}
 	if *graphFile != "" {
 		ref := *graphFile
-		if !graphio.ValidHash(ref) {
+		if !blob.ValidHash(ref) {
 			// A path: ingest the .nccg file into the store (idempotent) and
 			// run against its content hash.
 			st, err := graphio.ActiveStore()

@@ -42,13 +42,13 @@
 //
 // # The content-addressed store
 //
-// A Store is a flat directory of <sha256>.nccg files, named by the hex SHA-256
-// of their contents. The hash is the graph's identity everywhere: scenarios
-// reference it in the "file" graph family's file field, it therefore lands in
-// the canonical scenario hash (so nccd's result cache distinguishes runs on
-// different real graphs for free), and cluster workers that miss a hash fetch
-// the bytes from the coordinator's /v1/graphs/{hash} route, verifying the
-// digest before trusting them.
+// A Store is the graph-format layer (encode, decode, symmetry check) over a
+// blob store of <sha256>.nccg files (package blob): uploads are validated
+// before they take an address, and every Open re-checks the bytes. The hash
+// is the graph's identity: scenarios reference it in the "file" family's file
+// field, so it lands in the canonical scenario hash (nccd's result cache tells
+// runs on different graphs apart for free), and cluster workers that miss a
+// hash fetch the bytes from the coordinator's /v1/graphs/{hash} route.
 //
 // # Edge-list ingestion
 //

@@ -1,23 +1,24 @@
 package graphio
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
+	"ncc/internal/blob"
 	"ncc/internal/graph"
 )
 
-// Store is a content-addressed directory of .nccg files: every graph lives at
-// <dir>/<sha256-of-bytes>.nccg, so the file name is a verifiable identity
-// that scenarios embed (the "file" family's file field) and cluster nodes
-// exchange (/v1/graphs/{hash}).
+// Store is the graph-format layer over a blob store of .nccg files: every
+// graph lives at <dir>/<sha256-of-bytes>.nccg, so the file name is a
+// verifiable identity that scenarios embed (the "file" family's file field)
+// and cluster nodes exchange (/v1/graphs/{hash}). Dir, Path and Has come
+// from the blob store.
 type Store struct {
-	dir string
+	*blob.Store
 }
 
 // NewStore opens (creating if needed) a graph store rooted at dir.
@@ -25,74 +26,32 @@ func NewStore(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("graphio: empty store directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("graphio: %w", err)
+	b, err := blob.Open(dir, ".nccg")
+	if err != nil {
+		return nil, err
 	}
-	return &Store{dir: dir}, nil
+	return &Store{b}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Path returns where the graph with the given hash lives (whether or not it
-// currently exists).
-func (s *Store) Path(hash string) string {
-	return filepath.Join(s.dir, hash+".nccg")
-}
-
-// Has reports whether the store holds the given hash.
-func (s *Store) Has(hash string) bool {
-	if !ValidHash(hash) {
-		return false
-	}
-	_, err := os.Stat(s.Path(hash))
-	return err == nil
-}
-
-// Open loads a stored graph, re-verifying that the bytes still hash to their
-// name (a corrupted or hand-renamed file is an error, never a wrong graph).
+// Open loads a stored graph. The blob store re-verifies that the bytes still
+// hash to their name, so a corrupted or hand-renamed file is an error, never
+// a wrong graph.
 func (s *Store) Open(hash string) (*graph.Graph, error) {
-	if !ValidHash(hash) {
-		return nil, fmt.Errorf("graphio: %q is not a sha256 graph hash", hash)
-	}
-	f, err := os.Open(s.Path(hash))
+	data, err := s.Get(hash)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	h := sha256.New()
-	g, err := Decode(io.TeeReader(f, h), st.Size())
-	if err != nil {
-		return nil, fmt.Errorf("graphio: stored graph %s: %w", hash, err)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != hash {
-		return nil, fmt.Errorf("graphio: stored graph %s corrupted (bytes hash to %s)", hash, got)
-	}
-	return g, nil
+	return DecodeBytes(data)
 }
 
 // PutGraph stores g's canonical encoding and returns its content hash.
 // Storing the same graph twice is idempotent.
 func (s *Store) PutGraph(g *graph.Graph) (string, error) {
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := Encode(&buf, g); err != nil {
 		return "", err
 	}
-	defer os.Remove(tmp.Name())
-	h := sha256.New()
-	if err := Encode(io.MultiWriter(tmp, h), g); err != nil {
-		tmp.Close()
-		return "", err
-	}
-	if err := tmp.Close(); err != nil {
-		return "", err
-	}
-	hash := hex.EncodeToString(h.Sum(nil))
-	return hash, s.commit(tmp.Name(), hash)
+	return s.Put(&buf, nil)
 }
 
 // PutFile ingests an existing .nccg file (validating it fully, symmetry
@@ -107,65 +66,21 @@ func (s *Store) PutFile(path string) (string, error) {
 	return hash, err
 }
 
-// PutStream ingests .nccg bytes from r: they are spooled to a temp file while
-// hashing, fully validated (structure and symmetry), and committed under
-// their content hash. Returns the hash and the decoded graph.
+// PutStream ingests .nccg bytes from r: they are spooled while hashing, fully
+// validated (structure and symmetry) before they take an address, and
+// committed under their content hash. Returns the hash and the decoded graph.
 func (s *Store) PutStream(r io.Reader) (string, *graph.Graph, error) {
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
+	var g *graph.Graph
+	hash, err := s.Put(r, func(f *os.File, size int64) (err error) {
+		if g, err = Decode(f, size); err == nil {
+			err = VerifySymmetric(g)
+		}
+		return err
+	})
 	if err != nil {
-		return "", nil, err
-	}
-	defer os.Remove(tmp.Name())
-	h := sha256.New()
-	size, err := io.Copy(io.MultiWriter(tmp, h), r)
-	if err != nil {
-		tmp.Close()
-		return "", nil, err
-	}
-	if _, err := tmp.Seek(0, io.SeekStart); err != nil {
-		tmp.Close()
-		return "", nil, err
-	}
-	g, err := Decode(tmp, size)
-	if err == nil {
-		err = VerifySymmetric(g)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return "", nil, err
-	}
-	hash := hex.EncodeToString(h.Sum(nil))
-	if err := s.commit(tmp.Name(), hash); err != nil {
 		return "", nil, err
 	}
 	return hash, g, nil
-}
-
-// commit renames a validated temp file into its content-addressed home; an
-// already-present hash wins (contents are identical by construction).
-func (s *Store) commit(tmpPath, hash string) error {
-	dst := s.Path(hash)
-	if _, err := os.Stat(dst); err == nil {
-		return nil
-	}
-	return os.Rename(tmpPath, dst)
-}
-
-// ValidHash reports whether ref looks like a sha256 graph hash: exactly 64
-// lowercase hex digits.
-func ValidHash(ref string) bool {
-	if len(ref) != 64 {
-		return false
-	}
-	for i := 0; i < len(ref); i++ {
-		c := ref[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // Package-level resolver state: the active store directory, an optional
@@ -210,19 +125,11 @@ func ActiveStore() (*Store, error) {
 }
 
 func activeStoreLocked() (*Store, error) {
-	if activeSt != nil {
-		return activeSt, nil
+	var err error
+	if activeSt == nil {
+		activeSt, err = NewStore(cmp.Or(storeDir, DefaultDir()))
 	}
-	dir := storeDir
-	if dir == "" {
-		dir = DefaultDir()
-	}
-	st, err := NewStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	activeSt = st
-	return st, nil
+	return activeSt, err
 }
 
 // SetFetcher installs a fallback used when a requested hash is missing from
@@ -239,7 +146,7 @@ func SetFetcher(fn func(hash string) (io.ReadCloser, error)) {
 // store, then the installed fetcher. This is the loader behind the "file"
 // graph family (installed via graph.SetFileResolver in init).
 func Resolve(ref string) (*graph.Graph, error) {
-	if !ValidHash(ref) {
+	if !blob.ValidHash(ref) {
 		return nil, fmt.Errorf("graphio: %q is not a sha256 graph hash (64 hex digits)", ref)
 	}
 	resolveMu.Lock()
@@ -268,7 +175,7 @@ func Resolve(ref string) (*graph.Graph, error) {
 			return nil, fmt.Errorf("graphio: fetched graph %s: %w", ref, err)
 		}
 		if hash != ref {
-			os.Remove(st.Path(hash))
+			// The valid bytes keep their true address; nothing is deleted.
 			return nil, fmt.Errorf("graphio: fetched graph hashes to %s, want %s", hash, ref)
 		}
 		g = fetched

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ncc/internal/blob"
 	"ncc/internal/graph"
 )
 
@@ -21,7 +22,7 @@ func TestStorePutOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ValidHash(hash) {
+	if !blob.ValidHash(hash) {
 		t.Fatalf("hash %q not 64 hex digits", hash)
 	}
 	if !st.Has(hash) {
@@ -164,5 +165,32 @@ func TestResolveFetchesFromFallback(t *testing.T) {
 	bogus := strings.Repeat("a", 64)
 	if _, err := Resolve(bogus); err == nil {
 		t.Error("hash-mismatched fetch accepted")
+	}
+}
+
+// TestResolveMismatchedFetchKeepsStoredGraph: a fetcher that answers with the
+// bytes of a graph the active store already holds, for a different hash, must
+// fail the resolve and leave that stored graph in place.
+func TestResolveMismatchedFetchKeepsStoredGraph(t *testing.T) {
+	SetStoreDir(t.TempDir())
+	t.Cleanup(func() { SetStoreDir(""); SetFetcher(nil) })
+	st, err := ActiveStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := st.PutGraph(graph.Path(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetFetcher(func(string) (io.ReadCloser, error) { return os.Open(st.Path(held)) })
+	if _, err := Resolve(strings.Repeat("b", 64)); err == nil || !strings.Contains(err.Error(), "hashes to "+held) {
+		t.Fatalf("hash-mismatched fetch: %v", err)
+	}
+	g, err := st.Open(held)
+	if err != nil {
+		t.Fatalf("stored graph lost to a mismatched fetch: %v", err)
+	}
+	if g.N() != 5 {
+		t.Fatalf("stored graph n=%d, want 5", g.N())
 	}
 }

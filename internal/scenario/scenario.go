@@ -23,9 +23,10 @@ import (
 	"slices"
 
 	"ncc/internal/algo"
+	"ncc/internal/blob"
 	"ncc/internal/faultmodel"
 	"ncc/internal/graph"
-	"ncc/internal/graphio" // installs the "file" graph-family resolver
+	_ "ncc/internal/graphio" // installs the "file" graph-family resolver
 	"ncc/internal/kmachine"
 	"ncc/internal/ncc"
 	"ncc/internal/obs"
@@ -188,7 +189,7 @@ func (s Scenario) Validate() error {
 		if s.Graph.File == "" {
 			return fmt.Errorf("graph.file: required for the %s family (the 64-hex content hash printed by nccgraph ingest)", s.Graph.Family)
 		}
-		if !graphio.ValidHash(s.Graph.File) {
+		if !blob.ValidHash(s.Graph.File) {
 			return fmt.Errorf("graph.file: %q is not a 64-hex content hash", s.Graph.File)
 		}
 	} else if s.Graph.File != "" {

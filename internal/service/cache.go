@@ -2,76 +2,67 @@ package service
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
+	"strings"
 	"sync"
+
+	"ncc/internal/blob"
 )
 
-// CacheTier is the content-addressed result store seam: canonical scenario
-// hash -> the complete NDJSON record stream of one executed sweep, plus its
-// telemetry trace when one was recorded (traces are deterministic, so the
-// cached trace is exactly what a re-execution would produce). The default
-// tier (newCache) is per-process memory with an optional disk directory; the
-// interface exists so a shared or replicated tier (a cache directory on
-// network storage, a remote cache service) can drop in without touching the
-// store, the backends, or the handlers. Implementations must be safe for
-// concurrent use; put is best-effort (an error means the entry may not
-// persist, not that the job failed).
-type CacheTier interface {
-	get(hash string) (lines, trace [][]byte, ok bool)
-	put(hash string, lines, trace [][]byte) error
-	len() int
-}
-
-// cache is the default CacheTier. Entries live in memory and, when a
-// directory is configured, as one <hash>.ndjson file each (plus a
-// <hash>.trace file when the run recorded telemetry), so a restarted daemon
-// keeps serving past results. Records are stored as the exact marshaled
-// lines the first execution streamed, so a cache hit is byte-identical to
-// the run that populated it.
+// cache is the content-addressed result cache: canonical scenario hash -> the
+// exact NDJSON record lines one executed sweep streamed (so a hit is
+// byte-identical to the run that populated it) plus its telemetry trace
+// (traces are deterministic). Entries live in a memory FIFO and, with a
+// directory, in a blob store: each stream is a verified <sha256>.ndjson blob
+// and <scenarioHash>.ref names the pair, so a restarted daemon keeps serving
+// past results and a damaged entry reads as a miss.
 type cache struct {
 	mu   sync.Mutex // held across disk reads; cache traffic is not a hot path
 	mem  map[string]cacheEntry
-	fifo []string // insertion order of mem keys, oldest first
-	max  int      // in-memory entry bound; evicted FIFO (disk tier keeps all)
-	dir  string
+	fifo []string    // insertion order of mem keys, oldest first
+	max  int         // in-memory entry bound; evicted FIFO (disk keeps all)
+	disk *blob.Store // nil without a cache directory
 }
 
-type cacheEntry struct {
-	lines [][]byte
-	trace [][]byte
-}
+type cacheEntry struct{ lines, trace [][]byte }
 
-func newCache(dir string, maxEntries int) (*cache, error) {
+func newCache(dir string, maxEntries int) (c *cache, err error) {
+	c = &cache{mem: map[string]cacheEntry{}, max: maxEntries}
 	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("cache dir: %w", err)
-		}
+		c.disk, err = blob.Open(dir, ".ndjson")
 	}
-	return &cache{mem: map[string]cacheEntry{}, max: maxEntries, dir: dir}, nil
+	return c, err
 }
 
 // get returns the cached record and trace lines for hash, consulting memory
-// first and the disk tier second (a disk hit is promoted into memory). The
-// trace is nil when the populating run recorded none.
+// first and the disk second (a disk hit is promoted into memory). The trace
+// is nil when the populating run recorded none.
 func (c *cache) get(hash string) (lines, trace [][]byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.mem[hash]; ok {
 		return e.lines, e.trace, true
 	}
-	if c.dir == "" {
+	if c.disk == nil {
 		return nil, nil, false
 	}
-	data, err := os.ReadFile(c.path(hash, ".ndjson"))
-	if err != nil {
+	// The ref holds "<recordsHash> <traceHash>"; any unreadable, truncated
+	// or corrupted piece is a miss, so the job re-executes and re-puts.
+	ref, err := c.disk.Ref(hash)
+	hashes := strings.Fields(string(ref))
+	if err != nil || len(hashes) != 2 {
 		return nil, nil, false
 	}
-	e := cacheEntry{lines: splitLines(data)}
-	if tdata, err := os.ReadFile(c.path(hash, ".trace")); err == nil {
-		e.trace = splitLines(tdata)
+	var streams [2][][]byte
+	for i, h := range hashes {
+		data, err := c.disk.Get(h)
+		if err != nil {
+			return nil, nil, false
+		}
+		if len(data) > 0 {
+			streams[i] = bytes.Split(data[:len(data)-1], []byte{'\n'})
+		}
 	}
+	e := cacheEntry{lines: streams[0], trace: streams[1]}
 	c.storeLocked(hash, e)
 	return e.lines, e.trace, true
 }
@@ -95,44 +86,31 @@ func (c *cache) storeLocked(hash string, e cacheEntry) {
 	}
 }
 
-// put stores a completed sweep's record and trace lines under hash. Disk
-// writes go through a temp file + rename so a crashed daemon never leaves a
-// torn entry.
+// put stores a completed sweep's record and trace lines under hash. It is
+// best-effort: an error means the entry may not persist, not that the job
+// failed. The ref is written last, so a crash never leaves it naming a
+// missing blob.
 func (c *cache) put(hash string, lines, trace [][]byte) error {
 	c.mu.Lock()
 	c.storeLocked(hash, cacheEntry{lines: lines, trace: trace})
 	c.mu.Unlock()
-	if c.dir == "" {
+	if c.disk == nil {
 		return nil
 	}
-	if err := c.writeFile(c.path(hash, ".ndjson"), lines); err != nil {
-		return err
+	var hashes []string
+	for _, stream := range [][][]byte{lines, trace} {
+		var buf bytes.Buffer
+		for _, ln := range stream {
+			buf.Write(ln)
+			buf.WriteByte('\n')
+		}
+		h, err := c.disk.Put(&buf, nil)
+		if err != nil {
+			return err
+		}
+		hashes = append(hashes, h)
 	}
-	if len(trace) == 0 {
-		return nil
-	}
-	return c.writeFile(c.path(hash, ".trace"), trace)
-}
-
-func (c *cache) writeFile(path string, lines [][]byte) error {
-	var buf bytes.Buffer
-	for _, ln := range lines {
-		buf.Write(ln)
-		buf.WriteByte('\n')
-	}
-	tmp, err := os.CreateTemp(c.dir, "put-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return c.disk.PutRef(hash, []byte(strings.Join(hashes, " ")))
 }
 
 // len reports the number of in-memory entries (metrics).
@@ -140,20 +118,4 @@ func (c *cache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.mem)
-}
-
-func (c *cache) path(hash, ext string) string {
-	// Hashes are internally generated hex, but never let a stray value walk
-	// the filesystem.
-	return filepath.Join(c.dir, filepath.Base(hash)+ext)
-}
-
-func splitLines(data []byte) [][]byte {
-	var out [][]byte
-	for _, ln := range bytes.Split(data, []byte{'\n'}) {
-		if len(ln) > 0 {
-			out = append(out, ln)
-		}
-	}
-	return out
 }

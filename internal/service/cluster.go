@@ -239,7 +239,7 @@ func (r *workerRegistry) sums() (total, free int) {
 type RemoteBackend struct {
 	cfg      Config
 	m        *metrics
-	cache    CacheTier
+	cache    *cache
 	reg      *workerRegistry
 	queue    chan *Job
 	client   *http.Client
@@ -247,7 +247,7 @@ type RemoteBackend struct {
 	stopScan chan struct{}  // stops the heartbeat-expiry loop
 }
 
-func newRemoteBackend(cfg Config, c CacheTier, m *metrics) *RemoteBackend {
+func newRemoteBackend(cfg Config, c *cache, m *metrics) *RemoteBackend {
 	b := &RemoteBackend{
 		cfg:      cfg,
 		m:        m,

@@ -15,14 +15,14 @@
 //	           │ admit            │ stream              │ lookup
 //	           ▼                  ▼                     ▼
 //	     ┌──────────┐       ┌───────────┐         ┌───────────┐
-//	     │ JobStore │       │ StreamHub │         │ CacheTier │
-//	     └────┬─────┘       └───────────┘         └─────┬─────┘
-//	          │ Submit                                  │ get/put
-//	          ▼                                         │
-//	┌───────────────────┐                               │
-//	│    ExecBackend    │ ◄─────────────────────────────┘
-//	│ Local │  Remote   │
-//	└───────────────────┘
+//	     │ JobStore │       │ StreamHub │         │   cache   │ memory FIFO
+//	     └────┬─────┘       └───────────┘         └──┬─────┬──┘
+//	          │ Submit                       get/put │     │ refs + blobs
+//	          ▼                                      │     ▼
+//	┌───────────────────┐                            │  ┌────────────┐
+//	│    ExecBackend    │ ◄──────────────────────────┘  │ blob.Store │
+//	│ Local │  Remote   │                               │ (optional) │
+//	└───────────────────┘                               └────────────┘
 //
 // JobStore owns the job lifecycle: admission (with drain refusal and
 // in-flight coalescing under one lock), id assignment, retention pruning of
@@ -30,9 +30,9 @@
 // job: LocalBackend executes in-process on the two-level scheduler below;
 // RemoteBackend (coordinator mode) shards jobs across registered worker
 // daemons and proxies their streams. StreamHub serves a job's NDJSON record
-// stream to any number of concurrent tails, live or replayed. CacheTier is
-// the content-addressed result cache; the default implementation layers an
-// in-memory FIFO over an optional on-disk directory.
+// stream to any number of concurrent tails, live or replayed. The cache is
+// the content-addressed result cache: an in-memory FIFO over an optional
+// blob store on disk.
 //
 // # Local scheduling
 //
@@ -57,7 +57,9 @@
 // defaults, display names, worker counts, and sweep-axis order all
 // canonicalize away, so a semantically identical re-submission is answered
 // instantly from memory — or from the cache directory, which persists each
-// sweep as one <hash>.ndjson file across restarts. A sweep enters the cache
+// sweep across restarts in a blob store: <scenarioHash>.ref names the
+// records and trace blobs (<sha256>.ndjson), which are checked on read, so a
+// damaged entry is a miss that re-executes. A sweep enters the cache
 // before its job turns done, so a re-submission sent the moment the first
 // stream ends is already a hit. Cached streams replay the exact bytes the
 // original execution produced. The same hash also coalesces

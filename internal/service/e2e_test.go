@@ -3,11 +3,15 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -319,6 +323,52 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	}
 	if got := fetch(t, ts2.URL+"/v1/jobs/"+info2.ID+"/records"); !bytes.Equal(got, want) {
 		t.Fatal("disk-cached stream differs from the original")
+	}
+}
+
+// TestCorruptDiskCacheReexecutes damages a persisted entry — one flipped
+// byte in the records blob, a truncated trace blob — and checks a fresh
+// server over the directory treats it as a miss: it re-executes with streams
+// byte-identical to a local run, and the re-put repairs the blobs so the next
+// fresh server answers from disk again.
+func TestCorruptDiskCacheReexecutes(t *testing.T) {
+	dir := t.TempDir()
+	want, wantTrace := localLines(t, sweepJSON), localTrace(t, sweepJSON)
+	blobPath := func(stream []byte) string {
+		sum := sha256.Sum256(stream)
+		return filepath.Join(dir, hex.EncodeToString(sum[:])+".ndjson")
+	}
+	serve := func() (service.JobInfo, []byte, []byte) {
+		ts := newTestServer(t, service.Config{WorkerBudget: 4, CacheDir: dir})
+		defer ts.Close()
+		info := submit(t, ts.URL, sweepJSON)
+		records := fetch(t, ts.URL+"/v1/jobs/"+info.ID+"/records")
+		waitState(t, ts.URL, info.ID, service.StateDone, 60*time.Second)
+		trace, _, _ := fetchTrace(t, ts.URL, info.ID)
+		return info, records, trace
+	}
+	serve()
+
+	rec, err := os.ReadFile(blobPath(want))
+	if err != nil {
+		t.Fatalf("records blob not at its content address: %v", err)
+	}
+	rec[len(rec)/2] ^= 1
+	if err := os.WriteFile(blobPath(want), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(blobPath(wantTrace), int64(len(wantTrace)/2)); err != nil {
+		t.Fatalf("trace blob not at its content address: %v", err)
+	}
+
+	for i, wantCached := range []bool{false, true} {
+		info, records, trace := serve()
+		if info.Cached != wantCached {
+			t.Fatalf("server %d over the damaged dir: cached=%v, want %v", i+2, info.Cached, wantCached)
+		}
+		if !bytes.Equal(records, want) || !bytes.Equal(trace, wantTrace) {
+			t.Fatalf("server %d: records/trace differ from the local run", i+2)
+		}
 	}
 }
 

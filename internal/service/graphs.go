@@ -6,7 +6,7 @@ import (
 	"io"
 	"net/http"
 
-	"ncc/internal/graphio"
+	"ncc/internal/blob"
 )
 
 // handleGraphGet serves a stored graph's raw .nccg bytes. http.ServeFile
@@ -15,7 +15,7 @@ import (
 // may cache it indefinitely.
 func (s *Server) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	if !graphio.ValidHash(hash) {
+	if !blob.ValidHash(hash) {
 		httpError(w, http.StatusBadRequest, "%q is not a sha256 graph hash (64 hex digits)", hash)
 		return
 	}
@@ -35,7 +35,7 @@ func (s *Server) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 // wrong name. Re-uploading a stored graph is an idempotent 200.
 func (s *Server) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 	want := r.PathValue("hash")
-	if !graphio.ValidHash(want) {
+	if !blob.ValidHash(want) {
 		httpError(w, http.StatusBadRequest, "%q is not a sha256 graph hash (64 hex digits)", want)
 		return
 	}

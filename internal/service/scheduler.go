@@ -80,11 +80,11 @@ type LocalBackend struct {
 	pool   *tokenPool
 	wg     sync.WaitGroup
 	m      *metrics
-	cache  CacheTier
+	cache  *cache
 	log    *slog.Logger
 }
 
-func newLocalBackend(budget, executors, queueLimit int, c CacheTier, m *metrics, log *slog.Logger) *LocalBackend {
+func newLocalBackend(budget, executors, queueLimit int, c *cache, m *metrics, log *slog.Logger) *LocalBackend {
 	b := &LocalBackend{
 		budget: budget,
 		queue:  make(chan *Job, queueLimit),

@@ -136,13 +136,13 @@ func (c Config) withDefaults() Config {
 // Server is the scenario-execution service behind cmd/nccd: the HTTP surface
 // over four seams. It validates submitted scenarios against the registries,
 // admits them through the JobStore (coalescing identical in-flight work and
-// answering repeats from the CacheTier), hands admitted jobs to an
+// answering repeats from the result cache), hands admitted jobs to an
 // ExecBackend — in-process executors (LocalBackend) or a worker cluster
 // (RemoteBackend) — and streams results through the StreamHub.
 type Server struct {
 	cfg       Config
 	m         *metrics
-	cache     CacheTier
+	cache     *cache
 	store     *JobStore
 	hub       *StreamHub
 	backend   ExecBackend
@@ -154,7 +154,7 @@ type Server struct {
 // New builds a single-process Server executing jobs on a LocalBackend
 // (creating the cache directory if configured).
 func New(cfg Config) (*Server, error) {
-	return build(cfg, func(cfg Config, c CacheTier, m *metrics) (ExecBackend, *RemoteBackend) {
+	return build(cfg, func(cfg Config, c *cache, m *metrics) (ExecBackend, *RemoteBackend) {
 		return newLocalBackend(cfg.WorkerBudget, cfg.Executors, cfg.QueueLimit, c, m, cfg.Logger), nil
 	})
 }
@@ -163,13 +163,13 @@ func New(cfg Config) (*Server, error) {
 // nothing itself, instead sharding admitted jobs across worker daemons that
 // register via POST /v1/workers and proxying their record streams.
 func NewCoordinator(cfg Config) (*Server, error) {
-	return build(cfg, func(cfg Config, c CacheTier, m *metrics) (ExecBackend, *RemoteBackend) {
+	return build(cfg, func(cfg Config, c *cache, m *metrics) (ExecBackend, *RemoteBackend) {
 		rb := newRemoteBackend(cfg, c, m)
 		return rb, rb
 	})
 }
 
-func build(cfg Config, mk func(Config, CacheTier, *metrics) (ExecBackend, *RemoteBackend)) (*Server, error) {
+func build(cfg Config, mk func(Config, *cache, *metrics) (ExecBackend, *RemoteBackend)) (*Server, error) {
 	cfg = cfg.withDefaults()
 	c, err := newCache(cfg.CacheDir, cfg.CacheEntries)
 	if err != nil {
