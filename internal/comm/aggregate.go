@@ -105,7 +105,8 @@ func sendRoute[T any](s *Session, to ncc.NodeID, seq uint32, level int, w Wire[T
 
 // deliverResults sends every completed group's value from its intermediate
 // target to its final target at a uniformly random round of the window, and
-// collects the results addressed to this node.
+// collects the results addressed to this node. Between its planned sends the
+// node sleeps: arrivals only queue until the window closes.
 func deliverResults[T any](s *Session, r *combineRouter[T], w Wire[T], window int) []GroupVal[T] {
 	ctx := s.Ctx
 	st := stateFor[T](s)
@@ -136,7 +137,8 @@ func deliverResults[T any](s *Session, r *combineRouter[T], w Wire[T], window in
 			plan[t] = append(plan[t], done[g])
 		}
 	}
-	for t := 0; t < window; t++ {
+	start := ctx.Round()
+	for t := 0; t < window; t = ctx.Round() - start {
 		for _, p := range plan[t] {
 			if int(p.target) == ctx.ID() {
 				mine = append(mine, GroupVal[T]{Group: p.group, Val: p.val})
@@ -144,7 +146,11 @@ func deliverResults[T any](s *Session, r *combineRouter[T], w Wire[T], window in
 				sendGroupVal(s, int(p.target), tagResult, w, p.group, p.val)
 			}
 		}
-		s.Advance()
+		next := t + 1
+		for next < window && len(plan[next]) == 0 {
+			next++
+		}
+		s.wait(start + next)
 	}
 	for _, m := range s.qResult {
 		mine = append(mine, GroupVal[T]{Group: m.group, Val: w.Decode(s.words(m.val))})

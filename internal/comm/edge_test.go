@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -177,5 +178,86 @@ func TestMulticastMultiSourcer(t *testing.T) {
 	}
 	if st.Dropped() != 0 {
 		t.Errorf("dropped %d", st.Dropped())
+	}
+}
+
+// TestBackToBackCollectivesQueuedInput runs collectives back to back so that
+// input reaches a wait loop before the loop starts. Nodes hold different
+// numbers of Aggregate items, so they leave the inject phase at different
+// rounds, and the Synchronize contributions of early nodes are already
+// queued at late ones. Nodes enter a BroadcastWords at staggered rounds, so
+// words pipelined from the root are already queued at late nodes, and at
+// the latest ones every word is. A
+// wait that slept on such input instead of consuming it would stall to
+// MaxRounds. Rounds and messages are pinned to the values the engine gave
+// before nodes could sleep through empty rounds.
+func TestBackToBackCollectivesQueuedInput(t *testing.T) {
+	const n, groups, count = 64, 8, 20
+	items := func(node, call int) []Agg[uint64] {
+		it := make([]Agg[uint64], (node*5+call)%23)
+		for i := range it {
+			g := (node + i) % groups
+			it[i] = Agg[uint64]{Group: uint64(g), Target: g, Val: 1}
+		}
+		return it
+	}
+	var mu sync.Mutex
+	var bad []string
+	fail := func(format string, args ...any) {
+		mu.Lock()
+		bad = append(bad, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	st := runAll(t, n, 9, func(s *Session) {
+		me := s.Ctx.ID()
+		for call := 0; call < 3; call++ {
+			want := uint64(0)
+			for u := 0; u < n; u++ {
+				for _, it := range items(u, call) {
+					if it.Target == me {
+						want += it.Val
+					}
+				}
+			}
+			res := Aggregate(s, items(me, call), Sum, 1)
+			got := uint64(0)
+			for _, gv := range res {
+				got += gv.Val
+			}
+			if got != want {
+				fail("aggregate %d: node %d got %d, want %d", call, me, got, want)
+			}
+		}
+		for k, src := range []int{37, 0} {
+			// The second broadcast starts at staggered rounds; odd nodes are
+			// leaves of the reduction tree (they forward nothing) and start
+			// only after the whole stream has reached them.
+			delay := k * (me % 3)
+			if k == 1 && me%2 == 1 {
+				delay = count + 8
+			}
+			for d := 0; d < delay; d++ {
+				s.Advance()
+			}
+			var words []uint64
+			if me == src {
+				words = make([]uint64, count)
+				for i := range words {
+					words[i] = uint64(i*i + src)
+				}
+			}
+			for i, w := range s.BroadcastWords(src, words, count) {
+				if w != uint64(i*i+src) {
+					fail("broadcast from %d: node %d word %d = %d", src, me, i, w)
+					break
+				}
+			}
+		}
+	})
+	if len(bad) > 0 {
+		t.Fatalf("%d wrong results, first: %s", len(bad), bad[0])
+	}
+	if st.Rounds != 241 || st.Messages != 8958 {
+		t.Errorf("rounds=%d messages=%d, want the pinned %d and %d", st.Rounds, st.Messages, 241, 8958)
 	}
 }

@@ -64,16 +64,23 @@ func gatherScatter[T any](s *Session, w Wire[T], merge func(a, b T) T, val T, ha
 	if _, ok := bf.AttachedNode(col); ok {
 		need++
 	}
-	got, barren := 0, 0
+	// base is the round of the last contribution (or of entry); a node whose
+	// contributions are all queued before it got here must take a plain
+	// round to consume them, not sleep on them.
+	got, base := 0, ctx.Round()
 	for got < need {
-		s.Advance()
+		if len(s.qGather) > 0 {
+			s.Advance()
+		} else {
+			s.wait(s.giveUp(base, s.patience+1))
+		}
 		if len(s.qGather) == 0 {
-			if barren++; s.patience > 0 && barren > s.patience {
+			if s.patience > 0 && ctx.Round()-base > s.patience {
 				break // lost contributions; aggregate over what arrived
 			}
 			continue
 		}
-		barren = 0
+		base = ctx.Round()
 		for _, g := range s.qGather {
 			got++
 			if g.has && (s.patience == 0 || int(g.val.n) == w.Words()) {
@@ -116,13 +123,12 @@ func gatherScatter[T any](s *Session, w Wire[T], merge func(a, b T) T, val T, ha
 // faults a lost release gives up after the patience budget and reports no
 // value, exiting at the current round.
 func awaitRelease[T any](s *Session, w Wire[T]) (exitRound int, val T, has bool) {
-	barren := 0
+	deadline := s.giveUp(s.Ctx.Round(), s.patience+1)
 	for len(s.qRelease) == 0 {
-		if s.patience > 0 && barren > s.patience {
+		if s.Ctx.Round() >= deadline {
 			return s.Ctx.Round(), val, false
 		}
-		barren++
-		s.Advance()
+		s.wait(deadline)
 	}
 	m := s.qRelease[0]
 	if m.has && (s.patience == 0 || int(m.val.n) == w.Words()) {
@@ -169,7 +175,7 @@ func (s *Session) idleUntil(target int) {
 		target = min(target, s.Ctx.Round()+s.BF.D+2+s.patience)
 	}
 	for s.Ctx.Round() < target {
-		s.Advance()
+		s.wait(target)
 	}
 }
 
@@ -240,18 +246,23 @@ func (s *Session) BroadcastWords(src ncc.NodeID, words []uint64, count int) []ui
 	// collect drains word messages until `need` have arrived, giving up after
 	// the patience budget of barren rounds; forward relays each fresh word
 	// down the tree (nil at collectors). Word indexes are validated under
-	// faults — a corrupted index must not fault the collector.
+	// faults — a corrupted index must not fault the collector. Like the
+	// gather wait, it sleeps only while no word is queued.
 	collect := func(need int, forward func(idx int32, w uint64)) {
-		barren := 0
+		base := ctx.Round()
 		for got := 0; got < need; {
-			s.Advance()
+			if len(s.qWords) > 0 {
+				s.Advance()
+			} else {
+				s.wait(s.giveUp(base, s.patience+1))
+			}
 			if len(s.qWords) == 0 {
-				if barren++; s.patience > 0 && barren > s.patience {
+				if s.patience > 0 && ctx.Round()-base > s.patience {
 					break // missing words stay zero
 				}
 				continue
 			}
-			barren = 0
+			base = ctx.Round()
 			for _, m := range s.qWords {
 				if s.patience > 0 && (m.idx < 0 || int(m.idx) >= count) {
 					continue

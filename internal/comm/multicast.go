@@ -160,7 +160,10 @@ func sendSpread[T any](s *Session, to ncc.NodeID, seq uint32, level int, w Wire[
 	s.Ctx.SendWords(to, enc)
 }
 
-func (r *spreadRouter[T]) step() {
+// step reports whether it moved anything (sent or staged a packet or token);
+// a step that moved nothing changed no state, so the next one does nothing
+// either until input arrives.
+func (r *spreadRouter[T]) step() (moved bool) {
 	bf := r.s.BF
 	for level := bf.D; level >= 1; level-- {
 		for side := 0; side <= 1; side++ {
@@ -173,6 +176,7 @@ func (r *spreadRouter[T]) step() {
 					}
 				}
 				it := q[best]
+				moved = true
 				q[best] = q[len(q)-1]
 				r.queues[level][side] = q[:len(q)-1]
 				toCol := bf.UpNeighbor(level-1, r.col, side)
@@ -184,6 +188,7 @@ func (r *spreadRouter[T]) step() {
 			}
 			if !r.tokSent[level][side] && len(r.queues[level][side]) == 0 && r.upDone(level) {
 				r.tokSent[level][side] = true
+				moved = true
 				toCol := bf.UpNeighbor(level-1, r.col, side)
 				if toCol == r.col {
 					r.nextToks = append(r.nextToks, stagedTok{level: level - 1, side: 0})
@@ -194,6 +199,7 @@ func (r *spreadRouter[T]) step() {
 			}
 		}
 	}
+	return moved
 }
 
 func (r *spreadRouter[T]) upDone(level int) bool {
@@ -212,22 +218,20 @@ func (r *spreadRouter[T]) done() bool {
 	return r.tokIn[0][0] && r.tokIn[0][1]
 }
 
-// runSpread drives the spreading router to quiescence; like runCombine it is
-// bounded by the patience budget under faults so a lost token cannot spin the
-// phase to MaxRounds.
+// runSpread drives the spreading router to quiescence; like runCombine it
+// sleeps while a step moves nothing and is bounded by the patience budget
+// under faults so a lost token cannot spin the phase to MaxRounds.
 func runSpread[T any](s *Session, r *spreadRouter[T]) {
 	if r == nil {
 		return
 	}
-	spins := 0
-	for !r.done() {
-		if s.patience > 0 {
-			if spins++; spins > 8*s.patience {
-				break
-			}
+	deadline := s.giveUp(s.Ctx.Round(), 8*s.patience)
+	for !r.done() && s.Ctx.Round() < deadline {
+		if r.step() {
+			s.Advance()
+		} else {
+			s.wait(deadline)
 		}
-		r.step()
-		s.Advance()
 		r.absorb()
 	}
 }
@@ -321,7 +325,8 @@ func spreadPhase[T any](s *Session, r *spreadRouter[T], seq uint32, w Wire[T], t
 
 // deliverLeaves fans each leaf packet out to the group members recorded at
 // this column's leaf, each at a uniformly random round of the window, and
-// collects the packets addressed to this node.
+// collects the packets addressed to this node. Like deliverResults it sleeps
+// between its planned sends.
 func deliverLeaves[T any](s *Session, r *spreadRouter[T], w Wire[T], window int) []GroupVal[T] {
 	ctx := s.Ctx
 	st := stateFor[T](s)
@@ -336,8 +341,13 @@ func deliverLeaves[T any](s *Session, r *spreadRouter[T], w Wire[T], window int)
 		r.leafGot = r.leafGot[:0]
 	}
 	st.sched = sched
-	for t := 0; t < window; t++ {
+	start := ctx.Round()
+	for t := 0; t < window; t = ctx.Round() - start {
+		next := window
 		for _, p := range sched {
+			if p.rnd > t {
+				next = min(next, p.rnd)
+			}
 			if p.rnd != t {
 				continue
 			}
@@ -347,7 +357,7 @@ func deliverLeaves[T any](s *Session, r *spreadRouter[T], w Wire[T], window int)
 				sendGroupVal(s, p.to, tagLeaf, w, p.group, p.val)
 			}
 		}
-		s.Advance()
+		s.wait(start + next)
 	}
 	for _, lm := range s.qLeaf {
 		if s.patience > 0 && int(lm.val.n) != w.Words() {

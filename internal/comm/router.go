@@ -150,8 +150,11 @@ func (r *combineRouter[T]) arrive(level int, p pkt[T], side int) {
 }
 
 // step performs one butterfly routing round: per down-edge, forward the
-// minimum-rank pending packet, then emit per-edge tokens where quiescent.
-func (r *combineRouter[T]) step() {
+// minimum-rank pending packet, then emit per-edge tokens where quiescent. It
+// reports whether it moved anything (sent or staged a packet or token); a
+// step that moved nothing changed no state, so the next one does nothing
+// either until input arrives.
+func (r *combineRouter[T]) step() (moved bool) {
 	bf := r.s.BF
 	for level := 0; level < bf.D; level++ {
 		for bit := 0; bit <= 1; bit++ {
@@ -160,6 +163,7 @@ func (r *combineRouter[T]) step() {
 				continue
 			}
 			best := r.pend[level][group]
+			moved = true
 			delete(r.pend[level], group)
 			toCol := bf.DownNeighbor(level, r.col, bit)
 			if toCol == r.col {
@@ -170,6 +174,7 @@ func (r *combineRouter[T]) step() {
 		}
 		if !r.tokSent[level] && len(r.pend[level]) == 0 && r.upDone(level) {
 			r.tokSent[level] = true
+			moved = true
 			for bit := 0; bit <= 1; bit++ {
 				toCol := bf.DownNeighbor(level, r.col, bit)
 				if toCol == r.col {
@@ -181,6 +186,7 @@ func (r *combineRouter[T]) step() {
 			}
 		}
 	}
+	return moved
 }
 
 // selectMin picks the pending packet at `level` with the smallest
@@ -227,25 +233,24 @@ func (r *combineRouter[T]) completed() map[uint64]pkt[T] {
 	return r.pend[r.s.BF.D]
 }
 
-// runCombine drives the router until quiescent. Attached nodes (no butterfly
-// column) pass a nil router and return immediately. Under faults a lost token
-// would spin this loop to MaxRounds, so the whole phase is bounded by a
-// multiple of the patience budget; giving up strands whatever packets are
-// still pending (their groups degrade to partial aggregates downstream).
+// runCombine drives the router until quiescent, sleeping through the rounds
+// in which a step moves nothing. Attached nodes (no butterfly column) pass a
+// nil router and return immediately. Under faults a lost token would spin
+// this loop to MaxRounds, so the whole phase is bounded by a multiple of the
+// patience budget; giving up strands whatever packets are still pending
+// (their groups degrade to partial aggregates downstream).
 func runCombine[T any](s *Session, r *combineRouter[T]) {
 	if r == nil {
 		return
 	}
 	r.absorb()
-	spins := 0
-	for !r.done() {
-		if s.patience > 0 {
-			if spins++; spins > 8*s.patience {
-				break
-			}
+	deadline := s.giveUp(s.Ctx.Round(), 8*s.patience)
+	for !r.done() && s.Ctx.Round() < deadline {
+		if r.step() {
+			s.Advance()
+		} else {
+			s.wait(deadline)
 		}
-		r.step()
-		s.Advance()
 		r.absorb()
 	}
 }

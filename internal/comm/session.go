@@ -96,7 +96,8 @@ type Session struct {
 	// output with it). With patience set, a wait that sees nothing arrive for
 	// this many consecutive rounds gives up and continues with what it has —
 	// the collective's result degrades instead of the whole run. Reliable
-	// runs keep the wait-forever semantics bit-for-bit unchanged.
+	// runs keep the wait-forever semantics bit-for-bit unchanged. The waits
+	// sleep in between, so the budget becomes a round deadline (giveUp).
 	patience int
 }
 
@@ -125,12 +126,21 @@ func NewSession(ctx *ncc.Context) *Session {
 }
 
 // Advance runs one communication round and dispatches everything received.
-func (s *Session) Advance() {
+func (s *Session) Advance() { s.wait(0) }
+
+// wait is Advance that sleeps through empty rounds: it submits the outbox,
+// then returns at the first round that delivers input, or once Round()
+// reaches deadline (ncc.Context.AwaitInput). A loop may call it in place of
+// Advance when its body does nothing in a round with an empty inbox and
+// nothing queued; a loop that consumes a queue must Advance while that queue
+// holds input received before the loop started, or it would sleep on input
+// it already has.
+func (s *Session) wait(deadline int) {
 	if len(s.qGather)+len(s.qRelease)+len(s.qRoute)+len(s.qInit)+
 		len(s.qSpread)+len(s.qLeaf)+len(s.qResult) == 0 {
 		s.vals = s.vals[:0]
 	}
-	in := s.Ctx.EndRound()
+	in := s.Ctx.AwaitInput(deadline)
 	for i := range in {
 		rc := &in[i]
 		ws := receivedWords(rc, &s.view2)
@@ -300,6 +310,15 @@ func (s *Session) rankOnly(call uint64) *hashing.Family {
 // is capfactor * ceil(log n) with capfactor >= 1).
 func (s *Session) batchSize() int {
 	return max(1, min(ncc.CeilLog2(s.Ctx.N()), s.Ctx.MinCap()))
+}
+
+// giveUp returns the round at which a wait that has seen nothing since round
+// base gives up: base+budget under faults, and never on a reliable network.
+func (s *Session) giveUp(base, budget int) int {
+	if s.patience == 0 {
+		return ncc.NoDeadline
+	}
+	return base + budget
 }
 
 // window returns the length of the randomized delivery window for a load

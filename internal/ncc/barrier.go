@@ -11,16 +11,21 @@ import (
 // shard performs exactly one wake of the coordinator. Release is by per-node
 // wake tokens: every node owns a capacity-1 channel for the whole run (taken
 // from tokenSets, or allocated) and receives exactly one token from it per
-// round. The coordinator sends one token to every live node, and a send to a
-// parked receiver hands it over directly, so a round barrier costs O(N)
-// uncontended atomics plus one park/unpark per node — no shared lock for
-// woken nodes to pile onto, no per-round allocation and no serialized submit
-// funnel.
+// round it runs. A send to a parked receiver hands the token over directly,
+// so a round costs O(released) uncontended atomics plus one park/unpark per
+// released node — no shared lock for woken nodes to pile onto, no per-round
+// allocation and no serialized submit funnel.
+//
+// Only woken nodes are released. A node sleeping in AwaitInput stays parked
+// on its token across rounds: the countdowns count only the nodes released
+// for the round, and release sends tokens only to them. A round that
+// releases nobody arms no countdown, and the coordinator runs the next round
+// without waiting (a fast-forwarded round).
 //
 // Abort closes every token channel once. A close never blocks and wakes
-// parked nodes and late arrivals alike; they observe the abort flag and
-// unwind with errAborted. The abort flag is stored before the close, so a
-// receive that returns because of the close always sees it.
+// parked and sleeping nodes and late arrivals alike; they observe the abort
+// flag and unwind with errAborted. The abort flag is stored before the
+// close, so a receive that returns because of the close always sees it.
 type barrier struct {
 	shards    []barrierShard
 	remaining atomic.Int32    // non-empty shards that have not fully arrived
@@ -41,10 +46,13 @@ type barrier struct {
 	releasedAt int64
 }
 
-// barrierShard keeps each shard's countdown on its own cache line.
+// barrierShard keeps each shard's countdown on its own cache line. armed is
+// the count the current countdown started from: the shard's nodes released
+// for the round.
 type barrierShard struct {
 	count atomic.Int32
-	_     [60]byte // keep neighbouring shard countdowns off this cache line
+	armed int32
+	_     [56]byte // keep neighbouring shard countdowns off this cache line
 }
 
 // tokenSets recycles the wake channels of runs that ended without an abort,
@@ -71,7 +79,8 @@ func newBarrier(shards, nodes int) *barrier {
 // node goroutine has exited. An aborted run's channels are closed, so they are
 // dropped; so would be a set with a token left in it, which would let a node
 // of the next run pass its first barrier early. A clean run leaves none: each
-// live node took the last token it was sent before its program returned.
+// node took the last token it was sent before its program returned (a clean
+// run ends only when every program has returned, so no node still sleeps).
 func (b *barrier) recycle() {
 	if b.aborted.Load() {
 		return
@@ -84,18 +93,21 @@ func (b *barrier) recycle() {
 	tokenSets.Put(&b.set)
 }
 
-// reset arms the barrier for the next round: shard i expects live[i]
-// arrivals. Only the coordinator calls this, strictly between barrier
-// completion (wake received) and release, when no node is running.
-func (b *barrier) reset(live []int32) {
+// reset arms the barrier for the next round: shard i expects released[i]
+// arrivals. It reports whether anyone will arrive at all. Only the
+// coordinator calls this, strictly between barrier completion (wake
+// received) and release, when no node is running.
+func (b *barrier) reset(released []int32) bool {
 	rem := int32(0)
 	for i := range b.shards {
-		b.shards[i].count.Store(live[i])
-		if live[i] > 0 {
+		b.shards[i].count.Store(released[i])
+		b.shards[i].armed = released[i]
+		if released[i] > 0 {
 			rem++
 		}
 	}
 	b.remaining.Store(rem)
+	return rem > 0
 }
 
 // arrive records one node's arrival at the current barrier. The last arrival
@@ -124,15 +136,16 @@ func (b *barrier) await(id NodeID) bool {
 	return !b.aborted.Load()
 }
 
-// release hands one token to every node whose program has not returned. At
-// barrier completion each such node is parked on its token or about to park,
-// and it took the previous token before arriving, so no send blocks.
-func (b *barrier) release(finished []bool) {
+// release hands one token to every node not held: every node whose program
+// has not returned, except those sleeping in AwaitInput. At barrier
+// completion each such node is parked on its token or about to park, and it
+// took the previous token before arriving, so no send blocks.
+func (b *barrier) release(held []bool) {
 	if b.times != nil {
 		b.releasedAt = time.Now().UnixNano()
 	}
 	for id, tok := range b.tokens {
-		if !finished[id] {
+		if !held[id] {
 			tok <- struct{}{}
 		}
 	}

@@ -13,13 +13,14 @@ import (
 )
 
 // The token barrier's edges: a node parks on its own capacity-1 channel once
-// per round, a normal release sends one token per live node, and an abort
-// closes every channel. These tests drive each way a run can end — node
-// panic, fault-plan kills and outages with early finishes, cancellation — at
-// random rounds, across worker counts and up to n=4096, and require that Run
-// returns and that no goroutine of the run is left behind (a node parked on a
-// token that never comes would show up as a leaked goroutine). CI runs them
-// under -race.
+// per round it runs, a normal release sends one token per woken node, a node
+// sleeping in AwaitInput stays parked across rounds, and an abort closes
+// every channel. These tests drive each way a run can end — node panic,
+// fault-plan kills and outages with early finishes, cancellation — at random
+// rounds, with some nodes asleep when it lands, across worker counts and up
+// to n=4096, and require that Run returns and that no goroutine of the run
+// is left behind (a node parked on a token that never comes would show up as
+// a leaked goroutine). CI runs them under -race.
 
 var stressWorkers = []int{1, 2, 8}
 
@@ -60,7 +61,9 @@ func runBounded(t *testing.T, cfg Config, program func(*Context)) (Stats, error)
 
 // TestBarrierStressNodePanic aborts a plan-less run by panicking one node at
 // a random round while some nodes have already finished and the rest are
-// parked, running, or still holding the previous round's token.
+// parked, running, still holding the previous round's token, or asleep: every
+// fourth node sleeps without a deadline and is never sent to, and the next
+// ones sleep with short deadlines.
 func TestBarrierStressNodePanic(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for _, n := range stressSizes {
@@ -76,8 +79,18 @@ func TestBarrierStressNodePanic(t *testing.T) {
 						if me != victim && me%11 == r {
 							return // early finisher
 						}
-						ctx.SendWord((me+1)%n, Word(r))
-						ctx.EndRound()
+						if me != victim && me%4 == 0 {
+							ctx.AwaitInput(NoDeadline) // asleep until the abort
+							continue
+						}
+						if to := (me + 1) % n; to%4 != 0 || to == victim {
+							ctx.SendWord(to, Word(r))
+						}
+						if me%4 == 1 {
+							ctx.AwaitInput(ctx.Round() + 1 + me%5)
+						} else {
+							ctx.EndRound()
+						}
 					}
 				})
 				if err == nil || !strings.Contains(err.Error(), "stress boom") {
@@ -115,7 +128,8 @@ func stressPlan(n int, seed uint64) planFunc {
 
 // TestBarrierStressFaultPlan runs kills, outages, revivals, early finishes
 // and isolated node panics under a fault plan to completion, and requires
-// identical Stats at every worker count.
+// identical Stats at every worker count. Every third node sleeps through up
+// to three rounds at a time, so faults also land on sleepers.
 func TestBarrierStressFaultPlan(t *testing.T) {
 	const rounds = 12
 	for _, n := range stressSizes {
@@ -134,7 +148,11 @@ func TestBarrierStressFaultPlan(t *testing.T) {
 						if to := ctx.Rand().IntN(n); to != me {
 							ctx.SendWord(to, Word(r))
 						}
-						ctx.EndRound()
+						if me%3 == 0 {
+							ctx.AwaitInput(ctx.Round() + 1 + ctx.Rand().IntN(4))
+						} else {
+							ctx.EndRound()
+						}
 					}
 				})
 				if err != nil {
@@ -154,7 +172,8 @@ func TestBarrierStressFaultPlan(t *testing.T) {
 }
 
 // TestBarrierStressCancel closes Cancel from inside a node program at a random
-// round, racing the barrier, and requires ErrCanceled.
+// round, racing the barrier, while every fourth node sleeps without a
+// deadline, and requires ErrCanceled.
 func TestBarrierStressCancel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	for _, n := range stressSizes {
@@ -172,7 +191,13 @@ func TestBarrierStressCancel(t *testing.T) {
 						if me != n-1 && me%13 == r+1 {
 							return // early finisher
 						}
-						ctx.SendWord((me+1)%n, Word(r))
+						if me != n-1 && me%4 == 0 {
+							ctx.AwaitInput(NoDeadline) // asleep until the cancel
+							continue
+						}
+						if to := (me + 1) % n; to%4 != 0 || to == n-1 {
+							ctx.SendWord(to, Word(r))
+						}
 						ctx.EndRound()
 					}
 				})

@@ -11,7 +11,10 @@
 // Programs are written SPMD style: Run spawns one goroutine per node, all
 // executing the same program against a Context. Context.Send buffers messages
 // for the current round and Context.EndRound blocks on the global round
-// barrier, returning the messages delivered to the node.
+// barrier, returning the messages delivered to the node. Context.AwaitInput
+// is EndRound that sleeps through empty rounds: the node stays parked, off
+// the barrier, until a round delivers it input, its deadline round passes,
+// or the fault plan kills it.
 //
 // Round delivery is executed by a pool of Config.Workers goroutines
 // (default DefaultWorkers(n): GOMAXPROCS, at most one per 128 nodes) that
@@ -24,14 +27,21 @@
 //
 // The engine is built for large N (10^5-10^6 nodes, where the model's
 // O(log n) capacity bounds become interesting). The round barrier is a set
-// of per-shard atomic countdowns: a node arriving at EndRound decrements its
-// shard's counter, the last arrival overall performs one coordinator wake,
-// and release sends one token to each live node's capacity-1 wake channel
+// of per-shard atomic countdowns that count only the nodes released for the
+// round: a node arriving at EndRound or AwaitInput decrements its shard's
+// counter, the last arrival overall performs one coordinator wake, and
+// release sends one token to the capacity-1 wake channel of each woken node
 // (held for the run, reused after a clean one; an abort closes them all) — a
 // direct handoff per node, no shared lock, no per-round allocation and no
-// serialized submit funnel. The steady-state message path allocates nothing: Word and Words2
-// payloads travel inline inside Envelope/Received (use SendWord/SendWords2
-// and AsWord/AsWords2 to stay off the heap entirely), larger payloads keep
+// serialized submit funnel. The receiver phase decides who wakes: a node in
+// AwaitInput stays parked through rounds that deliver it nothing, and a
+// round that releases nobody is fast-forwarded — the coordinator runs the
+// next one without a barrier, still checking Cancel and MaxRounds, applying
+// the FaultPlan and emitting one RoundSample.
+//
+// The steady-state message path allocates nothing: Word and Words2 payloads
+// travel inline inside Envelope/Received (use SendWord/SendWords2 and
+// AsWord/AsWords2 to stay off the heap entirely), larger payloads keep
 // the Payload interface with Words() cached at Send time, and outboxes,
 // buckets and inboxes are sized from observed traffic and reused across
 // rounds. TestSteadyStateAllocs pins ~0 allocs/message; BenchmarkEngineScale

@@ -73,8 +73,10 @@ type ShardTiming struct {
 
 	// ComputeNanos is the shard's program-compute span: from the previous
 	// barrier release (or the run's start, for round 0) to the moment the
-	// shard's last live node arrived. It covers the node programs' own work
-	// plus the wake-up of the shard's nodes.
+	// shard's last released node arrived. It covers the node programs' own
+	// work plus the wake-up of the shard's nodes. A shard none of whose nodes
+	// was released for the round (all finished or asleep in AwaitInput)
+	// reads zero here and in BarrierWaitNanos.
 	ComputeNanos int64
 }
 

@@ -21,6 +21,12 @@ type Context struct {
 	inbox []Received
 	round int
 
+	// deadline is the round count at which the node's last AwaitInput gives
+	// up sleeping (0 after EndRound: wake every round). The node writes it
+	// before arriving at the barrier; recvPhase reads it while the node is
+	// parked to decide whether the round wakes it.
+	deadline int
+
 	// sendWords is the arena backing this round's outgoing multi-word
 	// payloads (SendWords); it is recycled once the round's delivery has
 	// completed. inWords is the receiver-side arena the engine copies
@@ -198,15 +204,37 @@ func (c *Context) panicOversized(w int, p Payload) {
 }
 
 // EndRound submits the buffered messages to the round barrier, blocks until
-// every live node has done the same, and returns the messages delivered to
-// this node, ordered by sender id. The returned slice is reused at the next
+// every node running this round has done the same, and returns the messages
+// delivered to this node, ordered by sender id. The returned slice is reused at the next
 // barrier and must not be retained across rounds.
-func (c *Context) EndRound() []Received {
+func (c *Context) EndRound() []Received { return c.AwaitInput(0) }
+
+// NoDeadline is the AwaitInput deadline that never passes: the node sleeps
+// until a message arrives.
+const NoDeadline = math.MaxInt
+
+// AwaitInput submits the buffered messages like EndRound and then sleeps
+// through empty rounds. It returns exactly what this loop returns, with the
+// same Round() afterwards:
+//
+//	in := c.EndRound()
+//	for len(in) == 0 && c.Round() < deadline {
+//		in = c.EndRound()
+//	}
+//
+// A sleeping node leaves the round barrier: the engine neither wakes it nor
+// waits for it until a round delivers it at least one message, Round()
+// reaches deadline, or the fault plan kills it. Rounds in which every live
+// node sleeps run back to back on the coordinator. Pass NoDeadline to wait
+// for input alone; a deadline at or below Round()+1 makes it a plain
+// EndRound.
+func (c *Context) AwaitInput(deadline int) []Received {
 	r := c.r
 	if r.cfg.Strict && len(c.out) > r.capOf(c.id) {
 		panic(fmt.Sprintf("ncc: node %d sent %d messages in round %d, capacity is %d",
 			c.id, len(c.out), c.round, r.capOf(c.id)))
 	}
+	c.deadline = deadline
 	r.bar.arrive(c.shard)
 	if !r.bar.await(c.id) {
 		panic(errAborted)
@@ -219,9 +247,10 @@ func (c *Context) EndRound() []Received {
 	}
 	// The round's delivery is complete: every multi-word payload has been
 	// copied into its receiver's arena, so the send arena can be recycled
-	// before the node buffers its next round of messages.
+	// before the node buffers its next round of messages. The node may have
+	// slept through rounds, so the round count is resynced, not incremented.
 	c.sendWords = c.sendWords[:0]
-	c.round++
+	c.round = r.stats.Rounds
 	return c.inbox
 }
 
@@ -266,9 +295,14 @@ type run struct {
 	finQ  []NodeID
 
 	// Coordinator-owned round state (read by delivery workers between
-	// barrier completion and release only).
-	finished    []bool  // finished[id]: node id's program has returned
-	liveInShard []int32 // live-node count per shard, drives barrier reset
+	// barrier completion and release only). held[id] keeps node id parked
+	// through the next release: its program returned, or it sleeps in
+	// AwaitInput and the round just delivered gave it no reason to wake.
+	// recvPhase writes held for its shard's live nodes and counts the rest in
+	// woke[shard], which arms the next barrier.
+	finished []bool // finished[id]: node id's program has returned
+	held     []bool
+	woke     []int32
 
 	// Liveness plane, allocated only when cfg.FaultPlan is set. down[id]
 	// suppresses node id's traffic in both directions; killed[id] unwinds its
@@ -375,6 +409,7 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	r.shardStats = make([]Stats, w)
 	r.obsShards = make([][]Envelope, w)
 	r.finished = make([]bool, cfg.N)
+	r.held = make([]bool, cfg.N)
 	if cfg.FaultPlan != nil {
 		r.down = make([]bool, cfg.N)
 		r.killed = make([]bool, cfg.N)
@@ -400,12 +435,12 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 		r.bar.times = make([]int64, w)
 		r.bar.releasedAt = time.Now().UnixNano()
 	}
-	r.liveInShard = make([]int32, w)
+	r.woke = make([]int32, w)
 	for i := 0; i < w; i++ {
 		lo, hi := r.shardRange(i)
-		r.liveInShard[i] = int32(hi - lo)
+		r.woke[i] = int32(hi - lo)
 	}
-	r.bar.reset(r.liveInShard)
+	r.bar.reset(r.woke)
 
 	r.nodes = make([]*Context, cfg.N)
 	var wg sync.WaitGroup
@@ -518,18 +553,23 @@ func (r *run) fail(err error) {
 
 func (r *run) coordinate() {
 	r.alive = r.cfg.N
+	waiting := true // every node runs round 0
 	for {
-		// Barrier: every live node arrives exactly once per round (a node
-		// blocked at the barrier cannot finish, so the live set is stable
-		// once the countdown completes).
-		select {
-		case <-r.bar.wake:
-		case err := <-r.errCh:
-			r.fail(err)
-			return
-		case <-r.cfg.Cancel: // nil channel when cancellation is unused
-			r.fail(ErrCanceled)
-			return
+		// Barrier: every released node arrives exactly once per round (a
+		// node blocked at the barrier cannot finish, so the live set is
+		// stable once the countdown completes). When the last round released
+		// nobody — every live node sleeps in AwaitInput — no one can arrive,
+		// and the next round runs at once.
+		if waiting {
+			select {
+			case <-r.bar.wake:
+			case err := <-r.errCh:
+				r.fail(err)
+				return
+			case <-r.cfg.Cancel: // nil channel when cancellation is unused
+				r.fail(ErrCanceled)
+				return
+			}
 		}
 		if r.probing {
 			r.wakeNanos = time.Now().UnixNano()
@@ -537,7 +577,7 @@ func (r *run) coordinate() {
 		// A cancellation racing the barrier wake must still win this round:
 		// the select above picks arbitrarily among ready cases, and the
 		// "within one round barrier" guarantee would otherwise only hold in
-		// expectation.
+		// expectation. Rounds run without a barrier see it here too.
 		if r.cfg.Cancel != nil {
 			select {
 			case <-r.cfg.Cancel:
@@ -555,7 +595,7 @@ func (r *run) coordinate() {
 		r.finMu.Unlock()
 		for _, id := range fin {
 			r.finished[id] = true
-			r.liveInShard[r.shardOf(id)]--
+			r.held[id] = true
 			r.alive--
 			if r.down != nil && r.down[id] {
 				// A killed node retiring moves from the down count to the
@@ -581,8 +621,8 @@ func (r *run) coordinate() {
 		}
 		// Re-arm the countdowns before waking anyone: released nodes may
 		// arrive at the next barrier immediately.
-		r.bar.reset(r.liveInShard)
-		r.bar.release(r.finished)
+		waiting = r.bar.reset(r.woke)
+		r.bar.release(r.held)
 	}
 }
 
@@ -806,6 +846,7 @@ func (r *run) recvPhase(j int) {
 	st := &r.shardStats[j]
 	*st = Stats{}
 	lo, hi := r.shardRange(j)
+	var woke int32
 	counts := r.recvCounts[lo:hi]
 	wcounts := r.recvWordCounts[lo:hi]
 	clear(counts)
@@ -843,6 +884,14 @@ func (r *run) recvPhase(j int) {
 		if r.peakRecv != nil && int32(d) > r.peakRecv[id] {
 			r.peakRecv[id] = int32(d)
 		}
+		// Release the node for the next round unless it sleeps in
+		// AwaitInput and this round neither delivers to it, reaches its
+		// deadline, nor kills it.
+		wake := c > 0 || round+1 >= ctx.deadline || r.killed != nil && r.killed[id]
+		r.held[id] = !wake
+		if wake {
+			woke++
+		}
 		// The inbox temporarily holds every offered message (truncation
 		// happens in place below), so provision for the offered count. The
 		// receiver word arena is provisioned the same way so the copy pass
@@ -858,6 +907,7 @@ func (r *run) recvPhase(j int) {
 			ctx.inWords = ctx.inWords[:0]
 		}
 	}
+	r.woke[j] = woke
 	for i := 0; i < r.workers; i++ {
 		bucket := r.buckets[i][j]
 		for k := range bucket {
@@ -996,9 +1046,10 @@ func (r *run) probeRound() (err error) {
 		t.SendNanos = r.probeSend[i]
 		t.RecvNanos = r.probeRecv[i]
 		t.BarrierWaitNanos, t.ComputeNanos = 0, 0
-		// Shards with no live nodes never arrive; their stale timestamp (and
-		// any clock oddity) reads as zero wait and zero compute.
-		if at := r.bar.times[i]; r.liveInShard[i] > 0 && at != 0 {
+		// Shards with no node released for the round never arrive; their
+		// stale timestamp (and any clock oddity) reads as zero wait and zero
+		// compute.
+		if at := r.bar.times[i]; r.bar.shards[i].armed > 0 && at != 0 {
 			if at < r.wakeNanos {
 				t.BarrierWaitNanos = r.wakeNanos - at
 			}

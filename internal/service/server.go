@@ -37,9 +37,10 @@ type Config struct {
 	// rejected with 503 (default 256).
 	QueueLimit int
 
-	// CacheDir, when non-empty, persists completed sweeps as content-addressed
-	// NDJSON files so the cache survives restarts. Empty keeps the cache
-	// in memory only.
+	// CacheDir, when non-empty, persists completed sweeps in a blob store so
+	// the cache survives restarts: the records and the trace of a sweep are
+	// verified <sha256>.ndjson blobs, and <scenarioHash>.ref names the pair.
+	// Empty keeps the cache in memory only.
 	CacheDir string
 
 	// MaxBodyBytes bounds a submission body (default 1 MiB).
