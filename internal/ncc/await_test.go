@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 )
 
 // awaitLoop is AwaitInput's definition, spelled out with EndRound: the
@@ -68,6 +69,54 @@ type diffResult struct {
 	samples []RoundSample
 }
 
+// runRecorded runs program under cfg with a probe attached and records every
+// return of EndRound or AwaitInput as the program passes it to record. A
+// watchdog cancels a run that hangs, so a node the engine never wakes fails
+// the comparison instead of the test binary.
+func runRecorded(cfg Config, program func(ctx *Context, record func([]Received))) diffResult {
+	res := diffResult{events: make([][]diffEvent, cfg.N)}
+	cfg.Probe = func(s RoundSample, _ []ShardTiming) { res.samples = append(res.samples, s) }
+	cancel := make(chan struct{})
+	watchdog := time.AfterFunc(30*time.Second, func() { close(cancel) })
+	defer watchdog.Stop()
+	cfg.Cancel = cancel
+	st, err := Run(cfg, func(ctx *Context) {
+		me := ctx.ID()
+		program(ctx, func(in []Received) {
+			ev := diffEvent{round: ctx.Round()}
+			for _, rc := range in {
+				ev.inbox = append(ev.inbox, fmt.Sprint(rc.From, rc.Payload()))
+			}
+			res.events[me] = append(res.events[me], ev)
+		})
+	})
+	res.stats = st
+	if err != nil {
+		res.err = err.Error()
+	}
+	return res
+}
+
+// diffResults describes the first difference between got and want, or
+// returns "" when the runs agree.
+func diffResults(got, want diffResult) string {
+	if !reflect.DeepEqual(got.stats, want.stats) {
+		return fmt.Sprintf("stats differ:\n  got:  %+v\n  want: %+v", got.stats, want.stats)
+	}
+	if got.err != want.err {
+		return fmt.Sprintf("error %q, want %q", got.err, want.err)
+	}
+	if !reflect.DeepEqual(got.samples, want.samples) {
+		return fmt.Sprintf("RoundSample series differ (%d vs %d samples)", len(got.samples), len(want.samples))
+	}
+	for id := range want.events {
+		if !reflect.DeepEqual(got.events[id], want.events[id]) {
+			return fmt.Sprintf("node %d saw\n  got:  %v\n  want: %v", id, got.events[id], want.events[id])
+		}
+	}
+	return ""
+}
+
 // runDiffProgram runs one seeded random SPMD program. Every node draws its
 // behaviour from ctx.Rand(): random sends of 1..MaxWords words to random
 // peers, then a plain EndRound or a wait with a random deadline (none, past,
@@ -76,21 +125,12 @@ type diffResult struct {
 // it. wait is either the engine's AwaitInput or the reference loop.
 func runDiffProgram(seed int64, n, workers int, faults bool, wait func(*Context, int) []Received) diffResult {
 	const sleeper = 0
-	res := diffResult{events: make([][]diffEvent, n)}
-	cfg := Config{N: n, Seed: seed, Workers: workers, MaxWords: 4, MaxRounds: 400,
-		Probe: func(s RoundSample, _ []ShardTiming) { res.samples = append(res.samples, s) }}
+	cfg := Config{N: n, Seed: seed, Workers: workers, MaxWords: 4, MaxRounds: 400}
 	if faults {
 		cfg.FaultPlan = diffPlan{n: n, seed: uint64(seed), sleeper: sleeper, sleeperKill: 7 + int(seed%5)}
 	}
-	st, err := Run(cfg, func(ctx *Context) {
+	return runRecorded(cfg, func(ctx *Context, record func([]Received)) {
 		me := ctx.ID()
-		record := func(in []Received) {
-			ev := diffEvent{round: ctx.Round()}
-			for _, rc := range in {
-				ev.inbox = append(ev.inbox, fmt.Sprint(rc.From, rc.Payload()))
-			}
-			res.events[me] = append(res.events[me], ev)
-		}
 		if faults && me == sleeper {
 			record(wait(ctx, NoDeadline))
 			return
@@ -128,11 +168,6 @@ func runDiffProgram(seed int64, n, workers int, faults bool, wait func(*Context,
 			}
 		}
 	})
-	res.stats = st
-	if err != nil {
-		res.err = err.Error()
-	}
-	return res
 }
 
 // TestAwaitInputMatchesEndRoundLoop is a differential test of the sleeping
@@ -273,5 +308,155 @@ func TestAwaitInputProbeSamplesEveryRound(t *testing.T) {
 	}
 	if timed != 0 {
 		t.Errorf("fast-forwarded rounds report %d ns of barrier wait and compute, want 0", timed)
+	}
+}
+
+// FuzzAwaitInputDifferential widens TestAwaitInputMatchesEndRoundLoop to any
+// (seed, n in 3..160, workers in {1, 2, 8}, faults): the engine's AwaitInput
+// must match its EndRound-loop definition, and a run at the drawn worker
+// count must match a serial one. The seed corpus is the test's 12 programs
+// at 2 and 8 workers.
+//
+//	go test ./internal/ncc -run '^$' -fuzz '^FuzzAwaitInputDifferential$' -fuzztime 10s
+func FuzzAwaitInputDifferential(f *testing.F) {
+	for seed := int64(1); seed <= 12; seed++ {
+		n := []int{3, 17, 64, 130}[seed/2%4]
+		for _, w := range []uint8{1, 2} { // workers 2 and 8
+			f.Add(seed, uint8(n-3), w, seed%2 == 0)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nIdx, wIdx uint8, faults bool) {
+		n := 3 + int(nIdx)%158
+		w := []int{1, 2, 8}[wIdx%3]
+		want := runDiffProgram(seed, n, 1, faults, awaitLoop)
+		if d := diffResults(runDiffProgram(seed, n, 1, faults, (*Context).AwaitInput), want); d != "" {
+			t.Fatalf("AwaitInput at w=1 vs the EndRound loop: %s", d)
+		}
+		if w > 1 {
+			if d := diffResults(runDiffProgram(seed, n, w, faults, (*Context).AwaitInput), want); d != "" {
+				t.Fatalf("AwaitInput at w=%d vs w=1: %s", w, d)
+			}
+		}
+	})
+}
+
+// TestAwaitInputStaleDeadlines covers the deadline timers a sleeper leaves
+// behind. Node 1 sleeps with a finite deadline and then wakes early, finishes,
+// is killed, goes through an outage, or is revived with reset while its timer
+// is pending, or wakes early so often that its shard's heap is compacted;
+// node 0 sends to it at the listed rounds, and nodes 2..7 sleep with timers
+// of their own. Every case must match the EndRound-loop reference
+// round for round at 1, 2 and 8 workers, and node 1's waits must return at
+// the listed rounds: a stale timer must neither wake the node at its old
+// deadline nor hang the run waiting for a node that is gone.
+func TestAwaitInputStaleDeadlines(t *testing.T) {
+	const n, end = 8, 250
+	type waitFunc = func(*Context, int) []Received
+	outage := func(down, up int, reset bool, kill bool) FaultPlan {
+		return planFunc(func(round int) ([]Outage, []Revival) {
+			switch round {
+			case down:
+				return []Outage{{Node: 1, Kill: kill}}, nil
+			case up:
+				return nil, []Revival{{Node: 1, Reset: reset}}
+			}
+			return nil, nil
+		})
+	}
+	type staleCase struct {
+		name    string
+		plan    FaultPlan
+		sendAt  []int // rounds at which node 0 sends node 1 a message
+		sleeper func(ctx *Context, wait waitFunc, record func([]Received))
+		wake    []int // rounds at which node 1's waits return
+	}
+	cases := []staleCase{
+		{"early wake, later deadline", nil, []int{5},
+			func(ctx *Context, wait waitFunc, record func([]Received)) {
+				record(wait(ctx, 20))
+				record(wait(ctx, 30))
+			}, []int{6, 30}},
+		{"early wake, earlier deadline", nil, []int{5, 40},
+			func(ctx *Context, wait waitFunc, record func([]Received)) {
+				record(wait(ctx, 30))
+				record(wait(ctx, 12))
+				record(wait(ctx, NoDeadline))
+			}, []int{6, 12, 41}},
+		{"finish with a pending timer", nil, []int{5},
+			func(ctx *Context, wait waitFunc, record func([]Received)) {
+				record(wait(ctx, 20))
+			}, []int{6}},
+		{"killed with a pending timer", outage(8, -1, false, true), nil,
+			func(ctx *Context, wait waitFunc, record func([]Received)) {
+				record(wait(ctx, 20))
+				panic("the killed sleeper returned from its wait")
+			}, nil},
+		{"outage over the deadline", outage(5, 25, false, false), []int{12},
+			func(ctx *Context, wait waitFunc, record func([]Received)) {
+				record(wait(ctx, 20))
+			}, []int{20}},
+		{"revived with reset before the deadline", outage(5, 10, true, false), nil,
+			func(ctx *Context, wait waitFunc, record func([]Received)) {
+				record(wait(ctx, 20))
+				ctx.SendWord(0, Word(ctx.Rand().Uint64())) // the reseeded stream
+				record(ctx.EndRound())
+			}, []int{20, 21}},
+	}
+	// A sleeper woken by a message every other round for 200 rounds leaves a
+	// stale timer behind each time, more than the heap keeps before compacting;
+	// the compaction must keep the bystanders' live timers.
+	flood := staleCase{name: "100 early wakes, heap compacted", sleeper: func(ctx *Context, wait waitFunc, record func([]Received)) {
+		for ctx.Round() < 210 {
+			record(wait(ctx, ctx.Round()+200))
+		}
+	}}
+	for r := 5; r < 205; r += 2 {
+		flood.sendAt = append(flood.sendAt, r)
+		flood.wake = append(flood.wake, r+1)
+	}
+	flood.wake = append(flood.wake, 404)
+	cases = append(cases, flood)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int, wait waitFunc) diffResult {
+				cfg := Config{N: n, Seed: 3, Workers: workers, MaxRounds: 500, FaultPlan: tc.plan}
+				return runRecorded(cfg, func(ctx *Context, record func([]Received)) {
+					switch ctx.ID() {
+					case 0:
+						for _, at := range tc.sendAt {
+							for ctx.Round() < at {
+								record(wait(ctx, at))
+							}
+							ctx.SendWord(1, Word(uint64(at)))
+							record(ctx.EndRound())
+						}
+						for ctx.Round() < end {
+							record(wait(ctx, end))
+						}
+					case 1:
+						tc.sleeper(ctx, wait, record)
+					default:
+						record(wait(ctx, 3+ctx.ID()))
+						record(wait(ctx, end))
+					}
+				})
+			}
+			want := run(1, awaitLoop)
+			if want.err != "" {
+				t.Fatalf("reference run failed: %s", want.err)
+			}
+			var woke []int
+			for _, ev := range want.events[1] {
+				woke = append(woke, ev.round)
+			}
+			if !slices.Equal(woke, tc.wake) {
+				t.Fatalf("reference: node 1 woke at rounds %v, want %v", woke, tc.wake)
+			}
+			for _, w := range []int{1, 2, 8} {
+				if d := diffResults(run(w, (*Context).AwaitInput), want); d != "" {
+					t.Errorf("w=%d: %s", w, d)
+				}
+			}
+		})
 	}
 }

@@ -18,7 +18,9 @@ import (
 //
 // Only woken nodes are released. A node sleeping in AwaitInput stays parked
 // on its token across rounds: the countdowns count only the nodes released
-// for the round, and release sends tokens only to them. A round that
+// for the round, and release sends tokens only to the members of the wake
+// set the receiver phase built (a per-shard bitmap, see nodeSet), so it
+// costs O(woken + n/64) and never looks at a sleeping node. A round that
 // releases nobody arms no countdown, and the coordinator runs the next round
 // without waiting (a fast-forwarded round).
 //
@@ -136,17 +138,18 @@ func (b *barrier) await(id NodeID) bool {
 	return !b.aborted.Load()
 }
 
-// release hands one token to every node not held: every node whose program
-// has not returned, except those sleeping in AwaitInput. At barrier
-// completion each such node is parked on its token or about to park, and it
-// took the previous token before arriving, so no send blocks.
-func (b *barrier) release(held []bool) {
+// release hands one token to every node in woken, the set the round just
+// delivered built: the nodes it gave input, whose deadline came, or that the
+// fault plan killed. At barrier completion each such node is parked on its
+// token or about to park, and it took the previous token before arriving,
+// so no send blocks. The walk costs O(woken + n/64).
+func (b *barrier) release(woken *nodeSet) {
 	if b.times != nil {
 		b.releasedAt = time.Now().UnixNano()
 	}
-	for id, tok := range b.tokens {
-		if !held[id] {
-			tok <- struct{}{}
+	for j := range b.shards {
+		for id := woken.first(j); id >= 0; id = woken.next(j, id+1) {
+			b.tokens[id] <- struct{}{}
 		}
 	}
 }

@@ -39,6 +39,14 @@
 // next one without a barrier, still checking Cancel and MaxRounds, applying
 // the FaultPlan and emitting one RoundSample.
 //
+// A round costs O(active + messages + n/64), not O(n). Per shard, a bitmap
+// holds the nodes released for the round, and only they are walked for
+// outboxes. The receiver phase builds the next bitmap from its receivers,
+// the released nodes whose deadline is due, a min-heap of sleepers'
+// (deadline, node) timers (a stale timer, left by an early wake, a re-sleep
+// or a finish, is dropped when it comes due) and the round's kills; the
+// release walks only its set bits.
+//
 // The steady-state message path allocates nothing: Word and Words2 payloads
 // travel inline inside Envelope/Received (use SendWord/SendWords2 and
 // AsWord/AsWords2 to stay off the heap entirely), larger payloads keep

@@ -91,6 +91,40 @@ func BenchmarkEngineBarrier(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineSleep is the L1 ladder point for sleeping rounds: a token
+// circulates around the ring for 20k rounds while every other node sleeps in
+// AwaitInput until the token reaches it or the final round comes. One node
+// runs per round, so ns/round is the price of a round with one active node
+// among n; it should not grow with n.
+func BenchmarkEngineSleep(b *testing.B) {
+	const rounds = 20000
+	for _, n := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st, err := Run(Config{N: n, Seed: 1}, func(ctx *Context) {
+					next := (ctx.ID() + 1) % ctx.N()
+					if ctx.ID() == 0 {
+						ctx.SendWord(next, 0)
+					}
+					for ctx.Round() < rounds {
+						if len(ctx.AwaitInput(rounds)) > 0 && ctx.Round() < rounds {
+							ctx.SendWord(next, 0)
+						}
+					}
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.Rounds != rounds || st.Messages != rounds {
+					b.Fatalf("rounds = %d, messages = %d, want %d each", st.Rounds, st.Messages, rounds)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*rounds), "ns/round")
+		})
+	}
+}
+
 // BenchmarkEngineScale is the large-N trajectory: the node counts where the
 // paper's O(log n) capacity bounds become interesting. The 64k point runs
 // dense traffic (every node saturates cap = log2 n) and is the regression

@@ -61,6 +61,12 @@ type RoundSample struct {
 // RoundSample it is inherently nondeterministic — it measures this host, this
 // run, this worker count — so it travels beside the sample, never inside it,
 // and internal/obs keeps it out of the canonical (content-hashed) trace.
+//
+// A shard's phases walk only its active nodes: SendNanos covers the nodes
+// released for the round, RecvNanos the receivers, the due deadlines and
+// timers and the building of the next wake set. Sleeping nodes add nothing
+// to either, so on a mostly idle round both stay near the fixed per-shard
+// cost.
 type ShardTiming struct {
 	// BarrierWaitNanos is how long the shard's last arrival sat parked before
 	// the coordinator woke: large values mark early shards, ~0 marks the

@@ -24,7 +24,8 @@ type Context struct {
 	// deadline is the round count at which the node's last AwaitInput gives
 	// up sleeping (0 after EndRound: wake every round). The node writes it
 	// before arriving at the barrier; recvPhase reads it while the node is
-	// parked to decide whether the round wakes it.
+	// parked, to wake it in the round it arrived or to queue a timer, and to
+	// tell a live timer from a stale one.
 	deadline int
 
 	// sendWords is the arena backing this round's outgoing multi-word
@@ -294,15 +295,20 @@ type run struct {
 	finMu sync.Mutex
 	finQ  []NodeID
 
-	// Coordinator-owned round state (read by delivery workers between
-	// barrier completion and release only). held[id] keeps node id parked
-	// through the next release: its program returned, or it sleeps in
-	// AwaitInput and the round just delivered gave it no reason to wake.
-	// recvPhase writes held for its shard's live nodes and counts the rest in
-	// woke[shard], which arms the next barrier.
+	// Round state, touched only between barrier completion and release.
+	// released holds the nodes released for the current round: only they
+	// can have sent anything. recvPhase builds next, the nodes the round
+	// wakes, from four sources: its receivers, the released nodes whose
+	// deadline is due, the due timers (a released node going to sleep with a
+	// finite deadline pushes one onto its shard's heap) and the round's kills.
+	// woke[shard] counts next's members and arms the next barrier; after the
+	// release the coordinator swaps the two sets. So a round costs
+	// O(released + receivers + messages + n/64), however many nodes sleep.
 	finished []bool // finished[id]: node id's program has returned
-	held     []bool
+	released nodeSet
+	next     nodeSet
 	woke     []int32
+	timers   []timerHeap
 
 	// Liveness plane, allocated only when cfg.FaultPlan is set. down[id]
 	// suppresses node id's traffic in both directions; killed[id] unwinds its
@@ -312,7 +318,8 @@ type run struct {
 	// node panics (guarded by finMu, folded into stats after the run).
 	down         []bool
 	killed       []bool
-	crashed      []bool // retired by fail-stop or isolated panic: no output
+	kills        []NodeID // the nodes applyFaults killed this round
+	crashed      []bool   // retired by fail-stop or isolated panic: no output
 	nodeFailures int64
 
 	// This round's link loss from the fault plan (zero without one), set by
@@ -323,13 +330,16 @@ type run struct {
 	// Scratch, reused across rounds. buckets[i][j] holds the envelopes sent
 	// by sender shard i to receiver shard j this round; recvCounts[v] is
 	// receiver v's offered-message count, computed so inboxes are filled
-	// directly without a staging copy; shardStats and obsShards are the
+	// directly without a staging copy, and receivers[j] lists receiver shard
+	// j's nodes with a non-zero count, so per-receiver work and the reset
+	// of the counts skip everyone else; shardStats and obsShards are the
 	// per-worker partial results merged by the coordinator. sendFn/recvFn
 	// are the two phase method values, bound once so delivery allocates no
 	// closures per round.
 	buckets        [][][]Envelope
 	recvCounts     []int32
 	recvWordCounts []int32
+	receivers      [][]NodeID
 	// peakSend/peakRecv record each node's highest post-truncation round load
 	// for the capacity-utilization percentiles; allocated only on
 	// heterogeneous runs. A node's entries are written by exactly one shard
@@ -352,10 +362,10 @@ type run struct {
 	// set; with probing false the delivery phases pay one predictable branch
 	// per node and nothing else. prevStats snapshots the cumulative Stats at
 	// the previous emission so probeRound computes per-round deltas.
-	// touched[id] marks nodes that moved traffic this round; it is written
-	// only by node id's own shard (its sender shard in phase A, its receiver
-	// shard in phase B — the same index both times) and folded and cleared
-	// into shardActive at the end of phase B, so it needs no atomics.
+	// activeAt[id] is round+1 once node id moved traffic in the round; it is
+	// written only by node id's own shard (its sender shard in phase A, its
+	// receiver shard in phase B — the same index both times), which counts
+	// each first mark into shardActive, so it needs no atomics and no reset.
 	// roundMaxSend is captured between the phases, before phase B zeroes the
 	// shard stats. timing is the reused slice handed to the probe;
 	// probeSend/probeRecv are per-shard phase durations and wakeNanos the
@@ -364,7 +374,7 @@ type run struct {
 	prevStats    Stats
 	roundMaxSend int
 	wakeNanos    int64
-	touched      []bool
+	activeAt     []int
 	shardActive  []int32
 	probeSend    []int64
 	probeRecv    []int64
@@ -406,10 +416,13 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	}
 	r.recvCounts = make([]int32, cfg.N)
 	r.recvWordCounts = make([]int32, cfg.N)
+	r.receivers = make([][]NodeID, w)
 	r.shardStats = make([]Stats, w)
 	r.obsShards = make([][]Envelope, w)
 	r.finished = make([]bool, cfg.N)
-	r.held = make([]bool, cfg.N)
+	r.released = newNodeSet(w, r.shardWidth)
+	r.next = newNodeSet(w, r.shardWidth)
+	r.timers = make([]timerHeap, w)
 	if cfg.FaultPlan != nil {
 		r.down = make([]bool, cfg.N)
 		r.killed = make([]bool, cfg.N)
@@ -419,7 +432,7 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	r.recvFn = r.recvPhase
 	if cfg.Probe != nil {
 		r.probing = true
-		r.touched = make([]bool, cfg.N)
+		r.activeAt = make([]int, cfg.N)
 		r.shardActive = make([]int32, w)
 		r.probeSend = make([]int64, w)
 		r.probeRecv = make([]int64, w)
@@ -439,6 +452,9 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	for i := 0; i < w; i++ {
 		lo, hi := r.shardRange(i)
 		r.woke[i] = int32(hi - lo)
+		for id := lo; id < hi; id++ {
+			r.released.add(i, id) // every node runs round 0
+		}
 	}
 	r.bar.reset(r.woke)
 
@@ -595,7 +611,6 @@ func (r *run) coordinate() {
 		r.finMu.Unlock()
 		for _, id := range fin {
 			r.finished[id] = true
-			r.held[id] = true
 			r.alive--
 			if r.down != nil && r.down[id] {
 				// A killed node retiring moves from the down count to the
@@ -622,7 +637,8 @@ func (r *run) coordinate() {
 		// Re-arm the countdowns before waking anyone: released nodes may
 		// arrive at the next barrier immediately.
 		waiting = r.bar.reset(r.woke)
-		r.bar.release(r.held)
+		r.bar.release(&r.next)
+		r.released, r.next = r.next, r.released
 	}
 }
 
@@ -633,6 +649,7 @@ func (r *run) coordinate() {
 // is permanent. A panicking plan is returned as an error.
 func (r *run) applyFaults(round int) (err error) {
 	defer recoverDeliveryPanic(&err)
+	r.kills = r.kills[:0]
 	downs, ups := r.cfg.FaultPlan.Transitions(round)
 	r.dropP, r.cut = r.cfg.FaultPlan.Loss(round)
 	for _, o := range downs {
@@ -655,6 +672,7 @@ func (r *run) applyFaults(round int) (err error) {
 		}
 		if o.Kill {
 			r.killed[id] = true
+			r.kills = append(r.kills, id)
 		}
 	}
 	for _, v := range ups {
@@ -733,9 +751,11 @@ func pcgIntN(p *rand.PCG, n int) int {
 	}
 }
 
-// sendPhase (phase A) filters sender shard i's outboxes (send-capacity
-// truncation, finished/down/link-loss drops) into per-receiver-shard
-// buckets, preserving ascending sender-id order within each bucket.
+// sendPhase (phase A) filters the outboxes of sender shard i's released
+// nodes (send-capacity truncation, finished/down/link-loss drops) into
+// per-receiver-shard buckets. Only a released node can have sent anything
+// this round, and walking them in ascending id order keeps each bucket
+// sender-sorted.
 func (r *run) sendPhase(i int) {
 	round := r.stats.Rounds
 	observing := r.cfg.Observer != nil
@@ -755,8 +775,8 @@ func (r *run) sendPhase(i int) {
 	}
 	faulty := r.down != nil
 	dropP, cut := r.dropP, r.cut
-	lo, hi := r.shardRange(i)
-	for id := lo; id < hi; id++ {
+	var active int32
+	for id := r.released.first(i); id >= 0; id = r.released.next(i, id+1) {
 		if r.finished[id] {
 			continue
 		}
@@ -769,7 +789,8 @@ func (r *run) sendPhase(i int) {
 		}
 		out := ctx.out
 		if probing && len(out) > 0 {
-			r.touched[id] = true
+			r.activeAt[id] = round + 1
+			active++
 		}
 		if len(out) > st.MaxSendLoad {
 			st.MaxSendLoad = len(out)
@@ -826,16 +847,19 @@ func (r *run) sendPhase(i int) {
 		ctx.out = ctx.out[:0]
 	}
 	if probing {
+		r.shardActive[i] = active
 		r.probeSend[i] = int64(time.Since(t0))
 	}
 }
 
 // recvPhase (phase B) delivers receiver shard j's buckets without a staging
-// copy: a first pass counts the messages offered to each receiver (sizing
-// inboxes exactly and spotting overloads), a second pass appends straight
-// into the inboxes (sender shards visited in ascending order keep messages
-// sender-sorted), and overloaded inboxes are then truncated in place to a
-// seeded-random subset of cap messages.
+// copy: a first pass counts the messages offered to each receiver (listing
+// the receivers, sizing inboxes exactly and spotting overloads), a second
+// pass appends straight into the inboxes (sender shards visited in ascending
+// order keep messages sender-sorted), and overloaded inboxes are then
+// truncated in place to a seeded-random subset of cap messages. It then
+// builds the shard's part of the next release: the receivers, the released
+// nodes whose deadline is due, the due timers and the round's kills.
 func (r *run) recvPhase(j int) {
 	round := r.stats.Rounds
 	probing := r.probing
@@ -845,30 +869,30 @@ func (r *run) recvPhase(j int) {
 	}
 	st := &r.shardStats[j]
 	*st = Stats{}
-	lo, hi := r.shardRange(j)
-	var woke int32
-	counts := r.recvCounts[lo:hi]
-	wcounts := r.recvWordCounts[lo:hi]
-	clear(counts)
-	clear(wcounts)
+	counts, wcounts := r.recvCounts, r.recvWordCounts
+	rcv := r.receivers[j][:0]
 	for i := 0; i < r.workers; i++ {
 		bucket := r.buckets[i][j]
 		for k := range bucket {
 			e := &bucket[k]
-			counts[e.To-lo]++
+			if counts[e.To] == 0 {
+				rcv = append(rcv, e.To)
+			}
+			counts[e.To]++
 			if e.kind == kindWords {
-				wcounts[e.To-lo] += e.width
+				wcounts[e.To] += e.width
 			}
 		}
 	}
-	for id := lo; id < hi; id++ {
-		if r.finished[id] {
-			continue
-		}
+	r.receivers[j] = rcv
+	clear(r.next.shard(j))
+	var active int32
+	for _, id := range rcv {
 		ctx := r.nodes[id]
-		c := int(counts[id-lo])
-		if probing && c > 0 {
-			r.touched[id] = true
+		c := int(counts[id])
+		if probing && r.activeAt[id] != round+1 {
+			r.activeAt[id] = round + 1
+			active++
 		}
 		if c > st.MaxRecvOffered {
 			st.MaxRecvOffered = c
@@ -884,14 +908,8 @@ func (r *run) recvPhase(j int) {
 		if r.peakRecv != nil && int32(d) > r.peakRecv[id] {
 			r.peakRecv[id] = int32(d)
 		}
-		// Release the node for the next round unless it sleeps in
-		// AwaitInput and this round neither delivers to it, reaches its
-		// deadline, nor kills it.
-		wake := c > 0 || round+1 >= ctx.deadline || r.killed != nil && r.killed[id]
-		r.held[id] = !wake
-		if wake {
-			woke++
-		}
+		// A message wakes its receiver, asleep in AwaitInput or not.
+		r.next.add(j, id)
 		// The inbox temporarily holds every offered message (truncation
 		// happens in place below), so provision for the offered count. The
 		// receiver word arena is provisioned the same way so the copy pass
@@ -901,13 +919,12 @@ func (r *run) recvPhase(j int) {
 		} else {
 			ctx.inbox = ctx.inbox[:0]
 		}
-		if wc := int(wcounts[id-lo]); cap(ctx.inWords) < wc {
+		if wc := int(wcounts[id]); cap(ctx.inWords) < wc {
 			ctx.inWords = make([]uint64, 0, wc)
 		} else {
 			ctx.inWords = ctx.inWords[:0]
 		}
 	}
-	r.woke[j] = woke
 	for i := 0; i < r.workers; i++ {
 		bucket := r.buckets[i][j]
 		for k := range bucket {
@@ -928,9 +945,9 @@ func (r *run) recvPhase(j int) {
 			ctx.inbox = append(ctx.inbox, rc)
 		}
 	}
-	for id := lo; id < hi; id++ {
+	for _, id := range rcv {
 		capAt := r.capOf(id)
-		if int(counts[id-lo]) <= capAt || r.finished[id] {
+		if int(counts[id]) <= capAt {
 			continue
 		}
 		// Overload: keep a seeded-random subset of cap messages, re-sorted
@@ -947,21 +964,76 @@ func (r *run) recvPhase(j int) {
 		ctx.inbox = msgs[:capAt]
 		sortReceivedByFrom(ctx.inbox)
 	}
-	if probing {
-		// Fold the round's touched marks into the shard's active count and
-		// clear them for the next round. Every node in [lo, hi) was marked
-		// (if at all) by this same shard index in both phases, so the fold
-		// sees every mark.
-		var a int32
-		for id := lo; id < hi; id++ {
-			if r.touched[id] {
-				a++
-				r.touched[id] = false
-			}
+	// The nodes released for this round arrived with a deadline: a due one
+	// wakes the node (EndRound's is 0), and a node going to sleep with a
+	// finite one sets a timer. A receiver is awake already.
+	timers := &r.timers[j]
+	for id := r.released.first(j); id >= 0; id = r.released.next(j, id+1) {
+		if r.finished[id] || counts[id] > 0 {
+			continue
 		}
-		r.shardActive[j] = a
+		switch d := r.nodes[id].deadline; {
+		case d <= round+1:
+			r.wakeQuiet(j, id)
+		case d != NoDeadline:
+			timers.push(timer{at: d, id: id})
+		}
+	}
+	// A due timer wakes its sleeper unless it is stale.
+	for len(*timers) > 0 && (*timers)[0].at <= round+1 {
+		if t := timers.pop(); r.timerLive(t) {
+			r.wakeQuiet(j, t.id)
+		}
+	}
+	if len(*timers) > 2*r.shardWidth+64 {
+		r.compactTimers(timers)
+	}
+	// A node killed this round wakes to unwind.
+	for _, id := range r.kills {
+		if r.shardOf(id) == j {
+			r.wakeQuiet(j, id)
+		}
+	}
+	r.woke[j] = r.next.count(j)
+	for _, id := range rcv {
+		counts[id], wcounts[id] = 0, 0
+	}
+	if probing {
+		r.shardActive[j] += active
 		r.probeRecv[j] = int64(time.Since(t0))
 	}
+}
+
+// timerLive reports whether t still matches its node. A timer goes stale
+// when its node finishes, or wakes early and sleeps again with another
+// deadline.
+func (r *run) timerLive(t timer) bool {
+	return r.nodes[t.id].deadline == t.at && !r.finished[t.id]
+}
+
+// compactTimers drops the stale timers of a shard's heap, which pile up
+// when sleepers keep waking early, and keeps one per (deadline, node), so
+// the heap holds at most one timer per node of the shard afterwards. A
+// sorted slice is a valid min-heap.
+func (r *run) compactTimers(h *timerHeap) {
+	live := (*h)[:0]
+	for _, t := range *h {
+		if r.timerLive(t) {
+			live = append(live, t)
+		}
+	}
+	slices.SortFunc(live, cmpTimer)
+	*h = slices.Compact(live)
+}
+
+// wakeQuiet puts node id of shard j into the next release for a reason
+// other than input. A node the round offered nothing gets an empty inbox; a
+// receiver's was filled above.
+func (r *run) wakeQuiet(j int, id NodeID) {
+	if r.recvCounts[id] == 0 {
+		r.nodes[id].inbox = r.nodes[id].inbox[:0]
+	}
+	r.next.add(j, id)
 }
 
 // deliverRound enforces capacities, applies faults, and hands each live node
