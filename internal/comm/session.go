@@ -193,8 +193,7 @@ func (s *Session) wait(deadline int) {
 }
 
 // receivedWords returns a message's flat word view regardless of its inline
-// representation; scratch backs the one- and two-word cases. Sessions only
-// speak words: a boxed payload reaching a session is a program bug.
+// representation; scratch backs the one- and two-word cases.
 func receivedWords(rc *ncc.Received, scratch *[2]uint64) []uint64 {
 	if w, ok := rc.AsWord(); ok {
 		scratch[0] = uint64(w)
@@ -204,11 +203,8 @@ func receivedWords(rc *ncc.Received, scratch *[2]uint64) []uint64 {
 		scratch[0], scratch[1] = w2[0], w2[1]
 		return scratch[:2]
 	}
-	if ws, ok := rc.AsWords(); ok {
-		return ws
-	}
-	panic(fmt.Sprintf("comm: received a boxed %T payload; sessions require word payloads "+
-		"(SendWord/SendWords2/SendWords)", rc.Payload()))
+	ws, _ := rc.AsWords()
+	return ws
 }
 
 // stash copies payload words into the value arena and returns their handle.

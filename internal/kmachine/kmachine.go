@@ -51,15 +51,23 @@ type Accountant struct {
 	machineOf []int
 	bw        int
 	res       Result
-	loads     map[[2]int]int
+	// loads[p*k+q] is the round's word load on the link from machine p to
+	// machine q; touched lists the non-zero entries, so a round costs
+	// O(messages), not O(k^2).
+	loads   []int
+	touched []int
 }
+
+// MaxMachines bounds k: the accountant keeps a dense k x k link-load table
+// (8 MiB at the bound).
+const MaxMachines = 1024
 
 // NewAccountant builds the k-machine accounting observer for an n-node clique
 // with the given per-link bandwidth (words per k-machine round). The vertex
 // partition derives deterministically from seed.
 func NewAccountant(k, bandwidthWords, n int, seed int64) (*Accountant, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("kmachine: k = %d, need >= 1", k)
+	if k < 1 || k > MaxMachines {
+		return nil, fmt.Errorf("kmachine: k = %d, need 1 <= k <= %d", k, MaxMachines)
 	}
 	if bandwidthWords < 1 {
 		return nil, fmt.Errorf("kmachine: bandwidth = %d words, need >= 1", bandwidthWords)
@@ -67,7 +75,7 @@ func NewAccountant(k, bandwidthWords, n int, seed int64) (*Accountant, error) {
 	a := &Accountant{
 		bw:    bandwidthWords,
 		res:   Result{K: k, BandwidthWords: bandwidthWords},
-		loads: map[[2]int]int{},
+		loads: make([]int, k*k),
 	}
 	rng := rand.New(rand.NewPCG(uint64(seed), 0x6b6d616368696e65))
 	a.machineOf = make([]int, n)
@@ -87,7 +95,10 @@ func NewAccountant(k, bandwidthWords, n int, seed int64) (*Accountant, error) {
 // ObserveRound implements ncc.Observer: it routes the round's clique messages
 // over the machine-level complete network and charges the k-machine rounds.
 func (a *Accountant) ObserveRound(round int, msgs []ncc.Envelope) {
-	clear(a.loads)
+	// Direct store-and-forward routing: the round's cost is the most loaded
+	// link's transfer time (at least one k-machine round per NCC round, for
+	// the synchronous barrier).
+	worst := 0
 	for i := range msgs {
 		e := &msgs[i]
 		p, q := a.machineOf[e.From], a.machineOf[e.To]
@@ -96,17 +107,17 @@ func (a *Accountant) ObserveRound(round int, msgs []ncc.Envelope) {
 			continue
 		}
 		a.res.CrossMessages++
-		a.loads[[2]int{p, q}] += e.Words() // width cached at Send time
-	}
-	// Direct store-and-forward routing: the round's cost is the most loaded
-	// link's transfer time (at least one k-machine round per NCC round, for
-	// the synchronous barrier).
-	worst := 0
-	for _, w := range a.loads {
-		if w > worst {
-			worst = w
+		l := p*a.res.K + q
+		if a.loads[l] == 0 {
+			a.touched = append(a.touched, l)
 		}
+		a.loads[l] += e.Words()
+		worst = max(worst, a.loads[l])
 	}
+	for _, l := range a.touched {
+		a.loads[l] = 0
+	}
+	a.touched = a.touched[:0]
 	if worst > a.res.MaxLinkWords {
 		a.res.MaxLinkWords = worst
 	}

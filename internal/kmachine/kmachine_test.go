@@ -1,6 +1,7 @@
 package kmachine
 
 import (
+	"fmt"
 	"testing"
 
 	"ncc/internal/comm"
@@ -84,6 +85,9 @@ func TestBadParams(t *testing.T) {
 	if _, _, err := Simulate(2, 0, ncc.Config{N: 4}, func(*ncc.Context) {}); err == nil {
 		t.Error("bandwidth=0 accepted")
 	}
+	if _, _, err := Simulate(MaxMachines+1, 4, ncc.Config{N: 4}, func(*ncc.Context) {}); err == nil {
+		t.Errorf("k=%d accepted", MaxMachines+1)
+	}
 }
 
 func TestPartitionBalance(t *testing.T) {
@@ -94,5 +98,41 @@ func TestPartitionBalance(t *testing.T) {
 	}
 	if res.MaxMachineNodes < 100/2 || res.MaxMachineNodes > 2*100 {
 		t.Errorf("random partition badly unbalanced: max machine holds %d of 1000", res.MaxMachineNodes)
+	}
+}
+
+// BenchmarkAccountant measures what k-machine accounting adds to a dense
+// run: n=1024, every node sends Cap() 3-word messages for 20 rounds, with
+// the accountant attached (k=4) and without it.
+//
+//	go test ./internal/kmachine -run '^$' -bench Accountant -benchmem
+func BenchmarkAccountant(b *testing.B) {
+	const n, rounds = 1024, 20
+	program := func(ctx *ncc.Context) {
+		var w [3]uint64
+		for r := 0; r < rounds; r++ {
+			for k := 1; k <= ctx.Cap(); k++ {
+				w[0] = uint64(k)
+				ctx.SendWords((ctx.ID()+k)%n, w[:])
+			}
+			ctx.EndRound()
+		}
+	}
+	for _, on := range []bool{false, true} {
+		b.Run(fmt.Sprintf("accountant=%v", on), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := ncc.Config{N: n, Seed: 1}
+				var err error
+				if on {
+					_, _, err = Simulate(4, 4, cfg, program)
+				} else {
+					_, err = ncc.Run(cfg, program)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package ncc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 )
@@ -11,17 +12,20 @@ import (
 // 0..N-1, known to every node (the clique assumption of the model).
 type NodeID = int
 
-// Payload is the content of a message. Words reports the payload size in
-// machine words, where one word stands for Theta(log n) bits; the model
-// allows O(log n)-bit messages, i.e. a constant number of words. The runtime
-// rejects payloads larger than Config.MaxWords.
+// Payload is the content of a message: 1..Config.MaxWords machine words,
+// where one word stands for Theta(log n) bits; the model allows O(log n)-bit
+// messages, i.e. a constant number of words. Words reports the width. A
+// message is a Word, Words2 or WordsN; Context.Send panics on any other
+// Payload type and on payloads wider than MaxWords.
 type Payload interface {
 	Words() int
 }
 
 // Observer is notified once per round with every message accepted for
 // transmission that round (after send-capacity enforcement, before
-// receive-capacity truncation). The slice must not be retained.
+// receive-capacity truncation), in ascending sender order. It sees traffic,
+// not payload contents: each Envelope's From, To and Words(). The slice must
+// not be retained.
 type Observer interface {
 	ObserveRound(round int, msgs []Envelope)
 }
@@ -74,7 +78,8 @@ type FaultPlan interface {
 
 // Config parameterizes a simulation run.
 type Config struct {
-	// N is the number of nodes; must be at least 1.
+	// N is the number of nodes; must be at least 1 and at most
+	// math.MaxInt32 (node ids travel as int32 in every Envelope).
 	N int
 
 	// CapFactor is the constant hidden in the O(log n) capacity bound:
@@ -110,8 +115,9 @@ type Config struct {
 	// unfinished and down node sets at the end of the run.
 	FaultPlan FaultPlan
 
-	// Observer, if non-nil, sees every round's transmitted messages. It is
-	// always called from a single goroutine, regardless of Workers.
+	// Observer, if non-nil, sees every round's transmitted messages (sender,
+	// receiver and width). It is always called from a single goroutine,
+	// regardless of Workers.
 	Observer Observer
 
 	// Probe, if non-nil, receives one RoundSample per completed round — the
@@ -188,8 +194,8 @@ func DefaultWorkers(n int) int {
 }
 
 func (c Config) validate() error {
-	if c.N < 1 {
-		return fmt.Errorf("ncc: config N = %d, need N >= 1", c.N)
+	if c.N < 1 || c.N > math.MaxInt32 {
+		return fmt.Errorf("ncc: config N = %d, need 1 <= N <= %d", c.N, math.MaxInt32)
 	}
 	if c.CapFactor < 1 {
 		return fmt.Errorf("ncc: config CapFactor = %d, need >= 1", c.CapFactor)

@@ -47,13 +47,19 @@
 // or a finish, is dropped when it comes due) and the round's kills; the
 // release walks only its set bits.
 //
-// The steady-state message path allocates nothing: Word and Words2 payloads
-// travel inline inside Envelope/Received (use SendWord/SendWords2 and
-// AsWord/AsWords2 to stay off the heap entirely), larger payloads keep
-// the Payload interface with Words() cached at Send time, and outboxes,
-// buckets and inboxes are sized from observed traffic and reused across
-// rounds. TestSteadyStateAllocs pins ~0 allocs/message; BenchmarkEngineScale
-// tracks 64k/256k/1M-node throughput against BENCH_baseline.json in CI.
+// A message is 1..Config.MaxWords machine words, the model's O(log n) bits:
+// Send takes a Word, Words2 or WordsN and panics on any other Payload. The
+// in-transit Envelope is 32 bytes with no pointer — one or two words inline,
+// wider payloads as an offset into the sender's word arena — so the outboxes
+// and buckets every message is copied through are never scanned by the
+// garbage collector. A delivered Received (40 bytes) holds the words inline
+// or points into the receiver's arena; observers see only From, To and
+// Words(). The steady-state message path allocates nothing (use
+// SendWord/SendWords2/SendWords and AsWord/AsWords2/AsWords to stay off the
+// heap entirely): outboxes, buckets and inboxes are sized from observed
+// traffic and reused across rounds. TestSteadyStateAllocs pins ~0
+// allocs/message; BenchmarkEngineScale tracks 64k/256k/1M-node throughput
+// against BENCH_baseline.json in CI.
 //
 // Config.FaultPlan is the one fault input. Per round it gives Outage/Revival
 // transitions — a down node sends and receives nothing (its traffic is

@@ -2,172 +2,75 @@ package ncc
 
 import "unsafe"
 
-// payloadKind discriminates the inline payload fast paths from boxed
-// payloads. The dominant one- and two-word payloads travel as inline machine
-// words, wider word payloads through per-node word arenas; any other Payload
-// implementation stays behind the interface with its width cached once at
-// Send time.
-type payloadKind uint8
-
-const (
-	kindBoxed  payloadKind = iota // payload held in the boxed interface
-	kindWord                      // one inline word in a
-	kindWords2                    // two inline words in a, b
-	kindWords                     // 3+ words; a = offset into the sender's word arena
-)
-
-// Envelope is a message in transit. Word and Words2 payloads are stored
-// inline (no heap boxing); multi-word (3+) payloads sent through SendWords
-// are represented by an offset into the sending node's word arena — the
-// struct stays pointer-light and small, which matters because every message
-// is copied through outbox and bucket slices each round. The engine resolves
-// the offset against the sender's arena during delivery and hands observers
-// boxed copies, so a kindWords Envelope never escapes the engine. Larger
-// boxed payloads keep their interface with the Words() result cached at Send
-// time, so the width is computed exactly once per message no matter how many
-// engine phases or observers read it.
+// Envelope is a message in transit. It holds no pointer, so the outboxes
+// and buckets every message is copied through each round are arrays the
+// garbage collector never scans and copies that need no write barriers. A
+// message is 1..MaxWords machine words and its width says where they are:
+// one word in a, two in a and b, and three or more in the sending node's
+// word arena at offset a. The engine resolves that offset during delivery,
+// while the sender is parked; observers see only From, To and Words().
+// From and To are node ids, stored as int32 (Config.N is at most
+// math.MaxInt32).
 type Envelope struct {
-	From NodeID
-	To   NodeID
-	a, b uint64
-
-	boxed Payload
-	kind  payloadKind
-	width int32
+	From, To int32
+	a, b     uint64
+	width    int32
 }
 
 // envelopeBytes is the in-memory size of one Envelope, used by the engine's
 // provisioning heuristics.
 const envelopeBytes = int(unsafe.Sizeof(Envelope{}))
 
-// MakeEnvelope builds an Envelope as Context.Send would: Word and Words2
-// payloads are inlined, anything else — including WordsN, whose zero-copy
-// arena representation exists only relative to a sending Context — is boxed
-// with its width cached. It is the constructor for tests and Observer
-// tooling; the engine applies MaxWords validation on top of it.
-func MakeEnvelope(from, to NodeID, p Payload) Envelope {
-	switch v := p.(type) {
-	case Word:
-		return Envelope{From: from, To: to, a: uint64(v), kind: kindWord}
-	case Words2:
-		return Envelope{From: from, To: to, a: v[0], b: v[1], kind: kindWords2}
-	default:
-		return Envelope{From: from, To: to, boxed: p, kind: kindBoxed, width: int32(p.Words())}
-	}
-}
-
-// Words reports the payload width in machine words, from the cached value —
-// never by re-invoking Payload.Words on the delivery path.
-func (e *Envelope) Words() int {
-	switch e.kind {
-	case kindWord:
-		return 1
-	case kindWords2:
-		return 2
-	default:
-		return int(e.width)
-	}
-}
-
-// Payload materializes the message content. Inline payloads are re-boxed on
-// demand (the assertion `e.Payload().(T)` keeps working for every payload
-// type); on allocation-sensitive paths prefer AsWord/AsWords2.
-func (e *Envelope) Payload() Payload {
-	switch e.kind {
-	case kindWord:
-		return Word(e.a)
-	case kindWords2:
-		return Words2{e.a, e.b}
-	case kindWords:
-		// The words live in the sending node's arena, which only the
-		// engine can resolve; it boxes such envelopes before they reach
-		// observers (see sendPhase), so this is unreachable from user code.
-		panic("ncc: multi-word payload is engine-internal; observers receive boxed copies")
-	default:
-		return e.boxed
-	}
-}
-
-// AsWord returns the payload as a Word without boxing, and whether the
-// message carried exactly a Word.
-func (e *Envelope) AsWord() (Word, bool) {
-	if e.kind == kindWord {
-		return Word(e.a), true
-	}
-	return 0, false
-}
-
-// AsWords2 returns the payload as a Words2 without boxing, and whether the
-// message carried exactly a Words2.
-func (e *Envelope) AsWords2() (Words2, bool) {
-	if e.kind == kindWords2 {
-		return Words2{e.a, e.b}, true
-	}
-	return Words2{}, false
-}
+// Words reports the payload width in machine words.
+func (e *Envelope) Words() int { return int(e.width) }
 
 // Received is a message delivered to a node at a round barrier. Like
-// Envelope, it stores Word/Words2 payloads inline. The ref field overlays
-// the two mutually-exclusive indirect cases so the struct stays as small as
-// the pre-arena layout: a boxed Payload interface (kindBoxed), or a *uint64
-// to the first payload word in the receiver's word arena (kindWords —
-// storing a pointer in an `any` never allocates). The steady-state delivery
-// path performs no heap allocation per message.
+// Envelope, it stores one- and two-word payloads inline; for a wider one,
+// ref points to its first word in the receiver's word arena. The
+// steady-state delivery path performs no heap allocation per message.
 type Received struct {
-	From NodeID
-	a, b uint64
-
-	ref   any
-	kind  payloadKind
+	From  NodeID
+	a, b  uint64
+	ref   *uint64
 	width int32
 }
 
-// received converts an in-transit envelope into its delivered form. For
-// kindWords the engine's receive phase copies the payload words out of the
+// received converts an in-transit envelope into its delivered form. For a
+// multi-word payload the engine's receive phase copies the words out of the
 // sender's arena (recycled as soon as the sender resumes) into the
-// receiver's and points ref at them.
+// receiver's and sets ref.
 func (e *Envelope) received() Received {
-	rc := Received{From: e.From, a: e.a, b: e.b, kind: e.kind, width: e.width}
-	if e.boxed != nil {
-		rc.ref = e.boxed
-	}
-	return rc
+	return Received{From: NodeID(e.From), a: e.a, b: e.b, width: e.width}
 }
 
-// words reassembles the arena-backed payload of a kindWords message.
-func (m *Received) words() []uint64 {
-	return unsafe.Slice(m.ref.(*uint64), m.width)
-}
-
-// Payload materializes the message content; inline payloads are re-boxed on
-// demand. Type switches like `rc.Payload().(type)` work for every payload;
-// use AsWord/AsWords2/AsWords on allocation-sensitive paths.
+// Payload materializes the message content as a Word, Words2 or WordsN;
+// inline payloads are re-boxed on demand. Type switches like
+// `rc.Payload().(type)` work for every payload; use AsWord/AsWords2/AsWords
+// on allocation-sensitive paths.
 func (m *Received) Payload() Payload {
-	switch m.kind {
-	case kindWord:
+	switch m.width {
+	case 1:
 		return Word(m.a)
-	case kindWords2:
+	case 2:
 		return Words2{m.a, m.b}
-	case kindWords:
-		return WordsN(m.words())
 	default:
-		return m.ref.(Payload)
+		return WordsN(unsafe.Slice(m.ref, m.width))
 	}
 }
 
 // AsWord returns the payload as a Word without boxing, and whether the
-// message carried exactly a Word.
+// message carried exactly one word.
 func (m *Received) AsWord() (Word, bool) {
-	if m.kind == kindWord {
+	if m.width == 1 {
 		return Word(m.a), true
 	}
 	return 0, false
 }
 
 // AsWords2 returns the payload as a Words2 without boxing, and whether the
-// message carried exactly a Words2.
+// message carried exactly two words.
 func (m *Received) AsWords2() (Words2, bool) {
-	if m.kind == kindWords2 {
+	if m.width == 2 {
 		return Words2{m.a, m.b}, true
 	}
 	return Words2{}, false
@@ -178,8 +81,8 @@ func (m *Received) AsWords2() (Words2, bool) {
 // receiver's word arena and is only valid until the node's next EndRound,
 // exactly like the inbox itself.
 func (m *Received) AsWords() ([]uint64, bool) {
-	if m.kind == kindWords {
-		return m.words(), true
+	if m.width > 2 {
+		return unsafe.Slice(m.ref, m.width), true
 	}
 	return nil, false
 }

@@ -102,47 +102,36 @@ func (c *Context) growOut() []Envelope {
 	return out
 }
 
-// pushOut appends one envelope to the outbox with the growth policy above.
-func (c *Context) pushOut(e Envelope) {
+// pushOut appends one message to the outbox with the growth policy above.
+func (c *Context) pushOut(to NodeID, a, b uint64, width int) {
 	out := c.out
 	if len(out) == cap(out) {
 		out = c.growOut()
 	}
 	out = out[:len(out)+1]
-	out[len(out)-1] = e
+	out[len(out)-1] = Envelope{From: int32(c.id), To: int32(to), a: a, b: b, width: int32(width)}
 	c.out = out
 }
 
-// Send buffers a message for delivery at the next round barrier. Word and
-// Words2 payloads are stored inline; any other payload is boxed with its
-// width cached, so Payload.Words is invoked exactly once per message.
-// Payloads larger than Config.MaxWords panic: the model only admits
-// O(log n)-bit messages.
+// Send buffers a message for delivery at the next round barrier. A message
+// is 1..Config.MaxWords machine words: the payload must be a Word, Words2 or
+// WordsN, and any other Payload type panics, as does one wider than
+// MaxWords: the model only admits O(log n)-bit messages.
 //
 // Note that passing a Word or Words2 through the Payload interface may make
 // the compiler heap-allocate the short-lived interface value at the call
 // site; hot loops should use SendWord/SendWords2, which never box.
 func (c *Context) Send(to NodeID, p Payload) {
-	c.checkSend(to)
-	if p == nil {
-		panic(fmt.Sprintf("ncc: node %d sent a nil payload", c.id))
-	}
 	switch v := p.(type) {
 	case Word:
-		c.pushOut(Envelope{From: c.id, To: to, a: uint64(v), kind: kindWord})
+		c.SendWord(to, v)
 	case Words2:
-		if c.r.cfg.MaxWords < 2 {
-			c.panicOversized(2, p)
-		}
-		c.pushOut(Envelope{From: c.id, To: to, a: v[0], b: v[1], kind: kindWords2})
+		c.SendWords2(to, v)
 	case WordsN:
 		c.SendWords(to, v)
 	default:
-		w := p.Words()
-		if w > c.r.cfg.MaxWords {
-			c.panicOversized(w, p)
-		}
-		c.pushOut(Envelope{From: c.id, To: to, boxed: p, kind: kindBoxed, width: int32(w)})
+		c.checkSend(to)
+		panic(fmt.Sprintf("ncc: node %d sent a %T payload; a message is a Word, Words2 or WordsN", c.id, p))
 	}
 }
 
@@ -151,7 +140,7 @@ func (c *Context) Send(to NodeID, p Payload) {
 // so nothing escapes to the heap.
 func (c *Context) SendWord(to NodeID, w Word) {
 	c.checkSend(to)
-	c.pushOut(Envelope{From: c.id, To: to, a: uint64(w), kind: kindWord})
+	c.pushOut(to, uint64(w), 0, 1)
 }
 
 // SendWords2 buffers a two-word message without boxing; see SendWord.
@@ -160,7 +149,7 @@ func (c *Context) SendWords2(to NodeID, w Words2) {
 	if c.r.cfg.MaxWords < 2 {
 		c.panicOversized(2, w)
 	}
-	c.pushOut(Envelope{From: c.id, To: to, a: w[0], b: w[1], kind: kindWords2})
+	c.pushOut(to, w[0], w[1], 2)
 }
 
 // SendWords buffers a message of len(ws) words without boxing: one- and
@@ -177,21 +166,20 @@ func (c *Context) SendWords(to NodeID, ws []uint64) {
 	case n > c.r.cfg.MaxWords:
 		c.panicOversized(n, WordsN(ws))
 	case n == 1:
-		c.pushOut(Envelope{From: c.id, To: to, a: ws[0], kind: kindWord})
+		c.pushOut(to, ws[0], 0, 1)
 	case n == 2:
-		c.pushOut(Envelope{From: c.id, To: to, a: ws[0], b: ws[1], kind: kindWords2})
+		c.pushOut(to, ws[0], ws[1], 2)
 	default:
 		// The words go into the node's arena; the envelope carries only the
-		// arena offset (offsets survive arena growth, unlike pointers), so
-		// multi-word traffic never widens the Envelope struct every message
-		// is copied through.
+		// arena offset (offsets survive arena growth, and keep the Envelope
+		// free of pointers).
 		off := len(c.sendWords)
 		c.sendWords = append(c.sendWords, ws...)
-		c.pushOut(Envelope{From: c.id, To: to, a: uint64(off), kind: kindWords, width: int32(n)})
+		c.pushOut(to, uint64(off), 0, n)
 	}
 }
 
-// payloadWords resolves a kindWords envelope's payload against its sender's
+// payloadWords resolves a multi-word envelope's payload against its sender's
 // arena. Only valid during delivery, while every sender is parked at the
 // round barrier (the barrier's release edge orders the arena writes before
 // the delivery phases read them).
@@ -828,20 +816,10 @@ func (r *run) sendPhase(i int) {
 			}
 			st.Messages++
 			st.Words += int64(e.Words())
-			j := r.shardOf(e.To)
+			j := r.shardOf(NodeID(e.To))
 			buckets[j] = pushEnvelope(buckets[j], e)
 			if observing {
-				if e.kind == kindWords {
-					// Observers may read Payload() and hold it past this
-					// round; box a copy of the arena words for them. This
-					// allocates, but only with an Observer attached.
-					oe := *e
-					oe.boxed = WordsN(append([]uint64(nil), r.payloadWords(e)...))
-					oe.kind = kindBoxed
-					r.obsShards[i] = pushEnvelope(r.obsShards[i], &oe)
-				} else {
-					r.obsShards[i] = pushEnvelope(r.obsShards[i], e)
-				}
+				r.obsShards[i] = pushEnvelope(r.obsShards[i], e)
 			}
 		}
 		ctx.out = ctx.out[:0]
@@ -876,10 +854,10 @@ func (r *run) recvPhase(j int) {
 		for k := range bucket {
 			e := &bucket[k]
 			if counts[e.To] == 0 {
-				rcv = append(rcv, e.To)
+				rcv = append(rcv, NodeID(e.To))
 			}
 			counts[e.To]++
-			if e.kind == kindWords {
+			if e.width > 2 {
 				wcounts[e.To] += e.width
 			}
 		}
@@ -931,7 +909,7 @@ func (r *run) recvPhase(j int) {
 			e := &bucket[k]
 			ctx := r.nodes[e.To]
 			rc := e.received()
-			if e.kind == kindWords {
+			if e.width > 2 {
 				// Copy the payload out of the sender's arena: the sender
 				// recycles it the moment it resumes, while this inbox entry
 				// stays readable for the receiver's whole next round. The
@@ -1040,7 +1018,8 @@ func (r *run) wakeQuiet(j int, id NodeID) {
 // its inbox for the round just completed. Work is partitioned over r.workers
 // shards: senders are sharded for capacity/fault filtering, receivers for
 // grouping, overload truncation, and inbox fill. Returns false if the round
-// was aborted by a worker panic (user Observer or Payload callback).
+// was aborted by a panic (in a delivery worker, or in the user Observer or
+// Probe).
 func (r *run) deliverRound() bool {
 	if err := r.runShards(r.sendFn); err != nil {
 		r.fail(err)
@@ -1135,9 +1114,9 @@ func (r *run) probeRound() (err error) {
 	return nil
 }
 
-// recoverDeliveryPanic converts a panic in user callback code (FaultPlan,
-// Observer, Probe, Payload.Words) run between barriers into an error via the
-// named return, so the run aborts cleanly instead of crashing the process or
+// recoverDeliveryPanic converts a panic between barriers, in user callback
+// code (FaultPlan, Observer, Probe) or in a delivery worker, into an error via
+// the named return, so the run aborts cleanly instead of crashing the process or
 // deadlocking the node goroutines.
 func recoverDeliveryPanic(err *error) {
 	if v := recover(); v != nil {
@@ -1198,9 +1177,9 @@ func pushEnvelope(s []Envelope, e *Envelope) []Envelope {
 }
 
 // runShards executes fn(i) for every shard 0..workers-1, inline when the run
-// is serial and on the worker pool otherwise. A panic inside fn (user
-// Observer or Payload code) is returned as an error instead of crashing the
-// process.
+// is serial and on the worker pool otherwise. A panic inside fn (say, from a
+// LinkCut slice shorter than N) is returned as an error instead of crashing
+// the process.
 func (r *run) runShards(fn func(int)) (err error) {
 	if r.pool == nil {
 		defer recoverDeliveryPanic(&err)

@@ -219,17 +219,28 @@ func TestSelfSendPanics(t *testing.T) {
 	}
 }
 
-type bigPayload struct{}
+type foreignPayload struct{}
 
-func (bigPayload) Words() int { return 1000 }
+func (foreignPayload) Words() int { return 1 }
 
+// TestOversizedPayloadPanics checks that Send admits only word payloads of
+// at most MaxWords words, and that each panic names what was wrong.
 func TestOversizedPayloadPanics(t *testing.T) {
-	_, err := Run(Config{N: 2, Seed: 1}, func(ctx *Context) {
-		ctx.Send(1-ctx.ID(), bigPayload{})
-		ctx.EndRound()
-	})
-	if err == nil || !strings.Contains(err.Error(), "MaxWords") {
-		t.Fatalf("want MaxWords panic, got %v", err)
+	for _, tc := range []struct {
+		p    Payload
+		want string
+	}{
+		{make(WordsN, 1000), "MaxWords"},
+		{foreignPayload{}, "ncc.foreignPayload"},
+		{nil, "<nil>"},
+	} {
+		_, err := Run(Config{N: 2, Seed: 1}, func(ctx *Context) {
+			ctx.Send(1-ctx.ID(), tc.p)
+			ctx.EndRound()
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Send(%T): want a panic naming %q, got %v", tc.p, tc.want, err)
+		}
 	}
 }
 

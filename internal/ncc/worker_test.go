@@ -1,6 +1,7 @@
 package ncc
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -106,6 +107,13 @@ func TestNegativeWorkersRejected(t *testing.T) {
 	_, err := Run(Config{N: 2, Seed: 1, Workers: -1}, func(ctx *Context) {})
 	if err == nil {
 		t.Fatal("Workers=-1 accepted")
+	}
+	// Node ids travel as int32, so N must fit one. The check runs before
+	// anything is allocated for the nodes.
+	n := math.MaxInt32
+	n++
+	if _, err := Run(Config{N: n, Seed: 1}, func(ctx *Context) {}); err == nil {
+		t.Fatalf("N=%d accepted", n)
 	}
 }
 

@@ -60,6 +60,12 @@ func TestValidateFieldPaths(t *testing.T) {
 				Capacities: &graph.CapacitySpec{Policy: "explicit", Values: []float64{4, 4, 4}}},
 		},
 		{
+			name: "more machines than the k-machine accountant's load table",
+			s: Scenario{Algo: "mis", Graph: graph.Spec{Family: "kforest"},
+				KMachine: &KMachine{K: 1025}},
+			want: "kmachine.k = 1025, need 1 <= k <= 1024",
+		},
+		{
 			name: "valid degree capacities",
 			s: Scenario{Algo: "mis", Graph: graph.Spec{Family: "kforest", Params: param.Values{"n": 8}},
 				Capacities: &graph.CapacitySpec{Policy: "degree", Params: param.Values{"min": 2}}},

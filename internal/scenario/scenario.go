@@ -196,8 +196,8 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("graph.file: only valid for the file family (family %s generates its graph)", s.Graph.Family)
 	}
 	if km := s.KMachine; km != nil {
-		if km.K < 1 {
-			return fmt.Errorf("kmachine.k = %d, need >= 1", km.K)
+		if km.K < 1 || km.K > kmachine.MaxMachines {
+			return fmt.Errorf("kmachine.k = %d, need 1 <= k <= %d", km.K, kmachine.MaxMachines)
 		}
 		if km.Bandwidth < 0 {
 			return fmt.Errorf("kmachine.bandwidth = %d, need >= 0 (0 means the default %d)", km.Bandwidth, DefaultKMachineBandwidth)
