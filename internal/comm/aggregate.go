@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"cmp"
 	"slices"
 
 	"ncc/internal/ncc"
@@ -122,19 +123,13 @@ func deliverResults[T any](s *Session, r *combineRouter[T], w Wire[T], window in
 	}
 	st.plan = plan
 	if r != nil {
-		// Iterate completed groups in sorted order: ranging over the map
-		// directly would pair packets with random rounds in a different order
-		// every process run, breaking the per-seed determinism of the engine.
+		// Draw the window rounds in group order, so which group gets which
+		// draw does not depend on how the packets reached the bottom level.
 		done := r.completed()
-		groups := s.groupScratch[:0]
-		for g := range done {
-			groups = append(groups, g)
-		}
-		s.groupScratch = groups
-		slices.Sort(groups)
-		for _, g := range groups {
+		slices.SortFunc(done, func(a, b pkt[T]) int { return cmp.Compare(a.group, b.group) })
+		for _, p := range done {
 			t := randRound(ctx.Rand(), window)
-			plan[t] = append(plan[t], done[g])
+			plan[t] = append(plan[t], p)
 		}
 	}
 	start := ctx.Round()
@@ -156,9 +151,6 @@ func deliverResults[T any](s *Session, r *combineRouter[T], w Wire[T], window in
 		mine = append(mine, GroupVal[T]{Group: m.group, Val: w.Decode(s.words(m.val))})
 	}
 	s.qResult = s.qResult[:0]
-	if r != nil {
-		clear(r.pend[s.BF.D])
-	}
 	st.out = mine
 	return mine
 }

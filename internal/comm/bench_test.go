@@ -13,7 +13,7 @@ import (
 // cost of one primitive invocation with session setup amortized away.
 // ReportAllocs pins the zero-allocation property in the recorded numbers
 // (allocs/op -> ~0 as b.N grows) and SetBytes reports payload throughput.
-// CI gates BenchmarkAggregate/n=4096 against BENCH_baseline.json via
+// CI gates all three n=4096 points against BENCH_baseline.json via
 // cmd/benchcheck.
 
 const benchN = 4096

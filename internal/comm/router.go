@@ -25,9 +25,11 @@ type combineRouter[T any] struct {
 	rec   *Trees // non-nil: record tree edges and leaf origins (Theorem 2.4)
 	col   int
 
-	pend    []map[uint64]pkt[T] // per level; pend[D] holds completed groups
-	tokIn   [][2]bool           // tokens received into level i via side 0/1
-	tokSent []bool              // token emitted out of level i
+	// pend[level] holds the level's pending packets, at most one per group,
+	// in no particular order; pend[D] holds the completed groups.
+	pend    [][]pkt[T]
+	tokIn   [][2]bool // tokens received into level i via side 0/1
+	tokSent []bool    // token emitted out of level i
 
 	nextPkts []stagedPkt[T]
 	nextToks []stagedTok
@@ -54,8 +56,8 @@ type stagedTok struct {
 	side  int
 }
 
-// combine readies the pooled combining router for a new invocation: maps are
-// cleared, token state zeroed, staging queues truncated — no steady-state
+// combine readies the pooled combining router for a new invocation: level
+// queues and staging queues truncated, token state zeroed — no steady-state
 // allocation.
 func (st *commState[T]) combine(s *Session, seq uint32, c Combiner[T], rec *Trees) *combineRouter[T] {
 	r := &st.cr
@@ -63,15 +65,12 @@ func (st *commState[T]) combine(s *Session, seq uint32, c Combiner[T], rec *Tree
 	r.s, r.seq, r.w, r.merge, r.rec = s, seq, c.Wire, c.Combine, rec
 	r.col = s.BF.Column(s.Ctx.ID())
 	if len(r.pend) != levels {
-		r.pend = make([]map[uint64]pkt[T], levels)
+		r.pend = make([][]pkt[T], levels)
 		r.tokIn = make([][2]bool, levels)
 		r.tokSent = make([]bool, levels)
-		for i := range r.pend {
-			r.pend[i] = make(map[uint64]pkt[T])
-		}
 	} else {
 		for i := range r.pend {
-			clear(r.pend[i])
+			r.pend[i] = r.pend[i][:0]
 			r.tokIn[i] = [2]bool{}
 			r.tokSent[i] = false
 		}
@@ -89,7 +88,7 @@ func (r *combineRouter[T]) stageLocal(p pkt[T]) {
 
 // absorb applies staged internal moves and drains the session's routing
 // queues — decoding payload words with the invocation's codec — into the
-// per-level pending sets.
+// per-level queues.
 func (r *combineRouter[T]) absorb() {
 	s := r.s
 	staged := r.nextPkts
@@ -141,30 +140,38 @@ func (r *combineRouter[T]) arrive(level int, p pkt[T], side int) {
 	if r.rec != nil {
 		r.rec.record(level, p.group, p.origin, side)
 	}
-	if cur, ok := r.pend[level][p.group]; ok {
-		cur.val = r.merge(cur.val, p.val)
-		r.pend[level][p.group] = cur
-		return
+	q := r.pend[level]
+	for i := range q {
+		if q[i].group == p.group {
+			q[i].val = r.merge(q[i].val, p.val)
+			return
+		}
 	}
-	r.pend[level][p.group] = p
+	if cap(q) == 0 {
+		q = make([]pkt[T], 0, 8) // levels that never see a packet stay unallocated
+	}
+	r.pend[level] = append(q, p)
 }
 
 // step performs one butterfly routing round: per down-edge, forward the
-// minimum-rank pending packet, then emit per-edge tokens where quiescent. It
-// reports whether it moved anything (sent or staged a packet or token); a
-// step that moved nothing changed no state, so the next one does nothing
-// either until input arrives.
+// minimum-rank pending packet, then emit per-edge tokens where quiescent.
+// Empty levels are skipped, so a step costs O(pending packets). It reports
+// whether it moved anything (sent or staged a packet or token); a step that
+// moved nothing changed no state, so the next one does nothing either until
+// input arrives.
 func (r *combineRouter[T]) step() (moved bool) {
 	bf := r.s.BF
 	for level := 0; level < bf.D; level++ {
-		for bit := 0; bit <= 1; bit++ {
-			group, ok := r.selectMin(level, bit)
+		for bit := 0; bit <= 1 && len(r.pend[level]) > 0; bit++ {
+			i, ok := r.selectMin(level, bit)
 			if !ok {
 				continue
 			}
-			best := r.pend[level][group]
+			q := r.pend[level]
+			best := q[i]
 			moved = true
-			delete(r.pend[level], group)
+			q[i] = q[len(q)-1]
+			r.pend[level] = q[:len(q)-1]
 			toCol := bf.DownNeighbor(level, r.col, bit)
 			if toCol == r.col {
 				r.nextPkts = append(r.nextPkts, stagedPkt[T]{level: level + 1, p: best})
@@ -189,22 +196,23 @@ func (r *combineRouter[T]) step() (moved bool) {
 	return moved
 }
 
-// selectMin picks the pending packet at `level` with the smallest
+// selectMin returns the index in pend[level] of the packet with the smallest
 // (rank, group) among those whose destination requires the down-edge labelled
-// `bit`. Deterministic despite map iteration.
-func (r *combineRouter[T]) selectMin(level, bit int) (uint64, bool) {
-	var bestGroup uint64
-	var bestRank uint32
-	found := false
-	for g, p := range r.pend[level] {
+// `bit`, and false if no packet needs that edge. Groups are unique within a
+// level, so the choice does not depend on the queue's order.
+func (r *combineRouter[T]) selectMin(level, bit int) (int, bool) {
+	q := r.pend[level]
+	best := -1
+	for i := range q {
+		p := &q[i]
 		if int(p.destCol>>level)&1 != bit {
 			continue
 		}
-		if !found || p.rank < bestRank || (p.rank == bestRank && g < bestGroup) {
-			bestGroup, bestRank, found = g, p.rank, true
+		if best < 0 || p.rank < q[best].rank || (p.rank == q[best].rank && p.group < q[best].group) {
+			best = i
 		}
 	}
-	return bestGroup, found
+	return best, best >= 0
 }
 
 func (r *combineRouter[T]) upDone(level int) bool {
@@ -228,8 +236,8 @@ func (r *combineRouter[T]) done() bool {
 }
 
 // completed returns the packets that reached the bottommost level at this
-// column, one per aggregation group, fully combined.
-func (r *combineRouter[T]) completed() map[uint64]pkt[T] {
+// column, one per aggregation group, fully combined, in arrival order.
+func (r *combineRouter[T]) completed() []pkt[T] {
 	return r.pend[r.s.BF.D]
 }
 

@@ -79,14 +79,12 @@ type Session struct {
 	view2 [2]uint64 // inline-payload view scratch for dispatch
 
 	// Pooled per-invocation hash families (reseeded in place each collective
-	// call, never reallocated) and the sorted-group scratch of the delivery
-	// windows.
+	// call, never reallocated).
 	famDest, famRank, famRank2 *hashing.Family
-	groupScratch               []uint64
 
 	// states pools the per-payload-type router and queue state across
 	// collective invocations, keyed by the payload type, so repeated
-	// collectives of the same T reuse their maps and buffers.
+	// collectives of the same T reuse their queues and buffers.
 	states map[reflect.Type]any
 
 	// patience is the barren-round budget of every otherwise-unbounded wait,
@@ -376,8 +374,8 @@ func (s *Session) SharedStream(salt uint64) *hashing.SeedStream {
 
 // commState is the pooled per-payload-type scratch of the routing
 // collectives: one combining router and one spreading router per T, reused
-// (maps cleared, slices truncated) across invocations so steady-state
-// collective traffic allocates ~nothing per message.
+// (slices truncated) across invocations so steady-state collective traffic
+// allocates ~nothing per message.
 type commState[T any] struct {
 	cr combineRouter[T]
 	sr spreadRouter[T]

@@ -125,9 +125,5 @@ func (s *Session) SetupTrees(items []TreeItem) *Trees {
 
 	runCombine(s, r)
 	s.Synchronize()
-
-	if r != nil {
-		clear(r.pend[s.BF.D])
-	}
 	return t
 }
