@@ -1,6 +1,12 @@
 package obs
 
-import "ncc/internal/ncc"
+import (
+	"bytes"
+	"slices"
+	"sync"
+
+	"ncc/internal/ncc"
+)
 
 // Collector turns a sequence of engine runs into a trace. Attach its Probe to
 // each run's Config, then seal the run with FinishRun; segments accumulate in
@@ -16,18 +22,28 @@ type Collector struct {
 	WithTiming bool
 
 	run     int
-	pending [][]byte // current run's round (and timing) lines
-	sealed  [][]byte // completed segments
+	scratch *[]byte  // current run's round (and timing) lines, newline-terminated; from scratchPool
+	sealed  [][]byte // completed segments' lines, sub-slices of one buffer per segment
 	taken   bool
 }
 
-// Probe returns the ncc.RoundProbe feeding this collector.
+// scratchPool recycles the probe's append buffers across runs and
+// collectors: a run's round lines are encoded into one buffer, copied once
+// into the sealed segment, and the buffer goes back for the next run.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// Probe returns the ncc.RoundProbe feeding this collector. Once the scratch
+// buffer has grown to a run's size, a round costs no allocation.
 func (c *Collector) Probe() ncc.RoundProbe {
 	return func(s ncc.RoundSample, timing []ncc.ShardTiming) {
-		c.pending = append(c.pending, marshalRound(s))
-		if c.WithTiming {
-			c.pending = append(c.pending, marshalTiming(s.Round, timing))
+		if c.scratch == nil {
+			c.scratch = scratchPool.Get().(*[]byte)
 		}
+		buf := appendRound(*c.scratch, s)
+		if c.WithTiming {
+			buf = append(append(buf, marshalTiming(s.Round, timing)...), '\n')
+		}
+		*c.scratch = buf
 	}
 }
 
@@ -35,11 +51,32 @@ func (c *Collector) Probe() ncc.RoundProbe {
 // and an end line join the trace, and the next run's segment begins. The
 // header is written here — not before the run — because its fields (N, Cap)
 // are only known once the scenario's graph has been built.
+//
+// The segment is one buffer of exactly its NDJSON size, so a trace kept alive
+// (in a job's log or the result cache) holds no slack; its lines are
+// sub-slices of it.
 func (c *Collector) FinishRun(h Header, st ncc.Stats, failed bool) {
-	c.sealed = append(c.sealed, marshalHeader(c.run, h))
-	c.sealed = append(c.sealed, c.pending...)
-	c.pending = nil
-	c.sealed = append(c.sealed, marshalEnd(c.run, st, failed))
+	head := marshalHeader(c.run, h)
+	end := marshalEnd(c.run, st, failed)
+	var body []byte
+	if c.scratch != nil {
+		body = *c.scratch
+	}
+	seg := make([]byte, 0, len(head)+1+len(body)+len(end)+1)
+	seg = append(append(seg, head...), '\n')
+	seg = append(seg, body...)
+	seg = append(append(seg, end...), '\n')
+	if c.scratch != nil {
+		*c.scratch = body[:0]
+		scratchPool.Put(c.scratch)
+		c.scratch = nil
+	}
+	c.sealed = slices.Grow(c.sealed, bytes.Count(seg, newline))
+	for len(seg) > 0 {
+		i := bytes.IndexByte(seg, '\n')
+		c.sealed = append(c.sealed, seg[:i:i])
+		seg = seg[i+1:]
+	}
 	c.run++
 }
 

@@ -32,6 +32,23 @@
 // three elements and read as compute 0. Timing lines are non-canonical: they
 // measure the host, not the algorithm, and they vary run to run.
 //
+// # Encoding
+//
+// A round line is written once per engine round, so it has its own encoder:
+// the Collector's probe appends it, newline-terminated, with strconv into a
+// scratch buffer that a sync.Pool recycles across runs. Its bytes are exactly
+// what encoding/json writes for the wire struct the parser reads (roundLine):
+// the same keys in the same order, omitempty fields dropped at zero.
+// FuzzTraceRound holds the two together. After warm-up a round costs no
+// allocation. Header, end and timing lines keep encoding/json; the first two
+// occur once per run, the last only in timed traces.
+//
+// FinishRun seals a run into one segment: header, rounds and end line copied
+// into a buffer of exactly the segment's NDJSON size. Lines and TakeLines
+// return sub-slices of it, each capped at its own end, so the service
+// publishes, streams and caches those bytes without copying them again, and a
+// trace held by a job or the result cache keeps no slack alive.
+//
 // # Stability guarantees
 //
 // Canonical lines ("h", "r", "e") are a pure function of the scenario — graph,

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"ncc/internal/ncc"
 )
@@ -58,6 +59,9 @@ type headerLine struct {
 	Cap      int    `json:"cap"`
 }
 
+// roundLine is the parser's schema for round lines and the oracle for
+// appendRound, which writes them: a field added here is added there, at the
+// same position.
 type roundLine struct {
 	T                 string `json:"t"`
 	Round             int    `json:"round"`
@@ -109,15 +113,40 @@ func marshalHeader(run int, h Header) []byte {
 	})
 }
 
-func marshalRound(s ncc.RoundSample) []byte {
-	return mustMarshal(roundLine{
-		T: "r", Round: s.Round,
-		Msgs: s.Messages, Delivered: s.Delivered, Words: s.Words,
-		Active: s.Active, Finished: s.Finished, Down: s.Down,
-		MaxSend: s.MaxSendLoad, MaxRecv: s.MaxRecvOffered, MaxRecvDelivered: s.MaxRecvDelivered,
-		SendThrottled: s.SendThrottled, RecvThrottled: s.RecvThrottled,
-		DroppedFault: s.DroppedFault, DroppedDead: s.DroppedDead, DroppedToFinished: s.DroppedToFinished,
-	})
+// appendRound appends s's round line and its newline to b. The bytes are
+// exactly what json.Marshal writes for the equivalent roundLine — same keys
+// in the same order, omitempty fields dropped at zero — but without
+// reflection or allocation; FuzzTraceRound holds it to that oracle.
+func appendRound(b []byte, s ncc.RoundSample) []byte {
+	b = append(b, `{"t":"r"`...)
+	b = appendInt(b, `,"round":`, s.Round)
+	b = appendInt(b, `,"msgs":`, s.Messages)
+	b = appendInt(b, `,"delivered":`, s.Delivered)
+	b = appendInt(b, `,"words":`, s.Words)
+	b = appendInt(b, `,"active":`, s.Active)
+	b = appendNonzero(b, `,"finished":`, s.Finished)
+	b = appendNonzero(b, `,"down":`, s.Down)
+	b = appendInt(b, `,"maxSend":`, s.MaxSendLoad)
+	b = appendInt(b, `,"maxRecv":`, s.MaxRecvOffered)
+	b = appendInt(b, `,"maxRecvDelivered":`, s.MaxRecvDelivered)
+	b = appendNonzero(b, `,"sendThrottled":`, s.SendThrottled)
+	b = appendNonzero(b, `,"recvThrottled":`, s.RecvThrottled)
+	b = appendNonzero(b, `,"droppedFault":`, s.DroppedFault)
+	b = appendNonzero(b, `,"droppedDead":`, s.DroppedDead)
+	b = appendNonzero(b, `,"droppedToFinished":`, s.DroppedToFinished)
+	return append(b, "}\n"...)
+}
+
+func appendInt(b []byte, key string, v int) []byte {
+	return strconv.AppendInt(append(b, key...), int64(v), 10)
+}
+
+// appendNonzero is appendInt for an omitempty field.
+func appendNonzero(b []byte, key string, v int) []byte {
+	if v == 0 {
+		return b
+	}
+	return appendInt(b, key, v)
 }
 
 func marshalEnd(run int, st ncc.Stats, failed bool) []byte {
@@ -140,6 +169,10 @@ func marshalTiming(round int, timing []ncc.ShardTiming) []byte {
 // exact type test for traces this package wrote.
 var timingPrefix = []byte(`{"t":"g"`)
 
+// newline terminates every NDJSON line; shared so writing it to an
+// io.Writer allocates nothing.
+var newline = []byte{'\n'}
+
 func isTimingLine(line []byte) bool {
 	return len(line) >= len(timingPrefix) && string(line[:len(timingPrefix)]) == string(timingPrefix)
 }
@@ -155,7 +188,7 @@ func Hash(lines [][]byte) string {
 			continue
 		}
 		h.Write(line)
-		h.Write([]byte{'\n'})
+		h.Write(newline)
 	}
 	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }

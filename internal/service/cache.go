@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"ncc/internal/blob"
+	"ncc/internal/obs"
 )
 
 // cache is the content-addressed result cache: canonical scenario hash -> the
@@ -99,12 +100,7 @@ func (c *cache) put(hash string, lines, trace [][]byte) error {
 	}
 	var hashes []string
 	for _, stream := range [][][]byte{lines, trace} {
-		var buf bytes.Buffer
-		for _, ln := range stream {
-			buf.Write(ln)
-			buf.WriteByte('\n')
-		}
-		h, err := c.disk.Put(&buf, nil)
+		h, err := c.disk.Put(bytes.NewReader(obs.Join(stream)), nil)
 		if err != nil {
 			return err
 		}

@@ -510,7 +510,7 @@ func (b *RemoteBackend) runOn(j *Job, w *remoteWorker) (State, string, error) {
 	// seamless, byte-identical stream across the failover.
 	skip := j.lineCount()
 	sc := bufio.NewScanner(stream.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
+	sc.Buffer(nil, 16<<20) // starts small and grows to the longest record
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {
@@ -569,7 +569,8 @@ func (b *RemoteBackend) runOn(j *Job, w *remoteWorker) (State, string, error) {
 // failure replays an identical stream and the proxy skips the prefix it
 // already published — the same seamless-failover contract as the record
 // stream. The worker job is terminal when this runs (its record stream hit
-// clean EOF), so the trace stream is complete and EOF-bounded.
+// clean EOF), so the trace stream is complete and EOF-bounded: it is read
+// in one piece, and the published lines alias that buffer.
 func (b *RemoteBackend) fetchTrace(ctx context.Context, j *Job, w *remoteWorker, remoteID string) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/v1/jobs/"+remoteID+"/trace", nil)
 	if err != nil {
@@ -586,12 +587,24 @@ func (b *RemoteBackend) fetchTrace(ctx context.Context, j *Job, w *remoteWorker,
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("trace stream: %s: %s", resp.Status, readAPIError(resp.Body))
 	}
-	skip := j.traceCount()
-	var batch [][]byte
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("trace stream: %w", err)
+	}
+	batch := splitLines(data, j.traceCount())
+	j.appendTraceLines(batch)
+	b.m.traceLinesProduced.Add(int64(len(batch)))
+	return nil
+}
+
+// splitLines slices NDJSON data into lines that alias it: blank lines are
+// skipped, a last line without its newline is kept, and the first skip
+// non-blank lines are dropped (the replay offset of a retried dispatch).
+func splitLines(data []byte, skip int) [][]byte {
+	lines := make([][]byte, 0, bytes.Count(data, newline)+1)
+	for len(data) > 0 {
+		var line []byte
+		line, data, _ = bytes.Cut(data, newline)
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
@@ -599,14 +612,9 @@ func (b *RemoteBackend) fetchTrace(ctx context.Context, j *Job, w *remoteWorker,
 			skip--
 			continue
 		}
-		batch = append(batch, append([]byte(nil), line...))
+		lines = append(lines, line)
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("trace stream: %w", err)
-	}
-	j.appendTraceLines(batch)
-	b.m.traceLinesProduced.Add(int64(len(batch)))
-	return nil
+	return lines
 }
 
 // cancelRemote best-effort cancels a job on a worker.

@@ -34,9 +34,10 @@ type metrics struct {
 	traceLinesProduced atomic.Int64
 	traceLinesStreamed atomic.Int64
 
-	// Latency histograms. Observation is lock-cheap (one atomic add per
-	// bucket hit); rendering walks the buckets under the Prometheus rules
-	// (cumulative _bucket series with +Inf, plus _sum and _count).
+	// Latency histograms. Observation is lock-cheap (three atomic adds:
+	// count, one bucket, sum); rendering walks the buckets under the
+	// Prometheus rules (cumulative _bucket series with +Inf, plus _sum and
+	// _count).
 	roundDuration   *histogram // seconds per engine round, local execution
 	jobLatency      *histogram // submission -> terminal, executed jobs
 	dispatchLatency *histogram // coordinator: dispatch -> worker stream done
@@ -96,11 +97,13 @@ var (
 	latencyBuckets       = []float64{1e-3, 1e-2, 0.1, 0.5, 1, 5, 30, 120, 600}
 )
 
-// histogram is a fixed-bucket Prometheus histogram. counts[i] tallies
-// observations <= bounds[i]; observations beyond the last bound only land in
-// the implicit +Inf bucket (count). sumMicros keeps the running sum as an
-// integer so it can live in an atomic; microsecond resolution is far below
-// bucket granularity.
+// histogram is a fixed-bucket Prometheus histogram. counts[i] tallies the
+// observations in (bounds[i-1], bounds[i]]; observations beyond the last
+// bound only land in the implicit +Inf bucket (count). One bucket per
+// observation keeps observe at three atomic adds however many bounds there
+// are; render sums the buckets into Prometheus's cumulative form. sumMicros
+// keeps the running sum as an integer so it can live in an atomic;
+// microsecond resolution is far below bucket granularity.
 type histogram struct {
 	bounds    []float64
 	counts    []atomic.Int64
@@ -112,14 +115,17 @@ func newHistogram(bounds []float64) *histogram {
 	return &histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds))}
 }
 
-// observe records one value (seconds).
+// observe records one value (seconds). count is added before the bucket and
+// render loads it after the buckets, so a scrape never shows a bucket above
+// +Inf.
 func (h *histogram) observe(v float64) {
+	h.count.Add(1)
 	for i, b := range h.bounds {
 		if v <= b {
 			h.counts[i].Add(1)
+			break
 		}
 	}
-	h.count.Add(1)
 	h.sumMicros.Add(int64(math.Round(v * 1e6)))
 }
 
@@ -128,17 +134,20 @@ func (h *histogram) observeSince(t0 time.Time) {
 	h.observe(time.Since(t0).Seconds())
 }
 
-// render writes the histogram in Prometheus text exposition format. Buckets
-// are cumulative by construction (observe adds to every bucket the value
-// fits), ending with the mandatory +Inf bucket equal to _count.
+// render writes the histogram in Prometheus text exposition format: the
+// cumulative bucket counts, ending with the mandatory +Inf bucket equal to
+// _count.
 func (h *histogram) render(w io.Writer, name, help string) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	var cum int64
 	for i, b := range h.bounds {
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(b), h.counts[i].Load())
+		cum += h.counts[i].Load()
+		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(b), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.count.Load())
+	count := h.count.Load()
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, count)
 	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sumMicros.Load())/1e6)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
+	fmt.Fprintf(w, "%s_count %d\n", name, count)
 }
 
 // formatBound renders a bucket bound the way Prometheus clients expect

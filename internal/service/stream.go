@@ -36,6 +36,10 @@ func (h *StreamHub) ServeTrace(w http.ResponseWriter, r *http.Request, j *Job) {
 	h.serve(w, r, j.nextTrace, &h.m.traceLinesStreamed)
 }
 
+// newline ends every NDJSON line; shared so writing it to an io.Writer
+// allocates nothing.
+var newline = []byte{'\n'}
+
 func (h *StreamHub) serve(w http.ResponseWriter, r *http.Request,
 	next func(int) ([][]byte, bool, <-chan struct{}), streamed *atomic.Int64) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -48,7 +52,7 @@ func (h *StreamHub) serve(w http.ResponseWriter, r *http.Request,
 			if _, err := w.Write(ln); err != nil {
 				return
 			}
-			if _, err := w.Write([]byte{'\n'}); err != nil {
+			if _, err := w.Write(newline); err != nil {
 				return
 			}
 			streamed.Add(1)
