@@ -1,8 +1,8 @@
 // Command benchcheck compares `go test -bench` output against a committed
 // JSON baseline and fails on ns/op regressions beyond a tolerance. It is the
-// CI regression gate for the engine benchmarks (see BENCH_baseline.json at
-// the repo root) and needs no dependencies beyond the standard library, so it
-// runs identically in CI and on a laptop.
+// CI regression gate for the engine, collective and ingest benchmarks (see
+// BENCH_baseline.json at the repo root) and needs no dependencies beyond the
+// standard library, so it runs identically in CI and on a laptop.
 //
 // Usage:
 //
@@ -13,14 +13,9 @@
 // When a benchmark appears several times (e.g. -count=3), the fastest sample
 // is used, like benchstat's min-based summaries.
 //
-// With -campaign it gates on campaign records instead of bench output: it
-// compares the two most recent snapshots of a campaign history file (or the
-// newest against a -against reference report) and fails when any cost metric
-// (rounds, messages, words, kRounds) grew beyond the tolerance, when coverage
-// disappeared, or when the newest run has errors or unverified results:
-//
-//	go run ./cmd/benchcheck -campaign campaigns/compare-small.history.json
-//	go run ./cmd/benchcheck -campaign new.history.json -against campaigns/reference.json
+// Campaign costs (rounds, messages, words) are not gated here: they are
+// deterministic, so the campaign package's tests pin each shipped report's
+// sha256 instead of allowing a tolerance.
 package main
 
 import (
@@ -34,8 +29,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"ncc/internal/campaign"
 )
 
 // Baseline is the committed benchmark reference. NsPerOp is keyed by the
@@ -57,17 +50,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	tolerance := fs.Float64("tolerance", 0.20, "allowed fractional ns/op regression before failing")
 	update := fs.Bool("update", false, "write the parsed results as a new baseline instead of comparing")
 	out := fs.String("out", "", "output `file` for -update (default: the -baseline path)")
-	campaignPath := fs.String("campaign", "", "gate on this campaign history `file` (or report) instead of bench output")
-	against := fs.String("against", "", "reference campaign report/history `file` for -campaign (default: the previous snapshot in the history)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
-	}
-
-	if *campaignPath != "" {
-		return campaignGate(*campaignPath, *against, *tolerance, stdout, stderr)
 	}
 
 	results, err := parseInputs(fs.Args(), stdin)
@@ -167,73 +154,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	if failed {
 		fmt.Fprintf(stdout, "FAIL: ns/op regression beyond %.0f%% (refresh the baseline with -update if intentional)\n", 100**tolerance)
-		return 1
-	}
-	return 0
-}
-
-// campaignGate fails (exit 1) when the newest campaign run regressed: a cost
-// metric grew beyond tol relative to the reference, a variant covered by the
-// reference disappeared, or the newest run itself has errors or unverified
-// results. The reference is -against when given, else the second-newest
-// snapshot in the history file; a history with a single snapshot passes the
-// health checks only (there is nothing to compare yet).
-func campaignGate(path, against string, tol float64, stdout, stderr io.Writer) int {
-	cur, err := campaign.LoadReport(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "benchcheck: %v\n", err)
-		return 2
-	}
-	var prev campaign.Report
-	havePrev := false
-	if against != "" {
-		prev, err = campaign.LoadReport(against)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchcheck: %v\n", err)
-			return 2
-		}
-		havePrev = true
-	} else if snaps, err := campaign.LoadHistory(path); err == nil && len(snaps) >= 2 {
-		prev = snaps[len(snaps)-2].Report
-		havePrev = true
-	}
-
-	failed := false
-	if cur.Errors > 0 {
-		fmt.Fprintf(stdout, "campaign %s: %d run error(s)  REGRESSION\n", cur.Campaign, cur.Errors)
-		failed = true
-	}
-	if cur.Verified < cur.Runs {
-		fmt.Fprintf(stdout, "campaign %s: %d/%d runs verified  REGRESSION\n", cur.Campaign, cur.Verified, cur.Runs)
-		failed = true
-	}
-	if !havePrev {
-		fmt.Fprintf(stdout, "campaign %s: no reference to compare against (first snapshot); health checks only\n", cur.Campaign)
-		if failed {
-			return 1
-		}
-		return 0
-	}
-
-	deltas, missing := campaign.Compare(prev, cur)
-	for _, m := range missing {
-		fmt.Fprintf(stdout, "%-40s coverage disappeared  REGRESSION\n", m)
-		failed = true
-	}
-	for _, d := range deltas {
-		status := "ok"
-		switch {
-		case d.Frac > tol:
-			status = "REGRESSION"
-			failed = true
-		case d.Frac < -tol:
-			status = "improved"
-		}
-		fmt.Fprintf(stdout, "%-40s %12.0f  reference %12.0f  %+6.1f%%  %s\n",
-			d.Entry+"/"+string(d.Variant)+" "+d.Metric, d.Cur, d.Prev, 100*d.Frac, status)
-	}
-	if failed {
-		fmt.Fprintf(stdout, "FAIL: campaign regression beyond %.0f%%\n", 100*tol)
 		return 1
 	}
 	return 0

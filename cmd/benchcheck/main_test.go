@@ -2,10 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -120,111 +118,5 @@ func TestMissingBenchmarkFails(t *testing.T) {
 func TestEmptyInputRejected(t *testing.T) {
 	if code, _, _ := runCheck(t, "no benchmarks here"); code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
-	}
-}
-
-// campaignReport builds a minimal two-variant report fixture with the given
-// ncc-variant rounds; every other metric is fixed so tests vary exactly one
-// axis.
-func campaignReport(rounds int) string {
-	return `{"campaign":"fix","units":2,"runs":4,"errors":0,"verified":4,"entries":[
-		{"name":"e1","variants":[
-			{"variant":"ncc","algo":"mis","hash":"aaa","runs":2,"verified":2,"rounds":` + strconv.Itoa(rounds) + `,"messages":2000,"words":4000},
-			{"variant":"baseline","algo":"mis-central","hash":"bbb","runs":2,"verified":2,"rounds":50,"messages":600,"words":1200}
-		],"speedup":0.5}]}`
-}
-
-func TestCampaignGateIdenticalPasses(t *testing.T) {
-	ref := writeFile(t, "ref.json", campaignReport(100))
-	code, out, errw := runCheck(t, "", "-campaign", ref, "-against", ref)
-	if code != 0 {
-		t.Fatalf("exit %d: %s\n%s", code, errw, out)
-	}
-	if strings.Contains(out, "REGRESSION") || !strings.Contains(out, "ok") {
-		t.Errorf("identical reports should be all ok:\n%s", out)
-	}
-}
-
-func TestCampaignGateRegressionFails(t *testing.T) {
-	ref := writeFile(t, "ref.json", campaignReport(100))
-	cur := writeFile(t, "cur.json", campaignReport(130))
-	code, out, _ := runCheck(t, "", "-campaign", cur, "-against", ref)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 (+30%% rounds over 20%% tolerance)\n%s", code, out)
-	}
-	if !strings.Contains(out, "e1/ncc rounds") || !strings.Contains(out, "REGRESSION") {
-		t.Errorf("missing regression row:\n%s", out)
-	}
-	// The same drift passes under a wider gate.
-	code, out, _ = runCheck(t, "", "-campaign", cur, "-against", ref, "-tolerance", "0.5")
-	if code != 0 {
-		t.Fatalf("exit = %d with 50%% tolerance\n%s", code, out)
-	}
-	// And an improvement is labeled, never failed.
-	code, out, _ = runCheck(t, "", "-campaign", ref, "-against", cur)
-	if code != 0 || !strings.Contains(out, "improved") {
-		t.Errorf("shrinking rounds: exit %d, output:\n%s", code, out)
-	}
-}
-
-func TestCampaignGateMissingCoverageFails(t *testing.T) {
-	ref := writeFile(t, "ref.json", campaignReport(100))
-	cur := writeFile(t, "cur.json",
-		`{"campaign":"fix","units":1,"runs":2,"errors":0,"verified":2,"entries":[
-			{"name":"e1","variants":[
-				{"variant":"ncc","algo":"mis","hash":"aaa","runs":2,"verified":2,"rounds":100,"messages":2000,"words":4000}]}]}`)
-	code, out, _ := runCheck(t, "", "-campaign", cur, "-against", ref)
-	if code != 1 || !strings.Contains(out, "e1/baseline") || !strings.Contains(out, "coverage disappeared") {
-		t.Fatalf("exit %d, output:\n%s", code, out)
-	}
-}
-
-func TestCampaignGateUnhealthyRunFails(t *testing.T) {
-	// Errors and unverified runs fail even with nothing to compare against.
-	cur := writeFile(t, "cur.json",
-		`{"campaign":"fix","units":1,"runs":2,"errors":1,"verified":1,"entries":[
-			{"name":"e1","variants":[
-				{"variant":"ncc","algo":"mis","hash":"aaa","runs":2,"errors":1,"verified":1,"rounds":100,"messages":2000,"words":4000}]}]}`)
-	code, out, _ := runCheck(t, "", "-campaign", cur)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 for errors + unverified\n%s", code, out)
-	}
-	for _, want := range []string{"1 run error(s)", "1/2 runs verified"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestCampaignGateHistoryUsesPreviousSnapshot(t *testing.T) {
-	// History lines are NDJSON: compact the pretty fixture onto one line.
-	snap := func(rounds int) string {
-		var buf bytes.Buffer
-		if err := json.Compact(&buf, []byte(campaignReport(rounds))); err != nil {
-			t.Fatal(err)
-		}
-		return `{"time":"2026-08-07T03:37:00Z","source":"local","report":` + buf.String() + `}`
-	}
-	// A single snapshot has no reference yet: health checks only.
-	one := writeFile(t, "one.history.json", snap(100)+"\n")
-	code, out, errw := runCheck(t, "", "-campaign", one)
-	if code != 0 || !strings.Contains(out, "no reference") {
-		t.Fatalf("single snapshot: exit %d, stderr %s, output:\n%s", code, errw, out)
-	}
-	// Two snapshots: the newest is gated against the one before it.
-	two := writeFile(t, "two.history.json", snap(100)+"\n"+snap(130)+"\n")
-	code, out, _ = runCheck(t, "", "-campaign", two)
-	if code != 1 || !strings.Contains(out, "REGRESSION") {
-		t.Fatalf("regressed history: exit %d, output:\n%s", code, out)
-	}
-}
-
-func TestCampaignGateRejectsGarbage(t *testing.T) {
-	bad := writeFile(t, "bad.json", `{"not":"a report"}`)
-	if code, _, errw := runCheck(t, "", "-campaign", bad); code != 2 || !strings.Contains(errw, "not a campaign report") {
-		t.Fatalf("exit %d, stderr: %s", code, errw)
-	}
-	if code, _, _ := runCheck(t, "", "-campaign", filepath.Join(t.TempDir(), "nope.json")); code != 2 {
-		t.Fatal("missing file must be a usage error")
 	}
 }

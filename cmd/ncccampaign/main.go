@@ -16,11 +16,9 @@
 //	ncccampaign -spec campaigns/compare-small.json
 //	ncccampaign -spec campaigns/compare-small.json -json
 //	ncccampaign -spec campaigns/compare-small.json -remote http://127.0.0.1:9876 -token s3cret
-//	ncccampaign -spec campaigns/compare-small.json -history campaigns   # append a snapshot
 //
-// -history appends a timestamped Snapshot line (NDJSON) to
-// <dir>/<name>.history.json — the longitudinal record that
-// `benchcheck -campaign` gates on.
+// The exit status is 1 when any run errors or fails verification, so a
+// campaign run is also a health check.
 package main
 
 import (
@@ -50,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	remote := fs.String("remote", "", "run on the nccd at this base URL instead of locally")
 	token := fs.String("token", "", "bearer token for a token-protected nccd (-remote)")
 	jsonOut := fs.Bool("json", false, "emit the report as one JSON line instead of the text table")
-	historyDir := fs.String("history", "", "append a timestamped snapshot to <dir>/<name>.history.json")
 	poll := fs.Duration("poll", 200*time.Millisecond, "remote: status poll interval")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -79,13 +76,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	start := time.Now()
 	var rep campaign.Report
 	var rawReport []byte // the server's report bytes, passed through verbatim
-	source := "local"
 	if *remote != "" {
-		source = strings.TrimRight(*remote, "/")
-		rawReport, err = runRemote(source, *token, sp, *poll, stderr)
+		rawReport, err = runRemote(strings.TrimRight(*remote, "/"), *token, sp, *poll, stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, "ncccampaign:", err)
 			return 1
@@ -99,24 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			fmt.Fprintln(stderr, "ncccampaign:", err)
 			return 1
-		}
-	}
-	elapsed := time.Since(start)
-
-	if *historyDir != "" {
-		snap := campaign.Snapshot{
-			Time:    time.Now().UTC(),
-			Elapsed: elapsed.Seconds(),
-			Source:  source,
-			Report:  rep,
-		}
-		path := campaign.HistoryPath(*historyDir, sp.Name)
-		if err := campaign.AppendHistory(path, snap); err != nil {
-			fmt.Fprintln(stderr, "ncccampaign:", err)
-			return 1
-		}
-		if !*jsonOut {
-			fmt.Fprintf(stderr, "ncccampaign: snapshot appended to %s\n", path)
 		}
 	}
 

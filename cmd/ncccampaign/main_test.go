@@ -89,54 +89,21 @@ func TestRemoteHonorsToken(t *testing.T) {
 	}
 }
 
-// TestHistoryAppend pins the longitudinal artifact: each run appends exactly
-// one Snapshot line, and the deterministic Report inside stays identical
-// across runs.
-func TestHistoryAppend(t *testing.T) {
-	spec := writeSpec(t, smallSpec)
-	dir := t.TempDir()
-	for i := 0; i < 2; i++ {
-		code, _, errw := runCapture(t, "-spec", spec, "-json", "-history", dir)
-		if code != 0 {
-			t.Fatalf("run %d exit %d, stderr: %s", i, code, errw)
-		}
+// TestUnhealthyRunExitsOne pins the exit status that makes a campaign run a
+// health check: a round budget too small for the runs to finish turns every
+// run into an error, and the report still prints before the exit 1.
+func TestUnhealthyRunExitsOne(t *testing.T) {
+	spec := writeSpec(t, strings.Replace(smallSpec, `"sweep"`, `"model": {"maxrounds": 5}, "sweep"`, 1))
+	code, out, errw := runCapture(t, "-spec", spec, "-json")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr: %s)", code, errw)
 	}
-	path := campaign.HistoryPath(dir, "cmd-test")
-	snaps, err := campaign.LoadHistory(path)
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(errw, "run error(s)") {
+		t.Errorf("stderr missing the error count: %s", errw)
 	}
-	if len(snaps) != 2 {
-		t.Fatalf("history has %d snapshots, want 2", len(snaps))
+	if !strings.Contains(out, `"errors":2`) || !strings.Contains(out, `"verified":0`) {
+		t.Errorf("report should show both runs failed:\n%s", out)
 	}
-	for i, s := range snaps {
-		if s.Source != "local" || s.Time.IsZero() {
-			t.Errorf("snapshot %d context incomplete: source=%q time=%v", i, s.Source, s.Time)
-		}
-	}
-	a := renderText(t, snaps[0].Report)
-	b := renderText(t, snaps[1].Report)
-	if a != b {
-		t.Errorf("report drifted between identical runs:\n%s\n%s", a, b)
-	}
-	deltas, missing := campaign.Compare(snaps[0].Report, snaps[1].Report)
-	if len(missing) != 0 {
-		t.Errorf("coverage changed between identical runs: %v", missing)
-	}
-	for _, d := range deltas {
-		if d.Frac != 0 {
-			t.Errorf("nonzero delta between identical runs: %+v", d)
-		}
-	}
-}
-
-func renderText(t *testing.T, r campaign.Report) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := campaign.RenderText(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
 }
 
 func TestTextReportTable(t *testing.T) {
@@ -185,8 +152,5 @@ func TestShippedSpecStaysValid(t *testing.T) {
 	}
 	if len(units) != 6 {
 		t.Fatalf("compare-small expands to %d units, want 6 (3 entries x ncc+baseline)", len(units))
-	}
-	if _, err := campaign.LoadReport(filepath.Join("..", "..", "campaigns", "compare-small.reference.json")); err != nil {
-		t.Fatalf("shipped reference record unreadable: %v", err)
 	}
 }

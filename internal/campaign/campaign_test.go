@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 const specJSON = `{
@@ -212,98 +211,6 @@ func TestExecuteLocalAndReport(t *testing.T) {
 	}
 }
 
-// fixtureReport builds a report pair with known metric movements for the
-// regression-delta math.
-func fixtureReport(rounds, messages int64) Report {
-	return Report{
-		Campaign: "fix",
-		Units:    2,
-		Entries: []EntryReport{{
-			Name: "e1",
-			Variants: []VariantReport{
-				{Variant: VariantNCC, Algo: "mis", Runs: 1, Verified: 1, Rounds: rounds, Messages: messages, Words: 4 * messages},
-				{Variant: VariantBaseline, Algo: "mis-central", Runs: 1, Verified: 1, Rounds: 10 * rounds, Messages: messages, Words: 4 * messages},
-			},
-		}},
-	}
-}
-
-func TestCompareAndRegressions(t *testing.T) {
-	prev := fixtureReport(100, 1000)
-	cur := fixtureReport(130, 900)
-	deltas, missing := Compare(prev, cur)
-	if len(missing) != 0 {
-		t.Fatalf("missing = %v", missing)
-	}
-	// 2 variants x 3 nonzero metrics (kRounds is zero in prev and skipped).
-	if len(deltas) != 6 {
-		t.Fatalf("got %d deltas: %+v", len(deltas), deltas)
-	}
-	byKey := map[string]Delta{}
-	for _, d := range deltas {
-		byKey[d.Entry+"/"+string(d.Variant)+"/"+d.Metric] = d
-	}
-	d := byKey["e1/ncc/rounds"]
-	if d.Prev != 100 || d.Cur != 130 || d.Frac < 0.299 || d.Frac > 0.301 {
-		t.Fatalf("rounds delta = %+v, want +30%%", d)
-	}
-	if d := byKey["e1/ncc/messages"]; d.Frac > -0.099 || d.Frac < -0.101 {
-		t.Fatalf("messages delta = %+v, want -10%%", d)
-	}
-
-	reg := Regressions(deltas, 0.2)
-	if len(reg) != 2 { // rounds regressed on both variants; messages improved
-		t.Fatalf("Regressions(0.2) = %+v, want the two rounds deltas", reg)
-	}
-	for _, d := range reg {
-		if d.Metric != "rounds" {
-			t.Fatalf("unexpected regression %+v", d)
-		}
-	}
-	if got := Regressions(deltas, 0.5); len(got) != 0 {
-		t.Fatalf("Regressions(0.5) = %+v, want none", got)
-	}
-
-	// A variant disappearing is reported, not silently ignored.
-	shrunk := cur
-	shrunk.Entries = []EntryReport{{Name: "e1", Variants: cur.Entries[0].Variants[:1]}}
-	_, missing = Compare(prev, shrunk)
-	if len(missing) != 1 || missing[0] != "e1/baseline" {
-		t.Fatalf("missing = %v, want [e1/baseline]", missing)
-	}
-}
-
-func TestHistoryRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := HistoryPath(dir, "My Campaign/v1")
-	if base := filepath.Base(path); base != "My-Campaign-v1.history.json" {
-		t.Fatalf("HistoryPath sanitization: %s", base)
-	}
-	r1 := fixtureReport(100, 1000)
-	r2 := fixtureReport(110, 1000)
-	for i, r := range []Report{r1, r2} {
-		snap := Snapshot{Time: time.Date(2026, 8, 1+i, 0, 0, 0, 0, time.UTC), Elapsed: float64(i + 1), Source: "local", Report: r}
-		if err := AppendHistory(path, snap); err != nil {
-			t.Fatalf("AppendHistory: %v", err)
-		}
-	}
-	snaps, err := LoadHistory(path)
-	if err != nil {
-		t.Fatalf("LoadHistory: %v", err)
-	}
-	if len(snaps) != 2 || snaps[0].Report.Entries[0].Variants[0].Rounds != 100 || snaps[1].Report.Entries[0].Variants[0].Rounds != 110 {
-		t.Fatalf("history contents: %+v", snaps)
-	}
-	// LoadReport on a history file yields the newest snapshot's report.
-	r, err := LoadReport(path)
-	if err != nil {
-		t.Fatalf("LoadReport: %v", err)
-	}
-	if r.Entries[0].Variants[0].Rounds != 110 {
-		t.Fatalf("LoadReport picked the wrong snapshot: %+v", r)
-	}
-}
-
 func TestResolveRefs(t *testing.T) {
 	dir := t.TempDir()
 	scPath := filepath.Join(dir, "mis.json")
@@ -325,29 +232,53 @@ func TestResolveRefs(t *testing.T) {
 	}
 }
 
-// TestShippedCampaignReportsPinned pins the exact bytes of the local report
-// for each shipped campaign file, as `ncccampaign -json` prints them: any
-// change to records, trace hashes or report math moves the hash. The paper
-// campaign regenerates the evaluation tables (tens of thousands of MST
-// rounds), so it is skipped under -short.
+// shippedReports pins the exact bytes of the local report for each shipped
+// campaign file, as `ncccampaign -json` prints them: any change to records,
+// trace hashes or report math moves the hash. Every file under campaigns/ is
+// a spec and must have an entry here. A slow campaign (paper.json regenerates
+// the evaluation tables, tens of thousands of MST rounds) is skipped under
+// -short.
+var shippedReports = map[string]struct {
+	sha256 string
+	slow   bool
+}{
+	"compare-small.json": {"a2018f4165a351f4f2e3a6608f3866fe35b0687f7655c80428a9984dea0ee492", false},
+	"paper.json":         {"994f4348efac62837f6c9a8d5667b900eaae2922828c74e9921ab129d7551e22", true},
+}
+
+// TestShippedCampaignReportsPinned is the campaigns' regression check. It
+// fails on a changed report, on a shipped spec without a pinned hash, and on
+// a pinned hash whose file is gone.
 func TestShippedCampaignReportsPinned(t *testing.T) {
-	for _, c := range []struct {
-		file, want string
-		slow       bool
-	}{
-		{"compare-small.json", "a2018f4165a351f4f2e3a6608f3866fe35b0687f7655c80428a9984dea0ee492", false},
-		{"paper.json", "994f4348efac62837f6c9a8d5667b900eaae2922828c74e9921ab129d7551e22", true},
-	} {
-		t.Run(c.file, func(t *testing.T) {
-			if c.slow && testing.Short() {
+	dir := filepath.Join("..", "..", "campaigns")
+	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped := map[string]bool{}
+	for _, path := range paths {
+		shipped[filepath.Base(path)] = true
+	}
+	for file := range shippedReports {
+		if !shipped[file] {
+			t.Errorf("pinned campaign %s is not in campaigns/; drop its hash", file)
+		}
+	}
+	for _, path := range paths {
+		file := filepath.Base(path)
+		t.Run(file, func(t *testing.T) {
+			pin, ok := shippedReports[file]
+			if !ok {
+				t.Fatalf("campaigns/%s has no pinned report hash; add its sha256 to shippedReports", file)
+			}
+			if pin.slow && testing.Short() {
 				t.Skip("regenerates the paper's tables; skipped under -short")
 			}
-			path := filepath.Join("..", "..", "campaigns", c.file)
 			sp, err := Load(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sp.Resolve(filepath.Dir(path)); err != nil {
+			if err := sp.Resolve(dir); err != nil {
 				t.Fatal(err)
 			}
 			rep, err := Execute(sp, Local())
@@ -355,15 +286,15 @@ func TestShippedCampaignReportsPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			if rep.Errors != 0 || rep.Verified != rep.Runs {
-				t.Fatalf("%s: %d errors, %d of %d runs verified", c.file, rep.Errors, rep.Verified, rep.Runs)
+				t.Fatalf("%s: %d errors, %d of %d runs verified", file, rep.Errors, rep.Verified, rep.Runs)
 			}
 			line, err := json.Marshal(rep)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sum := sha256.Sum256(append(line, '\n'))
-			if got := hex.EncodeToString(sum[:]); got != c.want {
-				t.Fatalf("%s report sha256 %s, want %s", c.file, got, c.want)
+			if got := hex.EncodeToString(sum[:]); got != pin.sha256 {
+				t.Fatalf("%s report sha256 %s, want %s", file, got, pin.sha256)
 			}
 		})
 	}

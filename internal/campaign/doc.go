@@ -14,8 +14,8 @@
 // baseline-rounds-per-NCC-round speedup column that quantifies the paper's
 // headline claims. Reports are deterministic (no wall-clock fields), so the
 // same campaign produces byte-identical report JSON whether it ran locally,
-// against a coordinator, or straight out of the result cache. Wall-clock time
-// lives only in history Snapshots: append-only NDJSON artifacts under
-// campaigns/ that record the longitudinal perf trajectory, which Compare and
-// benchcheck -campaign gate regressions against.
+// against a coordinator, or straight out of the result cache. That makes the
+// report its own regression check: the tests pin the sha256 of every shipped
+// campaign's report, so any change to a round, message, word or verification
+// count of a shipped campaign shows as a changed hash.
 package campaign

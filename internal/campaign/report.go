@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"text/tabwriter"
 
 	"ncc/internal/scenario"
@@ -14,7 +13,8 @@ import (
 // built purely from the units' Records (rounds, messages, words, k-machine
 // accounting, verification), never from wall-clock measurements, so the same
 // campaign yields byte-identical report JSON locally, remotely, and from
-// cache. Timing lives in the history Snapshot wrapper instead.
+// cache. It carries no timing: the package tests pin the sha256 of each
+// shipped campaign's report, which is the campaigns' one regression check.
 type Report struct {
 	Campaign string        `json:"campaign"`
 	Entries  []EntryReport `json:"entries"`
@@ -110,79 +110,6 @@ func BuildReport(name string, units []Unit, records map[string][]scenario.Record
 		}
 	}
 	return r, nil
-}
-
-// Delta is one metric's movement between two reports of the same campaign.
-// Frac is the relative change (cur-prev)/prev; positive means the metric
-// grew (a regression for cost metrics).
-type Delta struct {
-	Entry   string  `json:"entry"`
-	Variant Variant `json:"variant"`
-	Metric  string  `json:"metric"`
-	Prev    float64 `json:"prev"`
-	Cur     float64 `json:"cur"`
-	Frac    float64 `json:"frac"`
-}
-
-// Compare computes the per-variant metric deltas from prev to cur. Variants
-// present in prev but absent from cur are returned in missing (a gate should
-// treat disappearing coverage as failure, not as zero delta); metrics that
-// were zero in prev are skipped (no baseline to be relative to).
-func Compare(prev, cur Report) (deltas []Delta, missing []string) {
-	type key struct {
-		entry   string
-		variant Variant
-	}
-	curIdx := map[key]VariantReport{}
-	for _, er := range cur.Entries {
-		for _, vr := range er.Variants {
-			curIdx[key{er.Name, vr.Variant}] = vr
-		}
-	}
-	for _, er := range prev.Entries {
-		for _, pv := range er.Variants {
-			cv, ok := curIdx[key{er.Name, pv.Variant}]
-			if !ok {
-				missing = append(missing, er.Name+"/"+string(pv.Variant))
-				continue
-			}
-			for _, m := range []struct {
-				name      string
-				prev, cur int64
-			}{
-				{"rounds", pv.Rounds, cv.Rounds},
-				{"messages", pv.Messages, cv.Messages},
-				{"words", pv.Words, cv.Words},
-				{"kRounds", pv.KRounds, cv.KRounds},
-			} {
-				if m.prev == 0 {
-					continue
-				}
-				deltas = append(deltas, Delta{
-					Entry:   er.Name,
-					Variant: pv.Variant,
-					Metric:  m.name,
-					Prev:    float64(m.prev),
-					Cur:     float64(m.cur),
-					Frac:    float64(m.cur-m.prev) / float64(m.prev),
-				})
-			}
-		}
-	}
-	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-	return deltas, missing
-}
-
-// Regressions filters Compare's deltas down to metrics that grew by more
-// than tol (e.g. 0.2 gates on >20% growth).
-func Regressions(deltas []Delta, tol float64) []Delta {
-	var out []Delta
-	for _, d := range deltas {
-		if d.Frac > tol {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // RenderText writes the human-readable report table.

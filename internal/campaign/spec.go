@@ -95,7 +95,7 @@ func (sp *Spec) Resolve(dir string) error {
 // validates against the algorithm and graph registries.
 func (sp Spec) Validate() error {
 	if sp.Name == "" {
-		return fmt.Errorf("campaign has no name (history artifacts are keyed on it)")
+		return fmt.Errorf("campaign has no name (it is the report's campaign field)")
 	}
 	if len(sp.Entries) == 0 {
 		return fmt.Errorf("campaign %s has no entries", sp.Name)
