@@ -4,7 +4,9 @@
 // machine-level complete network, where each ordered machine pair's link
 // carries a bounded number of words per k-machine round (store-and-forward,
 // direct routing). Corollary 2 predicts that a T-round NCC algorithm costs
-// about n*T/k^2 k-machine rounds (up to polylog factors).
+// about n*T/k^2 k-machine rounds (up to polylog factors). The accounting
+// rides the engine's round probe: it reads each round's accepted traffic
+// from the ncc.ShardTiming.Sent views, without copying it.
 package kmachine
 
 import (
@@ -41,12 +43,12 @@ func (r Result) String() string {
 		r.K, r.NCCRounds, r.KRounds, r.CrossMessages, r.IntraMessages)
 }
 
-// Accountant is an ncc.Observer that accounts a run's communication in the
-// k-machine model without owning the run itself: attach it to any engine
-// execution (kmachine.Simulate, or a scenario run via the scenario package's
-// kmachine block) and read the accumulated Result afterwards. The random
-// vertex partition is fixed at construction from the seed, so the same
-// (k, n, seed) triple always produces the same machine assignment.
+// Accountant accounts a run's communication in the k-machine model without
+// owning the run itself: attach its Probe to any engine execution
+// (kmachine.Simulate, or a scenario run via the scenario package's kmachine
+// block) and read the accumulated Result afterwards. The random vertex
+// partition is fixed at construction from the seed, so the same (k, n, seed)
+// triple always produces the same machine assignment.
 type Accountant struct {
 	machineOf []int
 	bw        int
@@ -62,7 +64,7 @@ type Accountant struct {
 // (8 MiB at the bound).
 const MaxMachines = 1024
 
-// NewAccountant builds the k-machine accounting observer for an n-node clique
+// NewAccountant builds the k-machine accountant for an n-node clique
 // with the given per-link bandwidth (words per k-machine round). The vertex
 // partition derives deterministically from seed.
 func NewAccountant(k, bandwidthWords, n int, seed int64) (*Accountant, error) {
@@ -92,55 +94,57 @@ func NewAccountant(k, bandwidthWords, n int, seed int64) (*Accountant, error) {
 	return a, nil
 }
 
-// ObserveRound implements ncc.Observer: it routes the round's clique messages
-// over the machine-level complete network and charges the k-machine rounds.
-func (a *Accountant) ObserveRound(round int, msgs []ncc.Envelope) {
+// Probe is an ncc.RoundProbe: it routes the round's clique messages (the
+// shards' Sent views) over the machine-level complete network and charges
+// the k-machine rounds. Every tally is a sum or a maximum, so the Result
+// does not depend on how the engine's workers split the traffic.
+func (a *Accountant) Probe(_ ncc.RoundSample, shards []ncc.ShardTiming) {
 	// Direct store-and-forward routing: the round's cost is the most loaded
 	// link's transfer time (at least one k-machine round per NCC round, for
 	// the synchronous barrier).
 	worst := 0
-	for i := range msgs {
-		e := &msgs[i]
-		p, q := a.machineOf[e.From], a.machineOf[e.To]
-		if p == q {
-			a.res.IntraMessages++
-			continue
+	for i := range shards {
+		for _, msgs := range shards[i].Sent {
+			for k := range msgs {
+				e := &msgs[k]
+				p, q := a.machineOf[e.From], a.machineOf[e.To]
+				if p == q {
+					a.res.IntraMessages++
+					continue
+				}
+				a.res.CrossMessages++
+				l := p*a.res.K + q
+				if a.loads[l] == 0 {
+					a.touched = append(a.touched, l)
+				}
+				a.loads[l] += e.Words()
+			}
 		}
-		a.res.CrossMessages++
-		l := p*a.res.K + q
-		if a.loads[l] == 0 {
-			a.touched = append(a.touched, l)
-		}
-		a.loads[l] += e.Words()
-		worst = max(worst, a.loads[l])
 	}
 	for _, l := range a.touched {
+		worst = max(worst, a.loads[l])
 		a.loads[l] = 0
 	}
 	a.touched = a.touched[:0]
-	if worst > a.res.MaxLinkWords {
-		a.res.MaxLinkWords = worst
-	}
+	a.res.MaxLinkWords = max(a.res.MaxLinkWords, worst)
 	a.res.KRounds += int64(max(1, (worst+a.bw-1)/a.bw))
+	a.res.NCCRounds++
 }
 
-// Result returns the accumulated accounting. NCCRounds is left zero — the
-// run's owner fills it from the engine's Stats, which count rounds
-// authoritatively (the observer only sees rounds the engine completed).
+// Result returns the accumulated accounting. The probe runs once per
+// completed round, so NCCRounds equals the run's Stats.Rounds.
 func (a *Accountant) Result() Result { return a.res }
 
 // Simulate runs program on an NCC clique configured by cfg while accounting
 // its communication in the k-machine model with the given per-link bandwidth
 // (in words per round). The random vertex partition is derived from
-// cfg.Seed. Any Observer already present in cfg is replaced.
+// cfg.Seed. The accountant's Probe replaces any probe already in cfg.
 func Simulate(k, bandwidthWords int, cfg ncc.Config, program func(*ncc.Context)) (Result, ncc.Stats, error) {
 	a, err := NewAccountant(k, bandwidthWords, cfg.N, cfg.Seed)
 	if err != nil {
 		return Result{}, ncc.Stats{}, err
 	}
-	cfg.Observer = a
+	cfg.Probe = a.Probe
 	st, err := ncc.Run(cfg, program)
-	res := a.Result()
-	res.NCCRounds = st.Rounds
-	return res, st, err
+	return a.Result(), st, err
 }

@@ -36,6 +36,34 @@ func TestSimulatePreservesAlgorithmOutput(t *testing.T) {
 	}
 }
 
+// TestAccountantWorkerInvariant: the accountant reads the round's traffic
+// through per-shard views whose partition depends on Workers; its Result
+// must not.
+func TestAccountantWorkerInvariant(t *testing.T) {
+	g := graph.Grid(6, 6)
+	program := func(ctx *ncc.Context) {
+		s := comm.NewSession(ctx)
+		o := core.Orient(s, g, core.OrientParams{})
+		trees, lhat := core.BroadcastTrees(s, g, o)
+		core.BFS(s, g, trees, lhat, 0)
+	}
+	var base Result
+	for _, w := range []int{1, 2, 8} {
+		res, _, err := Simulate(4, 4, ncc.Config{N: g.N(), Seed: 5, Strict: true, Workers: w}, program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w == 1 {
+			base = res
+			if res.CrossMessages == 0 || res.KRounds <= int64(res.NCCRounds) {
+				t.Fatalf("workers=1: %+v, want cross-machine traffic costing extra k-rounds", res)
+			}
+		} else if res != base {
+			t.Errorf("workers=%d: %+v, want %+v", w, res, base)
+		}
+	}
+}
+
 func TestMoreMachinesLessWork(t *testing.T) {
 	// Corollary 2: k-rounds fall roughly like 1/k^2 (until the 1-per-round
 	// floor dominates). Check monotonicity over a k sweep.

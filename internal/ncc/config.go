@@ -21,15 +21,6 @@ type Payload interface {
 	Words() int
 }
 
-// Observer is notified once per round with every message accepted for
-// transmission that round (after send-capacity enforcement, before
-// receive-capacity truncation), in ascending sender order. It sees traffic,
-// not payload contents: each Envelope's From, To and Words(). The slice must
-// not be retained.
-type Observer interface {
-	ObserveRound(round int, msgs []Envelope)
-}
-
 // Outage takes one node out of service at a round boundary. A plain outage
 // suspends the node: its program keeps executing, but every message it sends
 // or is sent is suppressed until a Revival returns it to service (the node is
@@ -114,11 +105,6 @@ type Config struct {
 	// Stats.NodeFailures) instead of aborting the run, and Stats reports the
 	// unfinished and down node sets at the end of the run.
 	FaultPlan FaultPlan
-
-	// Observer, if non-nil, sees every round's transmitted messages (sender,
-	// receiver and width). It is always called from a single goroutine,
-	// regardless of Workers.
-	Observer Observer
 
 	// Probe, if non-nil, receives one RoundSample per completed round — the
 	// engine's telemetry plane (see RoundProbe). It is called on the

@@ -53,8 +53,8 @@
 // wider payloads as an offset into the sender's word arena — so the outboxes
 // and buckets every message is copied through are never scanned by the
 // garbage collector. A delivered Received (40 bytes) holds the words inline
-// or points into the receiver's arena; observers see only From, To and
-// Words(). The steady-state message path allocates nothing (use
+// or points into the receiver's arena; a probe's ShardTiming.Sent view sees
+// only From, To and Words(). The steady-state message path allocates nothing (use
 // SendWord/SendWords2/SendWords and AsWord/AsWords2/AsWords to stay off the
 // heap entirely): outboxes, buckets and inboxes are sized from observed
 // traffic and reused across rounds. TestSteadyStateAllocs pins ~0

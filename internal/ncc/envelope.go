@@ -8,7 +8,7 @@ import "unsafe"
 // message is 1..MaxWords machine words and its width says where they are:
 // one word in a, two in a and b, and three or more in the sending node's
 // word arena at offset a. The engine resolves that offset during delivery,
-// while the sender is parked; observers see only From, To and Words().
+// while the sender is parked; a probe sees only From, To and Words().
 // From and To are node ids, stored as int32 (Config.N is at most
 // math.MaxInt32).
 type Envelope struct {

@@ -57,10 +57,11 @@ type RoundSample struct {
 	DroppedToFinished int
 }
 
-// ShardTiming is one delivery shard's wall-clock timing for a round. Unlike
-// RoundSample it is inherently nondeterministic — it measures this host, this
-// run, this worker count — so it travels beside the sample, never inside it,
-// and internal/obs keeps it out of the canonical (content-hashed) trace.
+// ShardTiming is one delivery shard's wall-clock timing for a round, plus a
+// view of the traffic the shard sent. Unlike RoundSample it depends on the
+// host, the run and the worker count, so it travels beside the sample, never
+// inside it, and internal/obs keeps it out of the canonical (content-hashed)
+// trace.
 //
 // A shard's phases walk only its active nodes: SendNanos covers the nodes
 // released for the round, RecvNanos the receivers, the due deadlines and
@@ -84,12 +85,20 @@ type ShardTiming struct {
 	// was released for the round (all finished or asleep in AwaitInput)
 	// reads zero here and in BarrierWaitNanos.
 	ComputeNanos int64
+
+	// Sent[j] holds the envelopes this (sender) shard sent to receiver shard
+	// j and the network accepted this round: after the send cap and fault
+	// drops, before receive truncation, in ascending sender order. It aliases
+	// the engine's delivery buckets, so it costs no copy and is valid only
+	// during the probe call. How the round's envelopes split over shards
+	// depends on Workers; the multiset of envelopes does not.
+	Sent [][]Envelope
 }
 
 // RoundProbe receives one RoundSample per completed round, plus per-shard
 // timing. It is called on the coordinator goroutine, strictly between rounds
 // (every node is parked), so implementations need no locking against the run —
 // but they delay the barrier release, so they should be cheap. The timing
-// slice is reused every round and must not be retained. A panicking probe
-// aborts the run like a panicking Observer.
+// slice and the Sent views inside it are reused every round and must not be
+// retained. A panicking probe aborts the run with an error.
 type RoundProbe func(s RoundSample, timing []ShardTiming)

@@ -123,6 +123,64 @@ func TestProbeComputeSpan(t *testing.T) {
 	}
 }
 
+// TestProbeSentView pins ShardTiming.Sent: shard i's Sent[j] holds exactly
+// the envelopes from shard i's senders to shard j's receivers that survived
+// the send cap and fault drops, before receive truncation, so its lengths and
+// widths sum to the sample's Messages and Words at any worker count.
+func TestProbeSentView(t *testing.T) {
+	const n = 32
+	program := func(ctx *Context) {
+		w := []uint64{1, 2, 3}
+		for r := 0; r < 6; r++ {
+			if r%2 == 0 {
+				for k := 1; k <= ctx.Cap()+1; k++ {
+					ctx.SendWords((ctx.ID()+k)%ctx.N(), w)
+				}
+			} else if hot := NodeID(r % ctx.N()); ctx.ID() != hot {
+				ctx.SendWords2(hot, Words2{1, 2}) // offered n-1 >> cap
+			}
+			ctx.EndRound()
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		var dropped, throttled int
+		cfg := Config{N: n, Seed: 7, CapFactor: 1, FaultPlan: lossPlan{p: 0.1}, Workers: workers}
+		width := (n + workers - 1) / workers
+		cfg.Probe = func(s RoundSample, timing []ShardTiming) {
+			var msgs, words int
+			for i := range timing {
+				if len(timing[i].Sent) != len(timing) {
+					t.Fatalf("workers=%d: shard %d has %d receiver views, want %d", workers, i, len(timing[i].Sent), len(timing))
+				}
+				for j, sent := range timing[i].Sent {
+					for k := range sent {
+						e := &sent[k]
+						if int(e.From)/width != i || int(e.To)/width != j {
+							t.Fatalf("workers=%d round %d: envelope %d->%d in Sent[%d][%d]", workers, s.Round, e.From, e.To, i, j)
+						}
+						if k > 0 && e.From < sent[k-1].From {
+							t.Fatalf("workers=%d round %d: Sent[%d][%d] not sender-sorted", workers, s.Round, i, j)
+						}
+						words += e.Words()
+					}
+					msgs += len(sent)
+				}
+			}
+			if msgs != s.Messages || words != s.Words {
+				t.Errorf("workers=%d round %d: view holds %d msgs/%d words, sample %d/%d", workers, s.Round, msgs, words, s.Messages, s.Words)
+			}
+			dropped += s.DroppedFault + s.SendThrottled
+			throttled += s.RecvThrottled
+		}
+		if _, err := Run(cfg, program); err != nil {
+			t.Fatal(err)
+		}
+		if dropped == 0 || throttled == 0 {
+			t.Errorf("workers=%d: traffic should hit send-side drops (%d) and receive truncation (%d)", workers, dropped, throttled)
+		}
+	}
+}
+
 // TestProbeWorkerInvariance pins the determinism guarantee the trace plane is
 // built on: the sample series is bit-identical at any worker count.
 func TestProbeWorkerInvariance(t *testing.T) {
@@ -223,8 +281,8 @@ func TestProbeDownAndFinished(t *testing.T) {
 	}
 }
 
-// TestProbePanicAborts: a panicking probe aborts the run like a panicking
-// Observer, instead of crashing the process or deadlocking parked nodes.
+// TestProbePanicAborts: a panicking probe aborts the run with an error,
+// instead of crashing the process or deadlocking parked nodes.
 func TestProbePanicAborts(t *testing.T) {
 	cfg := Config{N: 4, Seed: 1, Probe: func(RoundSample, []ShardTiming) { panic("probe boom") }}
 	_, err := Run(cfg, func(ctx *Context) {

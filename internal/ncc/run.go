@@ -320,10 +320,9 @@ type run struct {
 	// receiver v's offered-message count, computed so inboxes are filled
 	// directly without a staging copy, and receivers[j] lists receiver shard
 	// j's nodes with a non-zero count, so per-receiver work and the reset
-	// of the counts skip everyone else; shardStats and obsShards are the
-	// per-worker partial results merged by the coordinator. sendFn/recvFn
-	// are the two phase method values, bound once so delivery allocates no
-	// closures per round.
+	// of the counts skip everyone else; shardStats are the per-worker partial
+	// results merged by the coordinator. sendFn/recvFn are the two phase
+	// method values, bound once so delivery allocates no closures per round.
 	buckets        [][][]Envelope
 	recvCounts     []int32
 	recvWordCounts []int32
@@ -336,8 +335,6 @@ type run struct {
 	peakSend   []int32
 	peakRecv   []int32
 	shardStats []Stats
-	obsShards  [][]Envelope
-	obsBuf     []Envelope
 	sendFn     func(int)
 	recvFn     func(int)
 
@@ -406,7 +403,6 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	r.recvWordCounts = make([]int32, cfg.N)
 	r.receivers = make([][]NodeID, w)
 	r.shardStats = make([]Stats, w)
-	r.obsShards = make([][]Envelope, w)
 	r.finished = make([]bool, cfg.N)
 	r.released = newNodeSet(w, r.shardWidth)
 	r.next = newNodeSet(w, r.shardWidth)
@@ -533,9 +529,6 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 		r.stats.CapUtilP90 = pct(0.90)
 		r.stats.CapUtilMax = pct(1)
 	}
-	processMessages.Add(r.stats.Messages)
-	processWords.Add(r.stats.Words)
-	processRounds.Add(int64(r.stats.Rounds))
 	return r.stats, r.err
 }
 
@@ -746,7 +739,6 @@ func pcgIntN(p *rand.PCG, n int) int {
 // sender-sorted.
 func (r *run) sendPhase(i int) {
 	round := r.stats.Rounds
-	observing := r.cfg.Observer != nil
 	probing := r.probing
 	var t0 time.Time
 	if probing {
@@ -757,9 +749,6 @@ func (r *run) sendPhase(i int) {
 	buckets := r.buckets[i]
 	for j := range buckets {
 		buckets[j] = buckets[j][:0]
-	}
-	if observing {
-		r.obsShards[i] = r.obsShards[i][:0]
 	}
 	faulty := r.down != nil
 	dropP, cut := r.dropP, r.cut
@@ -818,9 +807,6 @@ func (r *run) sendPhase(i int) {
 			st.Words += int64(e.Words())
 			j := r.shardOf(NodeID(e.To))
 			buckets[j] = pushEnvelope(buckets[j], e)
-			if observing {
-				r.obsShards[i] = pushEnvelope(r.obsShards[i], e)
-			}
 		}
 		ctx.out = ctx.out[:0]
 	}
@@ -1018,8 +1004,7 @@ func (r *run) wakeQuiet(j int, id NodeID) {
 // its inbox for the round just completed. Work is partitioned over r.workers
 // shards: senders are sharded for capacity/fault filtering, receivers for
 // grouping, overload truncation, and inbox fill. Returns false if the round
-// was aborted by a panic (in a delivery worker, or in the user Observer or
-// Probe).
+// was aborted by a panic (in a delivery worker or in the Probe).
 func (r *run) deliverRound() bool {
 	if err := r.runShards(r.sendFn); err != nil {
 		r.fail(err)
@@ -1032,19 +1017,6 @@ func (r *run) deliverRound() bool {
 		r.roundMaxSend = 0
 		for i := range r.shardStats {
 			r.roundMaxSend = max(r.roundMaxSend, r.shardStats[i].MaxSendLoad)
-		}
-	}
-
-	if r.cfg.Observer != nil {
-		// Concatenating the shard buffers in shard order reproduces the
-		// global ascending sender-id order of the serial engine.
-		r.obsBuf = r.obsBuf[:0]
-		for _, s := range r.obsShards {
-			r.obsBuf = append(r.obsBuf, s...)
-		}
-		if err := r.observeRound(r.stats.Rounds); err != nil {
-			r.fail(err)
-			return false
 		}
 	}
 
@@ -1067,8 +1039,8 @@ func (r *run) deliverRound() bool {
 // probeRound assembles the just-completed round's RoundSample from the
 // cumulative-stats deltas and the per-shard scratch (which still holds phase-B
 // values here) and hands it to Config.Probe, with the same panic recovery as
-// Observer callbacks. Runs on the coordinator goroutine while every node is
-// parked.
+// the FaultPlan. Runs on the coordinator goroutine while every node is
+// parked, before the next sendPhase resets the buckets that Sent aliases.
 func (r *run) probeRound() (err error) {
 	defer recoverDeliveryPanic(&err)
 	cur, prev := &r.stats, &r.prevStats
@@ -1096,6 +1068,7 @@ func (r *run) probeRound() (err error) {
 		t := &r.timing[i]
 		t.SendNanos = r.probeSend[i]
 		t.RecvNanos = r.probeRecv[i]
+		t.Sent = r.buckets[i]
 		t.BarrierWaitNanos, t.ComputeNanos = 0, 0
 		// Shards with no node released for the round never arrive; their
 		// stale timestamp (and any clock oddity) reads as zero wait and zero
@@ -1115,20 +1088,13 @@ func (r *run) probeRound() (err error) {
 }
 
 // recoverDeliveryPanic converts a panic between barriers, in user callback
-// code (FaultPlan, Observer, Probe) or in a delivery worker, into an error via
+// code (FaultPlan, Probe) or in a delivery worker, into an error via
 // the named return, so the run aborts cleanly instead of crashing the process or
 // deadlocking the node goroutines.
 func recoverDeliveryPanic(err *error) {
 	if v := recover(); v != nil {
 		*err = fmt.Errorf("ncc: round delivery panicked: %v\n%s", v, debug.Stack())
 	}
-}
-
-// observeRound invokes the user Observer with delivery-panic recovery.
-func (r *run) observeRound(round int) (err error) {
-	defer recoverDeliveryPanic(&err)
-	r.cfg.Observer.ObserveRound(round, r.obsBuf)
-	return nil
 }
 
 func (r *run) mergeShardStats() {

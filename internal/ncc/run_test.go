@@ -277,25 +277,6 @@ func TestCollect(t *testing.T) {
 	}
 }
 
-type countObserver struct{ msgs int }
-
-func (o *countObserver) ObserveRound(round int, msgs []Envelope) { o.msgs += len(msgs) }
-
-func TestObserver(t *testing.T) {
-	obs := &countObserver{}
-	cfg := Config{N: 4, Seed: 1, Observer: obs}
-	st, err := Run(cfg, func(ctx *Context) {
-		ctx.Send((ctx.ID()+1)%ctx.N(), Word(0))
-		ctx.EndRound()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(obs.msgs) != st.Messages {
-		t.Errorf("observer saw %d messages, stats say %d", obs.msgs, st.Messages)
-	}
-}
-
 func TestPlanDropOne(t *testing.T) {
 	cfg := Config{N: 4, Seed: 1, FaultPlan: lossPlan{p: 1}}
 	var deliveredAny bool

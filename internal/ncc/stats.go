@@ -1,9 +1,6 @@
 package ncc
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Stats aggregates what happened during a run. All load figures are measured
 // per node per round. The JSON field names are part of the scenario Record
@@ -89,25 +86,4 @@ func (s Stats) Dropped() int64 {
 func (s Stats) String() string {
 	return fmt.Sprintf("rounds=%d msgs=%d words=%d maxSend=%d maxRecvOffered=%d dropped=%d",
 		s.Rounds, s.Messages, s.Words, s.MaxSendLoad, s.MaxRecvOffered, s.Dropped())
-}
-
-// Process-lifetime traffic totals, bumped once per completed Run (not on the
-// per-message hot path). They let a process that triggers many runs — the
-// nccd daemon executes jobs through the algorithm registry, baselines and
-// k-machine accounting — meter the total payload volume moved without
-// threading every Stats value out.
-var processMessages, processWords, processRounds atomic.Int64
-
-// TrafficTotals returns the cumulative messages and payload words accepted
-// for transmission across every Run completed in this process. Subtract two
-// snapshots to meter an interval.
-func TrafficTotals() (messages, words int64) {
-	return processMessages.Load(), processWords.Load()
-}
-
-// RoundsTotal returns the cumulative number of communication rounds completed
-// across every Run in this process. The serving layer derives its rounds/s
-// gauge from two snapshots of this counter.
-func RoundsTotal() int64 {
-	return processRounds.Load()
 }

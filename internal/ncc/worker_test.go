@@ -143,29 +143,6 @@ func TestParallelWorkersDeliverOrdered(t *testing.T) {
 	}
 }
 
-type panickyObserver struct{}
-
-func (panickyObserver) ObserveRound(round int, msgs []Envelope) {
-	if round == 2 {
-		panic("observer boom")
-	}
-}
-
-// TestObserverPanicSurfaces checks that a panic inside a user Observer aborts
-// the run with an error instead of escaping the coordinator and leaving every
-// node goroutine blocked at the barrier.
-func TestObserverPanicSurfaces(t *testing.T) {
-	_, err := Run(Config{N: 8, Seed: 1, Observer: panickyObserver{}}, func(ctx *Context) {
-		for r := 0; r < 10; r++ {
-			ctx.Send((ctx.ID()+1)%ctx.N(), Word(0))
-			ctx.EndRound()
-		}
-	})
-	if err == nil {
-		t.Fatal("observer panic not surfaced")
-	}
-}
-
 // TestFaultPlanPanicSurfaces checks that a panic inside either FaultPlan
 // method aborts the run with an error instead of escaping the coordinator,
 // crashing the process, and leaving every node goroutine parked.

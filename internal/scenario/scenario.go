@@ -92,7 +92,7 @@ type Sweep struct {
 // clique's messages are additionally routed over a complete network of K
 // machines with Bandwidth words per directed link per k-machine round, and
 // the Record reports how many k-machine rounds the algorithm's traffic would
-// have cost. Accounting is an observer — it never changes the run itself, but
+// have cost. Accounting is a round probe — it never changes the run itself, but
 // it is part of the declarative spec (and the canonical hash), because the
 // Record it produces differs.
 type KMachine struct {
@@ -388,7 +388,7 @@ func RunOneWith(s Scenario, opts RunOpts) (Record, error) {
 		if err != nil {
 			return rec, err
 		}
-		cfg.Observer = acct
+		cfg.Probe = chainProbes(acct.Probe, cfg.Probe)
 	}
 	rec.Capacity = cfg.Cap()
 	res, err := d.Execute(cfg, g, s.Params)
@@ -403,7 +403,6 @@ func RunOneWith(s Scenario, opts RunOpts) (Record, error) {
 	rec.Degradation = res.Degradation
 	if acct != nil {
 		kres := acct.Result()
-		kres.NCCRounds = res.Stats.Rounds
 		rec.KMachine = &kres
 	}
 	return rec, nil
@@ -418,15 +417,7 @@ func RunOneWith(s Scenario, opts RunOpts) (Record, error) {
 // set. One collector threaded through a sweep yields the sweep's whole trace
 // in expansion order.
 func RunTraced(c Scenario, col *obs.Collector, opts RunOpts) (Record, error) {
-	cp := col.Probe()
-	if p := opts.Probe; p != nil {
-		opts.Probe = func(s ncc.RoundSample, t []ncc.ShardTiming) {
-			cp(s, t)
-			p(s, t)
-		}
-	} else {
-		opts.Probe = cp
-	}
+	opts.Probe = chainProbes(col.Probe(), opts.Probe)
 	rec, err := RunOneWith(c, opts)
 	if rec.Capacity > 0 {
 		hash, _ := c.Hash() // unhashable scenarios leave the field empty
@@ -440,6 +431,18 @@ func RunTraced(c Scenario, col *obs.Collector, opts RunOpts) (Record, error) {
 		}, rec.Stats, err != nil)
 	}
 	return rec, err
+}
+
+// chainProbes returns a probe that calls first, then second; a nil second
+// yields first alone.
+func chainProbes(first, second ncc.RoundProbe) ncc.RoundProbe {
+	if second == nil {
+		return first
+	}
+	return func(s ncc.RoundSample, t []ncc.ShardTiming) {
+		first(s, t)
+		second(s, t)
+	}
 }
 
 // Run expands and executes a scenario. Individual run failures do not abort

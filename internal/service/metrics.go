@@ -9,15 +9,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ncc/internal/ncc"
 )
 
 // metrics is the daemon's counter set, rendered at /metrics in the Prometheus
-// text exposition format. Engine figures (rounds, messages, words) come from
-// the ncc package's process-lifetime totals; rounds/s is measured over the
-// window since the previous scrape, so a dashboard polling /metrics sees the
-// live round rate, not a lifetime average.
+// text exposition format. Engine figures (rounds, messages, words) are fed
+// round by round by the probe LocalBackend attaches to every engine run;
+// rounds/s is measured over the window since the previous scrape, so a
+// dashboard polling /metrics sees the live round rate, not a lifetime
+// average.
 type metrics struct {
 	start time.Time
 
@@ -33,6 +32,11 @@ type metrics struct {
 	recordsStreamed    atomic.Int64
 	traceLinesProduced atomic.Int64
 	traceLinesStreamed atomic.Int64
+
+	// Engine traffic of locally executed rounds; the round count is
+	// roundDuration's.
+	engineMessages atomic.Int64
+	engineWords    atomic.Int64
 
 	// Latency histograms. Observation is lock-cheap (three atomic adds:
 	// count, one bucket, sum); rendering walks the buckets under the
@@ -162,7 +166,7 @@ func (m *metrics) roundsRate() (total int64, perSec float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := time.Now()
-	total = ncc.RoundsTotal()
+	total = m.roundDuration.count.Load()
 	since := m.lastScrape
 	if since.IsZero() {
 		since = m.start
@@ -250,9 +254,8 @@ func (m *metrics) render(w io.Writer, budget, free, entries int, liveWorkers []W
 	rounds, rate := m.roundsRate()
 	counter("nccd_engine_rounds_total", "Communication rounds completed by the engine.", rounds)
 	gauge("nccd_engine_rounds_per_second", "Engine round rate since the previous scrape.", rate)
-	msgs, words := ncc.TrafficTotals()
-	counter("nccd_engine_messages_total", "Messages accepted for transmission.", msgs)
-	counter("nccd_engine_words_total", "Payload words accepted for transmission.", words)
+	counter("nccd_engine_messages_total", "Messages accepted for transmission.", m.engineMessages.Load())
+	counter("nccd_engine_words_total", "Payload words accepted for transmission.", m.engineWords.Load())
 
 	heap, goroutines, gcPause := runtimeGauges()
 	gauge("nccd_heap_bytes", "Live heap memory (runtime/metrics heap objects).", heap)

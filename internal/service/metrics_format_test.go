@@ -1,6 +1,8 @@
 package service_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -259,6 +261,46 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 	if _, ok := after["nccd_dispatch_latency_seconds"]; ok {
 		t.Fatal("dispatch-latency histogram rendered outside coordinator mode")
+	}
+}
+
+// TestMetricsEngineCounters pins the nccd_engine_* counters to the work they
+// meter: after one executed job on a fresh daemon, rounds, messages and words
+// equal the sums of the job's record stats.
+func TestMetricsEngineCounters(t *testing.T) {
+	ts := newTestServer(t, service.Config{WorkerBudget: 2})
+	info := submit(t, ts.URL, sweepJSON)
+	waitState(t, ts.URL, info.ID, service.StateDone, 60*time.Second)
+
+	var want [3]float64
+	lines := bytes.Split(bytes.TrimSpace(fetch(t, ts.URL+"/v1/jobs/"+info.ID+"/records")), []byte("\n"))
+	for _, line := range lines {
+		var rec struct {
+			Error string `json:"error"`
+			Stats struct {
+				Rounds   int   `json:"rounds"`
+				Messages int64 `json:"messages"`
+				Words    int64 `json:"words"`
+			} `json:"stats"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("record %q: %v", line, err)
+		}
+		if rec.Error != "" {
+			t.Fatalf("record failed: %s", rec.Error)
+		}
+		want[0] += float64(rec.Stats.Rounds)
+		want[1] += float64(rec.Stats.Messages)
+		want[2] += float64(rec.Stats.Words)
+	}
+	if len(lines) != 4 || want[0] == 0 || want[1] == 0 {
+		t.Fatalf("%d records with %v rounds/messages/words, want 4 runs with traffic", len(lines), want)
+	}
+	fams := parseProm(t, string(fetch(t, ts.URL+"/metrics")))
+	for i, name := range []string{"nccd_engine_rounds_total", "nccd_engine_messages_total", "nccd_engine_words_total"} {
+		if got := fams[name].samples[0].value; got != want[i] {
+			t.Errorf("%s = %g, want the records' sum %g", name, got, want[i])
+		}
 	}
 }
 

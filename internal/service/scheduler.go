@@ -190,11 +190,14 @@ func (b *LocalBackend) runJob(j *Job) {
 	// so local and cluster traces are byte-identical), so caching the trace
 	// alongside the records preserves the replay guarantee.
 	col := &obs.Collector{}
-	// The probe below runs on the engine's coordinator goroutine; lastRound is
-	// reset before each run so queue/build time is not charged to round 0.
+	// The probe below runs on the engine's coordinator goroutine and feeds
+	// every nccd_engine_* series; lastRound is reset before each run so
+	// queue/build time is not charged to round 0.
 	var lastRound time.Time
-	probe := func(ncc.RoundSample, []ncc.ShardTiming) {
+	probe := func(s ncc.RoundSample, _ []ncc.ShardTiming) {
 		b.m.roundDuration.observeSince(lastRound)
+		b.m.engineMessages.Add(int64(s.Messages))
+		b.m.engineWords.Add(int64(s.Words))
 		lastRound = time.Now()
 	}
 	for _, c := range j.Scenario.Expand() {
