@@ -36,7 +36,7 @@ func BenchmarkAggregateBroadcast(b *testing.B) {
 		b.Run(sizeName("n", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				setup := 0 // written by node 0 only; read after Run returns
-				st, err := ncc.Run(ncc.Config{N: n, Seed: 1, Strict: true}, func(ctx *ncc.Context) {
+				st, err := ncc.Run(ncc.Config{N: n, Seed: 1}, func(ctx *ncc.Context) {
 					s := comm.NewSession(ctx)
 					if ctx.ID() == 0 {
 						setup = ctx.Round()
@@ -59,7 +59,7 @@ func BenchmarkAggregation(b *testing.B) {
 	for _, members := range []int{1, 4, 16} {
 		b.Run(sizeName("members", members), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				st, err := ncc.Run(ncc.Config{N: n, Seed: 13, Strict: true}, func(ctx *ncc.Context) {
+				st, err := ncc.Run(ncc.Config{N: n, Seed: 13}, func(ctx *ncc.Context) {
 					s := comm.NewSession(ctx)
 					me := ctx.ID()
 					var items []comm.Agg[uint64]
@@ -89,7 +89,7 @@ func BenchmarkTreeSetupAndMulticast(b *testing.B) {
 		b.Run(sizeName("members", members), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				congestion, mcRounds := 0, 0 // written by node 0 only
-				st, err := ncc.Run(ncc.Config{N: n, Seed: 17, Strict: true}, func(ctx *ncc.Context) {
+				st, err := ncc.Run(ncc.Config{N: n, Seed: 17}, func(ctx *ncc.Context) {
 					s := comm.NewSession(ctx)
 					me := ctx.ID()
 					var items []comm.TreeItem
@@ -124,7 +124,7 @@ func BenchmarkMultiAggregation(b *testing.B) {
 	g := graph.KForest(96, 2, 9)
 	b.Run("kforest96", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st, err := ncc.Run(ncc.Config{N: g.N(), Seed: 19, Strict: true}, func(ctx *ncc.Context) {
+			st, err := ncc.Run(ncc.Config{N: g.N(), Seed: 19}, func(ctx *ncc.Context) {
 				s := comm.NewSession(ctx)
 				o := core.Orient(s, g, core.OrientParams{})
 				trees, _ := core.BroadcastTrees(s, g, o)
@@ -143,7 +143,7 @@ func BenchmarkGossip(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(sizeName("n", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				st, err := ncc.Run(ncc.Config{N: n, CapFactor: 1, Seed: 3, Strict: true}, func(ctx *ncc.Context) {
+				st, err := ncc.Run(ncc.Config{N: n, CapFactor: 1, Seed: 3}, func(ctx *ncc.Context) {
 					baseline.Gossip(ctx, uint64(ctx.ID()))
 				})
 				if err != nil {
@@ -161,7 +161,7 @@ func BenchmarkBroadcast(b *testing.B) {
 	const n = 1024
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st, err := ncc.Run(ncc.Config{N: n, CapFactor: 1, Seed: 3, Strict: true}, func(ctx *ncc.Context) {
+			st, err := ncc.Run(ncc.Config{N: n, CapFactor: 1, Seed: 3}, func(ctx *ncc.Context) {
 				baseline.DirectBroadcast(ctx, 0, 5)
 			})
 			if err != nil {
@@ -172,7 +172,7 @@ func BenchmarkBroadcast(b *testing.B) {
 	})
 	b.Run("butterfly", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st, err := ncc.Run(ncc.Config{N: n, CapFactor: 1, Seed: 3, Strict: true}, func(ctx *ncc.Context) {
+			st, err := ncc.Run(ncc.Config{N: n, CapFactor: 1, Seed: 3}, func(ctx *ncc.Context) {
 				baseline.ButterflyBroadcast(comm.NewSession(ctx), 0, 5)
 			})
 			if err != nil {
@@ -189,7 +189,7 @@ func BenchmarkTreeSetupStar(b *testing.B) {
 	star := graph.Star(256)
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st, err := ncc.Run(ncc.Config{N: star.N(), Seed: 31, Strict: true}, func(ctx *ncc.Context) {
+			st, err := ncc.Run(ncc.Config{N: star.N(), Seed: 31}, func(ctx *ncc.Context) {
 				baseline.NaiveTreeSetup(comm.NewSession(ctx), star)
 			})
 			if err != nil {
@@ -200,7 +200,7 @@ func BenchmarkTreeSetupStar(b *testing.B) {
 	})
 	b.Run("oriented", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st, err := ncc.Run(ncc.Config{N: star.N(), Seed: 31, Strict: true}, func(ctx *ncc.Context) {
+			st, err := ncc.Run(ncc.Config{N: star.N(), Seed: 31}, func(ctx *ncc.Context) {
 				s := comm.NewSession(ctx)
 				o := core.Orient(s, star, core.OrientParams{})
 				core.BroadcastTrees(s, star, o)

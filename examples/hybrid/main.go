@@ -33,7 +33,7 @@ func main() {
 	}
 	fmt.Printf("cheap-link network: %v (%dx%d grid, diameter %d)\n", g, *side, *side, graph.Diameter(g))
 
-	cfg := ncc.Config{N: g.N(), Seed: 3, Strict: true}
+	cfg := ncc.Config{N: g.N(), Seed: 3}
 	const gateway = 0
 
 	res, err := algo.MustGet("bfs").Execute(cfg, g, param.Values{"src": gateway})

@@ -44,7 +44,7 @@ func main() {
 		if k > g.N() {
 			break
 		}
-		res, _, err := kmachine.Simulate(k, 4, ncc.Config{N: g.N(), Seed: 21, Strict: true}, program)
+		res, _, err := kmachine.Simulate(k, 4, ncc.Config{N: g.N(), Seed: 21}, program)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("network: %v, max degree %d (hubs!), degeneracy %d (sparse)\n",
 		g, g.MaxDegree(), deg)
 
-	cfg := ncc.Config{Seed: 7, Strict: true}
+	cfg := ncc.Config{Seed: 7}
 
 	// Coordinators: a maximal independent set.
 	mis, err := algo.MustGet("mis").Execute(cfg, g, nil)

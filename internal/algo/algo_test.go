@@ -24,7 +24,7 @@ func TestEveryAlgorithmRunsAndVerifies(t *testing.T) {
 	g := testGraph(t)
 	for _, d := range algo.All() {
 		t.Run(d.Name, func(t *testing.T) {
-			res, err := d.Execute(ncc.Config{Seed: 3, Strict: true}, g, nil)
+			res, err := d.Execute(ncc.Config{Seed: 3}, g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,17 +41,41 @@ func TestEveryAlgorithmRunsAndVerifies(t *testing.T) {
 	}
 }
 
+// suite lists the source paper's algorithms: the registry minus baselines.
+var suite = []string{"orientation", "bfs", "mis", "matching", "coloring", "mst", "components", "forests"}
+
 func TestRegistryContainsTheSuite(t *testing.T) {
-	for _, want := range []string{"orientation", "bfs", "mis", "matching", "coloring", "mst", "components", "forests"} {
+	for _, want := range suite {
 		if _, ok := algo.Get(want); !ok {
 			t.Errorf("algorithm %q not registered", want)
 		}
 	}
 }
 
+// TestCapacityFloor runs the suite at capfactor 2, a quarter of the default
+// capacity. A send over Cap() panics, so a comm step that stops pacing its
+// sends fails here even when the default capacity has room for it.
+func TestCapacityFloor(t *testing.T) {
+	g, err := graph.Build(graph.Spec{Family: "kforest", Params: param.Values{"n": 64, "k": 3}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range suite {
+		t.Run(name, func(t *testing.T) {
+			res, err := algo.MustGet(name).Execute(ncc.Config{Seed: 1, CapFactor: 2}, g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Verified {
+				t.Fatalf("unverified: %s", res.VerifyErr)
+			}
+		})
+	}
+}
+
 func TestRunRejectsUnknownParam(t *testing.T) {
 	g := testGraph(t)
-	_, err := algo.MustGet("mis").Execute(ncc.Config{Seed: 1, Strict: true}, g, param.Values{"bogus": 1})
+	_, err := algo.MustGet("mis").Execute(ncc.Config{Seed: 1}, g, param.Values{"bogus": 1})
 	if err == nil || !strings.Contains(err.Error(), "unknown params bogus") {
 		t.Errorf("err = %v", err)
 	}
@@ -59,7 +83,7 @@ func TestRunRejectsUnknownParam(t *testing.T) {
 
 func TestBFSRejectsOutOfRangeSource(t *testing.T) {
 	g := testGraph(t)
-	_, err := algo.MustGet("bfs").Execute(ncc.Config{Seed: 1, Strict: true}, g, param.Values{"src": 1000})
+	_, err := algo.MustGet("bfs").Execute(ncc.Config{Seed: 1}, g, param.Values{"src": 1000})
 	if err == nil || !strings.Contains(err.Error(), "src") {
 		t.Errorf("err = %v", err)
 	}
@@ -67,7 +91,7 @@ func TestBFSRejectsOutOfRangeSource(t *testing.T) {
 
 func TestMSTSummaryAndMetrics(t *testing.T) {
 	g := testGraph(t)
-	res, err := algo.MustGet("mst").Execute(ncc.Config{Seed: 3, Strict: true}, g, param.Values{"maxw": 500})
+	res, err := algo.MustGet("mst").Execute(ncc.Config{Seed: 3}, g, param.Values{"maxw": 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +111,7 @@ func TestResultSerializesDeterministically(t *testing.T) {
 	g := testGraph(t)
 	var lines []string
 	for i := 0; i < 2; i++ {
-		res, err := algo.MustGet("coloring").Execute(ncc.Config{Seed: 7, Strict: true, Workers: 1 + i*7}, g, nil)
+		res, err := algo.MustGet("coloring").Execute(ncc.Config{Seed: 7, Workers: 1 + i*7}, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 func TestDirectBroadcastDeliversEverywhere(t *testing.T) {
 	const n = 60
 	got := make([]uint64, n)
-	cfg := ncc.Config{N: n, Seed: 1, Strict: true}
+	cfg := ncc.Config{N: n, Seed: 1}
 	st, err := ncc.Run(cfg, func(ctx *ncc.Context) {
 		got[ctx.ID()] = DirectBroadcast(ctx, 3, 777)
 	})
@@ -36,7 +36,7 @@ func TestButterflyBroadcastBeatsDirectOnRounds(t *testing.T) {
 	// The O(log n) vs Theta(n/cap) separation appears once n/cap clears the
 	// butterfly's constant factors (session setup included).
 	const n = 2048
-	cfg := ncc.Config{N: n, CapFactor: 1, Seed: 1, Strict: true}
+	cfg := ncc.Config{N: n, CapFactor: 1, Seed: 1}
 	stDirect, err := ncc.Run(cfg, func(ctx *ncc.Context) {
 		DirectBroadcast(ctx, 0, 9)
 	})
@@ -62,7 +62,7 @@ func TestButterflyBroadcastBeatsDirectOnRounds(t *testing.T) {
 func TestGossipChecksum(t *testing.T) {
 	const n = 40
 	got := make([]uint64, n)
-	cfg := ncc.Config{N: n, Seed: 2, Strict: true}
+	cfg := ncc.Config{N: n, Seed: 2}
 	st, err := ncc.Run(cfg, func(ctx *ncc.Context) {
 		got[ctx.ID()] = Gossip(ctx, uint64(ctx.ID()+1))
 	})
@@ -92,7 +92,7 @@ func TestNaiveBFSCorrect(t *testing.T) {
 		var mu sync.Mutex
 		dist := make([]int, g.N())
 		parent := make([]int, g.N())
-		cfg := ncc.Config{N: g.N(), Seed: 5, Strict: true}
+		cfg := ncc.Config{N: g.N(), Seed: 5}
 		_, err := ncc.Run(cfg, func(ctx *ncc.Context) {
 			s := comm.NewSession(ctx)
 			d, p := NaiveBFS(s, g, 0)
@@ -116,7 +116,7 @@ func TestNaiveTreeSetupStarCost(t *testing.T) {
 	g := graph.Star(32)
 	counts := make([]int, g.N())
 	var mu sync.Mutex
-	cfg := ncc.Config{N: g.N(), Seed: 3, Strict: true}
+	cfg := ncc.Config{N: g.N(), Seed: 3}
 	_, err := ncc.Run(cfg, func(ctx *ncc.Context) {
 		s := comm.NewSession(ctx)
 		trees := NaiveTreeSetup(s, g)
@@ -145,7 +145,7 @@ func TestCentralizedMSTMatchesKruskal(t *testing.T) {
 		wg := graph.RandomWeights(g, 500, 11)
 		results := make([][][2]int, g.N())
 		var mu sync.Mutex
-		cfg := ncc.Config{N: g.N(), Seed: 9, Strict: true}
+		cfg := ncc.Config{N: g.N(), Seed: 9}
 		_, err := ncc.Run(cfg, func(ctx *ncc.Context) {
 			s := comm.NewSession(ctx)
 			f := CentralizedMST(s, wg)

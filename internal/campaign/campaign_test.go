@@ -43,6 +43,7 @@ func TestDecodeStrictPaths(t *testing.T) {
 		{"nested scenario typo", `{"name":"x","entries":[{"scenario":{"algo":"mis","grph":{}}}]}`, `entries[0].scenario.grph`},
 		{"top-level typo", `{"nmae":"x"}`, `"nmae" (spec has`},
 		{"model typo", `{"model":{"capfator":2}}`, `model.capfator`},
+		{"removed send-cap switch", `{"model":{"nonstrict":true}}`, `unknown field "model.nonstrict" (model has capfactor, maxrounds, maxwords, seed, workers)`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

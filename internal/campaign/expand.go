@@ -108,8 +108,5 @@ func overlayModel(m scenario.Model, d *scenario.Model) scenario.Model {
 	if m.Seed == 0 {
 		m.Seed = d.Seed
 	}
-	if !m.NonStrict {
-		m.NonStrict = d.NonStrict
-	}
 	return m
 }

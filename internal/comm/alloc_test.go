@@ -25,7 +25,7 @@ func TestCollectiveSteadyStateAllocs(t *testing.T) {
 	program := func(iters int) (func(), *ncc.Stats) {
 		st := &ncc.Stats{}
 		return func() {
-			stats, err := ncc.Run(ncc.Config{N: n, Seed: 5, Strict: true, Workers: 1}, func(ctx *ncc.Context) {
+			stats, err := ncc.Run(ncc.Config{N: n, Seed: 5, Workers: 1}, func(ctx *ncc.Context) {
 				s := NewSession(ctx)
 				me := ctx.ID()
 				trees := s.SetupTrees([]TreeItem{{Group: uint64((me + 1) % n), Origin: me}})

@@ -24,7 +24,7 @@ const benchN = 4096
 func benchSession(b *testing.B, node func(s *Session, iters int)) {
 	b.Helper()
 	b.ReportAllocs()
-	st, err := ncc.Run(ncc.Config{N: benchN, Seed: 1, Strict: true}, func(ctx *ncc.Context) {
+	st, err := ncc.Run(ncc.Config{N: benchN, Seed: 1}, func(ctx *ncc.Context) {
 		node(NewSession(ctx), b.N)
 	})
 	if err != nil {

@@ -122,7 +122,7 @@ func TestPrimitivesTinyCliques(t *testing.T) {
 // Words accounting: the runtime must count payload words of transmitted
 // messages.
 func TestWordsAccounting(t *testing.T) {
-	cfg := ncc.Config{N: 2, Seed: 1, Strict: true}
+	cfg := ncc.Config{N: 2, Seed: 1}
 	st, err := ncc.Run(cfg, func(ctx *ncc.Context) {
 		if ctx.ID() == 0 {
 			ctx.SendWords2(1, ncc.Words2{1, 2})       // 2 words

@@ -39,7 +39,7 @@ func TestAggregatePropertyRandomProblems(t *testing.T) {
 		var mu sync.Mutex
 		got := map[uint64]uint64{}
 		gotAt := map[uint64]int{}
-		st, err := ncc.Run(ncc.Config{N: n, Seed: seed, Strict: true}, func(ctx *ncc.Context) {
+		st, err := ncc.Run(ncc.Config{N: n, Seed: seed}, func(ctx *ncc.Context) {
 			s := NewSession(ctx)
 			res := Aggregate(s, items[ctx.ID()], Sum, groups)
 			mu.Lock()
@@ -89,7 +89,7 @@ func TestAggregateBroadcastProperty(t *testing.T) {
 		}
 		ok := true
 		var mu sync.Mutex
-		_, err := ncc.Run(ncc.Config{N: n, Seed: seed, Strict: true}, func(ctx *ncc.Context) {
+		_, err := ncc.Run(ncc.Config{N: n, Seed: seed}, func(ctx *ncc.Context) {
 			s := NewSession(ctx)
 			v, found := AggregateAndBroadcast(s, vals[ctx.ID()], has[ctx.ID()], Max)
 			mu.Lock()
@@ -115,7 +115,7 @@ func TestMulticastProperty(t *testing.T) {
 		lhat := p.maxMemberships()
 		ok := true
 		var mu sync.Mutex
-		_, err := ncc.Run(ncc.Config{N: n, Seed: seed, Strict: true}, func(ctx *ncc.Context) {
+		_, err := ncc.Run(ncc.Config{N: n, Seed: seed}, func(ctx *ncc.Context) {
 			s := NewSession(ctx)
 			trees := s.SetupTrees(p.items(ctx.ID()))
 			var group uint64

@@ -15,7 +15,7 @@ func TestBFSMatchesSequential(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := ncc.Config{N: g.N(), Seed: 9, Strict: true}
+			cfg := ncc.Config{N: g.N(), Seed: 9}
 			res, st, err := RunBFS(cfg, g, 0)
 			if err != nil {
 				t.Fatalf("BFS failed: %v", err)
@@ -38,7 +38,7 @@ func TestBFSMatchesSequential(t *testing.T) {
 
 func TestBFSFromNonzeroSource(t *testing.T) {
 	g := graph.Grid(5, 6)
-	cfg := ncc.Config{N: g.N(), Seed: 4, Strict: true}
+	cfg := ncc.Config{N: g.N(), Seed: 4}
 	res, _, err := RunBFS(cfg, g, 17)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestMISValidOnManyGraphs(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := ncc.Config{N: g.N(), Seed: 31, Strict: true}
+			cfg := ncc.Config{N: g.N(), Seed: 31}
 			in, st, err := RunMIS(cfg, g)
 			if err != nil {
 				t.Fatalf("MIS failed: %v", err)
@@ -80,7 +80,7 @@ func TestMatchingValidOnManyGraphs(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := ncc.Config{N: g.N(), Seed: 13, Strict: true}
+			cfg := ncc.Config{N: g.N(), Seed: 13}
 			mate, st, err := RunMatching(cfg, g)
 			if err != nil {
 				t.Fatalf("matching failed: %v", err)
@@ -101,7 +101,7 @@ func TestColoringValidOnManyGraphs(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := ncc.Config{N: g.N(), Seed: 17, Strict: true}
+			cfg := ncc.Config{N: g.N(), Seed: 17}
 			res, st, err := RunColoring(cfg, g)
 			if err != nil {
 				t.Fatalf("coloring failed: %v", err)
@@ -135,7 +135,7 @@ func TestMSTMatchesKruskal(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			wg := graph.RandomWeights(g, 1000, 23)
-			cfg := ncc.Config{N: g.N(), Seed: 29, Strict: true}
+			cfg := ncc.Config{N: g.N(), Seed: 29}
 			perNode, st, err := RunMST(cfg, wg)
 			if err != nil {
 				t.Fatalf("MST failed: %v", err)
@@ -156,7 +156,7 @@ func TestMSTUnitWeights(t *testing.T) {
 	// unique minimum forest.
 	g := graph.GNP(24, 0.2, 3)
 	wg := graph.NewWeighted(g)
-	cfg := ncc.Config{N: g.N(), Seed: 1, Strict: true}
+	cfg := ncc.Config{N: g.N(), Seed: 1}
 	perNode, _, err := RunMST(cfg, wg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestMSTUnitWeights(t *testing.T) {
 func TestMSTWideWeights(t *testing.T) {
 	g := graph.KForest(30, 2, 8)
 	wg := graph.RandomWeights(g, (1<<23)-1, 5)
-	cfg := ncc.Config{N: g.N(), Seed: 6, Strict: true}
+	cfg := ncc.Config{N: g.N(), Seed: 6}
 	perNode, _, err := RunMST(cfg, wg)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestMSTOutputContract(t *testing.T) {
 	// reports a non-incident edge.
 	g := graph.Grid(4, 6)
 	wg := graph.RandomWeights(g, 100, 2)
-	cfg := ncc.Config{N: g.N(), Seed: 8, Strict: true}
+	cfg := ncc.Config{N: g.N(), Seed: 8}
 	perNode, _, err := RunMST(cfg, wg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestMISRandomized(t *testing.T) {
 	// Different seeds may give different sets, all valid.
 	g := graph.KForest(30, 2, 4)
 	for seed := int64(0); seed < 3; seed++ {
-		cfg := ncc.Config{N: g.N(), Seed: seed, Strict: true}
+		cfg := ncc.Config{N: g.N(), Seed: seed}
 		in, _, err := RunMIS(cfg, g)
 		if err != nil {
 			t.Fatal(err)

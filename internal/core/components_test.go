@@ -15,7 +15,7 @@ func TestComponentLabelsMatchUnionFind(t *testing.T) {
 		"empty":     graph.Empty(10),
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfg := ncc.Config{N: g.N(), Seed: 12, Strict: true}
+			cfg := ncc.Config{N: g.N(), Seed: 12}
 			labels, _, err := RunComponents(cfg, g)
 			if err != nil {
 				t.Fatal(err)

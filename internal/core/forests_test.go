@@ -14,7 +14,7 @@ func TestForestDecompositionIsValidPartition(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := ncc.Config{N: g.N(), Seed: 19, Strict: true}
+			cfg := ncc.Config{N: g.N(), Seed: 19}
 			idxs, os, count, _, err := RunForestDecomposition(cfg, g)
 			if err != nil {
 				t.Fatal(err)
@@ -38,7 +38,7 @@ func TestForestDecompositionIsValidPartition(t *testing.T) {
 
 func TestForestCountConsistentAcrossNodes(t *testing.T) {
 	g := graph.KForest(30, 3, 5)
-	cfg := ncc.Config{N: g.N(), Seed: 2, Strict: true}
+	cfg := ncc.Config{N: g.N(), Seed: 2}
 	idxs, os, count, _, err := RunForestDecomposition(cfg, g)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func testGraphs() map[string]*graph.Graph {
 func TestOrientationValidOnManyGraphs(t *testing.T) {
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
-			cfg := ncc.Config{N: g.N(), Seed: 11, Strict: true}
+			cfg := ncc.Config{N: g.N(), Seed: 11}
 			os, st, err := RunOrientation(cfg, g, OrientParams{})
 			if err != nil {
 				t.Fatalf("orientation failed: %v", err)
@@ -58,7 +58,7 @@ func TestOrientationValidOnManyGraphs(t *testing.T) {
 
 func TestOrientationCrossNodeConsistency(t *testing.T) {
 	g := graph.KForest(36, 3, 13)
-	cfg := ncc.Config{N: g.N(), Seed: 3, Strict: true}
+	cfg := ncc.Config{N: g.N(), Seed: 3}
 	os, _, err := RunOrientation(cfg, g, OrientParams{})
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestOrientationRoundsScaleWithArboricity(t *testing.T) {
 	var prev int
 	for _, k := range []int{1, 2, 4} {
 		g := graph.KForest(n, k, 21)
-		cfg := ncc.Config{N: n, Seed: 5, Strict: true}
+		cfg := ncc.Config{N: n, Seed: 5}
 		_, st, err := RunOrientation(cfg, g, OrientParams{})
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +116,7 @@ func TestOrientationRoundsScaleWithArboricity(t *testing.T) {
 // must still be a valid orientation.
 func TestOrientationRescuePathStillCorrect(t *testing.T) {
 	g := graph.GNP(24, 0.3, 2)
-	cfg := ncc.Config{N: g.N(), Seed: 2, Strict: true}
+	cfg := ncc.Config{N: g.N(), Seed: 2}
 	os, _, err := RunOrientation(cfg, g, OrientParams{CHash: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestOrientationRescuePathStillCorrect(t *testing.T) {
 
 func TestOrientationDeterministic(t *testing.T) {
 	g := graph.KForest(20, 2, 1)
-	cfg := ncc.Config{N: g.N(), Seed: 77, Strict: true}
+	cfg := ncc.Config{N: g.N(), Seed: 77}
 	a, _, err1 := RunOrientation(cfg, g, OrientParams{})
 	b, _, err2 := RunOrientation(cfg, g, OrientParams{})
 	if err1 != nil || err2 != nil {

@@ -20,7 +20,7 @@ func TestPipelinePropertyRandomGraphs(t *testing.T) {
 		n := 8 + int(n8)%24
 		p := 0.05 + float64(p8%40)/100
 		g := graph.GNP(n, p, seed)
-		cfg := ncc.Config{N: n, Seed: seed, Strict: true}
+		cfg := ncc.Config{N: n, Seed: seed}
 
 		os, st, err := RunOrientation(cfg, g, OrientParams{})
 		if err != nil || st.Dropped() != 0 {
@@ -54,7 +54,7 @@ func TestMSTPropertyRandomGraphs(t *testing.T) {
 		maxW := 1 + int64(w8)%500
 		g := graph.GNP(n, 0.25, seed)
 		wg := graph.RandomWeights(g, maxW, seed+1)
-		perNode, st, err := RunMST(ncc.Config{N: n, Seed: seed, Strict: true}, wg)
+		perNode, st, err := RunMST(ncc.Config{N: n, Seed: seed}, wg)
 		if err != nil || st.Dropped() != 0 {
 			return false
 		}
@@ -75,7 +75,7 @@ func TestBFSPropertyRandomGraphs(t *testing.T) {
 		n := 6 + int(n8)%20
 		g := graph.GNP(n, 0.15, seed) // often disconnected: exercises -1 paths
 		src := int(src8) % n
-		res, st, err := RunBFS(ncc.Config{N: n, Seed: seed, Strict: true}, g, src)
+		res, st, err := RunBFS(ncc.Config{N: n, Seed: seed}, g, src)
 		if err != nil || st.Dropped() != 0 {
 			return false
 		}

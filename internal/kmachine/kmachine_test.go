@@ -3,6 +3,7 @@ package kmachine
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"ncc/internal/comm"
 	"ncc/internal/core"
@@ -15,7 +16,7 @@ func TestSimulatePreservesAlgorithmOutput(t *testing.T) {
 	g := graph.KForest(32, 2, 3)
 	wg := graph.RandomWeights(g, 100, 4)
 	perNode := make([][][2]int, g.N())
-	cfg := ncc.Config{N: g.N(), Seed: 7, Strict: true}
+	cfg := ncc.Config{N: g.N(), Seed: 7}
 	res, st, err := Simulate(4, 8, cfg, func(ctx *ncc.Context) {
 		perNode[ctx.ID()] = core.MST(comm.NewSession(ctx), wg)
 	})
@@ -49,7 +50,7 @@ func TestAccountantWorkerInvariant(t *testing.T) {
 	}
 	var base Result
 	for _, w := range []int{1, 2, 8} {
-		res, _, err := Simulate(4, 4, ncc.Config{N: g.N(), Seed: 5, Strict: true, Workers: w}, program)
+		res, _, err := Simulate(4, 4, ncc.Config{N: g.N(), Seed: 5, Workers: w}, program)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func TestMoreMachinesLessWork(t *testing.T) {
 	}
 	var prev int64
 	for _, k := range []int{2, 4, 8} {
-		cfg := ncc.Config{N: g.N(), Seed: 5, Strict: true}
+		cfg := ncc.Config{N: g.N(), Seed: 5}
 		res, _, err := Simulate(k, 4, cfg, program)
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +91,7 @@ func TestMoreMachinesLessWork(t *testing.T) {
 
 func TestSingleMachineIsFree(t *testing.T) {
 	// With k=1 everything is intra-machine: cost collapses to the barrier.
-	cfg := ncc.Config{N: 16, Seed: 1, Strict: true}
+	cfg := ncc.Config{N: 16, Seed: 1}
 	res, st, err := Simulate(1, 4, cfg, func(ctx *ncc.Context) {
 		s := comm.NewSession(ctx)
 		s.AnyTrue(ctx.ID() == 3)
@@ -131,7 +132,10 @@ func TestPartitionBalance(t *testing.T) {
 
 // BenchmarkAccountant measures what k-machine accounting adds to a dense
 // run: n=1024, every node sends Cap() 3-word messages for 20 rounds, with
-// the accountant attached (k=4) and without it.
+// the accountant attached (k=4) and without it. The first two sub-benchmarks
+// give each side's B/op; accountant=paired times both sides within each
+// iteration, alternating which runs first, so its ratio is not skewed by
+// host drift between the two.
 //
 //	go test ./internal/kmachine -run '^$' -bench Accountant -benchmem
 func BenchmarkAccountant(b *testing.B) {
@@ -146,21 +150,39 @@ func BenchmarkAccountant(b *testing.B) {
 			ctx.EndRound()
 		}
 	}
+	run := func(b *testing.B, on bool) {
+		cfg := ncc.Config{N: n, Seed: 1}
+		var err error
+		if on {
+			_, _, err = Simulate(4, 4, cfg, program)
+		} else {
+			_, err = ncc.Run(cfg, program)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 	for _, on := range []bool{false, true} {
 		b.Run(fmt.Sprintf("accountant=%v", on), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cfg := ncc.Config{N: n, Seed: 1}
-				var err error
-				if on {
-					_, _, err = Simulate(4, 4, cfg, program)
-				} else {
-					_, err = ncc.Run(cfg, program)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
+				run(b, on)
 			}
 		})
 	}
+	b.Run("accountant=paired", func(b *testing.B) {
+		var spent [2]time.Duration // [bare, accountant]
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < 2; j++ {
+				side := (i + j) % 2
+				t0 := time.Now()
+				run(b, side == 1)
+				spent[side] += time.Since(t0)
+			}
+		}
+		b.ReportMetric(0, "ns/op") // the sum of both sides says nothing
+		b.ReportMetric(float64(spent[0].Nanoseconds())/float64(b.N), "bare-ns/op")
+		b.ReportMetric(float64(spent[1].Nanoseconds())/float64(b.N), "accountant-ns/op")
+		b.ReportMetric(float64(spent[1])/float64(spent[0]), "ratio")
+	})
 }

@@ -86,9 +86,10 @@ type Config struct {
 	// Seed makes the run deterministic.
 	Seed int64
 
-	// Strict makes send-capacity violations panic instead of silently
-	// dropping the excess (receive overflow is always resolved by dropping,
-	// as the model specifies).
+	// Deprecated: Strict is ignored. A node that sends more than Cap()
+	// messages in one round always panics, like an oversized payload;
+	// receive overflow is resolved by dropping, as the model specifies. The
+	// field is kept only because benchmark/sim.go sets it.
 	Strict bool
 
 	// MaxRounds aborts the run with ErrMaxRounds when exceeded, so a

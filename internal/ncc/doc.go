@@ -6,7 +6,9 @@
 // of O(log n) bits to arbitrary nodes and may receive up to cap messages,
 // where cap = CapFactor * ceil(log2 n). If more than cap messages are
 // addressed to a node in one round, an arbitrary subset of cap messages is
-// delivered and the rest are dropped by the network.
+// delivered and the rest are dropped by the network. A node that sends more
+// than cap messages in one round panics: like an oversized payload, it is a
+// program bug, never a network condition.
 //
 // Programs are written SPMD style: Run spawns one goroutine per node, all
 // executing the same program against a Context. Context.Send buffers messages
@@ -18,12 +20,12 @@
 //
 // Round delivery is executed by a pool of Config.Workers goroutines
 // (default DefaultWorkers(n): GOMAXPROCS, at most one per 128 nodes) that
-// shard senders for capacity/fault filtering and
-// receivers for grouping, overload truncation, and inbox fill. Runs are
-// bit-for-bit deterministic for a fixed Config.Seed regardless of the worker
-// count: per-node program RNGs are derived from the seed, deliveries are
-// ordered by sender id, fault decisions use a per-(round, sender) PRNG, and
-// receive-overflow truncation uses a per-(round, receiver) PRNG.
+// shard senders for fault filtering and receivers for grouping, overload
+// truncation, and inbox fill. Runs are bit-for-bit deterministic for a
+// fixed Config.Seed regardless of the worker count: per-node program RNGs
+// are derived from the seed, deliveries are ordered by sender id, fault
+// decisions use a per-(round, sender) PRNG, and receive-overflow truncation
+// uses a per-(round, receiver) PRNG.
 //
 // The engine is built for large N (10^5-10^6 nodes, where the model's
 // O(log n) capacity bounds become interesting). The round barrier is a set
@@ -67,7 +69,7 @@
 // a revival brings the node back, optionally with its program restarted
 // from scratch — and the round's link loss: an i.i.d. drop probability drawn
 // from a seeded per-(round, sender) stream, and a LinkCut of severed links.
-// The only loss the model itself specifies is capacity overflow; every
+// The only loss the model itself specifies is receive overflow; every
 // other drop comes from the plan. Attaching any plan (even an empty one)
 // also switches the engine into failure-isolation mode: a node goroutine
 // that panics is counted in Stats.NodeFailures instead of crashing the run,

@@ -23,8 +23,8 @@ type RoundSample struct {
 	Round int
 
 	// Messages counts messages accepted for transmission this round (after
-	// send-capacity enforcement and fault drops); Delivered subtracts the
-	// receive-overflow truncation, so it is what actually landed in inboxes.
+	// fault drops); Delivered subtracts the receive-overflow truncation, so
+	// it is what actually landed in inboxes.
 	Messages  int
 	Delivered int
 
@@ -47,10 +47,9 @@ type RoundSample struct {
 	MaxRecvOffered   int
 	MaxRecvDelivered int
 
-	// SendThrottled / RecvThrottled count messages dropped this round by the
-	// model's capacity bounds (the send cap and the receive cap); the
-	// remaining drop counters split out fault-induced losses.
-	SendThrottled     int
+	// RecvThrottled counts messages dropped this round by the model's one
+	// loss, the receive cap; the remaining drop counters split out
+	// fault-induced losses.
 	RecvThrottled     int
 	DroppedFault      int
 	DroppedDead       int
@@ -87,11 +86,11 @@ type ShardTiming struct {
 	ComputeNanos int64
 
 	// Sent[j] holds the envelopes this (sender) shard sent to receiver shard
-	// j and the network accepted this round: after the send cap and fault
-	// drops, before receive truncation, in ascending sender order. It aliases
-	// the engine's delivery buckets, so it costs no copy and is valid only
-	// during the probe call. How the round's envelopes split over shards
-	// depends on Workers; the multiset of envelopes does not.
+	// j and the network accepted this round: after fault drops, before
+	// receive truncation, in ascending sender order. It aliases the engine's
+	// delivery buckets, so it costs no copy and is valid only during the
+	// probe call. How the round's envelopes split over shards depends on
+	// Workers; the multiset of envelopes does not.
 	Sent [][]Envelope
 }
 

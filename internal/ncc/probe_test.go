@@ -8,7 +8,8 @@ import (
 )
 
 // collectSamples runs cfg with a probe that records every sample and sanity-
-// checks the timing slice shape.
+// checks the timing slice shape. A node program that panics fails the test
+// even under a FaultPlan, whose failure isolation would otherwise count it.
 func collectSamples(t *testing.T, cfg Config, program func(*Context)) ([]RoundSample, Stats) {
 	t.Helper()
 	var samples []RoundSample
@@ -23,6 +24,9 @@ func collectSamples(t *testing.T, cfg Config, program func(*Context)) ([]RoundSa
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st.NodeFailures != 0 {
+		t.Fatalf("%d node programs panicked", st.NodeFailures)
+	}
 	return samples, st
 }
 
@@ -34,8 +38,8 @@ func TestProbeMatchesStats(t *testing.T) {
 	program := func(ctx *Context) {
 		for r := 0; r < 6; r++ {
 			if r%2 == 0 {
-				// Overflow the send cap by two: the excess is throttled.
-				for k := 1; k <= ctx.Cap()+2; k++ {
+				// Fill the send cap exactly.
+				for k := 1; k <= ctx.Cap(); k++ {
 					ctx.SendWord((ctx.ID()+k)%ctx.N(), Word(uint64(k)))
 				}
 			} else {
@@ -63,7 +67,6 @@ func TestProbeMatchesStats(t *testing.T) {
 		}
 		sum.Messages += s.Messages
 		sum.Words += s.Words
-		sum.SendThrottled += s.SendThrottled
 		sum.RecvThrottled += s.RecvThrottled
 		sum.DroppedFault += s.DroppedFault
 		sum.DroppedDead += s.DroppedDead
@@ -75,17 +78,14 @@ func TestProbeMatchesStats(t *testing.T) {
 	if int64(sum.Messages) != st.Messages || int64(sum.Words) != st.Words {
 		t.Errorf("sample sums msgs=%d words=%d, stats %d/%d", sum.Messages, sum.Words, st.Messages, st.Words)
 	}
-	if int64(sum.SendThrottled) != st.DroppedSendOverflow {
-		t.Errorf("SendThrottled sum %d != DroppedSendOverflow %d", sum.SendThrottled, st.DroppedSendOverflow)
-	}
 	if int64(sum.RecvThrottled) != st.DroppedRecvOverflow {
 		t.Errorf("RecvThrottled sum %d != DroppedRecvOverflow %d", sum.RecvThrottled, st.DroppedRecvOverflow)
 	}
 	if int64(sum.DroppedFault) != st.DroppedFault {
 		t.Errorf("DroppedFault sum %d != stats %d", sum.DroppedFault, st.DroppedFault)
 	}
-	if sum.SendThrottled == 0 || sum.RecvThrottled == 0 || sum.DroppedFault == 0 {
-		t.Errorf("test traffic should exercise every throttle path, got %+v", sum)
+	if sum.RecvThrottled == 0 || sum.DroppedFault == 0 {
+		t.Errorf("test traffic should exercise every drop path, got %+v", sum)
 	}
 	if maxSend != st.MaxSendLoad || maxOff != st.MaxRecvOffered || maxDel != st.MaxRecvDelivered {
 		t.Errorf("sample maxima (%d,%d,%d) != stats (%d,%d,%d)",
@@ -125,15 +125,15 @@ func TestProbeComputeSpan(t *testing.T) {
 
 // TestProbeSentView pins ShardTiming.Sent: shard i's Sent[j] holds exactly
 // the envelopes from shard i's senders to shard j's receivers that survived
-// the send cap and fault drops, before receive truncation, so its lengths and
-// widths sum to the sample's Messages and Words at any worker count.
+// the fault drops, before receive truncation, so its lengths and widths sum to
+// the sample's Messages and Words at any worker count.
 func TestProbeSentView(t *testing.T) {
 	const n = 32
 	program := func(ctx *Context) {
 		w := []uint64{1, 2, 3}
 		for r := 0; r < 6; r++ {
 			if r%2 == 0 {
-				for k := 1; k <= ctx.Cap()+1; k++ {
+				for k := 1; k <= ctx.Cap(); k++ {
 					ctx.SendWords((ctx.ID()+k)%ctx.N(), w)
 				}
 			} else if hot := NodeID(r % ctx.N()); ctx.ID() != hot {
@@ -169,14 +169,18 @@ func TestProbeSentView(t *testing.T) {
 			if msgs != s.Messages || words != s.Words {
 				t.Errorf("workers=%d round %d: view holds %d msgs/%d words, sample %d/%d", workers, s.Round, msgs, words, s.Messages, s.Words)
 			}
-			dropped += s.DroppedFault + s.SendThrottled
+			dropped += s.DroppedFault
 			throttled += s.RecvThrottled
 		}
-		if _, err := Run(cfg, program); err != nil {
+		st, err := Run(cfg, program)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if st.NodeFailures != 0 {
+			t.Fatalf("workers=%d: %d node programs panicked", workers, st.NodeFailures)
+		}
 		if dropped == 0 || throttled == 0 {
-			t.Errorf("workers=%d: traffic should hit send-side drops (%d) and receive truncation (%d)", workers, dropped, throttled)
+			t.Errorf("workers=%d: traffic should hit fault drops (%d) and receive truncation (%d)", workers, dropped, throttled)
 		}
 	}
 }

@@ -219,7 +219,7 @@ const NoDeadline = math.MaxInt
 // EndRound.
 func (c *Context) AwaitInput(deadline int) []Received {
 	r := c.r
-	if r.cfg.Strict && len(c.out) > r.capOf(c.id) {
+	if len(c.out) > r.capOf(c.id) {
 		panic(fmt.Sprintf("ncc: node %d sent %d messages in round %d, capacity is %d",
 			c.id, len(c.out), c.round, r.capOf(c.id)))
 	}
@@ -733,10 +733,9 @@ func pcgIntN(p *rand.PCG, n int) int {
 }
 
 // sendPhase (phase A) filters the outboxes of sender shard i's released
-// nodes (send-capacity truncation, finished/down/link-loss drops) into
-// per-receiver-shard buckets. Only a released node can have sent anything
-// this round, and walking them in ascending id order keeps each bucket
-// sender-sorted.
+// nodes (finished/down/link-loss drops) into per-receiver-shard buckets.
+// Only a released node can have sent anything this round, and walking them
+// in ascending id order keeps each bucket sender-sorted.
 func (r *run) sendPhase(i int) {
 	round := r.stats.Rounds
 	probing := r.probing
@@ -771,12 +770,6 @@ func (r *run) sendPhase(i int) {
 		}
 		if len(out) > st.MaxSendLoad {
 			st.MaxSendLoad = len(out)
-		}
-		if capAt := r.capOf(id); len(out) > capAt {
-			// Non-strict: the excess is dropped (strict mode already
-			// panicked in EndRound).
-			st.DroppedSendOverflow += int64(len(out) - capAt)
-			out = out[:capAt]
 		}
 		if r.peakSend != nil && int32(len(out)) > r.peakSend[id] {
 			r.peakSend[id] = int32(len(out))
@@ -1051,7 +1044,6 @@ func (r *run) probeRound() (err error) {
 		Finished:          r.cfg.N - r.alive,
 		Down:              r.downCount,
 		MaxSendLoad:       r.roundMaxSend,
-		SendThrottled:     int(cur.DroppedSendOverflow - prev.DroppedSendOverflow),
 		RecvThrottled:     int(cur.DroppedRecvOverflow - prev.DroppedRecvOverflow),
 		DroppedFault:      int(cur.DroppedFault - prev.DroppedFault),
 		DroppedDead:       int(cur.DroppedDead - prev.DroppedDead),
@@ -1103,7 +1095,6 @@ func (r *run) mergeShardStats() {
 		r.stats.Messages += p.Messages
 		r.stats.Words += p.Words
 		r.stats.DroppedRecvOverflow += p.DroppedRecvOverflow
-		r.stats.DroppedSendOverflow += p.DroppedSendOverflow
 		r.stats.DroppedFault += p.DroppedFault
 		r.stats.DroppedToFinished += p.DroppedToFinished
 		r.stats.DroppedDead += p.DroppedDead

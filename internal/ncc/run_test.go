@@ -2,6 +2,7 @@ package ncc
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,7 +51,7 @@ func TestFloorLog2(t *testing.T) {
 
 func TestPingPong(t *testing.T) {
 	const rounds = 5
-	cfg := Config{N: 2, Seed: 1, Strict: true}
+	cfg := Config{N: 2, Seed: 1}
 	st, err := Run(cfg, func(ctx *Context) {
 		peer := 1 - ctx.ID()
 		for i := 0; i < rounds; i++ {
@@ -83,7 +84,7 @@ func TestPingPong(t *testing.T) {
 }
 
 func TestRoundCounterIsGlobal(t *testing.T) {
-	cfg := Config{N: 8, Seed: 3, Strict: true}
+	cfg := Config{N: 8, Seed: 3}
 	_, err := Run(cfg, func(ctx *Context) {
 		for i := 0; i < 10; i++ {
 			if ctx.Round() != i {
@@ -164,36 +165,24 @@ func TestReceiveOverflowStats(t *testing.T) {
 	}
 }
 
-func TestStrictSendCapPanics(t *testing.T) {
-	cfg := Config{N: 4, CapFactor: 1, Seed: 1, Strict: true}
-	_, err := Run(cfg, func(ctx *Context) {
-		if ctx.ID() == 0 {
-			for i := 0; i < ctx.Cap()+1; i++ {
-				ctx.Send(1+i%3, Word(0))
+// TestSendCapPanics pins the one send-capacity rule: a send over Cap() is a
+// program bug whatever the deprecated Config.Strict says.
+func TestSendCapPanics(t *testing.T) {
+	for _, strict := range []bool{true, false} {
+		cfg := Config{N: 4, CapFactor: 1, Seed: 1}
+		cfg.Strict = strict
+		_, err := Run(cfg, func(ctx *Context) {
+			if ctx.ID() == 0 {
+				for i := 0; i < ctx.Cap()+1; i++ {
+					ctx.Send(1+i%3, Word(0))
+				}
 			}
+			ctx.EndRound()
+		})
+		want := fmt.Sprintf("ncc: node 0 sent %d messages in round 0, capacity is %d", cfg.Cap()+1, cfg.Cap())
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Strict=%v: want %q, got %v", strict, want, err)
 		}
-		ctx.EndRound()
-	})
-	if err == nil || !strings.Contains(err.Error(), "capacity") {
-		t.Fatalf("want capacity panic error, got %v", err)
-	}
-}
-
-func TestNonStrictSendCapDrops(t *testing.T) {
-	cfg := Config{N: 4, CapFactor: 1, Seed: 1}
-	st, err := Run(cfg, func(ctx *Context) {
-		if ctx.ID() == 0 {
-			for i := 0; i < ctx.Cap()+3; i++ {
-				ctx.Send(1+i%3, Word(0))
-			}
-		}
-		ctx.EndRound()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DroppedSendOverflow != 3 {
-		t.Errorf("DroppedSendOverflow = %d, want 3", st.DroppedSendOverflow)
 	}
 }
 
@@ -343,7 +332,7 @@ func TestConservationProperty(t *testing.T) {
 		cfg := Config{N: n, CapFactor: 1, Seed: seed}
 		st, err := Run(cfg, func(ctx *Context) {
 			for i := 0; i < 3; i++ {
-				for j := 0; j < f; j++ {
+				for j := 0; j < min(f, ctx.Cap()); j++ {
 					to := ctx.Rand().IntN(ctx.N())
 					if to != ctx.ID() {
 						ctx.Send(to, Word(0))

@@ -15,8 +15,8 @@ type Stats struct {
 	// Words counts payload words accepted for transmission.
 	Words int64 `json:"words"`
 
-	// MaxSendLoad is the maximum number of messages any node attempted to
-	// send in a single round (before send-capacity enforcement).
+	// MaxSendLoad is the maximum number of messages any node sent in a
+	// single round (never above its capacity: a send over Cap() panics).
 	MaxSendLoad int `json:"maxSendLoad"`
 
 	// MaxRecvOffered is the maximum number of messages addressed to a
@@ -32,10 +32,6 @@ type Stats struct {
 	// DroppedRecvOverflow counts messages dropped because more than cap
 	// messages were addressed to one node in one round.
 	DroppedRecvOverflow int64 `json:"droppedRecvOverflow,omitempty"`
-
-	// DroppedSendOverflow counts messages dropped because a node tried to
-	// send more than cap messages in one round (non-strict mode only).
-	DroppedSendOverflow int64 `json:"droppedSendOverflow,omitempty"`
 
 	// DroppedFault counts messages lost to the FaultPlan's link loss: its
 	// i.i.d. drops and its link cuts.
@@ -80,7 +76,7 @@ type Stats struct {
 
 // Dropped returns the total number of messages dropped for any reason.
 func (s Stats) Dropped() int64 {
-	return s.DroppedRecvOverflow + s.DroppedSendOverflow + s.DroppedFault + s.DroppedToFinished + s.DroppedDead
+	return s.DroppedRecvOverflow + s.DroppedFault + s.DroppedToFinished + s.DroppedDead
 }
 
 func (s Stats) String() string {

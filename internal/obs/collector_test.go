@@ -16,8 +16,8 @@ func oracleRound(s ncc.RoundSample) roundLine {
 		Msgs: s.Messages, Delivered: s.Delivered, Words: s.Words,
 		Active: s.Active, Finished: s.Finished, Down: s.Down,
 		MaxSend: s.MaxSendLoad, MaxRecv: s.MaxRecvOffered, MaxRecvDelivered: s.MaxRecvDelivered,
-		SendThrottled: s.SendThrottled, RecvThrottled: s.RecvThrottled,
-		DroppedFault: s.DroppedFault, DroppedDead: s.DroppedDead, DroppedToFinished: s.DroppedToFinished,
+		RecvThrottled: s.RecvThrottled, DroppedFault: s.DroppedFault,
+		DroppedDead: s.DroppedDead, DroppedToFinished: s.DroppedToFinished,
 	}
 }
 
@@ -27,7 +27,7 @@ func oracleRound(s ncc.RoundSample) roundLine {
 func validSample(s ncc.RoundSample) bool {
 	for _, v := range []int{s.Round, s.Messages, s.Delivered, s.Words, s.Active, s.Finished, s.Down,
 		s.MaxSendLoad, s.MaxRecvOffered, s.MaxRecvDelivered,
-		s.SendThrottled, s.RecvThrottled, s.DroppedFault, s.DroppedDead, s.DroppedToFinished} {
+		s.RecvThrottled, s.DroppedFault, s.DroppedDead, s.DroppedToFinished} {
 		if v < 0 {
 			return false
 		}
@@ -39,21 +39,21 @@ func validSample(s ncc.RoundSample) bool {
 // wire struct, byte for byte, and checks that Parse reads every valid line
 // back as the sample that produced it and rejects every invalid one.
 func FuzzTraceRound(f *testing.F) {
-	f.Add(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-	f.Add(0, 128, 120, 300, 64, 3, 2, 7, 9, 8, 1, 8, 4, 5, 6)
-	f.Add(17, -1, -5, 0, -64, 0, -2, 0, 1, 2, 0, -3, 0, 0, -9)
+	f.Add(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	f.Add(0, 128, 120, 300, 64, 3, 2, 7, 9, 8, 8, 4, 5, 6)
+	f.Add(17, -1, -5, 0, -64, 0, -2, 0, 1, 2, -3, 0, 0, -9)
 	f.Add(0, math.MaxInt, math.MaxInt, math.MaxInt, math.MaxInt, math.MaxInt, math.MaxInt,
-		math.MaxInt, math.MaxInt, math.MaxInt, math.MaxInt, 0, math.MaxInt, math.MaxInt, math.MaxInt)
-	f.Add(math.MinInt, math.MinInt, 0, math.MinInt, 1, math.MinInt, 0, 1, math.MinInt, 0, 0, math.MinInt, 0, math.MinInt, 0)
+		math.MaxInt, math.MaxInt, math.MaxInt, 0, math.MaxInt, math.MaxInt, math.MaxInt)
+	f.Add(math.MinInt, math.MinInt, 0, math.MinInt, 1, math.MinInt, 0, 1, math.MinInt, 0, math.MinInt, 0, math.MinInt, 0)
 	f.Fuzz(func(t *testing.T, round, msgs, delivered, words, active, finished, down,
-		maxSend, maxRecv, maxRecvDelivered, sendThrottled, recvThrottled,
+		maxSend, maxRecv, maxRecvDelivered, recvThrottled,
 		droppedFault, droppedDead, droppedToFinished int) {
 		s := ncc.RoundSample{
 			Round: round, Messages: msgs, Delivered: delivered, Words: words,
 			Active: active, Finished: finished, Down: down,
 			MaxSendLoad: maxSend, MaxRecvOffered: maxRecv, MaxRecvDelivered: maxRecvDelivered,
-			SendThrottled: sendThrottled, RecvThrottled: recvThrottled,
-			DroppedFault: droppedFault, DroppedDead: droppedDead, DroppedToFinished: droppedToFinished,
+			RecvThrottled: recvThrottled, DroppedFault: droppedFault,
+			DroppedDead: droppedDead, DroppedToFinished: droppedToFinished,
 		}
 		got := appendRound(nil, s)
 		want := append(mustMarshal(oracleRound(s)), '\n')

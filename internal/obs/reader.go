@@ -193,7 +193,6 @@ func (rl *roundLine) sample() (ncc.RoundSample, error) {
 		MaxSendLoad:       rl.MaxSend,
 		MaxRecvOffered:    rl.MaxRecv,
 		MaxRecvDelivered:  rl.MaxRecvDelivered,
-		SendThrottled:     rl.SendThrottled,
 		RecvThrottled:     rl.RecvThrottled,
 		DroppedFault:      rl.DroppedFault,
 		DroppedDead:       rl.DroppedDead,
@@ -201,7 +200,7 @@ func (rl *roundLine) sample() (ncc.RoundSample, error) {
 	}
 	for _, v := range []int{s.Round, s.Messages, s.Delivered, s.Words, s.Active, s.Finished, s.Down,
 		s.MaxSendLoad, s.MaxRecvOffered, s.MaxRecvDelivered,
-		s.SendThrottled, s.RecvThrottled, s.DroppedFault, s.DroppedDead, s.DroppedToFinished} {
+		s.RecvThrottled, s.DroppedFault, s.DroppedDead, s.DroppedToFinished} {
 		if v < 0 {
 			return s, fmt.Errorf("negative field in round %d", s.Round)
 		}

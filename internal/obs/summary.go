@@ -35,7 +35,7 @@ func phases(rt *RunTrace) []Phase {
 	for i, s := range rt.Rounds {
 		sig := phaseSig{
 			band:      bits.Len(uint(s.Messages)),
-			throttled: s.SendThrottled > 0 || s.RecvThrottled > 0,
+			throttled: s.RecvThrottled > 0,
 			faulty:    s.DroppedFault > 0 || s.DroppedDead > 0 || s.Down > 0,
 		}
 		if i == 0 || sig != cur || s.Round == 0 && i > 0 {
@@ -132,7 +132,7 @@ func WriteSummary(w io.Writer, t *Trace) {
 		rates := make([]int, len(rt.Rounds))
 		for i, s := range rt.Rounds {
 			rates[i] = s.Messages
-			thr += int64(s.SendThrottled + s.RecvThrottled)
+			thr += int64(s.RecvThrottled)
 			faults += int64(s.DroppedFault + s.DroppedDead + s.DroppedToFinished)
 		}
 		if thr > 0 || faults > 0 {

@@ -74,7 +74,6 @@ type roundLine struct {
 	MaxSend           int    `json:"maxSend"`
 	MaxRecv           int    `json:"maxRecv"`
 	MaxRecvDelivered  int    `json:"maxRecvDelivered"`
-	SendThrottled     int    `json:"sendThrottled,omitempty"`
 	RecvThrottled     int    `json:"recvThrottled,omitempty"`
 	DroppedFault      int    `json:"droppedFault,omitempty"`
 	DroppedDead       int    `json:"droppedDead,omitempty"`
@@ -129,7 +128,6 @@ func appendRound(b []byte, s ncc.RoundSample) []byte {
 	b = appendInt(b, `,"maxSend":`, s.MaxSendLoad)
 	b = appendInt(b, `,"maxRecv":`, s.MaxRecvOffered)
 	b = appendInt(b, `,"maxRecvDelivered":`, s.MaxRecvDelivered)
-	b = appendNonzero(b, `,"sendThrottled":`, s.SendThrottled)
 	b = appendNonzero(b, `,"recvThrottled":`, s.RecvThrottled)
 	b = appendNonzero(b, `,"droppedFault":`, s.DroppedFault)
 	b = appendNonzero(b, `,"droppedDead":`, s.DroppedDead)

@@ -22,8 +22,8 @@ var shippedPins = map[string]struct{ hash, trace, records string }{
 		records: "61a454317ec776955598f9b9723eb9d11540d6fe44c2ec034529e0a37689042a",
 	},
 	"bfs-faulty.json": {
-		hash:    "e57516d656f82b49122a3886e0661c674158b78ec5f5742b7f653564dd073849",
-		trace:   "sha256:ec40c7b8122d2f1450eda9a30b5b58428e291d93871701a28908a423d29aeff3",
+		hash:    "a45c3d8cbda40d218ec2cd5bc0f278e90ec35ae3c2356a7826a159c4e52dee43",
+		trace:   "sha256:b662a899bf56f41c1092c8102d469064015ca3fbfb44d108a16077d8a4c6cd70",
 		records: "a7dfbb81703403b20dc43a6287ad8fbf80c99e00e0f9bb68f75ec3bc474039ad",
 	},
 	"coloring-churn.json": {
@@ -47,8 +47,8 @@ var shippedPins = map[string]struct{ hash, trace, records string }{
 		records: "668b8d9e2513ef88f9a596dfdacfcd7ea3b6021fb1d4fd360a78e928e2e1a94f",
 	},
 	"mst-faulty.json": {
-		hash:    "a77ea072d5042b9ed0a4757a0f8917202d4e8a0caaa03d509539aec58cb8763d",
-		trace:   "sha256:172f1d19c9316c9c547f5f6fc06d77b4b685254e2b582830377f198107672b05",
+		hash:    "f00e63870084e31836659e3512850a669a35d00ce7cce878b5bc3a8ec69eceed",
+		trace:   "sha256:35d3a2329e5a611f35c8c8b2fcf9bbdf1056d3d55ca63036c5cd7889bc7d6552",
 		records: "ac819b77b2f34fc2523bc6808283d76b8d561c23354814a3ea35d5b1e3ba49fc",
 	},
 	"orientation-pa.json": {

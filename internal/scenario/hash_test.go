@@ -91,10 +91,6 @@ func TestHashInvariances(t *testing.T) {
 			name: "repeated sweep seed is a different run multiset",
 			js:   `{"algo":"mis","graph":{"family":"kforest","params":{"n":32,"k":2},"seed":1},"model":{"capfactor":8,"seed":1},"sweep":{"n":[32,64],"seeds":[1,1,2,3]}}`,
 		},
-		{
-			name: "nonstrict flag",
-			js:   `{"algo":"mis","graph":{"family":"kforest","params":{"n":32,"k":2},"seed":1},"model":{"capfactor":8,"seed":1,"nonstrict":true},"sweep":{"n":[32,64],"seeds":[1,2,3]}}`,
-		},
 	}
 	for _, tc := range diff {
 		t.Run(tc.name, func(t *testing.T) {

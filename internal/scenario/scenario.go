@@ -34,14 +34,14 @@ import (
 )
 
 // Model is the serializable slice of ncc.Config a scenario controls. Zero
-// values mean the engine defaults; runs are strict unless NonStrict is set.
+// values mean the engine defaults. A send over capacity always panics, as in
+// every ncc run.
 type Model struct {
 	CapFactor int   `json:"capfactor,omitempty"`
 	MaxWords  int   `json:"maxwords,omitempty"`
 	MaxRounds int   `json:"maxrounds,omitempty"`
 	Workers   int   `json:"workers,omitempty"`
 	Seed      int64 `json:"seed,omitempty"`
-	NonStrict bool  `json:"nonstrict,omitempty"`
 }
 
 // Faults declares fault injection as a list of fault-model blocks, compiled
@@ -311,7 +311,6 @@ func (m Model) config(n int) ncc.Config {
 		MaxRounds: m.MaxRounds,
 		Workers:   m.Workers,
 		Seed:      m.Seed,
-		Strict:    !m.NonStrict,
 	}
 }
 

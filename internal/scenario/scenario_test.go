@@ -173,7 +173,7 @@ func TestFaultInjectionIsRecordedNotFatal(t *testing.T) {
 	s := Scenario{
 		Algo:   "mis",
 		Graph:  graph.Spec{Family: "kforest", Params: param.Values{"n": 16, "k": 1}, Seed: 4},
-		Model:  Model{Seed: 4, NonStrict: true, MaxRounds: 3000},
+		Model:  Model{Seed: 4, MaxRounds: 3000},
 		Faults: &Faults{Models: []faultmodel.Spec{{Model: "iid-drop", Params: param.Values{"p": 0.3}}}},
 	}
 	recs := Run(s)

@@ -17,6 +17,11 @@ func TestDecodeStrictUnknownFields(t *testing.T) {
 			want: `unknown field "model.capfator" (model has capfactor,`,
 		},
 		{
+			name: "removed send-cap switch",
+			in:   `{"algo":"mis","graph":{"family":"kforest"},"model":{"nonstrict":true}}`,
+			want: `unknown field "model.nonstrict" (model has capfactor, maxrounds, maxwords, seed, workers)`,
+		},
+		{
 			name: "top-level typo",
 			in:   `{"algos":"mis","graph":{"family":"kforest"}}`,
 			want: `unknown field "algos" (scenario has algo,`,
