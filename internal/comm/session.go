@@ -141,7 +141,7 @@ func (s *Session) wait(deadline int) {
 	in := s.Ctx.AwaitInput(deadline)
 	for i := range in {
 		rc := &in[i]
-		ws := receivedWords(rc, &s.view2)
+		ws := receivedWords(s.Ctx, rc, &s.view2)
 		w0 := ws[0]
 		switch hdrTag(w0) {
 		case tagGather:
@@ -190,9 +190,10 @@ func (s *Session) wait(deadline int) {
 	}
 }
 
-// receivedWords returns a message's flat word view regardless of its inline
-// representation; scratch backs the one- and two-word cases.
-func receivedWords(rc *ncc.Received, scratch *[2]uint64) []uint64 {
+// receivedWords returns the flat word view of rc, a message from ctx's inbox,
+// regardless of its inline representation; scratch backs the one- and
+// two-word cases.
+func receivedWords(ctx *ncc.Context, rc *ncc.Received, scratch *[2]uint64) []uint64 {
 	if w, ok := rc.AsWord(); ok {
 		scratch[0] = uint64(w)
 		return scratch[:1]
@@ -201,7 +202,7 @@ func receivedWords(rc *ncc.Received, scratch *[2]uint64) []uint64 {
 		scratch[0], scratch[1] = w2[0], w2[1]
 		return scratch[:2]
 	}
-	ws, _ := rc.AsWords()
+	ws, _ := ctx.Words(rc)
 	return ws
 }
 

@@ -84,8 +84,8 @@ func runRecorded(cfg Config, program func(ctx *Context, record func([]Received))
 		me := ctx.ID()
 		program(ctx, func(in []Received) {
 			ev := diffEvent{round: ctx.Round()}
-			for _, rc := range in {
-				ev.inbox = append(ev.inbox, fmt.Sprint(rc.From, rc.Payload()))
+			for i := range in {
+				ev.inbox = append(ev.inbox, fmt.Sprint(in[i].From, ctx.Payload(&in[i])))
 			}
 			res.events[me] = append(res.events[me], ev)
 		})

@@ -145,7 +145,7 @@ func TestSendWordEquivalence(t *testing.T) {
 						sums[me] = sums[me]*37 + w2[0]<<8 + w2[1]
 					}
 					// The boxed view must agree with the inline view.
-					switch p := rc.Payload().(type) {
+					switch p := ctx.Payload(&rc).(type) {
 					case Word:
 						sums[me] = sums[me]*41 + uint64(p)
 					case Words2:

@@ -104,7 +104,8 @@ type Config struct {
 	// also switches the engine to failure-isolation mode: a
 	// panicking node program is retired as a crashed node (counted in
 	// Stats.NodeFailures) instead of aborting the run, and Stats reports the
-	// unfinished and down node sets at the end of the run.
+	// unfinished and down node sets at the end of the run. A send over the
+	// node's capacity is a program bug, not a crash: it still fails the run.
 	FaultPlan FaultPlan
 
 	// Probe, if non-nil, receives one RoundSample per completed round — the

@@ -54,12 +54,17 @@
 // in-transit Envelope is 32 bytes with no pointer — one or two words inline,
 // wider payloads as an offset into the sender's word arena — so the outboxes
 // and buckets every message is copied through are never scanned by the
-// garbage collector. A delivered Received (40 bytes) holds the words inline
-// or points into the receiver's arena; a probe's ShardTiming.Sent view sees
-// only From, To and Words(). The steady-state message path allocates nothing (use
-// SendWord/SendWords2/SendWords and AsWord/AsWords2/AsWords to stay off the
-// heap entirely): outboxes, buckets and inboxes are sized from observed
-// traffic and reused across rounds. TestSteadyStateAllocs pins ~0
+// garbage collector. A delivered Received is 32 bytes with no pointer
+// either: it holds the words inline or their offset into the receiver's
+// word arena, so Received.AsWord/AsWords2 read the inline forms and the
+// receiving node's Context.Words and Context.Payload resolve every width. A
+// probe's ShardTiming.Sent view sees only From, To and Words(). The
+// steady-state message path allocates nothing (use SendWord/SendWords2/
+// SendWords, AsWord/AsWords2 and Context.Words to stay off the heap
+// entirely): outboxes, buckets and inboxes are sized from observed traffic
+// and reused across rounds. A full bucket grows on demand, once, to what the
+// rest of the round still sends to it (at least doubling), so steady
+// traffic sizes it exactly in its first round. TestSteadyStateAllocs pins ~0
 // allocs/message; BenchmarkEngineScale tracks 64k/256k/1M-node throughput
 // against BENCH_baseline.json in CI.
 //
@@ -72,7 +77,8 @@
 // The only loss the model itself specifies is receive overflow; every
 // other drop comes from the plan. Attaching any plan (even an empty one)
 // also switches the engine into failure-isolation mode: a node goroutine
-// that panics is counted in Stats.NodeFailures instead of crashing the run,
+// that panics is counted in Stats.NodeFailures instead of crashing the run
+// (a send over capacity still fails it: that is a program bug),
 // and Stats reports Unfinished/DownAtEnd so callers can distinguish
 // "completed" from "survived". Fault decisions come only from the plan — which the
 // faultmodel package derives deterministically from the run seed — so

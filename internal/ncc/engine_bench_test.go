@@ -187,6 +187,9 @@ func BenchmarkEngineScale(b *testing.B) {
 // The probe=off point is benchcheck-gated against BENCH_baseline.json, so a
 // change that sneaks work into the nil-probe path fails CI; probe=on is
 // reported for comparison but not gated (its cost is the feature's price).
+// The gated point gets one untimed warm-up run that grows the heap, like
+// EngineScale's; CI runs it with -benchtime 3x so each sample averages three
+// runs.
 func BenchmarkEngineProbe(b *testing.B) {
 	const n = 4096
 	program := func(ctx *Context) {
@@ -198,6 +201,10 @@ func BenchmarkEngineProbe(b *testing.B) {
 		}
 	}
 	b.Run("probe=off", func(b *testing.B) {
+		if _, err := Run(Config{N: n, Seed: 1}, program); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		runEngineBench(b, n, 0, program)
 	})
 	b.Run("probe=on", func(b *testing.B) {

@@ -25,37 +25,24 @@ const envelopeBytes = int(unsafe.Sizeof(Envelope{}))
 func (e *Envelope) Words() int { return int(e.width) }
 
 // Received is a message delivered to a node at a round barrier. Like
-// Envelope, it stores one- and two-word payloads inline; for a wider one,
-// ref points to its first word in the receiver's word arena. The
-// steady-state delivery path performs no heap allocation per message.
+// Envelope it holds no pointer, so inboxes are arrays the garbage collector
+// never scans: one- and two-word payloads are stored inline, and a wider
+// one as an offset into the receiving node's word arena. AsWord and AsWords2
+// read the inline forms; the receiving Context's Payload and Words resolve
+// every width. The steady-state delivery path performs no heap allocation
+// per message.
 type Received struct {
 	From  NodeID
 	a, b  uint64
-	ref   *uint64
 	width int32
 }
 
 // received converts an in-transit envelope into its delivered form. For a
 // multi-word payload the engine's receive phase copies the words out of the
 // sender's arena (recycled as soon as the sender resumes) into the
-// receiver's and sets ref.
+// receiver's and stores their offset in a.
 func (e *Envelope) received() Received {
 	return Received{From: NodeID(e.From), a: e.a, b: e.b, width: e.width}
-}
-
-// Payload materializes the message content as a Word, Words2 or WordsN;
-// inline payloads are re-boxed on demand. Type switches like
-// `rc.Payload().(type)` work for every payload; use AsWord/AsWords2/AsWords
-// on allocation-sensitive paths.
-func (m *Received) Payload() Payload {
-	switch m.width {
-	case 1:
-		return Word(m.a)
-	case 2:
-		return Words2{m.a, m.b}
-	default:
-		return WordsN(unsafe.Slice(m.ref, m.width))
-	}
 }
 
 // AsWord returns the payload as a Word without boxing, and whether the
@@ -76,13 +63,35 @@ func (m *Received) AsWords2() (Words2, bool) {
 	return Words2{}, false
 }
 
-// AsWords returns the payload words of a multi-word (3+) message without
-// boxing, and whether the message carried one. The slice aliases the
-// receiver's word arena and is only valid until the node's next EndRound,
-// exactly like the inbox itself.
-func (m *Received) AsWords() ([]uint64, bool) {
+// Payload materializes the content of m, a message from this node's inbox,
+// as a Word, Words2 or WordsN; inline payloads are re-boxed on demand. Type
+// switches like `c.Payload(rc).(type)` work for every payload; use
+// AsWord/AsWords2/Words on allocation-sensitive paths.
+func (c *Context) Payload(m *Received) Payload {
+	switch m.width {
+	case 1:
+		return Word(m.a)
+	case 2:
+		return Words2{m.a, m.b}
+	default:
+		return WordsN(c.arenaWords(m))
+	}
+}
+
+// Words returns the payload words of m, a multi-word (3+) message from this
+// node's inbox, without boxing, and whether m carried one. The slice aliases
+// the node's word arena and is only valid until its next EndRound, exactly
+// like the inbox itself.
+func (c *Context) Words(m *Received) ([]uint64, bool) {
 	if m.width > 2 {
-		return unsafe.Slice(m.ref, m.width), true
+		return c.arenaWords(m), true
 	}
 	return nil, false
+}
+
+// arenaWords is the arena slice of a multi-word message, capped at its
+// width so an append by the caller cannot overwrite the next payload.
+func (c *Context) arenaWords(m *Received) []uint64 {
+	end := m.a + uint64(m.width)
+	return c.inWords[m.a:end:end]
 }

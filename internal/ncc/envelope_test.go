@@ -9,17 +9,20 @@ import (
 )
 
 // TestMessageLayout pins the size of the two message structs every round
-// copies, and that Envelope holds no pointer, so outboxes and buckets stay
-// arrays the garbage collector does not scan.
+// copies, and that neither holds a pointer, so outboxes, buckets and inboxes
+// stay arrays the garbage collector does not scan.
 func TestMessageLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Envelope{}); got != 32 {
 		t.Errorf("Envelope is %d bytes, want 32", got)
 	}
-	if got := unsafe.Sizeof(Received{}); got != 40 {
-		t.Errorf("Received is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(Received{}); got != 32 {
+		t.Errorf("Received is %d bytes, want 32", got)
 	}
 	if path := pointerField(reflect.TypeOf(Envelope{}), "Envelope"); path != "" {
 		t.Errorf("Envelope holds a pointer at %s", path)
+	}
+	if path := pointerField(reflect.TypeOf(Received{}), "Received"); path != "" {
+		t.Errorf("Received holds a pointer at %s", path)
 	}
 }
 
@@ -105,7 +108,7 @@ func TestWordPayloadsSurviveTruncation(t *testing.T) {
 						if i > 0 && in[i].From < in[i-1].From {
 							panic(fmt.Sprintf("node %d round %d: inbox not sender-sorted", me, r))
 						}
-						checkPayload(&in[i], r, maxw)
+						checkPayload(ctx, &in[i], r, maxw)
 					}
 				}
 			})
@@ -123,11 +126,12 @@ func TestWordPayloadsSurviveTruncation(t *testing.T) {
 	}
 }
 
-// checkPayload panics unless m decodes to a message sent in round r: its
-// width follows from (sender, round, index) and every word matches.
-func checkPayload(m *Received, r, maxw int) {
+// checkPayload panics unless m, a message from ctx's inbox, decodes to a
+// message sent in round r: its width follows from (sender, round, index) and
+// every word matches.
+func checkPayload(ctx *Context, m *Received, r, maxw int) {
 	var words []uint64
-	switch p := m.Payload().(type) {
+	switch p := ctx.Payload(m).(type) {
 	case Word:
 		if w, ok := m.AsWord(); !ok || w != p {
 			panic("AsWord disagrees with Payload")
@@ -139,8 +143,8 @@ func checkPayload(m *Received, r, maxw int) {
 		}
 		words = p[:]
 	case WordsN:
-		if w, ok := m.AsWords(); !ok || !reflect.DeepEqual(w, []uint64(p)) {
-			panic("AsWords disagrees with Payload")
+		if w, ok := ctx.Words(m); !ok || !reflect.DeepEqual(w, []uint64(p)) {
+			panic("Words disagrees with Payload")
 		}
 		words = p
 	}

@@ -17,7 +17,7 @@ func (Words2) Words() int { return 2 }
 // Context.Send (or Context.SendWords, which takes the raw slice) copies the
 // words into a per-node arena, so wide payloads travel without interface
 // boxing just like Word and Words2; the receiver reads them back with
-// Received.AsWords.
+// Context.Words.
 type WordsN []uint64
 
 // Words implements Payload.

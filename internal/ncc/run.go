@@ -220,8 +220,8 @@ const NoDeadline = math.MaxInt
 func (c *Context) AwaitInput(deadline int) []Received {
 	r := c.r
 	if len(c.out) > r.capOf(c.id) {
-		panic(fmt.Sprintf("ncc: node %d sent %d messages in round %d, capacity is %d",
-			c.id, len(c.out), c.round, r.capOf(c.id)))
+		panic(&capacityError{fmt.Sprintf("ncc: node %d sent %d messages in round %d, capacity is %d",
+			c.id, len(c.out), c.round, r.capOf(c.id))})
 	}
 	c.deadline = deadline
 	r.bar.arrive(c.shard)
@@ -259,6 +259,13 @@ var errCrashed = &crashError{}
 type crashError struct{}
 
 func (*crashError) Error() string { return "ncc: node fail-stopped by fault plan" }
+
+// capacityError is the panic value of a send over the sender's capacity. It
+// is a program bug, never a network condition, so it fails the run even
+// under a fault plan's failure isolation.
+type capacityError struct{ msg string }
+
+func (e *capacityError) Error() string { return e.msg }
 
 type run struct {
 	cfg        Config
@@ -461,7 +468,7 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 					return
 				}
 				if v != nil && v != errCrashed {
-					if r.cfg.FaultPlan == nil {
+					if _, overCap := v.(*capacityError); overCap || r.cfg.FaultPlan == nil {
 						select {
 						case r.errCh <- fmt.Errorf("ncc: node %d panicked: %v\n%s", ctx.id, v, debug.Stack()):
 						default:
@@ -469,8 +476,9 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 						return
 					}
 					// Failure isolation: under a fault plan, a panicking
-					// program is a crashed node, not a failed run — faults
-					// push protocols into states their reliable-network
+					// program (other than one sending over its capacity) is
+					// a crashed node, not a failed run — faults push
+					// protocols into states their reliable-network
 					// invariants never allowed, and the run's job is to
 					// measure the degradation. Only the count enters Stats
 					// (the message text would be scheduling-dependent).
@@ -799,7 +807,13 @@ func (r *run) sendPhase(i int) {
 			st.Messages++
 			st.Words += int64(e.Words())
 			j := r.shardOf(NodeID(e.To))
-			buckets[j] = pushEnvelope(buckets[j], e)
+			b := buckets[j]
+			if len(b) == cap(b) {
+				b = r.growBucket(i, j, b, id, out[k:])
+			}
+			b = b[:len(b)+1]
+			b[len(b)-1] = *e
+			buckets[j] = b
 		}
 		ctx.out = ctx.out[:0]
 	}
@@ -807,6 +821,35 @@ func (r *run) sendPhase(i int) {
 		r.shardActive[i] = active
 		r.probeSend[i] = int64(time.Since(t0))
 	}
+}
+
+// growBucket grows sender shard i's full bucket b for receiver shard j, once,
+// to hold what the rest of the round can still put there: the envelopes of
+// rest, the unsent tail of node id's outbox, then those of shard i's later
+// released senders. The count ignores drops, so it is an upper bound. Growth
+// at least doubles, so a bucket reaches its round's length in one allocation
+// when traffic is steady and in O(log) ones when it ramps; rounds that fit
+// never count.
+func (r *run) growBucket(i, j int, b []Envelope, id NodeID, rest []Envelope) []Envelope {
+	lo, hi := r.shardRange(j)
+	toShard := func(out []Envelope) int {
+		c := 0
+		for k := range out {
+			if to := int(out[k].To); to >= lo && to < hi {
+				c++
+			}
+		}
+		return c
+	}
+	need := len(b) + toShard(rest)
+	for v := r.released.next(i, id+1); v >= 0; v = r.released.next(i, v+1) {
+		if !r.finished[v] && (r.down == nil || !r.down[v]) {
+			need += toShard(r.nodes[v].out)
+		}
+	}
+	nb := make([]Envelope, len(b), max(need, 2*cap(b), 16))
+	copy(nb, b)
+	return nb
 }
 
 // recvPhase (phase B) delivers receiver shard j's buckets without a staging
@@ -892,12 +935,9 @@ func (r *run) recvPhase(j int) {
 				// Copy the payload out of the sender's arena: the sender
 				// recycles it the moment it resumes, while this inbox entry
 				// stays readable for the receiver's whole next round. The
-				// arena was provisioned to the exact offered word count
-				// above, so these appends never reallocate and the taken
-				// pointer stays valid.
-				off := len(ctx.inWords)
+				// entry keeps the words' offset in the receiver's arena.
+				rc.a = uint64(len(ctx.inWords))
 				ctx.inWords = append(ctx.inWords, r.payloadWords(e)...)
-				rc.ref = &ctx.inWords[off]
 			}
 			ctx.inbox = append(ctx.inbox, rc)
 		}
@@ -1117,20 +1157,6 @@ func sortReceivedByFrom(msgs []Received) {
 		}
 		msgs[j+1] = e
 	}
-}
-
-// pushEnvelope appends with exact-doubling growth. The built-in append grows
-// large slices by only 1.25x, which costs ~5x the final size in cumulative
-// allocation while a round's buckets warm up; doubling caps that at 2x.
-func pushEnvelope(s []Envelope, e *Envelope) []Envelope {
-	if len(s) == cap(s) {
-		ns := make([]Envelope, len(s), max(16, 2*cap(s)))
-		copy(ns, s)
-		s = ns
-	}
-	s = s[:len(s)+1]
-	s[len(s)-1] = *e
-	return s
 }
 
 // runShards executes fn(i) for every shard 0..workers-1, inline when the run

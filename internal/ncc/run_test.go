@@ -64,7 +64,7 @@ func TestPingPong(t *testing.T) {
 				panic("wrong sender")
 			}
 			want := Word(uint64(peer*100 + i))
-			if got[0].Payload().(Word) != want {
+			if ctx.Payload(&got[0]).(Word) != want {
 				panic("wrong payload")
 			}
 		}
@@ -184,6 +184,101 @@ func TestSendCapPanics(t *testing.T) {
 			t.Errorf("Strict=%v: want %q, got %v", strict, want, err)
 		}
 	}
+}
+
+// TestSendCapPanicFailsFaultedRun pins that failure isolation does not hide
+// a send over Cap(): under a fault plan an ordinary panic is one more
+// NodeFailures, but a capacity violation is a program bug and fails the run.
+func TestSendCapPanicFailsFaultedRun(t *testing.T) {
+	st, err := Run(Config{N: 8, CapFactor: 1, Seed: 1, FaultPlan: lossPlan{}}, func(ctx *Context) {
+		for r := 0; r < 4; r++ {
+			if ctx.ID() == 3 && r == 2 {
+				for k := 1; k <= ctx.Cap()+1; k++ {
+					ctx.SendWord((ctx.ID()+k)%ctx.N(), Word(k))
+				}
+			}
+			ctx.EndRound()
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "capacity is") {
+		t.Fatalf("want a capacity error, got %v (node failures %d)", err, st.NodeFailures)
+	}
+}
+
+// TestBucketGrowth pins how the delivery buckets grow: a full bucket is
+// grown once, to what the rest of the round still sends to it, and at least
+// doubled. Steady traffic sizes every bucket exactly in round 0 and never
+// grows it again; a ramp grows it by at least 2x each time and keeps it
+// within 2x of the round's traffic.
+func TestBucketGrowth(t *testing.T) {
+	const n = 1024
+	caps := func(ts []ShardTiming) (c, l [2][2]int) {
+		for i := range ts {
+			for j, b := range ts[i].Sent {
+				c[i][j], l[i][j] = cap(b), len(b)
+			}
+		}
+		return c, l
+	}
+	t.Run("dense", func(t *testing.T) {
+		var first [2][2]int
+		rounds := 0
+		_, err := Run(Config{N: n, Seed: 1, Workers: 2, Probe: func(s RoundSample, ts []ShardTiming) {
+			c, l := caps(ts)
+			if s.Round == 0 {
+				first = c
+			}
+			if c != l || c != first {
+				t.Errorf("round %d: bucket capacities %v, lengths %v, round 0 capacities %v", s.Round, c, l, first)
+			}
+			rounds++
+		}}, func(ctx *Context) {
+			for r := 0; r < 6; r++ {
+				for k := 1; k <= ctx.Cap(); k++ {
+					ctx.SendWord((ctx.ID()+k)%ctx.N(), Word(k))
+				}
+				ctx.EndRound()
+			}
+		})
+		if err != nil || rounds != 6 {
+			t.Fatalf("rounds %d, err %v", rounds, err)
+		}
+	})
+	t.Run("ramp", func(t *testing.T) {
+		var prev [2][2]int
+		growths := 0
+		cfg := Config{N: n, Seed: 1, Workers: 2, Probe: func(s RoundSample, ts []ShardTiming) {
+			c, l := caps(ts)
+			for i := range c {
+				for j := range c[i] {
+					if c[i][j] != prev[i][j] {
+						growths++
+						if c[i][j] < 2*prev[i][j] {
+							t.Errorf("round %d: bucket [%d][%d] grew from %d to %d, less than 2x", s.Round, i, j, prev[i][j], c[i][j])
+						}
+					}
+					if c[i][j] > max(2*l[i][j], 16) {
+						t.Errorf("round %d: bucket [%d][%d] holds %d of capacity %d", s.Round, i, j, l[i][j], c[i][j])
+					}
+				}
+			}
+			prev = c
+		}}
+		_, err := Run(cfg, func(ctx *Context) {
+			for r := 0; r < ctx.Cap(); r++ {
+				for k := 1; k <= r; k++ {
+					ctx.SendWord((ctx.ID()+k)%ctx.N(), Word(k))
+				}
+				ctx.EndRound()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if growths < 8 {
+			t.Errorf("%d bucket growths, want a ramp that grows every bucket several times", growths)
+		}
+	})
 }
 
 func TestMaxRounds(t *testing.T) {

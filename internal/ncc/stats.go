@@ -53,7 +53,7 @@ type Stats struct {
 
 	// NodeFailures counts node programs that panicked and were retired as
 	// crashes under failure isolation (FaultPlan set) instead of aborting
-	// the run.
+	// the run. A send over capacity is never counted here: it fails the run.
 	NodeFailures int64 `json:"nodeFailures,omitempty"`
 
 	// CapUtilP50/P90/Max summarize per-node capacity utilization on

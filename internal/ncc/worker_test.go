@@ -57,7 +57,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 					}
 				}
 				for _, rc := range ctx.EndRound() {
-					sums[me] = sums[me]*31 + uint64(rc.From)*2654435761 + uint64(rc.Payload().(Word))
+					sums[me] = sums[me]*31 + uint64(rc.From)*2654435761 + uint64(ctx.Payload(&rc).(Word))
 				}
 			}
 		})
