@@ -56,13 +56,13 @@
 // and buckets every message is copied through are never scanned by the
 // garbage collector. A delivered Received is 32 bytes with no pointer
 // either: it holds the words inline or their offset into the receiver's
-// word arena, so Received.AsWord/AsWords2 read the inline forms and the
-// receiving node's Context.Words and Context.Payload resolve every width. A
-// probe's ShardTiming.Sent view sees only From, To and Words(). The
-// steady-state message path allocates nothing (use SendWord/SendWords2/
-// SendWords, AsWord/AsWords2 and Context.Words to stay off the heap
-// entirely): outboxes, buckets and inboxes are sized from observed traffic
-// and reused across rounds. A full bucket grows on demand, once, to what the
+// word arena. Received.AsWord/AsWords2 read the inline forms, the receiving
+// node's Context.Words the arena-backed ones, and its Context.Payload any
+// width. A probe's ShardTiming.Sent view sees only From, To and Words().
+// The steady-state message path allocates nothing (use SendWord,
+// SendWords2, SendWords, AsWord, AsWords2 and Context.Words to stay off the
+// heap entirely): outboxes, buckets and inboxes are sized from observed
+// traffic and reused across rounds. A full bucket grows on demand, once, to what the
 // rest of the round still sends to it (at least doubling), so steady
 // traffic sizes it exactly in its first round. TestSteadyStateAllocs pins ~0
 // allocs/message; BenchmarkEngineScale tracks 64k/256k/1M-node throughput

@@ -28,9 +28,9 @@ func (e *Envelope) Words() int { return int(e.width) }
 // Envelope it holds no pointer, so inboxes are arrays the garbage collector
 // never scans: one- and two-word payloads are stored inline, and a wider
 // one as an offset into the receiving node's word arena. AsWord and AsWords2
-// read the inline forms; the receiving Context's Payload and Words resolve
-// every width. The steady-state delivery path performs no heap allocation
-// per message.
+// read the inline forms, the receiving Context's Words the arena-backed
+// ones, and its Payload any width. The steady-state delivery path performs
+// no heap allocation per message.
 type Received struct {
 	From  NodeID
 	a, b  uint64
