@@ -1,7 +1,6 @@
 package ncc
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -10,11 +9,12 @@ import (
 // their shard's atomic countdown; the last arrival of the last non-empty
 // shard performs exactly one wake of the coordinator. Release is by per-node
 // wake tokens: every node owns a capacity-1 channel for the whole run (taken
-// from tokenSets, or allocated) and receives exactly one token from it per
-// round it runs. A send to a parked receiver hands the token over directly,
-// so a round costs O(released) uncontended atomics plus one park/unpark per
-// released node — no shared lock for woken nodes to pile onto, no per-round
-// allocation and no serialized submit funnel.
+// with the rest of the run's memory from the last clean run, or allocated)
+// and receives exactly one token from it per round it runs. A send to a
+// parked receiver hands the token over directly, so a round costs
+// O(released) uncontended atomics plus one park/unpark per released node —
+// no shared lock for woken nodes to pile onto, no per-round allocation and
+// no serialized submit funnel.
 //
 // Only woken nodes are released. A node sleeping in AwaitInput stays parked
 // on its token across rounds: the countdowns count only the nodes released
@@ -34,7 +34,6 @@ type barrier struct {
 	aborted   atomic.Bool     // set once, before the token channels close
 	wake      chan struct{}   // capacity 1; one send per completed barrier
 	tokens    []chan struct{} // tokens[id]: node id's wake channel, capacity 1
-	set       []chan struct{} // the whole reusable set tokens is a prefix of
 
 	// times, when non-nil (probe plane on), records the UnixNano instant each
 	// shard's countdown hit zero. The write sits on the arrival path's cold
@@ -57,42 +56,14 @@ type barrierShard struct {
 	_     [56]byte // keep neighbouring shard countdowns off this cache line
 }
 
-// tokenSets recycles the wake channels of runs that ended without an abort,
-// so a process running many small runs does not allocate n channels per run.
-// It holds *[]chan struct{} values.
-var tokenSets sync.Pool
-
-func newBarrier(shards, nodes int) *barrier {
-	b := &barrier{
+// newBarrier returns a barrier over shards shards whose nodes park on
+// tokens, one empty open channel per node.
+func newBarrier(shards int, tokens []chan struct{}) *barrier {
+	return &barrier{
 		shards: make([]barrierShard, shards),
 		wake:   make(chan struct{}, 1),
+		tokens: tokens,
 	}
-	if set, ok := tokenSets.Get().(*[]chan struct{}); ok {
-		b.set = *set
-	}
-	for len(b.set) < nodes {
-		b.set = append(b.set, make(chan struct{}, 1))
-	}
-	b.tokens = b.set[:nodes]
-	return b
-}
-
-// recycle hands the wake channels to a later run. Run calls it once every
-// node goroutine has exited. An aborted run's channels are closed, so they are
-// dropped; so would be a set with a token left in it, which would let a node
-// of the next run pass its first barrier early. A clean run leaves none: each
-// node took the last token it was sent before its program returned (a clean
-// run ends only when every program has returned, so no node still sleeps).
-func (b *barrier) recycle() {
-	if b.aborted.Load() {
-		return
-	}
-	for _, tok := range b.tokens {
-		if len(tok) != 0 {
-			return
-		}
-	}
-	tokenSets.Put(&b.set)
 }
 
 // reset arms the barrier for the next round: shard i expects released[i]

@@ -66,7 +66,8 @@ func (m *Received) AsWords2() (Words2, bool) {
 // Payload materializes the content of m, a message from this node's inbox,
 // as a Word, Words2 or WordsN; inline payloads are re-boxed on demand. Type
 // switches like `c.Payload(rc).(type)` work for every payload; use
-// AsWord/AsWords2/Words on allocation-sensitive paths.
+// AsWord/AsWords2/Words on allocation-sensitive paths. A WordsN result
+// aliases the node's word arena, as Words does, and has the same lifetime.
 func (c *Context) Payload(m *Received) Payload {
 	switch m.width {
 	case 1:
@@ -81,7 +82,8 @@ func (c *Context) Payload(m *Received) Payload {
 // Words returns the payload words of m, a multi-word (3+) message from this
 // node's inbox, without boxing, and whether m carried one. The slice aliases
 // the node's word arena and is only valid until its next EndRound, exactly
-// like the inbox itself.
+// like the inbox itself, and never after Run returns: the next run reuses
+// the arena.
 func (c *Context) Words(m *Received) ([]uint64, bool) {
 	if m.width > 2 {
 		return c.arenaWords(m), true

@@ -7,16 +7,24 @@ import (
 	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Context is a node's handle on the network. It is used by exactly one
-// goroutine (the node's program) and is not safe for concurrent use.
+// goroutine (the node's program) and is not safe for concurrent use. It
+// lives in the run's node slab, which the next run reuses: a *Context must
+// not be used after Run returns.
 type Context struct {
 	id    NodeID
 	shard int
 	r     *run
+	// rng is &src, whose source is pcg, both held here so that seeding a
+	// node allocates nothing; a revival with reset gives the node a fresh
+	// source instead.
 	rng   *rand.Rand
+	src   rand.Rand
+	pcg   rand.PCG
 	out   []Envelope
 	inbox []Received
 	round int
@@ -195,7 +203,8 @@ func (c *Context) panicOversized(w int, p Payload) {
 // EndRound submits the buffered messages to the round barrier, blocks until
 // every node running this round has done the same, and returns the messages
 // delivered to this node, ordered by sender id. The returned slice is reused at the next
-// barrier and must not be retained across rounds.
+// barrier and must not be retained across rounds, nor used after Run returns:
+// the next run reuses its memory.
 func (c *Context) EndRound() []Received { return c.AwaitInput(0) }
 
 // NoDeadline is the AwaitInput deadline that never passes: the node sleeps
@@ -273,10 +282,10 @@ type run struct {
 	caps       []int32 // per-node capacities; nil on uniform runs
 	minCap     int     // smallest per-node capacity (== cap when uniform)
 	workers    int
-	shardWidth int // ceil(N / workers); node id / shardWidth = its shard
-	nodes      []*Context
+	shardWidth int       // ceil(N / workers); node id / shardWidth = its shard
+	nodes      []Context // the node slab, reused by the next run
 	bar        *barrier
-	errCh      chan error
+	errCh      chan error // capacity 1: the coordinator acts on the first error only
 	stats      Stats
 	err        error
 	pool       *workerPool
@@ -376,6 +385,9 @@ type run struct {
 // Run executes program on every node of a fresh network and returns the run
 // statistics. It returns an error if the run was aborted (node panic or
 // Config.MaxRounds exceeded).
+//
+// A run that ends cleanly leaves its memory to the next run (see engineMem):
+// no Context, inbox or word view of a run may be used after Run returns.
 func Run(cfg Config, program func(*Context)) (Stats, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -386,7 +398,7 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 		cap:     cfg.Cap(),
 		minCap:  cfg.MinCap(),
 		workers: max(1, min(cfg.Workers, cfg.N)),
-		errCh:   make(chan error, cfg.N),
+		errCh:   make(chan error, 1),
 	}
 	if cfg.NodeCaps != nil {
 		r.caps = make([]int32, cfg.N)
@@ -402,18 +414,8 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	// them eagerly only while that stays within a modest budget (~64 MiB),
 	// so sparse million-node runs keep memory proportional to traffic.
 	r.provisionOut = int64(cfg.N)*int64(r.cap) <= (64<<20)/int64(envelopeBytes)
-	r.buckets = make([][][]Envelope, w)
-	for i := range r.buckets {
-		r.buckets[i] = make([][]Envelope, w)
-	}
-	r.recvCounts = make([]int32, cfg.N)
-	r.recvWordCounts = make([]int32, cfg.N)
-	r.receivers = make([][]NodeID, w)
 	r.shardStats = make([]Stats, w)
-	r.finished = make([]bool, cfg.N)
-	r.released = newNodeSet(w, r.shardWidth)
-	r.next = newNodeSet(w, r.shardWidth)
-	r.timers = make([]timerHeap, w)
+	r.take(takeSpare(cfg.N))
 	if cfg.FaultPlan != nil {
 		r.down = make([]bool, cfg.N)
 		r.killed = make([]bool, cfg.N)
@@ -433,12 +435,11 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 		r.pool = newWorkerPool(w)
 		defer r.pool.close()
 	}
-	// Arm the first barrier before any node can arrive at it.
-	r.bar = newBarrier(w, cfg.N)
 	if r.probing {
 		r.bar.times = make([]int64, w)
 		r.bar.releasedAt = time.Now().UnixNano()
 	}
+	// Arm the first barrier before any node can arrive at it.
 	r.woke = make([]int32, w)
 	for i := 0; i < w; i++ {
 		lo, hi := r.shardRange(i)
@@ -449,16 +450,9 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	}
 	r.bar.reset(r.woke)
 
-	r.nodes = make([]*Context, cfg.N)
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.N; i++ {
-		ctx := &Context{
-			id:    i,
-			shard: i / r.shardWidth,
-			r:     r,
-			rng:   rand.New(rand.NewPCG(uint64(cfg.Seed)^0x5851f42d4c957f2d, uint64(i)+1)),
-		}
-		r.nodes[i] = ctx
+	for i := range r.nodes {
+		ctx := &r.nodes[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -502,7 +496,6 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	}
 	r.coordinate()
 	wg.Wait()
-	r.bar.recycle()
 	if cfg.FaultPlan != nil {
 		// Nodes that returned after the final barrier are finished even if
 		// the coordinator never retired them (no goroutine is running now, so
@@ -537,7 +530,133 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 		r.stats.CapUtilP90 = pct(0.90)
 		r.stats.CapUtilMax = pct(1)
 	}
+	// Last: once handed back, the memory belongs to the next run.
+	r.recycle()
 	return r.stats, r.err
+}
+
+// engineMem is the memory of a run's nodes and of its delivery: the node
+// slab with each node's outbox, inbox and word arenas, the wake tokens, the
+// per-node arrays, the finish queue and the per-shard scratch. A run that
+// ends cleanly hands it to spareMem, and the next run takes it from there by
+// atomic swap instead of allocating; every field is re-initialised on reuse,
+// and only capacity carries over. Slab, tokens and per-node arrays are
+// len(nodes) long, the size of the run that allocated them.
+type engineMem struct {
+	nodes          []Context
+	tokens         []chan struct{}
+	finished       []bool
+	recvCounts     []int32
+	recvWordCounts []int32
+	finQ           []NodeID
+	sets           [2][]uint64 // the words of the released and next nodeSets
+	buckets        [][][]Envelope
+	receivers      [][]NodeID
+	timers         []timerHeap
+}
+
+// spareMem holds the memory of the last clean run, or nil. It is one slot,
+// not a pool: a pool's per-P caches miss whenever the next run starts on
+// another P, and two sets stay live. Concurrent runs find it empty and
+// allocate.
+var spareMem atomic.Pointer[engineMem]
+
+// takeSpare takes the spare for a run of n nodes. It reuses it only when it
+// has between n and 2n nodes, and otherwise drops it, so a large run's memory
+// is not pinned behind a stream of small runs; an empty engineMem means
+// "allocate everything".
+func takeSpare(n int) *engineMem {
+	m := spareMem.Swap(nil)
+	if m == nil || len(m.nodes) < n || len(m.nodes) > 2*n {
+		return &engineMem{}
+	}
+	return m
+}
+
+// take installs m as the run's memory, allocating what m lacks.
+func (r *run) take(m *engineMem) {
+	n, w := r.cfg.N, r.workers
+	if len(m.nodes) < n {
+		m.nodes = make([]Context, n)
+		m.tokens = make([]chan struct{}, n)
+		for i := range m.tokens {
+			m.tokens[i] = make(chan struct{}, 1)
+		}
+	}
+	r.nodes = m.nodes[:n]
+	for i := range r.nodes {
+		c := &r.nodes[i]
+		*c = Context{id: i, shard: i / r.shardWidth, r: r,
+			out: c.out[:0], inbox: c.inbox[:0], sendWords: c.sendWords[:0], inWords: c.inWords[:0]}
+		c.pcg.Seed(uint64(r.cfg.Seed)^0x5851f42d4c957f2d, uint64(i)+1)
+		c.src = *rand.New(&c.pcg)
+		c.rng = &c.src
+	}
+	r.bar = newBarrier(w, m.tokens[:n])
+	r.finished = zeroed(m.finished, n)
+	r.recvCounts = zeroed(m.recvCounts, n)
+	r.recvWordCounts = zeroed(m.recvWordCounts, n)
+	r.finQ = m.finQ[:0]
+	r.released = newNodeSet(w, r.shardWidth, m.sets[0])
+	r.next = newNodeSet(w, r.shardWidth, m.sets[1])
+	flat := emptied(slices.Concat(m.buckets...), w*w)
+	r.buckets = make([][][]Envelope, w)
+	for i := range r.buckets {
+		r.buckets[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	}
+	r.receivers = emptied(m.receivers, w)
+	r.timers = emptied(m.timers, w)
+}
+
+// recycle hands a clean run's memory to spareMem; Run calls it once every
+// node goroutine has exited and it has read the run's arrays. An aborted run's token channels are closed, so
+// it hands back nothing; neither would a run that left a token in a channel,
+// which would let a node of the next run pass its first barrier early. A
+// clean run leaves none: each node took the last token it was sent before
+// its program returned. The spare keeps no pointer to the finished run.
+func (r *run) recycle() {
+	if r.bar.aborted.Load() {
+		return
+	}
+	for id, tok := range r.bar.tokens {
+		if len(tok) != 0 {
+			return
+		}
+		r.nodes[id].r = nil
+	}
+	spareMem.Store(&engineMem{
+		nodes:          r.nodes[:cap(r.nodes)],
+		tokens:         r.bar.tokens[:cap(r.bar.tokens)],
+		finished:       r.finished[:cap(r.finished)],
+		recvCounts:     r.recvCounts[:cap(r.recvCounts)],
+		recvWordCounts: r.recvWordCounts[:cap(r.recvWordCounts)],
+		finQ:           r.finQ,
+		sets:           [2][]uint64{r.released.words, r.next.words},
+		buckets:        r.buckets,
+		receivers:      r.receivers,
+		timers:         r.timers,
+	})
+}
+
+// zeroed returns s resized to n zero elements, reusing its array when it is
+// large enough.
+func zeroed[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// emptied returns n empty slices that take over the arrays of old's first n
+// (nil where old has none).
+func emptied[S ~[]E, E any](old []S, n int) []S {
+	s := make([]S, n)
+	for i := range min(n, len(old)) {
+		s[i] = old[i][:0]
+	}
+	return s
 }
 
 // Collect runs program on every node and gathers the per-node return values.
@@ -676,7 +795,7 @@ func (r *run) applyFaults(round int) (err error) {
 			// A rejoin with fresh volatile state: reseed the node's private
 			// randomness from (seed, round, node) — deterministic across
 			// worker counts — and discard whatever it had queued to send.
-			ctx := r.nodes[id]
+			ctx := &r.nodes[id]
 			p := roundPCG(r.cfg.Seed, round, id, saltRevive)
 			ctx.rng = rand.New(&p)
 			ctx.out = ctx.out[:0]
@@ -764,7 +883,7 @@ func (r *run) sendPhase(i int) {
 		if r.finished[id] {
 			continue
 		}
-		ctx := r.nodes[id]
+		ctx := &r.nodes[id]
 		if faulty && r.down[id] {
 			// Out-of-service sender: its whole outbox is suppressed.
 			st.DroppedDead += int64(len(ctx.out))
@@ -888,7 +1007,7 @@ func (r *run) recvPhase(j int) {
 	clear(r.next.shard(j))
 	var active int32
 	for _, id := range rcv {
-		ctx := r.nodes[id]
+		ctx := &r.nodes[id]
 		c := int(counts[id])
 		if probing && r.activeAt[id] != round+1 {
 			r.activeAt[id] = round + 1
@@ -929,7 +1048,7 @@ func (r *run) recvPhase(j int) {
 		bucket := r.buckets[i][j]
 		for k := range bucket {
 			e := &bucket[k]
-			ctx := r.nodes[e.To]
+			ctx := &r.nodes[e.To]
 			rc := e.received()
 			if e.width > 2 {
 				// Copy the payload out of the sender's arena: the sender
@@ -951,7 +1070,7 @@ func (r *run) recvPhase(j int) {
 		// by sender. The shuffle consumes the per-(round, receiver) PCG in
 		// offered order, so the surviving subset is identical regardless of
 		// the worker count.
-		ctx := r.nodes[id]
+		ctx := &r.nodes[id]
 		msgs := ctx.inbox
 		rng := roundPCG(r.cfg.Seed, round, id, saltRecv)
 		for k := len(msgs) - 1; k > 0; k-- {

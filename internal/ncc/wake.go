@@ -16,9 +16,11 @@ type nodeSet struct {
 	width  int // nodes per shard (run.shardWidth)
 }
 
-func newNodeSet(shards, width int) nodeSet {
+// newNodeSet returns an empty set over shards shards of width nodes, reusing
+// words' array when it is large enough.
+func newNodeSet(shards, width int, words []uint64) nodeSet {
 	stride := (width + 63) / 64
-	return nodeSet{words: make([]uint64, shards*stride), stride: stride, width: width}
+	return nodeSet{words: zeroed(words, shards*stride), stride: stride, width: width}
 }
 
 // shard returns shard j's words.
