@@ -70,16 +70,18 @@
 //
 // Runs recycle their memory. A run that ends cleanly hands its node slab
 // (every Context with its outbox, inbox and word arenas, its PCG held by
-// value), the wake channels, the buckets and the per-node arrays to one
-// process-wide spare, and the next run takes it by atomic swap instead of
-// allocating; every field is re-initialised, only capacity carries over. A
-// run of N nodes reuses the spare only when it has between N and 2N nodes
-// and drops it otherwise, so a large run's memory is not pinned behind a
-// stream of small ones; an aborted run hands nothing back, and a run that
-// finds the spare taken by a concurrent one allocates. Hence nothing a run
-// gives its program, a *Context, an inbox, a Words or Payload view, may be
-// used after Run returns. The recycling pays where a run follows another in
-// the same process: sweeps, campaigns, nccd jobs.
+// value), the wake channels and the buckets to one process-wide spare, and
+// the next run takes it by atomic swap instead of allocating; every field is
+// re-initialised, only capacity carries over. The hand-back drops any arena
+// or bucket larger than a dense run of that size needs (a hot receiver's
+// inbox is sized to all it was offered), so the spare does not grow over a
+// stream of runs. A run of N nodes reuses the spare only when it has between
+// N and 2N nodes and drops it otherwise, so a large run's memory is not
+// pinned behind a stream of small ones; an aborted run hands nothing back,
+// and a run that finds the spare taken by a concurrent one allocates. Hence
+// nothing a run gives its program, a *Context, an inbox, a Words or Payload
+// view, may be used after Run returns. The recycling pays where a run
+// follows another in the same process.
 //
 // Config.FaultPlan is the one fault input. Per round it gives Outage/Revival
 // transitions — a down node sends and receives nothing (its traffic is

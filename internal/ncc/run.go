@@ -332,7 +332,8 @@ type run struct {
 	cut   LinkCut
 
 	// Scratch, reused across rounds. buckets[i][j] holds the envelopes sent
-	// by sender shard i to receiver shard j this round; recvCounts[v] is
+	// by sender shard i to receiver shard j this round, and bucketPeak[i*w+j]
+	// its longest length in the run so far; recvCounts[v] is
 	// receiver v's offered-message count, computed so inboxes are filled
 	// directly without a staging copy, and receivers[j] lists receiver shard
 	// j's nodes with a non-zero count, so per-receiver work and the reset
@@ -340,6 +341,7 @@ type run struct {
 	// results merged by the coordinator. sendFn/recvFn are the two phase
 	// method values, bound once so delivery allocates no closures per round.
 	buckets        [][][]Envelope
+	bucketPeak     []int
 	recvCounts     []int32
 	recvWordCounts []int32
 	receivers      [][]NodeID
@@ -414,8 +416,15 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	// them eagerly only while that stays within a modest budget (~64 MiB),
 	// so sparse million-node runs keep memory proportional to traffic.
 	r.provisionOut = int64(cfg.N)*int64(r.cap) <= (64<<20)/int64(envelopeBytes)
-	r.shardStats = make([]Stats, w)
 	r.take(takeSpare(cfg.N))
+	r.recvCounts = make([]int32, cfg.N)
+	r.recvWordCounts = make([]int32, cfg.N)
+	r.receivers = make([][]NodeID, w)
+	r.shardStats = make([]Stats, w)
+	r.finished = make([]bool, cfg.N)
+	r.released = newNodeSet(w, r.shardWidth)
+	r.next = newNodeSet(w, r.shardWidth)
+	r.timers = make([]timerHeap, w)
 	if cfg.FaultPlan != nil {
 		r.down = make([]bool, cfg.N)
 		r.killed = make([]bool, cfg.N)
@@ -536,23 +545,15 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 }
 
 // engineMem is the memory of a run's nodes and of its delivery: the node
-// slab with each node's outbox, inbox and word arenas, the wake tokens, the
-// per-node arrays, the finish queue and the per-shard scratch. A run that
-// ends cleanly hands it to spareMem, and the next run takes it from there by
-// atomic swap instead of allocating; every field is re-initialised on reuse,
-// and only capacity carries over. Slab, tokens and per-node arrays are
-// len(nodes) long, the size of the run that allocated them.
+// slab with each node's outbox, inbox and word arenas, the wake tokens and
+// the buckets. A run that ends cleanly hands it to spareMem, and the next
+// run takes it from there by atomic swap instead of allocating; every field
+// is re-initialised on reuse, and only capacity carries over. Slab and
+// tokens are len(nodes) long, the size of the run that allocated them.
 type engineMem struct {
-	nodes          []Context
-	tokens         []chan struct{}
-	finished       []bool
-	recvCounts     []int32
-	recvWordCounts []int32
-	finQ           []NodeID
-	sets           [2][]uint64 // the words of the released and next nodeSets
-	buckets        [][][]Envelope
-	receivers      [][]NodeID
-	timers         []timerHeap
+	nodes   []Context
+	tokens  []chan struct{}
+	buckets [][]Envelope // the bucket grid, flattened sender-major
 }
 
 // spareMem holds the memory of the last clean run, or nil. It is one slot,
@@ -593,70 +594,64 @@ func (r *run) take(m *engineMem) {
 		c.rng = &c.src
 	}
 	r.bar = newBarrier(w, m.tokens[:n])
-	r.finished = zeroed(m.finished, n)
-	r.recvCounts = zeroed(m.recvCounts, n)
-	r.recvWordCounts = zeroed(m.recvWordCounts, n)
-	r.finQ = m.finQ[:0]
-	r.released = newNodeSet(w, r.shardWidth, m.sets[0])
-	r.next = newNodeSet(w, r.shardWidth, m.sets[1])
-	flat := emptied(slices.Concat(m.buckets...), w*w)
+	flat := make([][]Envelope, w*w)
+	copy(flat, m.buckets)
 	r.buckets = make([][][]Envelope, w)
 	for i := range r.buckets {
 		r.buckets[i] = flat[i*w : (i+1)*w : (i+1)*w]
 	}
-	r.receivers = emptied(m.receivers, w)
-	r.timers = emptied(m.timers, w)
+	r.bucketPeak = make([]int, w*w)
 }
 
-// recycle hands a clean run's memory to spareMem; Run calls it once every
-// node goroutine has exited and it has read the run's arrays. An aborted run's token channels are closed, so
-// it hands back nothing; neither would a run that left a token in a channel,
-// which would let a node of the next run pass its first barrier early. A
-// clean run leaves none: each node took the last token it was sent before
-// its program returned. The spare keeps no pointer to the finished run.
+// recycle hands a clean run's memory to spareMem; Run calls it last, once
+// every node goroutine has exited. An aborted run's token channels are
+// closed, so it hands back nothing; neither would a run that left a token in
+// a channel, which would let a node of the next run pass its first barrier
+// early. A clean run leaves none: each node took the last token it was sent
+// before its program returned.
+//
+// The spare keeps no pointer to the finished run, and no more memory than
+// this run used or a dense run of its size needs, so a stream of runs does
+// not leave it holding the largest arena each node or bucket ever had: an
+// outbox or inbox over max(16, 2·cap) entries of its node (a hot receiver's
+// inbox is sized to all it was offered), a word arena over MaxWords times
+// that, and a bucket over max(16, 2·its peak length in this run) are dropped.
 func (r *run) recycle() {
 	if r.bar.aborted.Load() {
 		return
 	}
-	for id, tok := range r.bar.tokens {
+	for _, tok := range r.bar.tokens {
 		if len(tok) != 0 {
 			return
 		}
-		r.nodes[id].r = nil
 	}
-	spareMem.Store(&engineMem{
-		nodes:          r.nodes[:cap(r.nodes)],
-		tokens:         r.bar.tokens[:cap(r.bar.tokens)],
-		finished:       r.finished[:cap(r.finished)],
-		recvCounts:     r.recvCounts[:cap(r.recvCounts)],
-		recvWordCounts: r.recvWordCounts[:cap(r.recvWordCounts)],
-		finQ:           r.finQ,
-		sets:           [2][]uint64{r.released.words, r.next.words},
-		buckets:        r.buckets,
-		receivers:      r.receivers,
-		timers:         r.timers,
-	})
+	nodes := r.nodes[:cap(r.nodes)]
+	for id := range nodes {
+		k := r.cap // the slab past this run's nodes: bound it by the base capacity
+		if id < len(r.nodes) {
+			k = r.capOf(id)
+		}
+		k = max(16, 2*k)
+		c := &nodes[id]
+		c.r = nil
+		c.out = within(c.out, k)
+		c.inbox = within(c.inbox, k)
+		c.sendWords = within(c.sendWords, k*r.cfg.MaxWords)
+		c.inWords = within(c.inWords, k*r.cfg.MaxWords)
+	}
+	buckets := slices.Concat(r.buckets...)
+	for k, b := range buckets {
+		buckets[k] = within(b, max(16, 2*r.bucketPeak[k]))
+	}
+	spareMem.Store(&engineMem{nodes: nodes, tokens: r.bar.tokens[:cap(r.bar.tokens)], buckets: buckets})
 }
 
-// zeroed returns s resized to n zero elements, reusing its array when it is
-// large enough.
-func zeroed[E any](s []E, n int) []E {
-	if cap(s) < n {
-		return make([]E, n)
+// within returns s emptied, or nil when its capacity is over limit.
+func within[E any](s []E, limit int) []E {
+	if cap(s) > limit {
+		return nil
 	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// emptied returns n empty slices that take over the arrays of old's first n
-// (nil where old has none).
-func emptied[S ~[]E, E any](old []S, n int) []S {
-	s := make([]S, n)
-	for i := range min(n, len(old)) {
-		s[i] = old[i][:0]
-	}
-	return s
+	return s[:0]
 }
 
 // Collect runs program on every node and gathers the per-node return values.
@@ -992,6 +987,9 @@ func (r *run) recvPhase(j int) {
 	rcv := r.receivers[j][:0]
 	for i := 0; i < r.workers; i++ {
 		bucket := r.buckets[i][j]
+		if p := &r.bucketPeak[i*r.workers+j]; len(bucket) > *p {
+			*p = len(bucket)
+		}
 		for k := range bucket {
 			e := &bucket[k]
 			if counts[e.To] == 0 {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // dropSpare empties spareMem, so the next run allocates all of its memory.
@@ -17,6 +18,25 @@ func spareNodes() int {
 		return len(m.nodes)
 	}
 	return 0
+}
+
+// spareBytes is the capacity, in bytes, of every arena and bucket the spare
+// holds, or 0 when there is none.
+func spareBytes() int {
+	m := spareMem.Load()
+	if m == nil {
+		return 0
+	}
+	b := 0
+	for i := range m.nodes {
+		c := &m.nodes[i]
+		b += cap(c.out)*envelopeBytes + cap(c.inbox)*int(unsafe.Sizeof(Received{})) +
+			8*(cap(c.sendWords)+cap(c.inWords))
+	}
+	for _, bk := range m.buckets {
+		b += cap(bk) * envelopeBytes
+	}
+	return b
 }
 
 // recycleProgram is a seeded random program with every input a recycled
@@ -202,6 +222,41 @@ func TestConcurrentRunsShareSpare(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestSpareStaysBounded rotates a hot receiver over a stream of same-size
+// runs: in each run every other node sends its full capacity of 3-word
+// messages to one node, whose inbox and word arena are sized to all it was
+// offered, and the hot node visits all eight shards, so every column of the
+// bucket grid fills in turn. What the spare holds must not grow with the
+// number of runs: after 16 runs it is at most twice what it held after the
+// first.
+func TestSpareStaysBounded(t *testing.T) {
+	cfg := Config{N: 256, Seed: 1, Workers: 8, MaxWords: 3}
+	dropSpare()
+	var first, last int
+	for k := 0; k < 16; k++ {
+		hot := k * 37 % cfg.N
+		_, err := Run(cfg, func(ctx *Context) {
+			if ctx.ID() != hot {
+				for i := 0; i < ctx.Cap(); i++ {
+					ctx.SendWords(hot, []uint64{1, 2, uint64(i)})
+				}
+			}
+			ctx.EndRound()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			first = spareBytes()
+		}
+		last = spareBytes()
+	}
+	t.Logf("spare after the first run %d B, after the last %d B", first, last)
+	if first == 0 || last > 2*first {
+		t.Errorf("spare holds %d B after 16 runs, want at most twice the %d B after the first", last, first)
 	}
 }
 

@@ -16,11 +16,9 @@ type nodeSet struct {
 	width  int // nodes per shard (run.shardWidth)
 }
 
-// newNodeSet returns an empty set over shards shards of width nodes, reusing
-// words' array when it is large enough.
-func newNodeSet(shards, width int, words []uint64) nodeSet {
+func newNodeSet(shards, width int) nodeSet {
 	stride := (width + 63) / 64
-	return nodeSet{words: zeroed(words, shards*stride), stride: stride, width: width}
+	return nodeSet{words: make([]uint64, shards*stride), stride: stride, width: width}
 }
 
 // shard returns shard j's words.
