@@ -646,12 +646,13 @@ func (r *run) recycle() {
 	spareMem.Store(&engineMem{nodes: nodes, tokens: r.bar.tokens[:cap(r.bar.tokens)], buckets: buckets})
 }
 
-// within returns s emptied, or nil when its capacity is over limit.
+// within returns s, or nil when its capacity is over limit. take empties
+// what is kept.
 func within[E any](s []E, limit int) []E {
 	if cap(s) > limit {
 		return nil
 	}
-	return s[:0]
+	return s
 }
 
 // Collect runs program on every node and gathers the per-node return values.
