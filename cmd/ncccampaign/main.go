@@ -28,13 +28,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"ncc/internal/campaign"
+	"ncc/internal/service"
 )
 
 func main() {
@@ -79,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var rep campaign.Report
 	var rawReport []byte // the server's report bytes, passed through verbatim
 	if *remote != "" {
-		rawReport, err = runRemote(strings.TrimRight(*remote, "/"), *token, sp, *poll, stderr)
+		rawReport, err = runRemote(*remote, *token, sp, *poll, stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, "ncccampaign:", err)
 			return 1
@@ -129,90 +128,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runRemote submits the resolved spec to the daemon and polls the campaign to
 // its terminal state, returning the report endpoint's raw JSON bytes.
 func runRemote(base, token string, sp campaign.Spec, poll time.Duration, stderr io.Writer) ([]byte, error) {
-	cl := client{base: base, token: token}
-	body, err := json.Marshal(sp)
+	cl := service.NewClient(base, token)
+	ctx := context.Background()
+	info, err := cl.SubmitCampaign(ctx, sp)
 	if err != nil {
-		return nil, err
-	}
-	var info struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-		Error string `json:"error"`
-	}
-	if err := cl.call(http.MethodPost, "/v1/campaigns", body, &info); err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(stderr, "ncccampaign: campaign %s submitted to %s\n", info.ID, base)
-	for info.State != "done" && info.State != "failed" {
+	for info.State != service.StateDone && info.State != service.StateFailed {
 		time.Sleep(poll)
-		if err := cl.call(http.MethodGet, "/v1/campaigns/"+info.ID, nil, &info); err != nil {
+		if info, err = cl.Campaign(ctx, info.ID); err != nil {
 			return nil, err
 		}
 	}
-	if info.State == "failed" {
+	if info.State == service.StateFailed {
 		return nil, fmt.Errorf("campaign %s failed: %s", info.ID, info.Error)
 	}
-	return cl.raw("/v1/campaigns/" + info.ID + "/report")
-}
-
-// client issues nccd API calls with the optional bearer token attached.
-type client struct {
-	base  string
-	token string
-}
-
-func (c client) do(method, path string, body []byte) (*http.Response, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = strings.NewReader(string(body))
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= 400 {
-		defer resp.Body.Close()
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := strings.TrimSpace(string(data))
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return nil, fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, msg)
-	}
-	return resp, nil
-}
-
-// call decodes a JSON response into out.
-func (c client) call(method, path string, body []byte, out any) error {
-	resp, err := c.do(method, path, body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// raw returns a GET response body verbatim.
-func (c client) raw(path string) ([]byte, error) {
-	resp, err := c.do(http.MethodGet, path, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	return cl.CampaignReport(ctx, info.ID)
 }

@@ -127,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	if *join != "" {
 		// Worker role: graphs referenced by dispatched jobs but missing from
 		// the local store are fetched from the coordinator on demand.
-		graphio.SetFetcher(service.GraphFetcher(*join, *clusterToken))
+		graphio.SetFetcher(service.NewClusterClient(*join, *clusterToken).Graph)
 	}
 	var svc *service.Server
 	if *coordinator {

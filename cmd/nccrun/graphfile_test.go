@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http/httptest"
 	"os"
@@ -141,5 +142,54 @@ func TestListIncludesCapacityPolicies(t *testing.T) {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list missing capacity policy %q", name)
 		}
+	}
+}
+
+// TestRemoteHonorsToken drives every call of -remote against a
+// token-protected daemon: with -token the graph upload, submission, record
+// stream, state check and trace fetch all pass and match a local run;
+// without it the CLI exits 1 and prints the daemon's refusal.
+func TestRemoteHonorsToken(t *testing.T) {
+	dir, hash, _ := stageGraph(t)
+	serverStore := filepath.Join(t.TempDir(), "server-graphs")
+	svc, err := service.New(service.Config{WorkerBudget: 4, GraphDir: serverStore, ClusterToken: "s3cret"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+
+	tmp := t.TempDir()
+	localTrace, remoteTrace := filepath.Join(tmp, "local.ndjson"), filepath.Join(tmp, "remote.ndjson")
+	args := []string{"-graph-dir", dir, "-graph-file", hash, "-algo", "mis", "-json"}
+	codeL, outL, errwL := runCapture(t, append(args, "-trace", localTrace)...)
+	if codeL != 0 {
+		t.Fatalf("local exit %d, stderr: %s", codeL, errwL)
+	}
+	code, out, errw := runCapture(t, append(args, "-remote", ts.URL, "-token", "s3cret", "-trace", remoteTrace)...)
+	if code != 0 || errw != "" {
+		t.Fatalf("authed exit %d, stderr: %s", code, errw)
+	}
+	if out != outL {
+		t.Errorf("authed remote records differ from local:\nlocal:  %s\nremote: %s", outL, out)
+	}
+	if _, err := os.Stat(filepath.Join(serverStore, hash+".nccg")); err != nil {
+		t.Errorf("graph was not uploaded to the daemon's store: %v", err)
+	}
+	lt, err := os.ReadFile(localTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := os.ReadFile(remoteTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(lt, rt) {
+		t.Error("authed remote trace differs from the local one")
+	}
+
+	code, _, errw = runCapture(t, append(args, "-remote", ts.URL)...)
+	if code != 1 || !strings.Contains(errw, "missing or invalid cluster token") {
+		t.Fatalf("tokenless run: exit %d, stderr %q; want 1 with the daemon's refusal", code, errw)
 	}
 }

@@ -5,16 +5,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"ncc/internal/graphio"
 	"ncc/internal/scenario"
+	"ncc/internal/service"
 )
 
 // runRemote submits the scenario to an nccd daemon and tails the job's
@@ -28,44 +29,30 @@ import (
 // telemetry trace (GET /v1/jobs/{id}/trace) is fetched after the run
 // completes — it is byte-identical to what a local -trace run would write.
 func runRemote(base, token string, s scenario.Scenario, jsonOut bool, expanded int, traceFile string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
-	base = strings.TrimRight(base, "/")
-	cl := apiClient{base: base, token: token}
+	cl := service.NewClient(base, token)
 	if s.Graph.File != "" {
 		// File-family scenario: make sure the daemon can materialize the
 		// graph before the job reaches an executor. Upload is idempotent; a
 		// failure is only a warning because the daemon (or its workers) may
 		// already hold the graph.
-		if err := cl.pushGraph(s.Graph.File); err != nil {
+		if err := pushGraph(cl, s.Graph.File); err != nil {
 			fmt.Fprintf(stderr, "warning: uploading graph %s: %v\n", s.Graph.File, err)
 		}
 	}
-	body, err := json.Marshal(s)
+	// The answer is a new job, or an identical in-flight job it coalesced
+	// onto, whose stream delivers exactly the records this submission would
+	// produce.
+	info, err := cl.SubmitJob(context.Background(), s)
 	if err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	resp, err := cl.post("/v1/jobs", body)
-	if err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	defer resp.Body.Close()
-	// 201: a new job; 200: coalesced onto an identical in-flight job whose
-	// stream delivers exactly the records this submission would produce.
-	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-		msg := remoteError(resp.Body)
-		fmt.Fprintf(stderr, "%s rejected the scenario (%s): %s\n", base, resp.Status, msg)
-		if resp.StatusCode == http.StatusBadRequest {
+		var rejected *service.APIError
+		if !errors.As(err, &rejected) {
+			fmt.Fprintln(stderr, "error:", err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "%s rejected the scenario (%s): %s\n", base, rejected.Status, rejected.Msg)
+		if rejected.Code == http.StatusBadRequest {
 			return 2
 		}
-		return 1
-	}
-	var info struct {
-		ID     string `json:"id"`
-		Cached bool   `json:"cached"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		fmt.Fprintln(stderr, "error: decoding submission response:", err)
 		return 1
 	}
 	if info.Cached && !jsonOut {
@@ -83,29 +70,29 @@ func runRemote(base, token string, s scenario.Scenario, jsonOut bool, expanded i
 		select {
 		case <-sigs:
 			interrupted.Store(true)
-			cl.cancelJob(info.ID)
+			// Best-effort: the job is canceled so the daemon does not
+			// finish a sweep with no audience.
+			cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			cl.CancelJob(cctx, info.ID)
+			cancel()
 			stopStream()
 		case <-watcherDone:
 		}
 	}()
 
-	stream, err := cl.get(ctx, "/v1/jobs/"+info.ID+"/records")
+	stream, err := cl.Records(ctx, info.ID)
 	if err != nil {
 		if interrupted.Load() {
 			fmt.Fprintf(stderr, "interrupted: remote job %s canceled\n", info.ID)
 			return 1
 		}
-		fmt.Fprintln(stderr, "error:", err)
+		fmt.Fprintln(stderr, "error: record stream:", err)
 		return 1
 	}
-	defer stream.Body.Close()
-	if stream.StatusCode != http.StatusOK {
-		fmt.Fprintf(stderr, "error: record stream: %s: %s\n", stream.Status, remoteError(stream.Body))
-		return 1
-	}
+	defer stream.Close()
 
 	code := 0
-	sc := bufio.NewScanner(stream.Body)
+	sc := bufio.NewScanner(stream)
 	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -147,18 +134,19 @@ func runRemote(base, token string, s scenario.Scenario, jsonOut bool, expanded i
 	// The stream also terminates when the job is canceled (another client,
 	// or the daemon draining) or fails server-side; a truncated sweep must
 	// not look like success, so check the job's terminal state.
-	if state, cause, err := cl.jobState(info.ID); err != nil {
+	if end, err := cl.Job(context.Background(), info.ID); err != nil {
 		fmt.Fprintln(stderr, "error: checking job state:", err)
 		return 1
-	} else if state != "done" {
-		if cause != "" {
-			cause = ": " + cause
+	} else if end.State != service.StateDone {
+		cause := ""
+		if end.Error != "" {
+			cause = ": " + end.Error
 		}
-		fmt.Fprintf(stderr, "error: job %s ended %s%s; records above are partial\n", info.ID, state, cause)
+		fmt.Fprintf(stderr, "error: job %s ended %s%s; records above are partial\n", info.ID, end.State, cause)
 		return 1
 	}
 	if traceFile != "" {
-		if err := cl.fetchTrace(info.ID, traceFile); err != nil {
+		if err := fetchTrace(cl, info.ID, traceFile); err != nil {
 			fmt.Fprintln(stderr, "error: fetching trace:", err)
 			return 1
 		}
@@ -170,71 +158,27 @@ func runRemote(base, token string, s scenario.Scenario, jsonOut bool, expanded i
 }
 
 // fetchTrace downloads a completed job's telemetry trace stream to path.
-func (c apiClient) fetchTrace(id, path string) error {
-	resp, err := c.get(context.Background(), "/v1/jobs/"+id+"/trace")
+func fetchTrace(cl service.Client, id, path string) error {
+	rc, err := cl.Trace(context.Background(), id)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", resp.Status, remoteError(resp.Body))
-	}
+	defer rc.Close()
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if _, err := io.Copy(f, resp.Body); err != nil {
+	if _, err := io.Copy(f, rc); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-// apiClient issues nccd API calls against one base URL, attaching the bearer
-// token (for a token-protected daemon) to every request.
-type apiClient struct {
-	base  string
-	token string
-}
-
-func (c apiClient) request(ctx context.Context, method, path string, body []byte) (*http.Request, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	return req, nil
-}
-
-func (c apiClient) post(path string, body []byte) (*http.Response, error) {
-	req, err := c.request(context.Background(), http.MethodPost, path, body)
-	if err != nil {
-		return nil, err
-	}
-	return http.DefaultClient.Do(req)
-}
-
-func (c apiClient) get(ctx context.Context, path string) (*http.Response, error) {
-	req, err := c.request(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return nil, err
-	}
-	return http.DefaultClient.Do(req)
-}
-
 // pushGraph uploads a locally stored graph to the daemon's /v1/graphs route.
 // A graph missing from the local store is not an error — the reference may
 // name a graph only the daemon holds.
-func (c apiClient) pushGraph(hash string) error {
+func pushGraph(cl service.Client, hash string) error {
 	st, err := graphio.ActiveStore()
 	if err != nil {
 		return err
@@ -247,68 +191,5 @@ func (c apiClient) pushGraph(hash string) error {
 		return err
 	}
 	defer f.Close()
-	req, err := http.NewRequest(http.MethodPut, c.base+"/v1/graphs/"+hash, f)
-	if err != nil {
-		return err
-	}
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("%s: %s", resp.Status, remoteError(resp.Body))
-	}
-	return nil
-}
-
-// cancelJob is the interrupt path: best-effort DELETE of the submitted job so
-// the daemon aborts it instead of finishing a sweep with no audience.
-func (c apiClient) cancelJob(id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := c.request(ctx, http.MethodDelete, "/v1/jobs/"+id, nil)
-	if err != nil {
-		return
-	}
-	if resp, err := http.DefaultClient.Do(req); err == nil {
-		resp.Body.Close()
-	}
-}
-
-// jobState fetches a job's terminal state (and failure cause, if any) after
-// its stream ended.
-func (c apiClient) jobState(id string) (state, cause string, err error) {
-	resp, err := c.get(context.Background(), "/v1/jobs/"+id)
-	if err != nil {
-		return "", "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", "", fmt.Errorf("%s: %s", resp.Status, remoteError(resp.Body))
-	}
-	var info struct {
-		State string `json:"state"`
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return "", "", err
-	}
-	return info.State, info.Error, nil
-}
-
-// remoteError extracts the {"error": ...} payload of a failed API call,
-// falling back to the raw body.
-func remoteError(r io.Reader) string {
-	data, _ := io.ReadAll(io.LimitReader(r, 4096))
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(data, &e) == nil && e.Error != "" {
-		return e.Error
-	}
-	return strings.TrimSpace(string(data))
+	return cl.PutGraph(context.Background(), hash, f)
 }

@@ -85,7 +85,7 @@ func runRecorded(cfg Config, program func(ctx *Context, record func([]Received))
 		program(ctx, func(in []Received) {
 			ev := diffEvent{round: ctx.Round()}
 			for i := range in {
-				ev.inbox = append(ev.inbox, fmt.Sprint(in[i].From, ctx.Payload(&in[i])))
+				ev.inbox = append(ev.inbox, fmt.Sprint(in[i].From, msgWords(ctx, &in[i])))
 			}
 			res.events[me] = append(res.events[me], ev)
 		})

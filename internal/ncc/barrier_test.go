@@ -114,8 +114,8 @@ func TestBarrierLargeNSmoke(t *testing.T) {
 	}
 }
 
-// TestSendWordEquivalence checks that the inline fast paths are observably
-// identical to sending the same payloads through the Payload interface.
+// TestSendWordEquivalence checks that SendWord and SendWords2 are observably
+// identical to sending the same payloads as slices through SendWords.
 func TestSendWordEquivalence(t *testing.T) {
 	type digest struct {
 		st  Stats
@@ -133,8 +133,8 @@ func TestSendWordEquivalence(t *testing.T) {
 						ctx.SendWord(to, Word(uint64(me*100+r)))
 						ctx.SendWords2(to, Words2{uint64(me), uint64(r)})
 					} else {
-						ctx.Send(to, Word(uint64(me*100+r)))
-						ctx.Send(to, Words2{uint64(me), uint64(r)})
+						ctx.SendWords(to, []uint64{uint64(me*100 + r)})
+						ctx.SendWords(to, []uint64{uint64(me), uint64(r)})
 					}
 				}
 				for _, rc := range ctx.EndRound() {
@@ -144,14 +144,9 @@ func TestSendWordEquivalence(t *testing.T) {
 					if w2, ok := rc.AsWords2(); ok {
 						sums[me] = sums[me]*37 + w2[0]<<8 + w2[1]
 					}
-					// The boxed view must agree with the inline view.
-					switch p := ctx.Payload(&rc).(type) {
-					case Word:
-						sums[me] = sums[me]*41 + uint64(p)
-					case Words2:
-						sums[me] = sums[me]*43 + p[0] + p[1]
-					default:
-						panic("unexpected payload type")
+					// SendWords carries one and two words inline too.
+					if _, ok := ctx.Words(&rc); ok {
+						panic("a one- or two-word payload arrived in the word arena")
 					}
 				}
 			}
@@ -166,6 +161,6 @@ func TestSendWordEquivalence(t *testing.T) {
 		return d
 	}
 	if a, b := runWith(true), runWith(false); !reflect.DeepEqual(a, b) {
-		t.Errorf("inline and boxed sends diverge:\n  inline: %+v\n  boxed:  %+v", a, b)
+		t.Errorf("SendWord/SendWords2 and SendWords diverge:\n  SendWord/SendWords2: %+v\n  SendWords:  %+v", a, b)
 	}
 }

@@ -12,15 +12,6 @@ import (
 // 0..N-1, known to every node (the clique assumption of the model).
 type NodeID = int
 
-// Payload is the content of a message: 1..Config.MaxWords machine words,
-// where one word stands for Theta(log n) bits; the model allows O(log n)-bit
-// messages, i.e. a constant number of words. Words reports the width. A
-// message is a Word, Words2 or WordsN; Context.Send panics on any other
-// Payload type and on payloads wider than MaxWords.
-type Payload interface {
-	Words() int
-}
-
 // Outage takes one node out of service at a round boundary. A plain outage
 // suspends the node: its program keeps executing, but every message it sends
 // or is sent is suppressed until a Revival returns it to service (the node is

@@ -11,9 +11,10 @@
 // program bug, never a network condition.
 //
 // Programs are written SPMD style: Run spawns one goroutine per node, all
-// executing the same program against a Context. Context.Send buffers messages
-// for the current round and Context.EndRound blocks on the global round
-// barrier, returning the messages delivered to the node. Context.AwaitInput
+// executing the same program against a Context. Context.SendWord (SendWords2
+// and SendWords for wider payloads) buffers messages for the current round
+// and Context.EndRound blocks on the global round barrier, returning the
+// messages delivered to the node. Context.AwaitInput
 // is EndRound that sleeps through empty rounds: the node stays parked, off
 // the barrier, until a round delivers it input, its deadline round passes,
 // or the fault plan kills it.
@@ -50,21 +51,19 @@
 // release walks only its set bits.
 //
 // A message is 1..Config.MaxWords machine words, the model's O(log n) bits:
-// Send takes a Word, Words2 or WordsN and panics on any other Payload. The
+// SendWords2 and SendWords panic on a payload wider than MaxWords. The
 // in-transit Envelope is 32 bytes with no pointer — one or two words inline,
 // wider payloads as an offset into the sender's word arena — so the outboxes
 // and buckets every message is copied through are never scanned by the
 // garbage collector. A delivered Received is 32 bytes with no pointer
 // either: it holds the words inline or their offset into the receiver's
-// word arena. Received.AsWord/AsWords2 read the inline forms, the receiving
-// node's Context.Words the arena-backed ones, and its Context.Payload any
-// width. A probe's ShardTiming.Sent view sees only From, To and Words().
-// The steady-state message path allocates nothing (use SendWord,
-// SendWords2, SendWords, AsWord, AsWords2 and Context.Words to stay off the
-// heap entirely): outboxes, buckets and inboxes are sized from observed
-// traffic and reused across rounds. A full bucket grows on demand, once, to what the
-// rest of the round still sends to it (at least doubling), so steady
-// traffic sizes it exactly in its first round. TestSteadyStateAllocs pins ~0
+// word arena. Received.AsWord/AsWords2 read the inline forms and the
+// receiving node's Context.Words the arena-backed ones. A probe's
+// ShardTiming.Sent view sees only From, To and Words(). The steady-state
+// message path allocates nothing: outboxes, buckets and inboxes are sized
+// from observed traffic and reused across rounds. A full bucket grows on
+// demand, once, to what the rest of the round still sends to it (at least
+// doubling), so steady traffic sizes it exactly in its first round. TestSteadyStateAllocs pins ~0
 // allocs/message; BenchmarkEngineScale tracks 64k/256k/1M-node throughput
 // against BENCH_baseline.json in CI.
 //
@@ -79,7 +78,7 @@
 // N and 2N nodes and drops it otherwise, so a large run's memory is not
 // pinned behind a stream of small ones; an aborted run hands nothing back,
 // and a run that finds the spare taken by a concurrent one allocates. Hence
-// nothing a run gives its program, a *Context, an inbox, a Words or Payload
+// nothing a run gives its program, a *Context, an inbox or a Words
 // view, may be used after Run returns. The recycling pays where a run
 // follows another in the same process.
 //

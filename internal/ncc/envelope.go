@@ -28,9 +28,9 @@ func (e *Envelope) Words() int { return int(e.width) }
 // Envelope it holds no pointer, so inboxes are arrays the garbage collector
 // never scans: one- and two-word payloads are stored inline, and a wider
 // one as an offset into the receiving node's word arena. AsWord and AsWords2
-// read the inline forms, the receiving Context's Words the arena-backed
-// ones, and its Payload any width. The steady-state delivery path performs
-// no heap allocation per message.
+// read the inline forms and the receiving Context's Words the arena-backed
+// ones. The steady-state delivery path performs no heap allocation per
+// message.
 type Received struct {
 	From  NodeID
 	a, b  uint64
@@ -61,22 +61,6 @@ func (m *Received) AsWords2() (Words2, bool) {
 		return Words2{m.a, m.b}, true
 	}
 	return Words2{}, false
-}
-
-// Payload materializes the content of m, a message from this node's inbox,
-// as a Word, Words2 or WordsN; inline payloads are re-boxed on demand. Type
-// switches like `c.Payload(rc).(type)` work for every payload; use
-// AsWord/AsWords2/Words on allocation-sensitive paths. A WordsN result
-// aliases the node's word arena, as Words does, and has the same lifetime.
-func (c *Context) Payload(m *Received) Payload {
-	switch m.width {
-	case 1:
-		return Word(m.a)
-	case 2:
-		return Words2{m.a, m.b}
-	default:
-		return WordsN(c.arenaWords(m))
-	}
 }
 
 // Words returns the payload words of m, a multi-word (3+) message from this

@@ -93,9 +93,9 @@ func TestWordPayloadsSurviveTruncation(t *testing.T) {
 						}
 						switch {
 						case k%2 == 0:
-							ctx.Send(to, WordsN(buf[:w]))
+							ctx.SendWords(to, buf[:w])
 						case w == 1:
-							ctx.Send(to, Word(buf[0]))
+							ctx.SendWord(to, Word(buf[0]))
 						case w == 2:
 							ctx.SendWords2(to, Words2{buf[0], buf[1]})
 						default:
@@ -126,28 +126,24 @@ func TestWordPayloadsSurviveTruncation(t *testing.T) {
 	}
 }
 
+// msgWords returns the words of m, a message from ctx's inbox, whatever its
+// width.
+func msgWords(ctx *Context, m *Received) []uint64 {
+	if w, ok := m.AsWord(); ok {
+		return []uint64{uint64(w)}
+	}
+	if w, ok := m.AsWords2(); ok {
+		return w[:]
+	}
+	w, _ := ctx.Words(m)
+	return w
+}
+
 // checkPayload panics unless m, a message from ctx's inbox, decodes to a
 // message sent in round r: its width follows from (sender, round, index) and
 // every word matches.
 func checkPayload(ctx *Context, m *Received, r, maxw int) {
-	var words []uint64
-	switch p := ctx.Payload(m).(type) {
-	case Word:
-		if w, ok := m.AsWord(); !ok || w != p {
-			panic("AsWord disagrees with Payload")
-		}
-		words = []uint64{uint64(p)}
-	case Words2:
-		if w, ok := m.AsWords2(); !ok || w != p {
-			panic("AsWords2 disagrees with Payload")
-		}
-		words = p[:]
-	case WordsN:
-		if w, ok := ctx.Words(m); !ok || !reflect.DeepEqual(w, []uint64(p)) {
-			panic("Words disagrees with Payload")
-		}
-		words = p
-	}
+	words := msgWords(ctx, m)
 	for index := 0; index < 64; index++ {
 		if words[0] != payloadWord(m.From, r, index, 0) {
 			continue

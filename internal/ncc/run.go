@@ -121,50 +121,29 @@ func (c *Context) pushOut(to NodeID, a, b uint64, width int) {
 	c.out = out
 }
 
-// Send buffers a message for delivery at the next round barrier. A message
-// is 1..Config.MaxWords machine words: the payload must be a Word, Words2 or
-// WordsN, and any other Payload type panics, as does one wider than
-// MaxWords: the model only admits O(log n)-bit messages.
-//
-// Note that passing a Word or Words2 through the Payload interface may make
-// the compiler heap-allocate the short-lived interface value at the call
-// site; hot loops should use SendWord/SendWords2, which never box.
-func (c *Context) Send(to NodeID, p Payload) {
-	switch v := p.(type) {
-	case Word:
-		c.SendWord(to, v)
-	case Words2:
-		c.SendWords2(to, v)
-	case WordsN:
-		c.SendWords(to, v)
-	default:
-		c.checkSend(to)
-		panic(fmt.Sprintf("ncc: node %d sent a %T payload; a message is a Word, Words2 or WordsN", c.id, p))
-	}
-}
-
-// SendWord buffers a one-word message. It is the allocation-free fast path:
-// unlike Send(to, Word(w)) the payload never travels through an interface,
-// so nothing escapes to the heap.
+// SendWord buffers a one-word message for delivery at the next round
+// barrier. A message is 1..Config.MaxWords machine words, one word standing
+// for Theta(log n) bits: the model admits O(log n)-bit messages, so a wider
+// payload panics (see SendWords). No send allocates in steady state.
 func (c *Context) SendWord(to NodeID, w Word) {
 	c.checkSend(to)
 	c.pushOut(to, uint64(w), 0, 1)
 }
 
-// SendWords2 buffers a two-word message without boxing; see SendWord.
+// SendWords2 buffers a two-word message; see SendWord.
 func (c *Context) SendWords2(to NodeID, w Words2) {
 	c.checkSend(to)
 	if c.r.cfg.MaxWords < 2 {
-		c.panicOversized(2, w)
+		c.panicOversized(2)
 	}
 	c.pushOut(to, w[0], w[1], 2)
 }
 
-// SendWords buffers a message of len(ws) words without boxing: one- and
-// two-word slices take the inline Word/Words2 representation, wider payloads
-// are copied into the node's word arena (recycled every round), so arbitrary
-// widths up to Config.MaxWords stay allocation-free in steady state. The
-// caller keeps ownership of ws and may reuse it immediately.
+// SendWords buffers a message of len(ws) words: one- and two-word slices
+// take the inline Word/Words2 representation, wider payloads are copied into
+// the node's word arena (recycled every round), so arbitrary widths up to
+// Config.MaxWords stay allocation-free in steady state. The caller keeps
+// ownership of ws and may reuse it immediately.
 func (c *Context) SendWords(to NodeID, ws []uint64) {
 	c.checkSend(to)
 	n := len(ws)
@@ -172,7 +151,7 @@ func (c *Context) SendWords(to NodeID, ws []uint64) {
 	case n == 0:
 		panic(fmt.Sprintf("ncc: node %d sent an empty word payload", c.id))
 	case n > c.r.cfg.MaxWords:
-		c.panicOversized(n, WordsN(ws))
+		c.panicOversized(n)
 	case n == 1:
 		c.pushOut(to, ws[0], 0, 1)
 	case n == 2:
@@ -195,9 +174,9 @@ func (r *run) payloadWords(e *Envelope) []uint64 {
 	return r.nodes[e.From].sendWords[e.a : e.a+uint64(e.width)]
 }
 
-func (c *Context) panicOversized(w int, p Payload) {
-	panic(fmt.Sprintf("ncc: node %d payload of %d words exceeds MaxWords=%d (%T)",
-		c.id, w, c.r.cfg.MaxWords, p))
+func (c *Context) panicOversized(w int) {
+	panic(fmt.Sprintf("ncc: node %d payload of %d words exceeds MaxWords=%d",
+		c.id, w, c.r.cfg.MaxWords))
 }
 
 // EndRound submits the buffered messages to the round barrier, blocks until

@@ -55,7 +55,7 @@ func TestPingPong(t *testing.T) {
 	st, err := Run(cfg, func(ctx *Context) {
 		peer := 1 - ctx.ID()
 		for i := 0; i < rounds; i++ {
-			ctx.Send(peer, Word(uint64(ctx.ID()*100+i)))
+			ctx.SendWord(peer, Word(uint64(ctx.ID()*100+i)))
 			got := ctx.EndRound()
 			if len(got) != 1 {
 				panic("expected exactly one message")
@@ -64,7 +64,7 @@ func TestPingPong(t *testing.T) {
 				panic("wrong sender")
 			}
 			want := Word(uint64(peer*100 + i))
-			if ctx.Payload(&got[0]).(Word) != want {
+			if w, _ := got[0].AsWord(); w != want {
 				panic("wrong payload")
 			}
 		}
@@ -103,7 +103,7 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			to := ctx.Rand().IntN(ctx.N())
 			if to != ctx.ID() {
-				ctx.Send(to, Word(ctx.Rand().Uint64()))
+				ctx.SendWord(to, Word(ctx.Rand().Uint64()))
 			}
 			ctx.EndRound()
 		}
@@ -127,7 +127,7 @@ func TestReceiveOverflowDrops(t *testing.T) {
 	got := 0
 	_, err := Run(cfg, func(ctx *Context) {
 		if ctx.ID() != 0 {
-			ctx.Send(0, Word(1))
+			ctx.SendWord(0, Word(1))
 			ctx.EndRound()
 			return
 		}
@@ -146,7 +146,7 @@ func TestReceiveOverflowStats(t *testing.T) {
 	cfg := Config{N: 64, CapFactor: 2, Seed: 7}
 	st, err := Run(cfg, func(ctx *Context) {
 		if ctx.ID() != 0 {
-			ctx.Send(0, Word(1))
+			ctx.SendWord(0, Word(1))
 		}
 		ctx.EndRound()
 	})
@@ -174,7 +174,7 @@ func TestSendCapPanics(t *testing.T) {
 		_, err := Run(cfg, func(ctx *Context) {
 			if ctx.ID() == 0 {
 				for i := 0; i < ctx.Cap()+1; i++ {
-					ctx.Send(1+i%3, Word(0))
+					ctx.SendWord(1+i%3, Word(0))
 				}
 			}
 			ctx.EndRound()
@@ -297,7 +297,7 @@ func TestMaxRounds(t *testing.T) {
 
 func TestSelfSendPanics(t *testing.T) {
 	_, err := Run(Config{N: 2, Seed: 1}, func(ctx *Context) {
-		ctx.Send(ctx.ID(), Word(0))
+		ctx.SendWord(ctx.ID(), Word(0))
 		ctx.EndRound()
 	})
 	if err == nil || !strings.Contains(err.Error(), "itself") {
@@ -305,27 +305,23 @@ func TestSelfSendPanics(t *testing.T) {
 	}
 }
 
-type foreignPayload struct{}
-
-func (foreignPayload) Words() int { return 1 }
-
-// TestOversizedPayloadPanics checks that Send admits only word payloads of
-// at most MaxWords words, and that each panic names what was wrong.
+// TestOversizedPayloadPanics checks that a payload wider than MaxWords
+// panics through both sends that can carry one, naming the limit.
 func TestOversizedPayloadPanics(t *testing.T) {
 	for _, tc := range []struct {
-		p    Payload
-		want string
+		name     string
+		maxWords int
+		send     func(ctx *Context, to NodeID)
 	}{
-		{make(WordsN, 1000), "MaxWords"},
-		{foreignPayload{}, "ncc.foreignPayload"},
-		{nil, "<nil>"},
+		{"SendWords", 0, func(ctx *Context, to NodeID) { ctx.SendWords(to, make([]uint64, 1000)) }},
+		{"SendWords2", 1, func(ctx *Context, to NodeID) { ctx.SendWords2(to, Words2{}) }},
 	} {
-		_, err := Run(Config{N: 2, Seed: 1}, func(ctx *Context) {
-			ctx.Send(1-ctx.ID(), tc.p)
+		_, err := Run(Config{N: 2, Seed: 1, MaxWords: tc.maxWords}, func(ctx *Context) {
+			tc.send(ctx, 1-ctx.ID())
 			ctx.EndRound()
 		})
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Send(%T): want a panic naming %q, got %v", tc.p, tc.want, err)
+		if err == nil || !strings.Contains(err.Error(), "MaxWords") {
+			t.Errorf("%s: want a panic naming MaxWords, got %v", tc.name, err)
 		}
 	}
 }
@@ -337,7 +333,7 @@ func TestMessagesToFinishedNodesAreDropped(t *testing.T) {
 			return // finish immediately
 		}
 		for i := 0; i < 3; i++ {
-			ctx.Send(1, Word(0))
+			ctx.SendWord(1, Word(0))
 			ctx.EndRound()
 		}
 	})
@@ -367,7 +363,7 @@ func TestPlanDropOne(t *testing.T) {
 	cfg := Config{N: 4, Seed: 1, FaultPlan: lossPlan{p: 1}}
 	var deliveredAny bool
 	_, err := Run(cfg, func(ctx *Context) {
-		ctx.Send((ctx.ID()+1)%ctx.N(), Word(0))
+		ctx.SendWord((ctx.ID()+1)%ctx.N(), Word(0))
 		if len(ctx.EndRound()) > 0 {
 			deliveredAny = true
 		}
@@ -388,7 +384,7 @@ func TestPlanLinkCut(t *testing.T) {
 	_, err := Run(cfg, func(ctx *Context) {
 		for to := 0; to < ctx.N(); to++ {
 			if to != ctx.ID() {
-				ctx.Send(to, Word(0))
+				ctx.SendWord(to, Word(0))
 			}
 		}
 		counts[ctx.ID()] = len(ctx.EndRound())
@@ -432,7 +428,7 @@ func TestConservationProperty(t *testing.T) {
 				for j := 0; j < min(f, ctx.Cap()); j++ {
 					to := ctx.Rand().IntN(ctx.N())
 					if to != ctx.ID() {
-						ctx.Send(to, Word(0))
+						ctx.SendWord(to, Word(0))
 					}
 				}
 				deliveredPer[ctx.ID()] += int64(len(ctx.EndRound()))

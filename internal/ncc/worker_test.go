@@ -42,22 +42,23 @@ func TestWorkerCountInvariance(t *testing.T) {
 				switch {
 				case r%5 == 3:
 					if me != 0 {
-						ctx.Send(0, Word(uint64(r)))
+						ctx.SendWord(0, Word(uint64(r)))
 					}
 				case r%7 == 5 && me%3 == 0:
 					for i := 0; i < ctx.Cap(); i++ {
-						ctx.Send((me+1+i%(n-1))%n, Word(uint64(i)))
+						ctx.SendWord((me+1+i%(n-1))%n, Word(uint64(i)))
 					}
 				default:
 					for i := 0; i < 1+ctx.Rand().IntN(4); i++ {
 						to := ctx.Rand().IntN(n)
 						if to != me {
-							ctx.Send(to, Word(ctx.Rand().Uint64()))
+							ctx.SendWord(to, Word(ctx.Rand().Uint64()))
 						}
 					}
 				}
 				for _, rc := range ctx.EndRound() {
-					sums[me] = sums[me]*31 + uint64(rc.From)*2654435761 + uint64(ctx.Payload(&rc).(Word))
+					w, _ := rc.AsWord()
+					sums[me] = sums[me]*31 + uint64(rc.From)*2654435761 + uint64(w)
 				}
 			}
 		})
@@ -96,7 +97,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 // TestWorkersMoreThanNodes checks the engine clamps oversized worker counts.
 func TestWorkersMoreThanNodes(t *testing.T) {
 	st, err := Run(Config{N: 3, Seed: 1, Workers: 64}, func(ctx *Context) {
-		ctx.Send((ctx.ID()+1)%3, Word(7))
+		ctx.SendWord((ctx.ID()+1)%3, Word(7))
 		ctx.EndRound()
 	})
 	if err != nil {
@@ -130,7 +131,7 @@ func TestParallelWorkersDeliverOrdered(t *testing.T) {
 	_, err := Run(cfg, func(ctx *Context) {
 		for r := 0; r < 5; r++ {
 			for k := 1; k <= 3; k++ {
-				ctx.Send((ctx.ID()+k)%n, Word(uint64(k)))
+				ctx.SendWord((ctx.ID()+k)%n, Word(uint64(k)))
 			}
 			in := ctx.EndRound()
 			for i := 1; i < len(in); i++ {
@@ -169,7 +170,7 @@ func TestFaultPlanPanicSurfaces(t *testing.T) {
 			cfg := Config{N: 8, Seed: 1, Workers: workers, FaultPlan: plan}
 			_, err := Run(cfg, func(ctx *Context) {
 				for r := 0; r < 10; r++ {
-					ctx.Send((ctx.ID()+1)%ctx.N(), Word(0))
+					ctx.SendWord((ctx.ID()+1)%ctx.N(), Word(0))
 					ctx.EndRound()
 				}
 			})

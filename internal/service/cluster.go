@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"sort"
@@ -242,7 +241,6 @@ type RemoteBackend struct {
 	cache    *cache
 	reg      *workerRegistry
 	queue    chan *Job
-	client   *http.Client
 	wg       sync.WaitGroup // dispatcher + in-flight proxies
 	stopScan chan struct{}  // stops the heartbeat-expiry loop
 }
@@ -254,33 +252,12 @@ func newRemoteBackend(cfg Config, c *cache, m *metrics) *RemoteBackend {
 		cache:    c,
 		reg:      newWorkerRegistry(cfg.WorkerTTL),
 		queue:    make(chan *Job, cfg.QueueLimit),
-		client:   newClusterClient(),
 		stopScan: make(chan struct{}),
 	}
 	b.wg.Add(1)
 	go b.dispatcher()
 	go b.expiryLoop()
 	return b
-}
-
-// newClusterClient builds the coordinator→worker HTTP client. Job record
-// streams are long-lived, so there is no whole-request timeout; instead the
-// transport bounds the two places a dead worker could hang a dispatch
-// forever: establishing the connection and waiting for response headers.
-// Stalls after the headers are handled by the heartbeat expiry path, which
-// cancels and re-dispatches the jobs of a worker that stops heartbeating.
-func newClusterClient() *http.Client {
-	return &http.Client{
-		Transport: &http.Transport{
-			DialContext: (&net.Dialer{
-				Timeout:   5 * time.Second,
-				KeepAlive: 30 * time.Second,
-			}).DialContext,
-			ResponseHeaderTimeout: 15 * time.Second,
-			IdleConnTimeout:       90 * time.Second,
-			MaxIdleConnsPerHost:   8,
-		},
-	}
 }
 
 // expiryLoop sweeps the registry for workers that missed their heartbeats.
@@ -298,12 +275,10 @@ func (b *RemoteBackend) expiryLoop() {
 	}
 }
 
-// authorize attaches the shared cluster token to a coordinator→worker request;
-// workers run the same bearer guard as the coordinator.
-func (b *RemoteBackend) authorize(req *http.Request) {
-	if b.cfg.ClusterToken != "" {
-		req.Header.Set("Authorization", "Bearer "+b.cfg.ClusterToken)
-	}
+// api is the client of one worker's HTTP API. Workers run the same bearer
+// guard as the coordinator, so it carries the shared cluster token.
+func (b *RemoteBackend) api(w *remoteWorker) Client {
+	return NewClusterClient(w.url, b.cfg.ClusterToken)
 }
 
 // Submit enqueues a job for dispatch without blocking.
@@ -431,11 +406,7 @@ func (b *RemoteBackend) runOn(j *Job, w *remoteWorker) (State, string, error) {
 	}
 	wm := b.m.worker(w.name)
 	wm.jobs.Add(1)
-
-	body, err := json.Marshal(j.Scenario)
-	if err != nil {
-		return StateFailed, fmt.Sprintf("encoding scenario: %v", err), nil
-	}
+	api := b.api(w)
 
 	// Every request of this attempt aborts when the worker is declared dead
 	// or the attempt ends.
@@ -451,33 +422,9 @@ func (b *RemoteBackend) runOn(j *Job, w *remoteWorker) (State, string, error) {
 		}
 	}()
 
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return "", "", fmt.Errorf("building submit request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	// Propagate the coordinator's job and trace identity so the whole
-	// dispatch — coordinator job, worker job, both trace streams — correlates
-	// under one pair of ids in logs and traces.
-	req.Header.Set("X-NCC-Job-Id", j.ID)
-	req.Header.Set("X-NCC-Trace-Id", j.TraceID)
-	b.authorize(req)
-	resp, err := b.client.Do(req)
+	remote, err := api.SubmitJob(ctx, j.Scenario)
 	if err != nil {
 		return "", "", fmt.Errorf("submitting: %w", err)
-	}
-	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-		msg := readAPIError(resp.Body)
-		resp.Body.Close()
-		return "", "", fmt.Errorf("submit: %s: %s", resp.Status, msg)
-	}
-	var remote struct {
-		ID string `json:"id"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&remote)
-	resp.Body.Close()
-	if err != nil {
-		return "", "", fmt.Errorf("decoding submit response: %w", err)
 	}
 
 	// The remote id is known: propagate a coordinator-side cancel to the
@@ -485,31 +432,25 @@ func (b *RemoteBackend) runOn(j *Job, w *remoteWorker) (State, string, error) {
 	go func() {
 		select {
 		case <-j.cancel:
-			b.cancelRemote(w.url, remote.ID)
+			cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			api.CancelJob(cctx, remote.ID)
+			cancel()
 			stopReq()
 		case <-attemptDone:
 		}
 	}()
 
-	req, err = http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/v1/jobs/"+remote.ID+"/records", nil)
-	if err != nil {
-		return "", "", fmt.Errorf("building stream request: %w", err)
-	}
-	b.authorize(req)
-	stream, err := b.client.Do(req)
+	stream, err := api.Records(ctx, remote.ID)
 	if err != nil {
 		return "", "", fmt.Errorf("opening record stream: %w", err)
 	}
-	defer stream.Body.Close()
-	if stream.StatusCode != http.StatusOK {
-		return "", "", fmt.Errorf("record stream: %s: %s", stream.Status, readAPIError(stream.Body))
-	}
+	defer stream.Close()
 
 	// On a retry the worker replays the full deterministic stream; skip the
 	// lines the previous attempt already published so clients see one
 	// seamless, byte-identical stream across the failover.
 	skip := j.lineCount()
-	sc := bufio.NewScanner(stream.Body)
+	sc := bufio.NewScanner(stream)
 	sc.Buffer(nil, 16<<20) // starts small and grows to the longest record
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -541,18 +482,20 @@ func (b *RemoteBackend) runOn(j *Job, w *remoteWorker) (State, string, error) {
 	}
 
 	// Clean EOF: the worker job reached a terminal state — fetch it.
-	state, cause, err := b.remoteState(w.url, remote.ID)
+	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	info, err := api.Job(sctx, remote.ID)
 	if err != nil {
 		if j.canceled() {
 			return StateCanceled, "", nil
 		}
-		return "", "", err
+		return "", "", fmt.Errorf("fetching job state: %w", err)
 	}
-	switch state {
+	switch info.State {
 	case StateDone:
 		return StateDone, "", nil
 	case StateFailed:
-		return StateFailed, cause, nil
+		return StateFailed, info.Error, nil
 	case StateCanceled:
 		if j.canceled() {
 			return StateCanceled, "", nil
@@ -560,7 +503,7 @@ func (b *RemoteBackend) runOn(j *Job, w *remoteWorker) (State, string, error) {
 		// The worker canceled unilaterally (draining): run elsewhere.
 		return "", "", fmt.Errorf("worker canceled the job")
 	default:
-		return "", "", fmt.Errorf("stream ended with worker job %s still %s", remote.ID, state)
+		return "", "", fmt.Errorf("stream ended with worker job %s still %s", remote.ID, info.State)
 	}
 }
 
@@ -572,22 +515,12 @@ func (b *RemoteBackend) runOn(j *Job, w *remoteWorker) (State, string, error) {
 // clean EOF), so the trace stream is complete and EOF-bounded: it is read
 // in one piece, and the published lines alias that buffer.
 func (b *RemoteBackend) fetchTrace(ctx context.Context, j *Job, w *remoteWorker, remoteID string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/v1/jobs/"+remoteID+"/trace", nil)
-	if err != nil {
-		return fmt.Errorf("building trace request: %w", err)
-	}
-	req.Header.Set("X-NCC-Job-Id", j.ID)
-	req.Header.Set("X-NCC-Trace-Id", j.TraceID)
-	b.authorize(req)
-	resp, err := b.client.Do(req)
+	rc, err := b.api(w).Trace(ctx, remoteID)
 	if err != nil {
 		return fmt.Errorf("opening trace stream: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("trace stream: %s: %s", resp.Status, readAPIError(resp.Body))
-	}
-	data, err := io.ReadAll(resp.Body)
+	defer rc.Close()
+	data, err := io.ReadAll(rc)
 	if err != nil {
 		return fmt.Errorf("trace stream: %w", err)
 	}
@@ -615,57 +548,6 @@ func splitLines(data []byte, skip int) [][]byte {
 		lines = append(lines, line)
 	}
 	return lines
-}
-
-// cancelRemote best-effort cancels a job on a worker.
-func (b *RemoteBackend) cancelRemote(base, id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return
-	}
-	b.authorize(req)
-	if resp, err := b.client.Do(req); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-}
-
-// remoteState fetches a worker job's state after its stream ended.
-func (b *RemoteBackend) remoteState(base, id string) (State, string, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return "", "", err
-	}
-	b.authorize(req)
-	resp, err := b.client.Do(req)
-	if err != nil {
-		return "", "", fmt.Errorf("fetching job state: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", "", fmt.Errorf("job state: %s: %s", resp.Status, readAPIError(resp.Body))
-	}
-	var info JobInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return "", "", fmt.Errorf("decoding job state: %w", err)
-	}
-	return info.State, info.Error, nil
-}
-
-// readAPIError extracts the {"error": ...} payload of a failed API call.
-func readAPIError(r io.Reader) string {
-	data, _ := io.ReadAll(io.LimitReader(r, 4096))
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(data, &e) == nil && e.Error != "" {
-		return e.Error
-	}
-	return string(bytes.TrimSpace(data))
 }
 
 // Drain stops the dispatcher after the already-queued jobs finish. If ctx

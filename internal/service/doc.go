@@ -86,6 +86,18 @@
 // still byte-identical to a local run. A job is failed only after JobAttempts
 // distinct dispatch attempts.
 //
+// # Talking to a daemon
+//
+// Client is the one way any process talks to a daemon: nccrun -remote and
+// ncccampaign -remote, a coordinator dispatching to its workers, and a
+// worker registering, heartbeating and fetching graphs from its
+// coordinator. It owns the base URL, the bearer token, request building and
+// the decoding of every non-2xx answer into one *APIError. NewClient uses
+// the default transport, for interactive CLIs; NewClusterClient bounds the
+// dial and the wait for response headers, for the cluster roles, whose
+// peers may die. A record stream sends its headers at once, so a bounded
+// header wait holds even for a job that is still queued.
+//
 // # Cancellation and drain
 //
 // Cancellation is wired through the engine's abort path (ncc.Config.Cancel):

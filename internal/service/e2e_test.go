@@ -302,6 +302,41 @@ func TestCancelQueued(t *testing.T) {
 	waitState(t, ts.URL, spinning.ID, service.StateCanceled, 10*time.Second)
 }
 
+// TestQueuedStreamSendsHeaders pins that a record stream's headers go out
+// before the job's first line. A job queued behind a slow one has no line
+// for as long as that one runs, and a client that bounds its wait for
+// headers (the cluster transport waits 15 s) must not time out meanwhile.
+func TestQueuedStreamSendsHeaders(t *testing.T) {
+	ts := newTestServer(t, service.Config{WorkerBudget: 2, Executors: 1})
+	spinning := submit(t, ts.URL, spinJSON)
+	waitState(t, ts.URL, spinning.ID, service.StateRunning, 10*time.Second)
+	queued := submit(t, ts.URL, sweepJSON)
+	defer func() {
+		for _, id := range []string{queued.ID, spinning.ID} {
+			resp, err := http.Post(ts.URL+"/v1/jobs/"+id+"/cancel", "application/json", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+		}
+		waitState(t, ts.URL, spinning.ID, service.StateCanceled, 10*time.Second)
+	}()
+
+	tr := &http.Transport{ResponseHeaderTimeout: 200 * time.Millisecond}
+	defer tr.CloseIdleConnections()
+	resp, err := (&http.Client{Transport: tr}).Get(ts.URL + "/v1/jobs/" + queued.ID + "/records")
+	if err != nil {
+		t.Fatalf("record stream of a queued job: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("record stream status %d, want 200", resp.StatusCode)
+	}
+	if st := jobInfo(t, ts.URL, queued.ID).State; st != service.StateQueued {
+		t.Fatalf("job state %q, want still queued behind the single executor", st)
+	}
+}
+
 // TestDiskCacheSurvivesRestart runs a sweep under one server, then brings up
 // a fresh server over the same cache directory and checks the identical
 // submission is answered from disk, byte-identically.

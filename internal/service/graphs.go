@@ -2,7 +2,6 @@ package service
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 
@@ -61,32 +60,4 @@ func (s *Server) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]string{"hash": got})
-}
-
-// GraphFetcher returns a fetch function for graphio.SetFetcher that pulls
-// missing graphs from another daemon's /v1/graphs route — the hook that lets
-// a cluster worker execute a file-family scenario it has never seen: the
-// resolver fetches the bytes from the coordinator, validates them against the
-// content hash, and persists them in the worker's own store.
-func GraphFetcher(base, token string) func(hash string) (io.ReadCloser, error) {
-	client := &http.Client{}
-	return func(hash string) (io.ReadCloser, error) {
-		req, err := http.NewRequest(http.MethodGet, base+"/v1/graphs/"+hash, nil)
-		if err != nil {
-			return nil, err
-		}
-		if token != "" {
-			req.Header.Set("Authorization", "Bearer "+token)
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			resp.Body.Close()
-			return nil, fmt.Errorf("GET %s/v1/graphs/%s: %s: %s", base, hash, resp.Status, body)
-		}
-		return resp.Body, nil
-	}
 }

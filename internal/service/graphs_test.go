@@ -124,7 +124,7 @@ func TestClusterFileGraphSweep(t *testing.T) {
 		t.Fatalf("uploading graph to coordinator: status %d, want 201", got)
 	}
 	graphio.SetStoreDir(t.TempDir())
-	graphio.SetFetcher(service.GraphFetcher(coord.URL, ""))
+	graphio.SetFetcher(service.NewClusterClient(coord.URL, "").Graph)
 
 	w1 := newTestServer(t, service.Config{WorkerBudget: 2, Executors: 1})
 	w2 := newTestServer(t, service.Config{WorkerBudget: 2, Executors: 1})

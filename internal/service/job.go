@@ -50,9 +50,10 @@ type Job struct {
 	Scenario  scenario.Scenario
 	Submitted time.Time
 
-	// TraceID names the job's telemetry trace in logs and cross-node
-	// headers. It is derived from the scenario hash, so a coalesced or
-	// re-dispatched job carries the same trace identity everywhere.
+	// TraceID names the job's telemetry trace in logs and in the trace
+	// route's response headers. It is derived from the scenario hash, so a
+	// coalesced, re-dispatched or proxied job carries the same trace
+	// identity on the coordinator and on its worker.
 	TraceID string
 
 	// cancel is closed (once) to abort the job; the scheduler threads it

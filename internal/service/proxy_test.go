@@ -20,7 +20,7 @@ func TestFetchTrace(t *testing.T) {
 	var mu sync.Mutex
 	body := ""
 	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/jobs/w7/trace" || r.Header.Get("X-NCC-Job-Id") != "j1" {
+		if r.URL.Path != "/v1/jobs/w7/trace" {
 			http.NotFound(w, r)
 			return
 		}
@@ -35,7 +35,7 @@ func TestFetchTrace(t *testing.T) {
 		mu.Unlock()
 	}
 
-	b := &RemoteBackend{m: newMetrics(), client: worker.Client()}
+	b := &RemoteBackend{m: newMetrics()}
 	w := &remoteWorker{name: "w", url: worker.URL}
 
 	j := newJob("j1", "sha256:feed", scenario.Scenario{})

@@ -58,14 +58,18 @@ func (h *StreamHub) serve(w http.ResponseWriter, r *http.Request,
 			streamed.Add(1)
 		}
 		sent += len(lines)
-		if len(lines) > 0 && flusher != nil {
-			flusher.Flush()
-		}
 		if terminal && len(lines) == 0 {
 			return
 		}
 		if terminal {
 			continue // drain any lines appended after the terminal flip
+		}
+		// Flush before every wait, the first included: a client sees the
+		// headers at once even when the job's first line is minutes away (a
+		// queued job, a slow first run), and every line while the job runs.
+		// A finished job's replay goes out in one write when serve returns.
+		if flusher != nil {
+			flusher.Flush()
 		}
 		select {
 		case <-changed:

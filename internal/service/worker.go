@@ -1,14 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"math/rand/v2"
-	"net/http"
 	"net/url"
-	"strings"
 	"time"
 )
 
@@ -28,13 +23,6 @@ type Joiner struct {
 	Logf        func(format string, args ...any)
 }
 
-// authorize attaches the shared cluster token to a worker→coordinator request.
-func (jn *Joiner) authorize(req *http.Request) {
-	if jn.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+jn.Token)
-	}
-}
-
 // Run registers, heartbeats until ctx is done, then deregisters best-effort.
 func (jn *Joiner) Run(ctx context.Context) {
 	interval := jn.Interval
@@ -49,8 +37,7 @@ func (jn *Joiner) Run(ctx context.Context) {
 			name = jn.Self
 		}
 	}
-	base := strings.TrimRight(jn.Coordinator, "/")
-	body, _ := json.Marshal(registerRequest{Name: name, URL: jn.Self, Capacity: jn.Capacity})
+	coord := NewClusterClient(jn.Coordinator, jn.Token)
 
 	// The timer is re-armed at the top of every iteration (heartbeat period
 	// on success, backoff on failure), so it starts parked far in the future:
@@ -61,9 +48,12 @@ func (jn *Joiner) Run(ctx context.Context) {
 	backoff := interval
 	for {
 		wait := interval
-		if err := jn.register(ctx, base, body); err != nil {
+		rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		err := coord.RegisterWorker(rctx, name, jn.Self, jn.Capacity)
+		cancel()
+		if err != nil {
 			if jn.Logf != nil {
-				jn.Logf("join %s: %v", base, err)
+				jn.Logf("join %s: %v", coord.base, err)
 			}
 			registered = false
 			// Capped exponential backoff with jitter: an unreachable
@@ -74,7 +64,7 @@ func (jn *Joiner) Run(ctx context.Context) {
 			wait = backoff/2 + rand.N(backoff/2+1)
 		} else {
 			if !registered && jn.Logf != nil {
-				jn.Logf("registered with coordinator %s as %s (capacity %d)", base, name, jn.Capacity)
+				jn.Logf("registered with coordinator %s as %s (capacity %d)", coord.base, name, jn.Capacity)
 			}
 			registered = true
 			backoff = interval
@@ -82,44 +72,12 @@ func (jn *Joiner) Run(ctx context.Context) {
 		t.Reset(wait)
 		select {
 		case <-ctx.Done():
-			jn.deregister(base, name)
+			// Best-effort, on a fresh context: ctx is already done.
+			dctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			coord.DeregisterWorker(dctx, name)
+			cancel()
 			return
 		case <-t.C:
 		}
-	}
-}
-
-func (jn *Joiner) register(ctx context.Context, base string, body []byte) error {
-	rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, base+"/v1/workers", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	jn.authorize(req)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", resp.Status, readAPIError(resp.Body))
-	}
-	return nil
-}
-
-// deregister is best-effort and runs on a fresh context: Run's ctx is already
-// done when shutdown reaches it.
-func (jn *Joiner) deregister(base, name string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, base+"/v1/workers/"+url.PathEscape(name), nil)
-	if err != nil {
-		return
-	}
-	jn.authorize(req)
-	if resp, err := http.DefaultClient.Do(req); err == nil {
-		resp.Body.Close()
 	}
 }
