@@ -230,7 +230,12 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		}
 		if *cpuprofile != "" {
 			hash, _ := c.Hash()
-			pprof.Do(context.Background(), pprof.Labels("run", strconv.Itoa(i), "scenario", hash), func(context.Context) { runOne() })
+			pprof.Do(context.Background(), pprof.Labels("run", strconv.Itoa(i), "scenario", hash), func(context.Context) {
+				// Node executors inherit the labels of the goroutine that
+				// starts them: drop the last run's, so this run starts its own.
+				ncc.ReleaseSpare()
+				runOne()
+			})
 		} else {
 			runOne()
 		}

@@ -8,13 +8,13 @@ import (
 // barrier is the engine's sharded round barrier. Nodes arrive by decrementing
 // their shard's atomic countdown; the last arrival of the last non-empty
 // shard performs exactly one wake of the coordinator. Release is by per-node
-// wake tokens: every node owns a capacity-1 channel for the whole run (taken
-// with the rest of the run's memory from the last clean run, or allocated)
-// and receives exactly one token from it per round it runs. A send to a
-// parked receiver hands the token over directly, so a round costs
-// O(released) uncontended atomics plus one park/unpark per released node —
-// no shared lock for woken nodes to pile onto, no per-round allocation and
-// no serialized submit funnel.
+// wake tokens: every node owns a capacity-1 channel (taken with the rest of
+// the run's memory from the last run, or allocated), on which its executor
+// receives exactly one token to start the run and one per further round it
+// runs. A send to a parked receiver hands the token over directly, so a
+// round costs O(released) uncontended atomics plus one park/unpark per
+// released node — no shared lock for woken nodes to pile onto, no per-round
+// allocation and no serialized submit funnel.
 //
 // Only woken nodes are released. A node sleeping in AwaitInput stays parked
 // on its token across rounds: the countdowns count only the nodes released
@@ -24,16 +24,18 @@ import (
 // releases nobody arms no countdown, and the coordinator runs the next round
 // without waiting (a fast-forwarded round).
 //
-// Abort closes every token channel once. A close never blocks and wakes
-// parked and sleeping nodes and late arrivals alike; they observe the abort
-// flag and unwind with errAborted. The abort flag is stored before the
-// close, so a receive that returns because of the close always sees it.
+// Abort closes every token channel of the slab once, the run's and those of
+// the slab nodes past it. A close never blocks and wakes parked and sleeping
+// nodes and late arrivals alike; they observe the abort flag and unwind
+// with errAborted, and every executor then leaves its loop. The abort flag
+// is stored before the close, so a receive that returns because of the close
+// always sees it.
 type barrier struct {
 	shards    []barrierShard
 	remaining atomic.Int32    // non-empty shards that have not fully arrived
 	aborted   atomic.Bool     // set once, before the token channels close
 	wake      chan struct{}   // capacity 1; one send per completed barrier
-	tokens    []chan struct{} // tokens[id]: node id's wake channel, capacity 1
+	tokens    []chan struct{} // tokens[id]: node id's wake channel, capacity 1; cap: the slab's
 
 	// times, when non-nil (probe plane on), records the UnixNano instant each
 	// shard's countdown hit zero. The write sits on the arrival path's cold
@@ -125,15 +127,17 @@ func (b *barrier) release(woken *nodeSet) {
 	}
 }
 
-// abort sets the abort flag and closes every token channel, once. Unlike a
-// send, a close never blocks on a buffer that still holds the last release's
-// token, and it is not used up by one receive: every later receive, by a
-// parked node or a late arrival, returns at once.
+// abort sets the abort flag and closes every token channel of the slab,
+// once. Unlike a send, a close never blocks on a buffer that still holds the
+// last release's token, and it is not used up by one receive: every later
+// receive, by a parked node or a late arrival, returns at once. The channels
+// past the run's nodes close too, or their executors would stay parked on
+// channels that no run sends to again.
 func (b *barrier) abort() {
 	if b.aborted.Swap(true) {
 		return
 	}
-	for _, tok := range b.tokens {
+	for _, tok := range b.tokens[:cap(b.tokens)] {
 		close(tok)
 	}
 }

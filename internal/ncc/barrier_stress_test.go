@@ -20,7 +20,8 @@ import (
 // rounds, with some nodes asleep when it lands, across worker counts and up
 // to n=4096, and require that Run returns and that no goroutine of the run
 // is left behind (a node parked on a token that never comes would show up as
-// a leaked goroutine). CI runs them under -race.
+// a leaked goroutine, once the spare's parked executors are dropped). CI runs
+// them under -race.
 
 var stressWorkers = []int{1, 2, 8}
 
@@ -28,10 +29,15 @@ var stressWorkers = []int{1, 2, 8}
 // a few nodes per shard, and the large case.
 var stressSizes = []int{5, 300, 4096}
 
-// runBounded runs program under cfg with a deadline on Run itself, then waits
-// for the goroutine count to fall back to where it was before the run.
+// runBounded runs program under cfg with a deadline on Run itself, then drops
+// the spare, ending the executors parked in it, and waits for the goroutine
+// count to fall back to where it was before the run, with no spare either.
+// Run's own wait already rules out a node still running its program; what is
+// left to catch is a node parked on a token that never comes, a delivery
+// worker, or an executor that does not exit when its channel closes.
 func runBounded(t *testing.T, cfg Config, program func(*Context)) (Stats, error) {
 	t.Helper()
+	ReleaseSpare()
 	before := runtime.NumGoroutine()
 	type result struct {
 		st  Stats
@@ -48,15 +54,24 @@ func runBounded(t *testing.T, cfg Config, program func(*Context)) (Stats, error)
 	case <-time.After(30 * time.Second):
 		t.Fatalf("n=%d workers=%d: Run did not return (barrier deadlock)", cfg.N, cfg.Workers)
 	}
+	ReleaseSpare()
+	if err := settleGoroutines(before); err != nil {
+		t.Fatalf("n=%d workers=%d: %v: a node was left parked", cfg.N, cfg.Workers, err)
+	}
+	return res.st, res.err
+}
+
+// settleGoroutines waits up to 10 s for the goroutine count to fall to
+// before, and otherwise reports both counts.
+func settleGoroutines(before int) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
-			t.Fatalf("n=%d workers=%d: %d goroutines alive after Run, %d before: a node was left parked",
-				cfg.N, cfg.Workers, runtime.NumGoroutine(), before)
+			return fmt.Errorf("%d goroutines alive after the run, %d before", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return res.st, res.err
+	return nil
 }
 
 // TestBarrierStressNodePanic aborts a plan-less run by panicking one node at

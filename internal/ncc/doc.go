@@ -10,11 +10,12 @@
 // than cap messages in one round panics: like an oversized payload, it is a
 // program bug, never a network condition.
 //
-// Programs are written SPMD style: Run spawns one goroutine per node, all
-// executing the same program against a Context. Context.SendWord (SendWords2
-// and SendWords for wider payloads) buffers messages for the current round
-// and Context.EndRound blocks on the global round barrier, returning the
-// messages delivered to the node. Context.AwaitInput
+// Programs are written SPMD style: every node runs the same program against
+// a Context, on the node's executor, a goroutine that outlives the run (see
+// the recycling below). Context.SendWord (SendWords2 and SendWords for wider
+// payloads) buffers messages for the current round and Context.EndRound
+// blocks on the global round barrier, returning the messages delivered to
+// the node. Context.AwaitInput
 // is EndRound that sleeps through empty rounds: the node stays parked, off
 // the barrier, until a round delivers it input, its deadline round passes,
 // or the fault plan kills it.
@@ -34,7 +35,7 @@
 // round: a node arriving at EndRound or AwaitInput decrements its shard's
 // counter, the last arrival overall performs one coordinator wake, and
 // release sends one token to the capacity-1 wake channel of each woken node
-// (held for the run, reused after a clean one; an abort closes them all) — a
+// (its executor's, reused across runs; an abort closes them all) — a
 // direct handoff per node, no shared lock, no per-round allocation and no
 // serialized submit funnel. The receiver phase decides who wakes: a node in
 // AwaitInput stays parked through rounds that deliver it nothing, and a
@@ -67,19 +68,30 @@
 // allocs/message; BenchmarkEngineScale tracks 64k/256k/1M-node throughput
 // against BENCH_baseline.json in CI.
 //
-// Runs recycle their memory. A run that ends cleanly hands its node slab
+// Runs recycle their memory and their goroutines. A run hands its node slab
 // (every Context with its outbox, inbox and word arenas, its PCG held by
 // value), the wake channels and the buckets to one process-wide spare, and
 // the next run takes it by atomic swap instead of allocating; every field is
-// re-initialised, only capacity carries over. The hand-back drops any arena
-// or bucket larger than a dense run of that size needs (a hot receiver's
-// inbox is sized to all it was offered), so the spare does not grow over a
-// stream of runs. A run of N nodes reuses the spare only when it has between
-// N and 2N nodes and drops it otherwise, so a large run's memory is not
-// pinned behind a stream of small ones; an aborted run hands nothing back,
-// and a run that finds the spare taken by a concurrent one allocates. Hence
-// nothing a run gives its program, a *Context, an inbox or a Words
-// view, may be used after Run returns. The recycling pays where a run
+// re-initialised, only capacity carries over. Each slab node has an
+// executor, started when the slab is allocated, that loops over its wake
+// channel: a token starts the node's program of the current run, and after
+// a clean run the executor stays parked in the spare, so a warm run starts
+// no goroutine and allocates O(1) objects. An abort closes every wake
+// channel of the slab, which ends its executors; the slab and buckets are
+// still handed back, and the next run gives them fresh channels and
+// executors. The hand-back drops any arena or bucket larger than a dense
+// run of that size needs (a hot receiver's inbox is sized to all it was
+// offered), so the spare does not grow over a stream of runs. A run of N
+// nodes reuses the spare only when it has between N and 2N nodes and drops
+// it otherwise, closing its channels, so a large run's memory and executors
+// are not pinned behind a stream of small ones; a run that finds the spare
+// taken by a concurrent one allocates, and the later hand-back of two drops
+// the other's. So up to 2N parked executors outlive a run of N nodes, each
+// holding 2-4 KiB of stack once GCs have shrunk it, which every GC scans;
+// and nothing a run gives its program, a *Context, an inbox or a Words view,
+// may be used after Run returns. An executor keeps the profiler labels of
+// the run that started it; ReleaseSpare drops the spare, so the next run
+// starts executors under its caller's labels. The recycling pays where a run
 // follows another in the same process.
 //
 // Config.FaultPlan is the one fault input. Per round it gives Outage/Revival

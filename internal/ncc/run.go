@@ -265,9 +265,15 @@ type run struct {
 	nodes      []Context // the node slab, reused by the next run
 	bar        *barrier
 	errCh      chan error // capacity 1: the coordinator acts on the first error only
+	program    func(*Context)
+	wg         sync.WaitGroup // one count per node whose program has not ended
 	stats      Stats
 	err        error
 	pool       *workerPool
+
+	// lostExecutor is set when a node's program called runtime.Goexit, which
+	// ends its executor along with the program (see recycle).
+	lostExecutor atomic.Bool
 
 	// provisionOut: outboxes may grow straight to cap slots (see growOut).
 	provisionOut bool
@@ -367,8 +373,11 @@ type run struct {
 // statistics. It returns an error if the run was aborted (node panic or
 // Config.MaxRounds exceeded).
 //
-// A run that ends cleanly leaves its memory to the next run (see engineMem):
-// no Context, inbox or word view of a run may be used after Run returns.
+// A run leaves its memory to the next run (see engineMem): no Context, inbox
+// or word view of a run may be used after Run returns. A clean run also
+// leaves its node executors, parked on their wake channels, so after Run
+// returns up to 2N of them (the spare's slab) stay alive until a later run
+// drops the spare.
 func Run(cfg Config, program func(*Context)) (Stats, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -398,7 +407,14 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	r.take(takeSpare(cfg.N))
 	r.recvCounts = make([]int32, cfg.N)
 	r.recvWordCounts = make([]int32, cfg.N)
+	// Sized once: every node retires once, and a shard has at most
+	// shardWidth receivers, so neither grows by appending.
+	r.finQ = make([]NodeID, 0, cfg.N)
 	r.receivers = make([][]NodeID, w)
+	rcv := make([]NodeID, w*r.shardWidth)
+	for j := range r.receivers {
+		r.receivers[j] = rcv[j*r.shardWidth : j*r.shardWidth : (j+1)*r.shardWidth]
+	}
 	r.shardStats = make([]Stats, w)
 	r.finished = make([]bool, cfg.N)
 	r.released = newNodeSet(w, r.shardWidth)
@@ -438,52 +454,15 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	}
 	r.bar.reset(r.woke)
 
-	var wg sync.WaitGroup
-	for i := range r.nodes {
-		ctx := &r.nodes[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				v := recover()
-				if v == errAborted {
-					return
-				}
-				if v != nil && v != errCrashed {
-					if _, overCap := v.(*capacityError); overCap || r.cfg.FaultPlan == nil {
-						select {
-						case r.errCh <- fmt.Errorf("ncc: node %d panicked: %v\n%s", ctx.id, v, debug.Stack()):
-						default:
-						}
-						return
-					}
-					// Failure isolation: under a fault plan, a panicking
-					// program (other than one sending over its capacity) is
-					// a crashed node, not a failed run — faults push
-					// protocols into states their reliable-network
-					// invariants never allowed, and the run's job is to
-					// measure the degradation. Only the count enters Stats
-					// (the message text would be scheduling-dependent).
-					r.finMu.Lock()
-					r.nodeFailures++
-					r.finMu.Unlock()
-				}
-				// Normal return or isolated crash: queue the node for
-				// retirement, then arrive at the current barrier so the round
-				// completes without it.
-				r.finMu.Lock()
-				if v != nil {
-					r.crashed[ctx.id] = true // fail-stop or isolated panic: no output
-				}
-				r.finQ = append(r.finQ, ctx.id)
-				r.finMu.Unlock()
-				r.bar.arrive(ctx.shard)
-			}()
-			program(ctx)
-		}()
+	// Start the run: each node's executor takes its first token and runs
+	// program (see runNode).
+	r.program = program
+	r.wg.Add(cfg.N)
+	for _, tok := range r.bar.tokens {
+		tok <- struct{}{}
 	}
 	r.coordinate()
-	wg.Wait()
+	r.wg.Wait()
 	if cfg.FaultPlan != nil {
 		// Nodes that returned after the final barrier are finished even if
 		// the coordinator never retired them (no goroutine is running now, so
@@ -523,45 +502,128 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	return r.stats, r.err
 }
 
+// execute is the executor of slab node c. It runs the node's program once
+// per start token, for one run after another, until the node's wake channel
+// tok closes: on an abort, or when the spare holding the slab is dropped.
+// Between runs it is parked on tok in the spare; it reads c only after a
+// token, which a run sends once it has re-initialised c.
+func execute(c *Context, tok chan struct{}) {
+	for range tok {
+		c.r.runNode(c)
+	}
+}
+
+// runNode runs the program on node c. A normal return, a fail-stop or an
+// isolated panic queues the node for retirement and arrives at the current
+// barrier so the round completes without it; any other panic fails the run.
+// wg.Done comes last: after it the executor touches nothing of the run.
+func (r *run) runNode(c *Context) {
+	defer r.wg.Done()
+	returned := false
+	defer func() {
+		v := recover()
+		if v == errAborted {
+			return
+		}
+		if v == nil && !returned {
+			// runtime.Goexit: the program ends as if it returned, but it
+			// takes the executor with it.
+			r.lostExecutor.Store(true)
+		}
+		if v != nil && v != errCrashed {
+			if _, overCap := v.(*capacityError); overCap || r.cfg.FaultPlan == nil {
+				select {
+				case r.errCh <- fmt.Errorf("ncc: node %d panicked: %v\n%s", c.id, v, debug.Stack()):
+				default:
+				}
+				return
+			}
+			// Failure isolation: under a fault plan, a panicking program
+			// (other than one sending over its capacity) is a crashed node,
+			// not a failed run — faults push protocols into states their
+			// reliable-network invariants never allowed, and the run's job
+			// is to measure the degradation. Only the count enters Stats
+			// (the message text would be scheduling-dependent).
+			r.finMu.Lock()
+			r.nodeFailures++
+			r.finMu.Unlock()
+		}
+		// Normal return or isolated crash: queue the node for retirement,
+		// then arrive at the current barrier so the round completes without
+		// it.
+		r.finMu.Lock()
+		if v != nil {
+			r.crashed[c.id] = true // fail-stop or isolated panic: no output
+		}
+		r.finQ = append(r.finQ, c.id)
+		r.finMu.Unlock()
+		r.bar.arrive(c.shard)
+	}()
+	r.program(c)
+	returned = true
+}
+
 // engineMem is the memory of a run's nodes and of its delivery: the node
-// slab with each node's outbox, inbox and word arenas, the wake tokens and
-// the buckets. A run that ends cleanly hands it to spareMem, and the next
-// run takes it from there by atomic swap instead of allocating; every field
-// is re-initialised on reuse, and only capacity carries over. Slab and
-// tokens are len(nodes) long, the size of the run that allocated them.
+// slab with each node's outbox, inbox and word arenas, the wake tokens with
+// their executors, and the buckets. A run hands it to spareMem when it ends,
+// and the next run takes it from there by atomic swap instead of allocating;
+// every field is re-initialised on reuse, and only capacity carries over.
+// The slab is len(nodes) long, the size of the run that allocated it, and so
+// are tokens, whose channel tokens[i] the executor of nodes[i] is parked on;
+// tokens is nil when an aborted run closed them.
 type engineMem struct {
 	nodes   []Context
 	tokens  []chan struct{}
 	buckets [][]Envelope // the bucket grid, flattened sender-major
 }
 
-// spareMem holds the memory of the last clean run, or nil. It is one slot,
-// not a pool: a pool's per-P caches miss whenever the next run starts on
-// another P, and two sets stay live. Concurrent runs find it empty and
-// allocate.
+// drop ends m's executors by closing their wake channels; m must not be
+// used afterwards.
+func (m *engineMem) drop() {
+	for _, tok := range m.tokens {
+		close(tok)
+	}
+}
+
+// spareMem holds the memory of the last run, or nil. It is one slot, not a
+// pool: a pool's per-P caches miss whenever the next run starts on another
+// P, and two sets stay live. Concurrent runs find it empty and allocate.
 var spareMem atomic.Pointer[engineMem]
+
+// ReleaseSpare drops what the last run left for the next one: its memory and
+// its parked node executors. The next run allocates afresh and starts its
+// executors from the goroutine that calls Run, so they carry that
+// goroutine's profiler labels (runtime/pprof), where reused executors carry
+// the labels of the run that started them.
+func ReleaseSpare() {
+	if m := spareMem.Swap(nil); m != nil {
+		m.drop()
+	}
+}
 
 // takeSpare takes the spare for a run of n nodes. It reuses it only when it
 // has between n and 2n nodes, and otherwise drops it, so a large run's memory
-// is not pinned behind a stream of small runs; an empty engineMem means
-// "allocate everything".
+// and executors are not pinned behind a stream of small runs; an empty
+// engineMem means "allocate everything".
 func takeSpare(n int) *engineMem {
 	m := spareMem.Swap(nil)
-	if m == nil || len(m.nodes) < n || len(m.nodes) > 2*n {
+	if m == nil {
+		return &engineMem{}
+	}
+	if len(m.nodes) < n || len(m.nodes) > 2*n {
+		m.drop()
 		return &engineMem{}
 	}
 	return m
 }
 
-// take installs m as the run's memory, allocating what m lacks.
+// take installs m as the run's memory, allocating what m lacks. A new slab,
+// or one whose channels an abort closed, gets fresh wake channels and one
+// executor per slab node; a reused slab keeps its parked executors.
 func (r *run) take(m *engineMem) {
 	n, w := r.cfg.N, r.workers
 	if len(m.nodes) < n {
 		m.nodes = make([]Context, n)
-		m.tokens = make([]chan struct{}, n)
-		for i := range m.tokens {
-			m.tokens[i] = make(chan struct{}, 1)
-		}
 	}
 	r.nodes = m.nodes[:n]
 	for i := range r.nodes {
@@ -571,6 +633,13 @@ func (r *run) take(m *engineMem) {
 		c.pcg.Seed(uint64(r.cfg.Seed)^0x5851f42d4c957f2d, uint64(i)+1)
 		c.src = *rand.New(&c.pcg)
 		c.rng = &c.src
+	}
+	if m.tokens == nil {
+		m.tokens = make([]chan struct{}, len(m.nodes))
+		for i := range m.tokens {
+			m.tokens[i] = make(chan struct{}, 1)
+			go execute(&m.nodes[i], m.tokens[i])
+		}
 	}
 	r.bar = newBarrier(w, m.tokens[:n])
 	flat := make([][]Envelope, w*w)
@@ -582,12 +651,13 @@ func (r *run) take(m *engineMem) {
 	r.bucketPeak = make([]int, w*w)
 }
 
-// recycle hands a clean run's memory to spareMem; Run calls it last, once
-// every node goroutine has exited. An aborted run's token channels are
-// closed, so it hands back nothing; neither would a run that left a token in
-// a channel, which would let a node of the next run pass its first barrier
-// early. A clean run leaves none: each node took the last token it was sent
-// before its program returned.
+// recycle hands the run's memory to spareMem, dropping the spare it
+// replaces (a concurrent run's); Run calls it last, once every node's program
+// has ended. A clean run hands back its wake channels with their executors
+// parked on them, each empty: a node takes the last token it was sent
+// before its program returns. An aborted run's channels are closed, which
+// ends its executors, so it hands back the slab and buckets alone; so does a
+// run that lost an executor to runtime.Goexit, once it has closed the rest.
 //
 // The spare keeps no pointer to the finished run, and no more memory than
 // this run used or a dense run of its size needs, so a stream of runs does
@@ -596,13 +666,12 @@ func (r *run) take(m *engineMem) {
 // inbox is sized to all it was offered), a word arena over MaxWords times
 // that, and a bucket over max(16, 2·its peak length in this run) are dropped.
 func (r *run) recycle() {
-	if r.bar.aborted.Load() {
-		return
+	if r.lostExecutor.Load() {
+		r.bar.abort()
 	}
-	for _, tok := range r.bar.tokens {
-		if len(tok) != 0 {
-			return
-		}
+	var tokens []chan struct{}
+	if !r.bar.aborted.Load() {
+		tokens = r.bar.tokens[:cap(r.bar.tokens)]
 	}
 	nodes := r.nodes[:cap(r.nodes)]
 	for id := range nodes {
@@ -622,7 +691,9 @@ func (r *run) recycle() {
 	for k, b := range buckets {
 		buckets[k] = within(b, max(16, 2*r.bucketPeak[k]))
 	}
-	spareMem.Store(&engineMem{nodes: nodes, tokens: r.bar.tokens[:cap(r.bar.tokens)], buckets: buckets})
+	if old := spareMem.Swap(&engineMem{nodes: nodes, tokens: tokens, buckets: buckets}); old != nil {
+		old.drop()
+	}
 }
 
 // within returns s, or nil when its capacity is over limit. take empties

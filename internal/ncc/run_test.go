@@ -221,7 +221,7 @@ func TestBucketGrowth(t *testing.T) {
 		return c, l
 	}
 	t.Run("dense", func(t *testing.T) {
-		dropSpare() // recycled buckets would keep an earlier run's capacity
+		ReleaseSpare() // recycled buckets would keep an earlier run's capacity
 		var first [2][2]int
 		rounds := 0
 		_, err := Run(Config{N: n, Seed: 1, Workers: 2, Probe: func(s RoundSample, ts []ShardTiming) {
@@ -246,7 +246,7 @@ func TestBucketGrowth(t *testing.T) {
 		}
 	})
 	t.Run("ramp", func(t *testing.T) {
-		dropSpare()
+		ReleaseSpare()
 		var prev [2][2]int
 		growths := 0
 		cfg := Config{N: n, Seed: 1, Workers: 2, Probe: func(s RoundSample, ts []ShardTiming) {

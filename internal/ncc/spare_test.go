@@ -1,16 +1,18 @@
 package ncc
 
 import (
+	"context"
 	"fmt"
 	"runtime"
+	"runtime/metrics"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 )
-
-// dropSpare empties spareMem, so the next run allocates all of its memory.
-func dropSpare() { spareMem.Store(nil) }
 
 // spareNodes is the node count of the spare, or 0 when there is none.
 func spareNodes() int {
@@ -97,7 +99,7 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 		})
 	}
 
-	dropSpare()
+	ReleaseSpare()
 	fresh := runA(0)
 	if fresh.err != "" || spareNodes() != cfgA.N {
 		t.Fatalf("run A: error %q, spare of %d nodes, want none and %d", fresh.err, spareNodes(), cfgA.N)
@@ -139,12 +141,15 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestWarmRunAllocations pins what recycling saves: a second identical dense
-// run allocates less than a quarter of the bytes of the first, which pays
-// for the node slab, the wake channels, outboxes, inboxes and buckets.
+// TestWarmRunAllocations pins what recycling saves: after a GC, a second
+// identical dense run allocates under 100 objects and under an eighth of the
+// bytes of the first, which pays for the node slab, the wake channels and
+// their executors, outboxes, inboxes and buckets. The GC between the runs
+// empties the runtime's caches, as in a stream of runs with GCs between
+// them: a parked executor keeps what it needs through it.
 func TestWarmRunAllocations(t *testing.T) {
 	const n, rounds = 4096, 6
-	run := func() uint64 {
+	run := func() (bytes, objects uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := Run(Config{N: n, Seed: 1, CapFactor: 1}, func(ctx *Context) {
@@ -159,15 +164,72 @@ func TestWarmRunAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
-	dropSpare()
-	cold := run()
-	warm := run()
-	t.Logf("first run %d B, second run %d B (%.1f%%)", cold, warm, 100*float64(warm)/float64(cold))
-	if 4*warm >= cold {
-		t.Errorf("second run allocated %d B, want under a quarter of the first run's %d B", warm, cold)
+	ReleaseSpare()
+	cold, coldObjects := run()
+	runtime.GC()
+	warm, warmObjects := run()
+	t.Logf("first run %d B in %d objects, second run %d B (%.1f%%) in %d objects",
+		cold, coldObjects, warm, 100*float64(warm)/float64(cold), warmObjects)
+	if warmObjects >= 100 {
+		t.Errorf("second run allocated %d objects, want under 100", warmObjects)
 	}
+	if 8*warm >= cold {
+		t.Errorf("second run allocated %d B, want under an eighth of the first run's %d B", warm, cold)
+	}
+}
+
+// TestSpareExecutorStacksShrink bounds what the executors parked in the spare
+// cost between runs: after a run whose nodes grew their stacks to 64 KiB or
+// more, at most 8 GCs bring the heap's stack bytes back to within 8 KiB per
+// spare node of their level before the run, because the runtime shrinks the
+// stacks of parked goroutines that use little of them.
+func TestSpareExecutorStacksShrink(t *testing.T) {
+	const n, deep = 1024, 64 << 10
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/stacks:bytes"}}
+	stacks := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	ReleaseSpare()
+	runtime.GC()
+	before := stacks()
+	_, err := Run(Config{N: n, Seed: 1}, func(ctx *Context) {
+		growStack(deep)
+		ctx.EndRound()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ReleaseSpare()
+	limit := before + 8<<10*uint64(spareNodes())
+	grown := stacks()
+	if spareNodes() != n || grown <= limit {
+		t.Fatalf("after the run: spare of %d nodes, stacks %d B against %d B before; want %d nodes over %d B",
+			spareNodes(), grown, before, n, limit)
+	}
+	after, gcs := grown, 0
+	for ; gcs < 8 && after > limit; gcs++ {
+		runtime.GC()
+		after = stacks()
+	}
+	t.Logf("stacks: %d B before the run, %d B after it, %d B after %d GCs (limit %d B)", before, grown, after, gcs, limit)
+	if after > limit {
+		t.Errorf("parked executors hold %d B of stacks after %d GCs, want at most %d B", after, gcs, limit)
+	}
+}
+
+// growStack uses at least bytes of stack, in 1 KiB frames.
+//
+//go:noinline
+func growStack(bytes int) byte {
+	var frame [1024]byte
+	frame[bytes%len(frame)] = byte(bytes)
+	if bytes <= len(frame) {
+		return frame[0]
+	}
+	return growStack(bytes-len(frame)) + frame[1]
 }
 
 // TestConcurrentRunsShareSpare runs two streams of runs in parallel; they
@@ -234,7 +296,7 @@ func TestConcurrentRunsShareSpare(t *testing.T) {
 // first.
 func TestSpareStaysBounded(t *testing.T) {
 	cfg := Config{N: 256, Seed: 1, Workers: 8, MaxWords: 3}
-	dropSpare()
+	ReleaseSpare()
 	var first, last int
 	for k := 0; k < 16; k++ {
 		hot := k * 37 % cfg.N
@@ -262,7 +324,7 @@ func TestSpareStaysBounded(t *testing.T) {
 
 // TestSpareRules pins when a run keeps, replaces or drops the spare: it is
 // reused only by runs of half to all of its node count, and an aborted run
-// hands nothing back.
+// hands back its memory too.
 func TestSpareRules(t *testing.T) {
 	run := func(n int, fail bool) {
 		_, err := Run(Config{N: n, Seed: 1}, func(ctx *Context) {
@@ -276,7 +338,7 @@ func TestSpareRules(t *testing.T) {
 			t.Fatalf("run of %d nodes (fail %v): error %v", n, fail, err)
 		}
 	}
-	dropSpare()
+	ReleaseSpare()
 	steps := []struct {
 		n     int
 		fail  bool
@@ -286,7 +348,7 @@ func TestSpareRules(t *testing.T) {
 		{500, false, 1000}, // half the slab: reused, and handed back whole
 		{499, false, 499},  // under half: the large slab is dropped
 		{998, false, 998},  // the spare is too small: allocate
-		{998, true, 0},     // aborted: nothing handed back
+		{998, true, 998},   // aborted: the slab and buckets handed back, without channels
 	}
 	for _, s := range steps {
 		run(s.n, s.fail)
@@ -294,4 +356,167 @@ func TestSpareRules(t *testing.T) {
 			t.Errorf("after a run of %d nodes (fail %v) the spare has %d nodes, want %d", s.n, s.fail, got, s.spare)
 		}
 	}
+}
+
+// TestRunsLeakNoExecutor reuses a clean 500-node run's slab for 300-node
+// runs that abort, once each by a node panic, Cancel and MaxRounds. An abort
+// must end the executors of the whole slab, the 200 past the run's nodes
+// too, and hand the slab back; once the spare is dropped, no goroutine of
+// either run is left. Neither may a run whose node ended its executor by
+// runtime.Goexit, nor a clean run followed by a larger one, which drops the
+// smaller spare.
+func TestRunsLeakNoExecutor(t *testing.T) {
+	clean := func(t *testing.T, n int) {
+		t.Helper()
+		if _, err := Run(Config{N: n, Seed: 1}, func(ctx *Context) { ctx.EndRound() }); err != nil {
+			t.Fatal(err)
+		}
+		if got := spareNodes(); got != n {
+			t.Fatalf("after a clean run of %d nodes the spare has %d nodes", n, got)
+		}
+	}
+	settle := func(t *testing.T, before int) {
+		t.Helper()
+		ReleaseSpare()
+		if err := settleGoroutines(before); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel := make(chan struct{})
+	aborts := []struct {
+		name    string
+		cfg     Config
+		program func(*Context)
+	}{
+		{"panic", Config{N: 300, Seed: 1}, func(ctx *Context) {
+			ctx.EndRound()
+			if ctx.ID() == 0 {
+				panic("boom")
+			}
+			ctx.EndRound()
+		}},
+		{"cancel", Config{N: 300, Seed: 1, Cancel: cancel}, func(ctx *Context) {
+			for {
+				if ctx.ID() == 0 && ctx.Round() == 2 {
+					close(cancel)
+				}
+				ctx.EndRound()
+			}
+		}},
+		{"maxrounds", Config{N: 300, Seed: 1, MaxRounds: 5}, func(ctx *Context) {
+			for {
+				ctx.EndRound()
+			}
+		}},
+	}
+	for _, a := range aborts {
+		t.Run(a.name, func(t *testing.T) {
+			ReleaseSpare()
+			before := runtime.NumGoroutine()
+			clean(t, 500)
+			if _, err := Run(a.cfg, a.program); err == nil {
+				t.Fatal("the run did not abort")
+			}
+			if got := spareNodes(); got != 500 {
+				t.Errorf("after the aborted run the spare has %d nodes, want the slab of 500", got)
+			}
+			settle(t, before)
+		})
+	}
+	// A program that calls runtime.Goexit ends as if it returned, but takes
+	// its executor with it: the run must not hand that slab's channels on, or
+	// the next run would wait forever for the node.
+	t.Run("goexit", func(t *testing.T) {
+		ReleaseSpare()
+		before := runtime.NumGoroutine()
+		done := make(chan error, 1)
+		go func() {
+			for k := 0; k < 2; k++ {
+				_, err := Run(Config{N: 50, Seed: 1}, func(ctx *Context) {
+					ctx.EndRound()
+					if ctx.ID() == 3 {
+						runtime.Goexit()
+					}
+					ctx.EndRound()
+				})
+				if err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("the run after a Goexit did not return")
+		}
+		settle(t, before)
+	})
+	t.Run("oversized", func(t *testing.T) {
+		ReleaseSpare()
+		before := runtime.NumGoroutine()
+		clean(t, 100)
+		clean(t, 300) // drops the spare of 100
+		settle(t, before)
+	})
+}
+
+// TestReleaseSpareRelabelsExecutors pins what profiling relies on: node
+// executors carry the profiler labels of the goroutine whose run started
+// them, a reused one keeps them, and after ReleaseSpare the next run starts
+// executors that carry its caller's labels.
+func TestReleaseSpareRelabelsExecutors(t *testing.T) {
+	// executorLabels lists the label sets of the goroutines parked in
+	// execute, from the goroutine profile, which groups goroutines by stack
+	// and labels.
+	executorLabels := func() map[string]bool {
+		var b strings.Builder
+		if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+			t.Fatal(err)
+		}
+		sets := map[string]bool{}
+		for _, group := range strings.Split(b.String(), "\n\n") {
+			if !strings.Contains(group, "ncc.execute+") {
+				continue
+			}
+			labels := "none"
+			for _, line := range strings.Split(group, "\n") {
+				if l, ok := strings.CutPrefix(line, "# labels: "); ok {
+					labels = l
+				}
+			}
+			sets[labels] = true
+		}
+		return sets
+	}
+	runAs := func(label string) {
+		pprof.Do(context.Background(), pprof.Labels("run", label), func(context.Context) {
+			if _, err := Run(Config{N: 64, Seed: 1}, func(ctx *Context) { ctx.EndRound() }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	want := func(labels string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for got := executorLabels(); len(got) != 1 || !got[labels]; got = executorLabels() {
+			if time.Now().After(deadline) {
+				t.Fatalf("executors carry the label sets %v, want only %s", got, labels)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	ReleaseSpare()
+	defer ReleaseSpare()
+	runAs("a")
+	want(`{"run":"a"}`)
+	runAs("b") // reuses the executors of run a
+	want(`{"run":"a"}`)
+	ReleaseSpare()
+	runAs("b")
+	want(`{"run":"b"}`)
 }
