@@ -1,6 +1,6 @@
 // Command benchcheck compares `go test -bench` output against a committed
-// JSON baseline and fails on ns/op regressions beyond a tolerance. It is the
-// CI regression gate for the engine, collective and ingest benchmarks (see
+// JSON baseline and fails on regressions beyond a tolerance. It is the CI
+// regression gate for the engine, collective and ingest benchmarks (see
 // BENCH_baseline.json at the repo root) and needs no dependencies beyond the
 // standard library, so it runs identically in CI and on a laptop.
 //
@@ -10,8 +10,12 @@
 //	go run ./cmd/benchcheck -baseline BENCH_baseline.json -match 'EngineScale/n=65536$' bench.txt
 //	go run ./cmd/benchcheck -update -baseline BENCH_baseline.json bench.txt   # refresh
 //
-// When a benchmark appears several times (e.g. -count=3), the fastest sample
-// is used, like benchstat's min-based summaries.
+// By default it gates ns/op. -metric gates another reported metric instead,
+// named by its unit (say "ratio", from b.ReportMetric), against the
+// baseline's "metrics" map; -update with -metric writes that unit's values
+// there. Every gated metric is lower-is-better. When a benchmark appears
+// several times (e.g. -count=3), the smallest sample is used, like
+// benchstat's min-based summaries.
 //
 // Campaign costs (rounds, messages, words) are not gated here: they are
 // deterministic, so the campaign package's tests pin each shipped report's
@@ -32,10 +36,32 @@ import (
 )
 
 // Baseline is the committed benchmark reference. NsPerOp is keyed by the
-// benchmark name with the -<GOMAXPROCS> suffix stripped.
+// benchmark name with the -<GOMAXPROCS> suffix stripped; Metrics holds other
+// reported metrics, keyed by unit and then by benchmark name.
 type Baseline struct {
-	Comment string             `json:"comment,omitempty"`
-	NsPerOp map[string]float64 `json:"nsPerOp"`
+	Comment string                        `json:"comment,omitempty"`
+	NsPerOp map[string]float64            `json:"nsPerOp"`
+	Metrics map[string]map[string]float64 `json:"metrics,omitempty"`
+}
+
+// points returns the baseline's values for unit, or nil.
+func (b *Baseline) points(unit string) map[string]float64 {
+	if unit == "ns/op" {
+		return b.NsPerOp
+	}
+	return b.Metrics[unit]
+}
+
+// setPoints replaces the baseline's values for unit.
+func (b *Baseline) setPoints(unit string, p map[string]float64) {
+	if unit == "ns/op" {
+		b.NsPerOp = p
+		return
+	}
+	if b.Metrics == nil {
+		b.Metrics = map[string]map[string]float64{}
+	}
+	b.Metrics[unit] = p
 }
 
 func main() {
@@ -47,7 +73,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	baselinePath := fs.String("baseline", "BENCH_baseline.json", "baseline JSON `file`")
 	match := fs.String("match", ".", "compare only benchmarks matching this `regexp`")
-	tolerance := fs.Float64("tolerance", 0.20, "allowed fractional ns/op regression before failing")
+	tolerance := fs.Float64("tolerance", 0.20, "allowed fractional regression before failing")
+	unit := fs.String("metric", "ns/op", "gate (or, with -update, write) the reported metric of this `unit`; lower is better")
 	update := fs.Bool("update", false, "write the parsed results as a new baseline instead of comparing")
 	out := fs.String("out", "", "output `file` for -update (default: the -baseline path)")
 	if err := fs.Parse(args); err != nil {
@@ -57,13 +84,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	results, err := parseInputs(fs.Args(), stdin)
+	results, err := parseInputs(fs.Args(), *unit, stdin)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchcheck: %v\n", err)
 		return 2
 	}
 	if len(results) == 0 {
-		fmt.Fprintln(stderr, "benchcheck: no benchmark results found in input")
+		fmt.Fprintf(stderr, "benchcheck: no %s results found in input\n", *unit)
 		return 2
 	}
 
@@ -76,20 +103,21 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		// partial bench run (one suite failed or was skipped) must not drop
 		// the other suites' points from the refreshed file, or committing
 		// it would leave later gates with no baseline entry to match.
-		merged := results
+		var b Baseline
 		if data, err := os.ReadFile(*baselinePath); err == nil {
-			var prev Baseline
-			if err := json.Unmarshal(data, &prev); err == nil && prev.NsPerOp != nil {
-				for name, v := range results {
-					prev.NsPerOp[name] = v
-				}
-				merged = prev.NsPerOp
+			if err := json.Unmarshal(data, &b); err != nil {
+				b = Baseline{}
 			}
 		}
-		b := Baseline{
-			Comment: "Engine benchmark baseline (best ns/op). Refresh with: go run ./cmd/benchcheck -update -baseline " + *baselinePath + " <bench output>",
-			NsPerOp: merged,
+		merged := b.points(*unit)
+		if merged == nil {
+			merged = map[string]float64{}
 		}
+		for name, v := range results {
+			merged[name] = v
+		}
+		b.setPoints(*unit, merged)
+		b.Comment = "Engine benchmark baseline (best ns/op; metrics: best reported value by unit). Refresh with: go run ./cmd/benchcheck -update [-metric unit] -baseline " + *baselinePath + " <bench output>"
 		data, err := json.MarshalIndent(b, "", "  ")
 		if err != nil {
 			fmt.Fprintf(stderr, "benchcheck: %v\n", err)
@@ -119,21 +147,22 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	names := make([]string, 0, len(base.NsPerOp))
-	for name := range base.NsPerOp {
+	points := base.points(*unit)
+	names := make([]string, 0, len(points))
+	for name := range points {
 		if re.MatchString(name) {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		fmt.Fprintf(stderr, "benchcheck: no baseline benchmarks match %q\n", *match)
+		fmt.Fprintf(stderr, "benchcheck: no baseline %s points match %q\n", *unit, *match)
 		return 2
 	}
 
 	failed := false
 	for _, name := range names {
-		want := base.NsPerOp[name]
+		want := points[name]
 		got, ok := results[name]
 		if !ok {
 			fmt.Fprintf(stderr, "benchcheck: %s: in baseline but missing from input\n", name)
@@ -149,26 +178,30 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		case delta < -*tolerance:
 			status = "improved"
 		}
-		fmt.Fprintf(stdout, "%-50s %14.0f ns/op  baseline %14.0f  %+6.1f%%  %s\n",
-			name, got, want, 100*delta, status)
+		prec := 0 // whole nanoseconds; other metrics may be ratios
+		if *unit != "ns/op" {
+			prec = 4
+		}
+		fmt.Fprintf(stdout, "%-50s %14.*f %s  baseline %14.*f  %+6.1f%%  %s\n",
+			name, prec, got, *unit, prec, want, 100*delta, status)
 	}
 	if failed {
-		fmt.Fprintf(stdout, "FAIL: ns/op regression beyond %.0f%% (refresh the baseline with -update if intentional)\n", 100**tolerance)
+		fmt.Fprintf(stdout, "FAIL: %s regression beyond %.0f%% (refresh the baseline with -update if intentional)\n", *unit, 100**tolerance)
 		return 1
 	}
 	return 0
 }
 
 // parseInputs reads each file (or stdin when no files are given) and returns
-// the best (minimum) ns/op per benchmark name.
-func parseInputs(files []string, stdin io.Reader) (map[string]float64, error) {
+// the best (minimum) value of unit per benchmark name.
+func parseInputs(files []string, unit string, stdin io.Reader) (map[string]float64, error) {
 	results := map[string]float64{}
 	read := func(r io.Reader) error {
 		data, err := io.ReadAll(r)
 		if err != nil {
 			return err
 		}
-		parseBench(string(data), results)
+		parseBench(string(data), unit, results)
 		return nil
 	}
 	if len(files) == 0 {
@@ -188,9 +221,9 @@ func parseInputs(files []string, stdin io.Reader) (map[string]float64, error) {
 	return results, nil
 }
 
-// parseBench extracts "Benchmark<Name>[-procs] <iters> <value> ns/op" lines,
-// keeping the minimum value per name.
-func parseBench(text string, results map[string]float64) {
+// parseBench extracts the "<value> <unit>" pair of each "Benchmark<Name>[-procs]
+// <iters> ..." line, keeping the minimum value per name.
+func parseBench(text, unit string, results map[string]float64) {
 	for _, line := range strings.Split(text, "\n") {
 		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -203,7 +236,7 @@ func parseBench(text string, results map[string]float64) {
 			}
 		}
 		for i := 2; i+1 < len(fields); i++ {
-			if fields[i+1] != "ns/op" {
+			if fields[i+1] != unit {
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i], 64)

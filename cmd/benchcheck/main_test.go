@@ -35,7 +35,7 @@ func writeFile(t *testing.T, name, content string) string {
 
 func TestParseTakesMinimumAcrossCounts(t *testing.T) {
 	results := map[string]float64{}
-	parseBench(benchOutput, results)
+	parseBench(benchOutput, "ns/op", results)
 	if got := results["BenchmarkEngineScale/n=65536"]; got != 9e8 {
 		t.Errorf("min ns/op = %v, want 9e8", got)
 	}
@@ -118,5 +118,41 @@ func TestMissingBenchmarkFails(t *testing.T) {
 func TestEmptyInputRejected(t *testing.T) {
 	if code, _, _ := runCheck(t, "no benchmarks here"); code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
+	}
+}
+
+const pairedOutput = `BenchmarkEngineProbe/probe=off-2         	       3	 369854313 ns/op
+BenchmarkEngineProbe/probe=paired-2      	       3	 366709208 off-ns/op	 354349600 on-ns/op	         1.0463 ratio
+BenchmarkEngineProbe/probe=paired-2      	       3	 366709208 off-ns/op	 354349600 on-ns/op	         0.9663 ratio
+`
+
+// TestMetricGate gates a reported metric other than ns/op: -update -metric
+// writes the best value under "metrics" beside the untouched ns/op points,
+// and a compare against it passes within the tolerance and fails beyond it.
+func TestMetricGate(t *testing.T) {
+	baseline := writeFile(t, "base.json", `{"nsPerOp":{"BenchmarkAggregate/n=4096": 123}}`)
+	if code, _, errw := runCheck(t, pairedOutput, "-update", "-metric", "ratio", "-baseline", baseline); code != 0 {
+		t.Fatalf("update exit %d: %s", code, errw)
+	}
+	data, err := os.ReadFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"BenchmarkAggregate/n=4096": 123`, `"ratio": {`, `"BenchmarkEngineProbe/probe=paired": 0.9663`} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("refreshed baseline lacks %s:\n%s", want, data)
+		}
+	}
+	if strings.Contains(string(data), "probe=off") {
+		t.Errorf("a ratio refresh wrote an ns/op point:\n%s", data)
+	}
+	code, out, errw := runCheck(t, pairedOutput, "-baseline", baseline, "-metric", "ratio", "-match", "probe=paired$")
+	if code != 0 || !strings.Contains(out, "0.9663 ratio") {
+		t.Fatalf("compare exit %d: %s\n%s", code, errw, out)
+	}
+	worse := strings.ReplaceAll(pairedOutput, "0.9663", "1.2000")
+	worse = strings.ReplaceAll(worse, "1.0463", "1.3000")
+	if code, out, _ := runCheck(t, worse, "-baseline", baseline, "-metric", "ratio", "-match", "probe=paired$"); code != 1 || !strings.Contains(out, "REGRESSION") {
+		t.Errorf("a ratio 24%% over its baseline: exit %d, want 1:\n%s", code, out)
 	}
 }

@@ -16,6 +16,7 @@ package faultmodel
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -101,6 +102,17 @@ func (s *Schedule) Transitions(round int) ([]ncc.Outage, []ncc.Revival) {
 		return nil, nil
 	}
 	return s.events[i].Down, s.events[i].Up
+}
+
+// NextEvent implements ncc.FaultPlan: the round of the first event at or
+// after round, found by binary search, or math.MaxInt when none is left.
+// Loss needs no event: the engine asks it only about rounds it processes.
+func (s *Schedule) NextEvent(round int) int {
+	i, _ := slices.BinarySearchFunc(s.events, round, func(e Event, r int) int { return e.Round - r })
+	if i == len(s.events) {
+		return math.MaxInt
+	}
+	return s.events[i].Round
 }
 
 // Events returns the schedule's liveness transitions, sorted by round. The

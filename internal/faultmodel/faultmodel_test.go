@@ -1,6 +1,7 @@
 package faultmodel
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -128,6 +129,32 @@ func TestCrashRecoverSchedule(t *testing.T) {
 	}
 	if down, up = s.Transitions(13); down != nil || up != nil {
 		t.Errorf("Transitions(13) = %v, %v, want none", down, up)
+	}
+}
+
+// TestScheduleNextEvent checks NextEvent on the crash-recover schedule's
+// events at rounds 12 and 32: before the first, on one, between the two and
+// after the last, where none is left.
+func TestScheduleNextEvent(t *testing.T) {
+	s, err := Build([]Spec{{
+		Model:  "crash-recover",
+		Params: param.Values{"count": 3, "round": 12, "downfor": 20},
+	}}, env(32, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ round, want int }{
+		{0, 12},
+		{12, 12},
+		{13, 32},
+		{33, math.MaxInt},
+	} {
+		if got := s.NextEvent(c.round); got != c.want {
+			t.Errorf("NextEvent(%d) = %d, want %d", c.round, got, c.want)
+		}
+	}
+	if got := (&Schedule{}).NextEvent(0); got != math.MaxInt {
+		t.Errorf("the empty schedule's NextEvent(0) = %d, want math.MaxInt", got)
 	}
 }
 

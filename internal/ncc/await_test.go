@@ -46,6 +46,8 @@ func (p diffPlan) Transitions(round int) ([]Outage, []Revival) {
 	return downs, ups
 }
 
+func (diffPlan) NextEvent(round int) int { return round }
+
 func (p diffPlan) Loss(round int) (float64, LinkCut) {
 	rng := rand.New(rand.NewPCG(p.seed^0xfeed, uint64(round)))
 	var cut LinkCut
@@ -69,13 +71,16 @@ type diffResult struct {
 	samples []RoundSample
 }
 
-// runRecorded runs program under cfg with a probe attached and records every
-// return of EndRound or AwaitInput as the program passes it to record. A
-// watchdog cancels a run that hangs, so a node the engine never wakes fails
-// the comparison instead of the test binary.
-func runRecorded(cfg Config, program func(ctx *Context, record func([]Received))) diffResult {
+// runRecorded runs program under cfg, with a probe attached that records
+// the RoundSample series when probe is set, and records every return of
+// EndRound or AwaitInput as the program passes it to record. A watchdog
+// cancels a run that hangs, so a node the engine never wakes fails the
+// comparison instead of the test binary.
+func runRecorded(cfg Config, probe bool, program func(ctx *Context, record func([]Received))) diffResult {
 	res := diffResult{events: make([][]diffEvent, cfg.N)}
-	cfg.Probe = func(s RoundSample, _ []ShardTiming) { res.samples = append(res.samples, s) }
+	if probe {
+		cfg.Probe = func(s RoundSample, _ []ShardTiming) { res.samples = append(res.samples, s) }
+	}
 	cancel := make(chan struct{})
 	watchdog := time.AfterFunc(30*time.Second, func() { close(cancel) })
 	defer watchdog.Stop()
@@ -122,14 +127,15 @@ func diffResults(got, want diffResult) string {
 // peers, then a plain EndRound or a wait with a random deadline (none, past,
 // near or far), and an early finish now and then. Node sleeper never sends
 // and is never sent to, so it sleeps without a deadline until the plan kills
-// it. wait is either the engine's AwaitInput or the reference loop.
-func runDiffProgram(seed int64, n, workers int, faults bool, wait func(*Context, int) []Received) diffResult {
+// it. wait is either the engine's AwaitInput or the reference loop; probe
+// says whether the run records its RoundSample series.
+func runDiffProgram(seed int64, n, workers int, faults, probe bool, wait func(*Context, int) []Received) diffResult {
 	const sleeper = 0
 	cfg := Config{N: n, Seed: seed, Workers: workers, MaxWords: 4, MaxRounds: 400}
 	if faults {
 		cfg.FaultPlan = diffPlan{n: n, seed: uint64(seed), sleeper: sleeper, sleeperKill: 7 + int(seed%5)}
 	}
-	return runRecorded(cfg, func(ctx *Context, record func([]Received)) {
+	return runRecorded(cfg, probe, func(ctx *Context, record func([]Received)) {
 		me := ctx.ID()
 		if faults && me == sleeper {
 			record(wait(ctx, NoDeadline))
@@ -185,10 +191,10 @@ func TestAwaitInputMatchesEndRoundLoop(t *testing.T) {
 		n := []int{3, 17, 64, 130}[seed/2%4]
 		faults := seed%2 == 0
 		t.Run(fmt.Sprintf("seed=%d/n=%d/faults=%v", seed, n, faults), func(t *testing.T) {
-			want := runDiffProgram(seed, n, 1, faults, awaitLoop)
+			want := runDiffProgram(seed, n, 1, faults, true, awaitLoop)
 			t.Logf("%d rounds, %d messages, unfinished %v, error %q", want.stats.Rounds, want.stats.Messages, want.stats.Unfinished, want.err)
 			for _, w := range []int{1, 2, 8} {
-				got := runDiffProgram(seed, n, w, faults, (*Context).AwaitInput)
+				got := runDiffProgram(seed, n, w, faults, true, (*Context).AwaitInput)
 				if !reflect.DeepEqual(got.stats, want.stats) {
 					t.Errorf("w=%d: stats differ:\n  await: %+v\n  loop:  %+v", w, got.stats, want.stats)
 				}
@@ -314,8 +320,9 @@ func TestAwaitInputProbeSamplesEveryRound(t *testing.T) {
 // FuzzAwaitInputDifferential widens TestAwaitInputMatchesEndRoundLoop to any
 // (seed, n in 3..160, workers in {1, 2, 8}, faults): the engine's AwaitInput
 // must match its EndRound-loop definition, and a run at the drawn worker
-// count must match a serial one. The seed corpus is the test's 12 programs
-// at 2 and 8 workers.
+// count must match a serial one, with the probe attached and, on Stats and
+// events, without it. The seed corpus is the test's 12 programs at 2 and 8
+// workers.
 //
 //	go test ./internal/ncc -run '^$' -fuzz '^FuzzAwaitInputDifferential$' -fuzztime 10s
 func FuzzAwaitInputDifferential(f *testing.F) {
@@ -328,14 +335,20 @@ func FuzzAwaitInputDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nIdx, wIdx uint8, faults bool) {
 		n := 3 + int(nIdx)%158
 		w := []int{1, 2, 8}[wIdx%3]
-		want := runDiffProgram(seed, n, 1, faults, awaitLoop)
-		if d := diffResults(runDiffProgram(seed, n, 1, faults, (*Context).AwaitInput), want); d != "" {
+		want := runDiffProgram(seed, n, 1, faults, true, awaitLoop)
+		if d := diffResults(runDiffProgram(seed, n, 1, faults, true, (*Context).AwaitInput), want); d != "" {
 			t.Fatalf("AwaitInput at w=1 vs the EndRound loop: %s", d)
 		}
 		if w > 1 {
-			if d := diffResults(runDiffProgram(seed, n, w, faults, (*Context).AwaitInput), want); d != "" {
+			if d := diffResults(runDiffProgram(seed, n, w, faults, true, (*Context).AwaitInput), want); d != "" {
 				t.Fatalf("AwaitInput at w=%d vs w=1: %s", w, d)
 			}
+		}
+		// The untraced path skips quiet rounds without emitting samples.
+		untraced := want
+		untraced.samples = nil
+		if d := diffResults(runDiffProgram(seed, n, w, faults, false, (*Context).AwaitInput), untraced); d != "" {
+			t.Fatalf("AwaitInput at w=%d without a probe vs the EndRound loop: %s", w, d)
 		}
 	})
 }
@@ -420,7 +433,7 @@ func TestAwaitInputStaleDeadlines(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(workers int, wait waitFunc) diffResult {
 				cfg := Config{N: n, Seed: 3, Workers: workers, MaxRounds: 500, FaultPlan: tc.plan}
-				return runRecorded(cfg, func(ctx *Context, record func([]Received)) {
+				return runRecorded(cfg, true, func(ctx *Context, record func([]Received)) {
 					switch ctx.ID() {
 					case 0:
 						for _, at := range tc.sendAt {

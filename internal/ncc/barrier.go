@@ -21,8 +21,8 @@ import (
 // for the round, and release sends tokens only to the members of the wake
 // set the receiver phase built (a per-shard bitmap, see nodeSet), so it
 // costs O(woken + n/64) and never looks at a sleeping node. A round that
-// releases nobody arms no countdown, and the coordinator runs the next round
-// without waiting (a fast-forwarded round).
+// releases nobody arms no countdown, and the coordinator skips to the next
+// round that can wake a node without waiting (see skipQuiet).
 //
 // Abort closes every token channel of the slab once, the run's and those of
 // the slab nodes past it. A close never blocks and wakes parked and sleeping

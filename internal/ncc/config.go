@@ -41,21 +41,32 @@ type LinkCut struct {
 }
 
 // FaultPlan is the engine's one fault input: it schedules node-liveness
-// transitions and link loss. The coordinator calls Transitions and Loss
-// exactly once each per round r = 0, 1, 2, ... while every node is parked at
-// the round barrier. The returned outages and revivals apply before the
-// round's messages move. Loss gives the round's i.i.d. drop probability p
-// and its link cut, which the sender phase applies to every message that
-// leaves a live sender for a live receiver: first one seeded drop draw when
-// p > 0, then the cut. Implementations must be pure functions of the plan
-// and the round — never of goroutine scheduling — to preserve the engine's
-// bit-for-bit determinism; they run on the coordinator goroutine only, and a
-// panic in either method aborts the run with an error. Transitions naming
-// finished, already-down (for outages), or in-service (for revivals) nodes
-// are ignored.
+// transitions and link loss. The coordinator processes rounds r = 0, 1, 2,
+// ... in order and asks Transitions and Loss once each about every round it
+// processes, while every node is parked at the round barrier. The returned
+// outages and revivals apply before the round's messages move. Loss gives
+// the round's i.i.d. drop probability p and its link cut, which the sender
+// phase applies to every message that leaves a live sender for a live
+// receiver: first one seeded drop draw when p > 0, then the cut.
+//
+// After a round that releases no node, the coordinator asks
+// NextEvent(round) for the smallest r >= round at which Transitions(r) may
+// be non-empty, and moves straight to the earliest of that round, the next
+// sleeper's wake-up and MaxRounds. The rounds it skips are not processed:
+// nothing is sent in them, so their loss does not matter, and Transitions
+// and Loss are not asked about them. A plan that cannot tell returns round,
+// which skips nothing; math.MaxInt means no transition is left.
+//
+// Implementations must be pure functions of the plan and the round — never
+// of goroutine scheduling or of which rounds were asked about — to preserve
+// the engine's bit-for-bit determinism; they run on the coordinator
+// goroutine only, and a panic in any method aborts the run with an error.
+// Transitions naming finished, already-down (for outages), or in-service
+// (for revivals) nodes are ignored.
 type FaultPlan interface {
 	Transitions(round int) (down []Outage, up []Revival)
 	Loss(round int) (p float64, cut LinkCut)
+	NextEvent(round int) int
 }
 
 // Config parameterizes a simulation run.
@@ -124,7 +135,9 @@ type Config struct {
 	// Cancel, if non-nil, aborts the run when it becomes readable (typically
 	// by closing it). The coordinator checks it at every round barrier, so an
 	// in-flight run unwinds within one round of the cancellation: parked
-	// nodes are woken into an abort and Run returns ErrCanceled.
+	// nodes are woken into an abort and Run returns ErrCanceled. A stretch
+	// of rounds that release no node is skipped in one step and checked
+	// after it (with a Probe attached, after each skipped round's sample).
 	// Cancellation cannot preempt a node program that never reaches its next
 	// EndRound; that is what MaxRounds-style guards are for.
 	Cancel <-chan struct{}

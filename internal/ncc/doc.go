@@ -38,10 +38,15 @@
 // (its executor's, reused across runs; an abort closes them all) — a
 // direct handoff per node, no shared lock, no per-round allocation and no
 // serialized submit funnel. The receiver phase decides who wakes: a node in
-// AwaitInput stays parked through rounds that deliver it nothing, and a
-// round that releases nobody is fast-forwarded — the coordinator runs the
-// next one without a barrier, still checking Cancel and MaxRounds, applying
-// the FaultPlan and emitting one RoundSample.
+// AwaitInput stays parked through rounds that deliver it nothing. After a
+// round that releases nobody, the rounds up to the next one that can wake a
+// node are skipped in one step: the coordinator moves the round count to
+// the earliest of the next sleeper's deadline (the top of the timer heaps
+// below), the FaultPlan's next transition (FaultPlan.NextEvent) and
+// MaxRounds, so a stretch of idle rounds costs O(workers), not O(rounds).
+// A skipped round sends nothing, so the plan is not asked about its loss;
+// with a Probe attached it still gets its RoundSample, the one stepping it
+// would give, and Cancel is checked after each.
 //
 // A round costs O(active + messages + n/64), not O(n). Per shard, a bitmap
 // holds the nodes released for the round, and only they are walked for
@@ -70,7 +75,8 @@
 //
 // Runs recycle their memory and their goroutines. A run hands its node slab
 // (every Context with its outbox, inbox and word arenas, its PCG held by
-// value), the wake channels and the buckets to one process-wide spare, and
+// value), the wake channels, the buckets and its node- and shard-sized
+// scratch arrays (cleared on reuse) to one process-wide spare, and
 // the next run takes it by atomic swap instead of allocating; every field is
 // re-initialised, only capacity carries over. Each slab node has an
 // executor, started when the slab is allocated, that loops over its wake

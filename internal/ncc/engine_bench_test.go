@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // Engine microbenchmarks: raw round-delivery throughput of the simulator
@@ -125,6 +126,34 @@ func BenchmarkEngineSleep(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineQuiet is the ladder point for quiet rounds, one level above
+// the bare barrier: every node sleeps in AwaitInput for 100 rounds at a time
+// for 20k rounds, so one round in 100 releases anybody (all n nodes) and the
+// other 99 release nobody. ns/round is the average over both kinds; it
+// should fall as far as the rounds that release nobody get cheap.
+func BenchmarkEngineQuiet(b *testing.B) {
+	const rounds, every = 20000, 100
+	for _, n := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st, err := Run(Config{N: n, Seed: 1}, func(ctx *Context) {
+					for ctx.Round() < rounds {
+						ctx.AwaitInput(ctx.Round() + every)
+					}
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.Rounds != rounds {
+					b.Fatalf("rounds = %d, want %d", st.Rounds, rounds)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*rounds), "ns/round")
+		})
+	}
+}
+
 // BenchmarkEngineScale is the large-N trajectory: the node counts where the
 // paper's O(log n) capacity bounds become interesting. The 64k point runs
 // dense traffic (every node saturates cap = log2 n) and is the regression
@@ -184,12 +213,13 @@ func BenchmarkEngineScale(b *testing.B) {
 // BenchmarkEngineProbe measures the telemetry plane's cost at the round
 // barrier: the same dense workload with Probe nil (the default every scheduler
 // and benchmark runs with) versus a live probe draining every RoundSample.
-// The probe=off point is benchcheck-gated against BENCH_baseline.json, so a
-// change that sneaks work into the nil-probe path fails CI; probe=on is
-// reported for comparison but not gated (its cost is the feature's price).
-// The gated point gets one untimed warm-up run that grows the heap, like
-// EngineScale's; CI runs it with -benchtime 3x so each sample averages three
-// runs.
+// probe=off and probe=on report each side; probe=paired times both sides
+// within each iteration, alternating which runs first, so host drift between
+// the two does not enter its ratio (probe=on time over probe=off time). CI
+// gates that ratio against BENCH_baseline.json: a change that sneaks work
+// into the probe path, or makes the probe plane cost something when off
+// relative to on, moves it whatever the host's speed of the day. Each
+// sub-benchmark starts with one untimed warm-up run that grows the heap.
 func BenchmarkEngineProbe(b *testing.B) {
 	const n = 4096
 	program := func(ctx *Context) {
@@ -200,31 +230,53 @@ func BenchmarkEngineProbe(b *testing.B) {
 			ctx.EndRound()
 		}
 	}
-	b.Run("probe=off", func(b *testing.B) {
-		if _, err := Run(Config{N: n, Seed: 1}, program); err != nil {
+	run := func(b *testing.B, probe bool) {
+		cfg := Config{N: n, Seed: 1}
+		var seen int64
+		if probe {
+			cfg.Probe = func(s RoundSample, _ []ShardTiming) { seen += int64(s.Messages) }
+		}
+		st, err := Run(cfg, program)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if st.Rounds != benchRounds {
+			b.Fatalf("rounds = %d, want %d", st.Rounds, benchRounds)
+		}
+		if probe && seen != st.Messages {
+			b.Fatalf("probe observed %d messages, want %d", seen, st.Messages)
+		}
+	}
+	for _, side := range []struct {
+		name  string
+		probe bool
+	}{{"off", false}, {"on", true}} {
+		b.Run("probe="+side.name, func(b *testing.B) {
+			run(b, side.probe)
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run(b, side.probe)
+			}
+			b.ReportMetric(float64(benchRounds*b.N)/b.Elapsed().Seconds(), "rounds/s")
+		})
+	}
+	b.Run("probe=paired", func(b *testing.B) {
+		run(b, false)
 		b.ResetTimer()
-		runEngineBench(b, n, 0, program)
-	})
-	b.Run("probe=on", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink int64
+		var spent [2]time.Duration // [off, on]
 		for i := 0; i < b.N; i++ {
-			st, err := Run(Config{N: n, Seed: 1, Probe: func(s RoundSample, _ []ShardTiming) {
-				sink += int64(s.Messages)
-			}}, program)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.Rounds != benchRounds {
-				b.Fatalf("rounds = %d, want %d", st.Rounds, benchRounds)
+			for j := 0; j < 2; j++ {
+				side := (i + j) % 2
+				t0 := time.Now()
+				run(b, side == 1)
+				spent[side] += time.Since(t0)
 			}
 		}
-		if sink == 0 {
-			b.Fatal("probe never observed traffic")
-		}
-		b.ReportMetric(float64(benchRounds*b.N)/b.Elapsed().Seconds(), "rounds/s")
+		b.ReportMetric(0, "ns/op") // the sum of both sides says nothing
+		b.ReportMetric(float64(spent[0].Nanoseconds())/float64(b.N), "off-ns/op")
+		b.ReportMetric(float64(spent[1].Nanoseconds())/float64(b.N), "on-ns/op")
+		b.ReportMetric(float64(spent[1])/float64(spent[0]), "ratio")
 	})
 }
 

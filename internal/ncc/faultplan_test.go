@@ -13,6 +13,9 @@ func (f planFunc) Transitions(round int) ([]Outage, []Revival) { return f(round)
 
 func (planFunc) Loss(int) (float64, LinkCut) { return 0, LinkCut{} }
 
+// NextEvent cannot tell, so the engine steps every round.
+func (planFunc) NextEvent(round int) int { return round }
+
 // lossPlan is a test FaultPlan with link loss only: drop probability p in
 // every round, and the link cut cut returns for the round (none if nil).
 type lossPlan struct {
@@ -21,6 +24,8 @@ type lossPlan struct {
 }
 
 func (lossPlan) Transitions(int) ([]Outage, []Revival) { return nil, nil }
+
+func (lossPlan) NextEvent(round int) int { return round }
 
 func (l lossPlan) Loss(round int) (float64, LinkCut) {
 	if l.cut == nil {

@@ -202,7 +202,8 @@ const NoDeadline = math.MaxInt
 // A sleeping node leaves the round barrier: the engine neither wakes it nor
 // waits for it until a round delivers it at least one message, Round()
 // reaches deadline, or the fault plan kills it. Rounds in which every live
-// node sleeps run back to back on the coordinator. Pass NoDeadline to wait
+// node sleeps are skipped in one step, up to the next round that can wake
+// one (see FaultPlan.NextEvent). Pass NoDeadline to wait
 // for input alone; a deadline at or below Round()+1 makes it a plain
 // EndRound.
 func (c *Context) AwaitInput(deadline int) []Received {
@@ -261,8 +262,9 @@ type run struct {
 	caps       []int32 // per-node capacities; nil on uniform runs
 	minCap     int     // smallest per-node capacity (== cap when uniform)
 	workers    int
-	shardWidth int       // ceil(N / workers); node id / shardWidth = its shard
-	nodes      []Context // the node slab, reused by the next run
+	shardWidth int        // ceil(N / workers); node id / shardWidth = its shard
+	nodes      []Context  // the node slab, reused by the next run
+	mem        *engineMem // the memory the run took, handed back by recycle
 	bar        *barrier
 	errCh      chan error // capacity 1: the coordinator acts on the first error only
 	program    func(*Context)
@@ -405,21 +407,6 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	// so sparse million-node runs keep memory proportional to traffic.
 	r.provisionOut = int64(cfg.N)*int64(r.cap) <= (64<<20)/int64(envelopeBytes)
 	r.take(takeSpare(cfg.N))
-	r.recvCounts = make([]int32, cfg.N)
-	r.recvWordCounts = make([]int32, cfg.N)
-	// Sized once: every node retires once, and a shard has at most
-	// shardWidth receivers, so neither grows by appending.
-	r.finQ = make([]NodeID, 0, cfg.N)
-	r.receivers = make([][]NodeID, w)
-	rcv := make([]NodeID, w*r.shardWidth)
-	for j := range r.receivers {
-		r.receivers[j] = rcv[j*r.shardWidth : j*r.shardWidth : (j+1)*r.shardWidth]
-	}
-	r.shardStats = make([]Stats, w)
-	r.finished = make([]bool, cfg.N)
-	r.released = newNodeSet(w, r.shardWidth)
-	r.next = newNodeSet(w, r.shardWidth)
-	r.timers = make([]timerHeap, w)
 	if cfg.FaultPlan != nil {
 		r.down = make([]bool, cfg.N)
 		r.killed = make([]bool, cfg.N)
@@ -444,7 +431,6 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 		r.bar.releasedAt = time.Now().UnixNano()
 	}
 	// Arm the first barrier before any node can arrive at it.
-	r.woke = make([]int32, w)
 	for i := 0; i < w; i++ {
 		lo, hi := r.shardRange(i)
 		r.woke[i] = int32(hi - lo)
@@ -565,16 +551,27 @@ func (r *run) runNode(c *Context) {
 
 // engineMem is the memory of a run's nodes and of its delivery: the node
 // slab with each node's outbox, inbox and word arenas, the wake tokens with
-// their executors, and the buckets. A run hands it to spareMem when it ends,
-// and the next run takes it from there by atomic swap instead of allocating;
-// every field is re-initialised on reuse, and only capacity carries over.
-// The slab is len(nodes) long, the size of the run that allocated it, and so
-// are tokens, whose channel tokens[i] the executor of nodes[i] is parked on;
-// tokens is nil when an aborted run closed them.
+// their executors, the buckets, and the run's per-node and per-shard
+// scratch. A run hands it to spareMem when it ends, and the next run takes
+// it from there by atomic swap instead of allocating; every field is
+// re-initialised on reuse, and only capacity carries over. The slab is
+// len(nodes) long, the size of the run that allocated it, and so are tokens,
+// whose channel tokens[i] the executor of nodes[i] is parked on; tokens is
+// nil when an aborted run closed them. The scratch arrays are sized by the
+// node count of a run on the slab, at most len(nodes), or by its shards.
 type engineMem struct {
 	nodes   []Context
 	tokens  []chan struct{}
 	buckets [][]Envelope // the bucket grid, flattened sender-major
+
+	recvCounts, recvWordCounts []int32
+	finQ, receivers            []NodeID // receivers: the shards' lists, back to back
+	finished                   []bool
+	released, next             []uint64 // the two node sets' words
+	timers                     []timerHeap
+	woke                       []int32
+	shardStats                 []Stats
+	bucketPeak                 []int
 }
 
 // drop ends m's executors by closing their wake channels; m must not be
@@ -648,7 +645,50 @@ func (r *run) take(m *engineMem) {
 	for i := range r.buckets {
 		r.buckets[i] = flat[i*w : (i+1)*w : (i+1)*w]
 	}
-	r.bucketPeak = make([]int, w*w)
+
+	// The scratch arrays, allocated only when short: the finish queue and
+	// the receiver lists are written before they are read, and the rest is
+	// cleared.
+	m.finQ = slices.Grow(m.finQ[:0], n)
+	m.receivers = slices.Grow(m.receivers[:0], w*r.shardWidth)[:w*r.shardWidth]
+	m.bucketPeak = zeroed(m.bucketPeak, w*w)
+	m.recvCounts = zeroed(m.recvCounts, n)
+	m.recvWordCounts = zeroed(m.recvWordCounts, n)
+	m.finished = zeroed(m.finished, n)
+	stride := (r.shardWidth + 63) / 64
+	m.released = zeroed(m.released, w*stride)
+	m.next = zeroed(m.next, w*stride)
+	m.woke = zeroed(m.woke, w)
+	m.shardStats = zeroed(m.shardStats, w)
+	// A heap keeps its capacity, which compaction bounds by its shard's width.
+	m.timers = slices.Grow(m.timers[:0], w)[:w]
+	for j := range m.timers {
+		m.timers[j] = m.timers[j][:0]
+	}
+	r.mem = m
+	r.bucketPeak, r.recvCounts, r.recvWordCounts = m.bucketPeak, m.recvCounts, m.recvWordCounts
+	// Sized once: every node retires once, and a shard has at most
+	// shardWidth receivers, so neither grows by appending.
+	r.finQ = m.finQ
+	r.receivers = make([][]NodeID, w)
+	for j := range r.receivers {
+		r.receivers[j] = m.receivers[j*r.shardWidth : j*r.shardWidth : (j+1)*r.shardWidth]
+	}
+	r.finished = m.finished
+	r.released = nodeSet{words: m.released, stride: stride, width: r.shardWidth}
+	r.next = nodeSet{words: m.next, stride: stride, width: r.shardWidth}
+	r.timers, r.woke, r.shardStats = m.timers, m.woke, m.shardStats
+}
+
+// zeroed returns s resized to n zero elements, allocating only when its
+// capacity falls short.
+func zeroed[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // recycle hands the run's memory to spareMem, dropping the spare it
@@ -691,7 +731,9 @@ func (r *run) recycle() {
 	for k, b := range buckets {
 		buckets[k] = within(b, max(16, 2*r.bucketPeak[k]))
 	}
-	if old := spareMem.Swap(&engineMem{nodes: nodes, tokens: tokens, buckets: buckets}); old != nil {
+	m := r.mem
+	m.nodes, m.tokens, m.buckets = nodes, tokens, buckets
+	if old := spareMem.Swap(m); old != nil {
 		old.drop()
 	}
 }
@@ -793,7 +835,81 @@ func (r *run) coordinate() {
 		waiting = r.bar.reset(r.woke)
 		r.bar.release(&r.next)
 		r.released, r.next = r.next, r.released
+		if !waiting && !r.skipQuiet() {
+			return
+		}
 	}
+}
+
+// skipQuiet passes, in one step, the rounds after one that released no
+// node. Until a node runs again, a round sends nothing, so it wakes a node
+// only if a timer comes due in it or the fault plan has a transition for
+// it; and the round count may not pass MaxRounds. So the coordinator moves
+// the round count straight to the first round that can do anything: the
+// smallest of the earliest timer's at-1 (a stale timer only ends the jump
+// early), the plan's NextEvent and MaxRounds. Transitions and Loss are not
+// asked about the rounds skipped. With a probe attached each skipped round
+// still gets its sample, the one stepping it would give, and Cancel is
+// checked after each; without one, the next round checks it. It returns
+// false when the run failed.
+func (r *run) skipQuiet() bool {
+	round := r.stats.Rounds
+	to := r.cfg.MaxRounds
+	for _, h := range r.timers {
+		if len(h) > 0 {
+			to = min(to, h[0].at-1)
+		}
+	}
+	if r.cfg.FaultPlan != nil && to > round {
+		next, err := r.nextEvent(round)
+		if err != nil {
+			r.fail(err)
+			return false
+		}
+		to = min(to, next)
+	}
+	if !r.probing {
+		r.stats.Rounds = max(round, to)
+		return true
+	}
+	for i := range r.buckets {
+		for j := range r.buckets[i] {
+			r.buckets[i][j] = r.buckets[i][j][:0]
+		}
+	}
+	for r.stats.Rounds < to {
+		r.stats.Rounds++
+		if err := r.probeQuiet(); err != nil {
+			r.fail(err)
+			return false
+		}
+		select {
+		case <-r.cfg.Cancel: // nil channel when cancellation is unused
+			r.fail(ErrCanceled)
+			return false
+		default:
+		}
+	}
+	return true
+}
+
+// nextEvent asks the fault plan for its next transition round at or after
+// round; a panicking plan is returned as an error.
+func (r *run) nextEvent(round int) (next int, err error) {
+	defer recoverDeliveryPanic(&err)
+	return r.cfg.FaultPlan.NextEvent(round), nil
+}
+
+// probeQuiet hands the probe the sample of a skipped round: what stepping
+// the round gives, that is no traffic, the same finished and down counts,
+// empty Sent views (skipQuiet emptied the buckets) and zero timings.
+func (r *run) probeQuiet() (err error) {
+	defer recoverDeliveryPanic(&err)
+	for i := range r.timing {
+		r.timing[i] = ShardTiming{Sent: r.buckets[i]}
+	}
+	r.cfg.Probe(RoundSample{Round: r.stats.Rounds - 1, Finished: r.cfg.N - r.alive, Down: r.downCount}, r.timing)
+	return nil
 }
 
 // applyFaults asks the fault plan for round's liveness transitions and link

@@ -91,7 +91,7 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 	var stale atomic.Int64
 	var slab [2]*Context
 	runA := func(k int) diffResult {
-		return runRecorded(cfgA, func(ctx *Context, record func([]Received)) {
+		return runRecorded(cfgA, true, func(ctx *Context, record func([]Received)) {
 			if ctx.ID() == 0 {
 				slab[k] = ctx
 			}
@@ -144,9 +144,11 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 // TestWarmRunAllocations pins what recycling saves: after a GC, a second
 // identical dense run allocates under 100 objects and under an eighth of the
 // bytes of the first, which pays for the node slab, the wake channels and
-// their executors, outboxes, inboxes and buckets. The GC between the runs
-// empties the runtime's caches, as in a stream of runs with GCs between
-// them: a parked executor keeps what it needs through it.
+// their executors, outboxes, inboxes, buckets and the per-node scratch. What
+// the second run allocates is per run and per pair of shards (the bucket
+// grid), nothing per node: under 8 KiB + 64 B per shard pair. The GC between
+// the runs empties the runtime's caches, as in a stream of runs with GCs
+// between them: a parked executor keeps what it needs through it.
 func TestWarmRunAllocations(t *testing.T) {
 	const n, rounds = 4096, 6
 	run := func() (bytes, objects uint64) {
@@ -177,6 +179,10 @@ func TestWarmRunAllocations(t *testing.T) {
 	}
 	if 8*warm >= cold {
 		t.Errorf("second run allocated %d B, want under an eighth of the first run's %d B", warm, cold)
+	}
+	w := DefaultWorkers(n)
+	if limit := uint64(8<<10 + 64*w*w); warm >= limit {
+		t.Errorf("second run allocated %d B at %d workers, want under %d B: a per-node array is allocated per run", warm, w, limit)
 	}
 }
 

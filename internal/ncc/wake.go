@@ -16,11 +16,6 @@ type nodeSet struct {
 	width  int // nodes per shard (run.shardWidth)
 }
 
-func newNodeSet(shards, width int) nodeSet {
-	stride := (width + 63) / 64
-	return nodeSet{words: make([]uint64, shards*stride), stride: stride, width: width}
-}
-
 // shard returns shard j's words.
 func (s *nodeSet) shard(j int) []uint64 {
 	return s.words[j*s.stride : (j+1)*s.stride]

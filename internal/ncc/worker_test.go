@@ -179,4 +179,17 @@ func TestFaultPlanPanicSurfaces(t *testing.T) {
 			}
 		}
 	}
+	// NextEvent is asked after a round that releases nobody.
+	for _, workers := range []int{1, 4} {
+		cfg := Config{N: 8, Seed: 1, Workers: workers, FaultPlan: panicNext{}}
+		_, err := Run(cfg, func(ctx *Context) { ctx.AwaitInput(ctx.Round() + 5) })
+		if err == nil || !strings.Contains(err.Error(), "plan boom") {
+			t.Fatalf("NextEvent, workers=%d: err = %v, want the plan panic", workers, err)
+		}
+	}
 }
+
+// panicNext is a fault plan without faults whose NextEvent panics.
+type panicNext struct{ lossPlan }
+
+func (panicNext) NextEvent(int) int { panic("plan boom") }
