@@ -231,8 +231,8 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		if *cpuprofile != "" {
 			hash, _ := c.Hash()
 			pprof.Do(context.Background(), pprof.Labels("run", strconv.Itoa(i), "scenario", hash), func(context.Context) {
-				// Node executors inherit the labels of the goroutine that
-				// starts them: drop the last run's, so this run starts its own.
+				// Node coroutines inherit the labels of the goroutine that
+				// creates them: drop the last run's, so this run creates its own.
 				ncc.ReleaseSpare()
 				runOne()
 			})

@@ -12,16 +12,16 @@ import (
 	"time"
 )
 
-// The token barrier's edges: a node parks on its own capacity-1 channel once
-// per round it runs, a normal release sends one token per woken node, a node
-// sleeping in AwaitInput stays parked across rounds, and an abort closes
-// every channel. These tests drive each way a run can end — node panic,
-// fault-plan kills and outages with early finishes, cancellation — at random
-// rounds, with some nodes asleep when it lands, across worker counts and up
-// to n=4096, and require that Run returns and that no goroutine of the run
-// is left behind (a node parked on a token that never comes would show up as
-// a leaked goroutine, once the spare's parked executors are dropped). CI runs
-// them under -race.
+// The round's edges: a node's coroutine yields once per round it runs, the
+// resume phase resumes each released node once, on its shard's worker or on
+// the coordinator, a node sleeping in AwaitInput stays suspended across
+// rounds, and an abort stops every coroutine. These tests drive each way a
+// run can end — node panic, fault-plan kills and outages with early
+// finishes, cancellation — at random rounds, with some nodes asleep when it
+// lands, across worker counts and up to n=4096, and require that Run returns
+// and that no goroutine of the run is left behind (a coroutine an abort did
+// not stop would show up as a leaked goroutine, once the spare's suspended
+// coroutines are dropped). CI runs them under -race.
 
 var stressWorkers = []int{1, 2, 8}
 
@@ -30,11 +30,11 @@ var stressWorkers = []int{1, 2, 8}
 var stressSizes = []int{5, 300, 4096}
 
 // runBounded runs program under cfg with a deadline on Run itself, then drops
-// the spare, ending the executors parked in it, and waits for the goroutine
-// count to fall back to where it was before the run, with no spare either.
-// Run's own wait already rules out a node still running its program; what is
-// left to catch is a node parked on a token that never comes, a delivery
-// worker, or an executor that does not exit when its channel closes.
+// the spare, stopping the coroutines suspended in it, and waits for the
+// goroutine count to fall back to where it was before the run, with no spare
+// either. What is left to catch is a coroutine left suspended in a program
+// that Run's abort did not stop, a delivery worker, or a coroutine that does
+// not end when it is stopped.
 func runBounded(t *testing.T, cfg Config, program func(*Context)) (Stats, error) {
 	t.Helper()
 	ReleaseSpare()
@@ -52,11 +52,11 @@ func runBounded(t *testing.T, cfg Config, program func(*Context)) (Stats, error)
 	select {
 	case res = <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("n=%d workers=%d: Run did not return (barrier deadlock)", cfg.N, cfg.Workers)
+		t.Fatalf("n=%d workers=%d: Run did not return (deadlock)", cfg.N, cfg.Workers)
 	}
 	ReleaseSpare()
 	if err := settleGoroutines(before); err != nil {
-		t.Fatalf("n=%d workers=%d: %v: a node was left parked", cfg.N, cfg.Workers, err)
+		t.Fatalf("n=%d workers=%d: %v: a node was left suspended", cfg.N, cfg.Workers, err)
 	}
 	return res.st, res.err
 }
@@ -76,7 +76,7 @@ func settleGoroutines(before int) error {
 
 // TestBarrierStressNodePanic aborts a plan-less run by panicking one node at
 // a random round while some nodes have already finished and the rest are
-// parked, running, still holding the previous round's token, or asleep: every
+// suspended, not yet resumed in the round, or asleep: every
 // fourth node sleeps without a deadline and is never sent to, and the next
 // ones sleep with short deadlines.
 func TestBarrierStressNodePanic(t *testing.T) {

@@ -8,9 +8,9 @@ import (
 )
 
 // TestAbortDuringBarrier kills one node mid-round while every other node is
-// parked at the sharded barrier: the panic must surface as the run error and
-// every parked goroutine must be released (a deadlock here fails the test by
-// timeout). Exercised across worker counts so both the serial and pooled
+// suspended at the end of its round or waits to be resumed: the panic must
+// surface as the run error and every coroutine must be stopped (a deadlock
+// here fails the test by timeout). Exercised across worker counts so both the serial and pooled
 // delivery paths unwind.
 func TestAbortDuringBarrier(t *testing.T) {
 	for _, workers := range []int{1, 4} {
@@ -77,10 +77,10 @@ func TestImmediateFinishAll(t *testing.T) {
 }
 
 // TestBarrierLargeNSmoke pushes N=4096 with mixed traffic, staggered
-// finishes, and pooled delivery through the sharded countdown and the
-// per-node token release. Run under -race in CI, it is the memory-model
-// check on the barrier: any missing happens-before edge between node
-// outboxes, delivery workers, and inbox reads shows up here.
+// finishes, and pooled delivery through the resume phase's dispatch. Run
+// under -race in CI, it is the memory-model check on the round: any missing
+// happens-before edge between node outboxes, delivery workers, and inbox
+// reads shows up here.
 func TestBarrierLargeNSmoke(t *testing.T) {
 	const n, rounds = 4096, 6
 	st, err := Run(Config{N: n, Seed: 77, Workers: 8}, func(ctx *Context) {

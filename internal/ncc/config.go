@@ -15,7 +15,7 @@ type NodeID = int
 // Outage takes one node out of service at a round boundary. A plain outage
 // suspends the node: its program keeps executing, but every message it sends
 // or is sent is suppressed until a Revival returns it to service (the node is
-// partitioned, not stopped — the engine cannot checkpoint a goroutine). Kill
+// partitioned, not stopped — the engine cannot checkpoint a program). Kill
 // makes the outage permanent fail-stop: the node's program is unwound at its
 // next round barrier and it retires with no output, exactly like a program
 // that never returned.
@@ -43,7 +43,7 @@ type LinkCut struct {
 // FaultPlan is the engine's one fault input: it schedules node-liveness
 // transitions and link loss. The coordinator processes rounds r = 0, 1, 2,
 // ... in order and asks Transitions and Loss once each about every round it
-// processes, while every node is parked at the round barrier. The returned
+// processes, while every node is suspended between rounds. The returned
 // outages and revivals apply before the round's messages move. Loss gives
 // the round's i.i.d. drop probability p and its link cut, which the sender
 // phase applies to every message that leaves a live sender for a live
@@ -134,8 +134,9 @@ type Config struct {
 
 	// Cancel, if non-nil, aborts the run when it becomes readable (typically
 	// by closing it). The coordinator checks it at every round barrier, so an
-	// in-flight run unwinds within one round of the cancellation: parked
-	// nodes are woken into an abort and Run returns ErrCanceled. A stretch
+	// in-flight run unwinds within one round of the cancellation: suspended
+	// nodes are stopped, unwinding into an abort, and Run returns
+	// ErrCanceled. A stretch
 	// of rounds that release no node is skipped in one step and checked
 	// after it (with a Probe attached, after each skipped round's sample).
 	// Cancellation cannot preempt a node program that never reaches its next
@@ -173,8 +174,9 @@ func (c Config) withDefaults() Config {
 }
 
 // nodesPerWorker is the smallest shard worth a delivery worker of its own.
-// Below it a second worker costs more in dispatch and barrier shards than it
-// saves in delivery (see BenchmarkEngineSparse/Dense at n=64..1024).
+// Below it a second worker costs more in dispatch than it saves in delivery
+// (see BenchmarkEngineSparse/Dense at n=64..1024), and a round that releases
+// fewer nodes than this resumes them on the coordinator alone.
 const nodesPerWorker = 128
 
 // DefaultWorkers is the delivery-worker count of an n-node run whose

@@ -65,8 +65,9 @@ func BenchmarkEngineDense(b *testing.B) {
 }
 
 // BenchmarkEngineBarrier is the L0 ladder point: empty rounds at the default
-// worker count, so every nanosecond is the round barrier itself — arrival,
-// coordinator wake, an empty delivery pass and release. ns/node-round is the
+// worker count, so every nanosecond is the round's own machinery — the
+// resume phase's dispatch and one coroutine switch into and out of each
+// node, and an empty delivery pass. ns/node-round is the
 // per-node price of one synchronous round. The n=2048 point is gated against
 // BENCH_baseline.json in CI.
 func BenchmarkEngineBarrier(b *testing.B) {

@@ -68,19 +68,22 @@ type RoundSample struct {
 // to either, so on a mostly idle round both stay near the fixed per-shard
 // cost.
 type ShardTiming struct {
-	// BarrierWaitNanos is how long the shard's last arrival sat parked before
-	// the coordinator woke: large values mark early shards, ~0 marks the
-	// straggler, and the spread across shards is the round's imbalance.
+	// BarrierWaitNanos is how long the shard waited, once its last released
+	// node yielded, for the round's resume phase to end: large values mark
+	// early shards, ~0 marks the straggler, and the spread across shards is
+	// the round's imbalance.
 	BarrierWaitNanos int64
 
 	// SendNanos / RecvNanos are the shard's two delivery-phase durations.
 	SendNanos int64
 	RecvNanos int64
 
-	// ComputeNanos is the shard's program-compute span: from the previous
-	// barrier release (or the run's start, for round 0) to the moment the
-	// shard's last released node arrived. It covers the node programs' own
-	// work plus the wake-up of the shard's nodes. A shard none of whose nodes
+	// ComputeNanos is the shard's program-compute span: from the start of
+	// the round's resume phase to the moment the shard's last released node
+	// yielded. It covers the node programs' own work plus the resumes of the
+	// shard's nodes, and, when the round released too few nodes for a
+	// dispatch and the coordinator resumed the shards one after another, the
+	// shards before it. A shard none of whose nodes
 	// was released for the round (all finished or asleep in AwaitInput)
 	// reads zero here and in BarrierWaitNanos.
 	ComputeNanos int64
@@ -96,8 +99,8 @@ type ShardTiming struct {
 
 // RoundProbe receives one RoundSample per completed round, plus per-shard
 // timing. It is called on the coordinator goroutine, strictly between rounds
-// (every node is parked), so implementations need no locking against the run —
-// but they delay the barrier release, so they should be cheap. The timing
+// (every node is suspended), so implementations need no locking against the
+// run — but they delay the next round, so they should be cheap. The timing
 // slice and the Sent views inside it are reused every round and must not be
 // retained. A panicking probe aborts the run with an error.
 type RoundProbe func(s RoundSample, timing []ShardTiming)

@@ -286,7 +286,7 @@ func TestProbeDownAndFinished(t *testing.T) {
 }
 
 // TestProbePanicAborts: a panicking probe aborts the run with an error,
-// instead of crashing the process or deadlocking parked nodes.
+// instead of crashing the process or leaving nodes suspended.
 func TestProbePanicAborts(t *testing.T) {
 	cfg := Config{N: 4, Seed: 1, Probe: func(RoundSample, []ShardTiming) { panic("probe boom") }}
 	_, err := Run(cfg, func(ctx *Context) {

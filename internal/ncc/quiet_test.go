@@ -165,3 +165,61 @@ func TestQuietSkipMatchesStepping(t *testing.T) {
 		})
 	}
 }
+
+// askedPlan is a fault plan with no event that records the rounds it is
+// asked about, which are the rounds the engine processes. With stepping set
+// its NextEvent names every round, so the engine steps through them all.
+type askedPlan struct {
+	asked    *[]int
+	stepping bool
+}
+
+func (p askedPlan) Transitions(round int) ([]Outage, []Revival) {
+	*p.asked = append(*p.asked, round)
+	return nil, nil
+}
+
+func (askedPlan) Loss(int) (float64, LinkCut) { return 0, LinkCut{} }
+
+func (p askedPlan) NextEvent(round int) int {
+	if p.stepping {
+		return round
+	}
+	return math.MaxInt
+}
+
+// TestQuietSkipPassesStaleTimers puts a stale timer on top of a heap when a
+// skip starts: node 0 sleeps until round 10, is woken in round 2 by node 1,
+// which then finishes, and sleeps again until round 100. The skip must jump
+// from round 3 to round 99, the one before the live timer's, in one step,
+// not stop at round 9 for the stale one; and the run must match the same run
+// stepped round by round in Stats, node histories and RoundSample series.
+func TestQuietSkipPassesStaleTimers(t *testing.T) {
+	program := func(ctx *Context, record func([]Received)) {
+		if ctx.ID() == 0 {
+			record(ctx.AwaitInput(10))
+			record(ctx.AwaitInput(100))
+			return
+		}
+		record(ctx.EndRound())
+		ctx.SendWord(0, 7)
+		record(ctx.EndRound())
+	}
+	for _, w := range []int{1, 2} {
+		var skipped, stepped []int
+		cfg := Config{N: 2, Seed: 1, Workers: w}
+		cfg.FaultPlan = askedPlan{asked: &stepped, stepping: true}
+		want := runRecorded(cfg, true, program)
+		cfg.FaultPlan = askedPlan{asked: &skipped}
+		got := runRecorded(cfg, true, program)
+		if d := diffResults(got, want); d != "" {
+			t.Fatalf("w=%d: the skipping run differs from the stepping one: %s", w, d)
+		}
+		if got.stats.Rounds != 100 || len(stepped) != 100 {
+			t.Fatalf("w=%d: %d rounds, %d stepped; want 100 of each", w, got.stats.Rounds, len(stepped))
+		}
+		if want := []int{0, 1, 2, 99}; !slices.Equal(skipped, want) {
+			t.Errorf("w=%d: the skipping run processed rounds %v, want %v", w, skipped, want)
+		}
+	}
+}

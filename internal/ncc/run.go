@@ -11,14 +11,19 @@ import (
 	"time"
 )
 
-// Context is a node's handle on the network. It is used by exactly one
-// goroutine (the node's program) and is not safe for concurrent use. It
-// lives in the run's node slab, which the next run reuses: a *Context must
-// not be used after Run returns.
+// Context is a node's handle on the network. Only the node's program may use
+// it, and only on the goroutine the engine runs the program on (its
+// coroutine, see coro): it is not safe for concurrent use. It lives in the
+// run's node slab, which the next run reuses: a *Context must not be used
+// after Run returns.
 type Context struct {
 	id    NodeID
 	shard int
 	r     *run
+	// yield hands control back to the engine from the node's coroutine:
+	// false at AwaitInput, true at the program's end. It returns false once
+	// the coroutine is stopped.
+	yield func(bool) bool
 	// rng is &src, whose source is pcg, both held here so that seeding a
 	// node allocates nothing; a revival with reset gives the node a fresh
 	// source instead.
@@ -31,9 +36,9 @@ type Context struct {
 
 	// deadline is the round count at which the node's last AwaitInput gives
 	// up sleeping (0 after EndRound: wake every round). The node writes it
-	// before arriving at the barrier; recvPhase reads it while the node is
-	// parked, to wake it in the round it arrived or to queue a timer, and to
-	// tell a live timer from a stale one.
+	// before it yields; recvPhase reads it while the node is suspended, to
+	// wake it in the round it yielded or to queue a timer, and to tell a
+	// live timer from a stale one.
 	deadline int
 
 	// sendWords is the arena backing this round's outgoing multi-word
@@ -167,9 +172,9 @@ func (c *Context) SendWords(to NodeID, ws []uint64) {
 }
 
 // payloadWords resolves a multi-word envelope's payload against its sender's
-// arena. Only valid during delivery, while every sender is parked at the
-// round barrier (the barrier's release edge orders the arena writes before
-// the delivery phases read them).
+// arena. Only valid during delivery, while every sender is suspended (the
+// end of the resume phase orders the arena writes before the delivery phases
+// read them).
 func (r *run) payloadWords(e *Envelope) []uint64 {
 	return r.nodes[e.From].sendWords[e.a : e.a+uint64(e.width)]
 }
@@ -179,11 +184,12 @@ func (c *Context) panicOversized(w int) {
 		c.id, w, c.r.cfg.MaxWords))
 }
 
-// EndRound submits the buffered messages to the round barrier, blocks until
-// every node running this round has done the same, and returns the messages
-// delivered to this node, ordered by sender id. The returned slice is reused at the next
-// barrier and must not be retained across rounds, nor used after Run returns:
-// the next run reuses its memory.
+// EndRound submits the buffered messages for the round, suspends the node
+// until every node running this round has done the same and the round is
+// delivered, and returns the messages delivered to this node, ordered by
+// sender id. The returned slice is reused at the next round and must not be
+// retained across rounds, nor used after Run returns: the next run reuses
+// its memory.
 func (c *Context) EndRound() []Received { return c.AwaitInput(0) }
 
 // NoDeadline is the AwaitInput deadline that never passes: the node sleeps
@@ -199,8 +205,8 @@ const NoDeadline = math.MaxInt
 //		in = c.EndRound()
 //	}
 //
-// A sleeping node leaves the round barrier: the engine neither wakes it nor
-// waits for it until a round delivers it at least one message, Round()
+// A sleeping node stays suspended: the engine neither resumes it nor waits
+// for it until a round delivers it at least one message, Round()
 // reaches deadline, or the fault plan kills it. Rounds in which every live
 // node sleeps are skipped in one step, up to the next round that can wake
 // one (see FaultPlan.NextEvent). Pass NoDeadline to wait
@@ -213,14 +219,13 @@ func (c *Context) AwaitInput(deadline int) []Received {
 			c.id, len(c.out), c.round, r.capOf(c.id))})
 	}
 	c.deadline = deadline
-	r.bar.arrive(c.shard)
-	if !r.bar.await(c.id) {
+	if !c.yield(false) {
 		panic(errAborted)
 	}
 	if r.killed != nil && r.killed[c.id] {
-		// Fail-stopped by the fault plan while parked: unwind before the
-		// program sees this round's delivery. The goroutine's recover treats
-		// this as a normal finish with no output.
+		// Fail-stopped by the fault plan while suspended: unwind before the
+		// program sees this round's delivery. runNode's recover treats this
+		// as a normal finish with no output.
 		panic(errCrashed)
 	}
 	// The round's delivery is complete: every multi-word payload has been
@@ -232,7 +237,7 @@ func (c *Context) AwaitInput(deadline int) []Received {
 	return c.inbox
 }
 
-// errAborted is the sentinel panic used to unwind node goroutines when the
+// errAborted is the sentinel panic used to unwind node programs when the
 // coordinator aborts a run.
 var errAborted = &abortError{}
 
@@ -240,7 +245,7 @@ type abortError struct{}
 
 func (*abortError) Error() string { return "ncc: run aborted" }
 
-// errCrashed is the sentinel panic used to unwind a single node goroutine
+// errCrashed is the sentinel panic used to unwind a single node program
 // when the fault plan fail-stops it; the node retires with no output while
 // the run continues.
 var errCrashed = &crashError{}
@@ -265,35 +270,35 @@ type run struct {
 	shardWidth int        // ceil(N / workers); node id / shardWidth = its shard
 	nodes      []Context  // the node slab, reused by the next run
 	mem        *engineMem // the memory the run took, handed back by recycle
-	bar        *barrier
+	coros      []coro     // coros[id]: slab node id's coroutine; the whole slab's
 	errCh      chan error // capacity 1: the coordinator acts on the first error only
 	program    func(*Context)
-	wg         sync.WaitGroup // one count per node whose program has not ended
 	stats      Stats
-	err        error
+	err        error // set only by fail, which stops every coroutine
 	pool       *workerPool
-
-	// lostExecutor is set when a node's program called runtime.Goexit, which
-	// ends its executor along with the program (see recycle).
-	lostExecutor atomic.Bool
+	resumeFn   func(int)
 
 	// provisionOut: outboxes may grow straight to cap slots (see growOut).
 	provisionOut bool
 
-	// finMu guards finQ, the ids of nodes whose programs returned since the
-	// last barrier. The coordinator drains it only after barrier completion,
-	// when no node is running, so the slice swap below is race-free.
-	finMu sync.Mutex
-	finQ  []NodeID
+	// finMu guards finQ, the ids of nodes whose programs ended in the
+	// current resume phase, and goexits, those of nodes whose program called
+	// runtime.Goexit, whose coroutines stay suspended inside it (see
+	// runNode). Shards' workers append to them concurrently; the coordinator
+	// reads them only after the phase, when no node is running.
+	finMu   sync.Mutex
+	finQ    []NodeID
+	goexits []NodeID
 
-	// Round state, touched only between barrier completion and release.
+	// Round state, touched only by the coordinator and the delivery phases,
+	// while every node is suspended.
 	// released holds the nodes released for the current round: only they
 	// can have sent anything. recvPhase builds next, the nodes the round
 	// wakes, from four sources: its receivers, the released nodes whose
 	// deadline is due, the due timers (a released node going to sleep with a
 	// finite deadline pushes one onto its shard's heap) and the round's kills.
-	// woke[shard] counts next's members and arms the next barrier; after the
-	// release the coordinator swaps the two sets. So a round costs
+	// woke[shard] counts next's members, which the next resume phase
+	// resumes, once the coordinator has swapped the two sets. So a round costs
 	// O(released + receivers + messages + n/64), however many nodes sleep.
 	finished []bool // finished[id]: node id's program has returned
 	released nodeSet
@@ -303,10 +308,11 @@ type run struct {
 
 	// Liveness plane, allocated only when cfg.FaultPlan is set. down[id]
 	// suppresses node id's traffic in both directions; killed[id] unwinds its
-	// program at the next barrier. Both are written by the coordinator while
-	// every node is parked and read by nodes/delivery workers afterwards, so
-	// the barrier release orders every access. nodeFailures counts isolated
-	// node panics (guarded by finMu, folded into stats after the run).
+	// program when it is next resumed. Both are written by the coordinator
+	// while every node is suspended and read by nodes and delivery workers
+	// afterwards, so the phases' dispatch orders every access. nodeFailures
+	// counts isolated node panics (guarded by finMu, folded into stats after
+	// the run).
 	down         []bool
 	killed       []bool
 	kills        []NodeID // the nodes applyFaults killed this round
@@ -358,12 +364,17 @@ type run struct {
 	// each first mark into shardActive, so it needs no atomics and no reset.
 	// roundMaxSend is captured between the phases, before phase B zeroes the
 	// shard stats. timing is the reused slice handed to the probe;
-	// probeSend/probeRecv are per-shard phase durations and wakeNanos the
-	// coordinator's wake timestamp for the barrier-wait computation.
+	// probeSend/probeRecv are per-shard phase durations. resumedAt is the
+	// coordinator's UnixNano at the start of the last resume phase and
+	// wakeNanos at its end; shardDone[j] is when shard j's walk of the phase
+	// ended, 0 when it resumed nobody. shardDone[j] - resumedAt is shard j's
+	// program-compute span, wakeNanos - shardDone[j] its wait for the rest.
 	probing      bool
 	prevStats    Stats
 	roundMaxSend int
+	resumedAt    int64
 	wakeNanos    int64
+	shardDone    []int64
 	activeAt     []int
 	shardActive  []int32
 	probeSend    []int64
@@ -377,9 +388,13 @@ type run struct {
 //
 // A run leaves its memory to the next run (see engineMem): no Context, inbox
 // or word view of a run may be used after Run returns. A clean run also
-// leaves its node executors, parked on their wake channels, so after Run
-// returns up to 2N of them (the spare's slab) stay alive until a later run
-// drops the spare.
+// leaves its nodes' coroutines, suspended, so after Run returns up to 2N of
+// them (the spare's slab) stay alive until a later run drops the spare.
+//
+// Run resumes and stops node coroutines on its own goroutine and on its
+// delivery workers, so it must not be called from a goroutine locked to its
+// OS thread (runtime.LockOSThread): the runtime refuses to switch to a
+// coroutine from a thread-locked goroutine other than its creator.
 func Run(cfg Config, program func(*Context)) (Stats, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -414,6 +429,7 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	}
 	r.sendFn = r.sendPhase
 	r.recvFn = r.recvPhase
+	r.resumeFn = r.resumeShard
 	if cfg.Probe != nil {
 		r.probing = true
 		r.activeAt = make([]int, cfg.N)
@@ -421,16 +437,12 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 		r.probeSend = make([]int64, w)
 		r.probeRecv = make([]int64, w)
 		r.timing = make([]ShardTiming, w)
+		r.shardDone = make([]int64, w)
 	}
 	if w > 1 {
 		r.pool = newWorkerPool(w)
 		defer r.pool.close()
 	}
-	if r.probing {
-		r.bar.times = make([]int64, w)
-		r.bar.releasedAt = time.Now().UnixNano()
-	}
-	// Arm the first barrier before any node can arrive at it.
 	for i := 0; i < w; i++ {
 		lo, hi := r.shardRange(i)
 		r.woke[i] = int32(hi - lo)
@@ -438,21 +450,11 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 			r.released.add(i, id) // every node runs round 0
 		}
 	}
-	r.bar.reset(r.woke)
-
-	// Start the run: each node's executor takes its first token and runs
-	// program (see runNode).
 	r.program = program
-	r.wg.Add(cfg.N)
-	for _, tok := range r.bar.tokens {
-		tok <- struct{}{}
-	}
 	r.coordinate()
-	r.wg.Wait()
 	if cfg.FaultPlan != nil {
-		// Nodes that returned after the final barrier are finished even if
-		// the coordinator never retired them (no goroutine is running now, so
-		// reading finQ is race-free).
+		// Nodes whose programs ended in a resume phase after which the run
+		// failed are finished though the coordinator never retired them.
 		for _, id := range r.finQ {
 			r.finished[id] = true
 		}
@@ -488,33 +490,16 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	return r.stats, r.err
 }
 
-// execute is the executor of slab node c. It runs the node's program once
-// per start token, for one run after another, until the node's wake channel
-// tok closes: on an abort, or when the spare holding the slab is dropped.
-// Between runs it is parked on tok in the spare; it reads c only after a
-// token, which a run sends once it has re-initialised c.
-func execute(c *Context, tok chan struct{}) {
-	for range tok {
-		c.r.runNode(c)
-	}
-}
-
-// runNode runs the program on node c. A normal return, a fail-stop or an
-// isolated panic queues the node for retirement and arrives at the current
-// barrier so the round completes without it; any other panic fails the run.
-// wg.Done comes last: after it the executor touches nothing of the run.
+// runNode runs the program on node c, in c's coroutine. A normal return, a
+// fail-stop, an isolated panic or runtime.Goexit queues the node for
+// retirement, so the round completes without it; any other panic fails the
+// run.
 func (r *run) runNode(c *Context) {
-	defer r.wg.Done()
 	returned := false
 	defer func() {
 		v := recover()
 		if v == errAborted {
 			return
-		}
-		if v == nil && !returned {
-			// runtime.Goexit: the program ends as if it returned, but it
-			// takes the executor with it.
-			r.lostExecutor.Store(true)
 		}
 		if v != nil && v != errCrashed {
 			if _, overCap := v.(*capacityError); overCap || r.cfg.FaultPlan == nil {
@@ -534,34 +519,44 @@ func (r *run) runNode(c *Context) {
 			r.nodeFailures++
 			r.finMu.Unlock()
 		}
-		// Normal return or isolated crash: queue the node for retirement,
-		// then arrive at the current barrier so the round completes without
-		// it.
+		// Normal return, isolated crash or Goexit: queue the node for
+		// retirement.
+		goexit := v == nil && !returned
 		r.finMu.Lock()
 		if v != nil {
 			r.crashed[c.id] = true // fail-stop or isolated panic: no output
 		}
 		r.finQ = append(r.finQ, c.id)
+		if goexit {
+			r.goexits = append(r.goexits, c.id)
+		}
 		r.finMu.Unlock()
-		r.bar.arrive(c.shard)
+		if goexit {
+			// runtime.Goexit: the program ends as if it returned. Left to
+			// run its course, the Goexit would end the coroutine and then,
+			// re-raised by iter.Pull, the goroutine that resumed it: a
+			// delivery worker, or Run's caller. So the coroutine yields from
+			// inside it, and recycle ends it on a goroutine of its own.
+			c.yield(true)
+		}
 	}()
 	r.program(c)
 	returned = true
 }
 
 // engineMem is the memory of a run's nodes and of its delivery: the node
-// slab with each node's outbox, inbox and word arenas, the wake tokens with
-// their executors, the buckets, and the run's per-node and per-shard
-// scratch. A run hands it to spareMem when it ends, and the next run takes
-// it from there by atomic swap instead of allocating; every field is
-// re-initialised on reuse, and only capacity carries over. The slab is
-// len(nodes) long, the size of the run that allocated it, and so are tokens,
-// whose channel tokens[i] the executor of nodes[i] is parked on; tokens is
-// nil when an aborted run closed them. The scratch arrays are sized by the
-// node count of a run on the slab, at most len(nodes), or by its shards.
+// slab with each node's outbox, inbox and word arenas, the nodes'
+// coroutines, the buckets, and the run's per-node and per-shard scratch. A
+// run hands it to spareMem when it ends, and the next run takes it from
+// there by atomic swap instead of allocating; every field is re-initialised
+// on reuse, and only capacity carries over. The slab is len(nodes) long, the
+// size of the run that allocated it, and so is coros, whose coros[i] runs
+// the programs of nodes[i]; coros is nil when an aborted run stopped them.
+// The scratch arrays are sized by the node count of a run on the slab, at
+// most len(nodes), or by its shards.
 type engineMem struct {
 	nodes   []Context
-	tokens  []chan struct{}
+	coros   []coro
 	buckets [][]Envelope // the bucket grid, flattened sender-major
 
 	recvCounts, recvWordCounts []int32
@@ -574,11 +569,15 @@ type engineMem struct {
 	bucketPeak                 []int
 }
 
-// drop ends m's executors by closing their wake channels; m must not be
-// used afterwards.
-func (m *engineMem) drop() {
-	for _, tok := range m.tokens {
-		close(tok)
+// drop stops m's coroutines; m must not be used afterwards.
+func (m *engineMem) drop() { stopAll(m.coros) }
+
+// stopAll stops every coroutine of coros but the empty slots.
+func stopAll(coros []coro) {
+	for _, co := range coros {
+		if co.stop != nil {
+			co.stop()
+		}
 	}
 }
 
@@ -588,10 +587,11 @@ func (m *engineMem) drop() {
 var spareMem atomic.Pointer[engineMem]
 
 // ReleaseSpare drops what the last run left for the next one: its memory and
-// its parked node executors. The next run allocates afresh and starts its
-// executors from the goroutine that calls Run, so they carry that
-// goroutine's profiler labels (runtime/pprof), where reused executors carry
-// the labels of the run that started them.
+// its suspended node coroutines. The next run allocates afresh and creates
+// its coroutines from the goroutine that calls Run, so they carry that
+// goroutine's profiler labels (runtime/pprof), where reused coroutines carry
+// the labels of the run that created them. Like Run, it must not be called
+// from a goroutine locked to its OS thread.
 func ReleaseSpare() {
 	if m := spareMem.Swap(nil); m != nil {
 		m.drop()
@@ -600,7 +600,7 @@ func ReleaseSpare() {
 
 // takeSpare takes the spare for a run of n nodes. It reuses it only when it
 // has between n and 2n nodes, and otherwise drops it, so a large run's memory
-// and executors are not pinned behind a stream of small runs; an empty
+// and coroutines are not pinned behind a stream of small runs; an empty
 // engineMem means "allocate everything".
 func takeSpare(n int) *engineMem {
 	m := spareMem.Swap(nil)
@@ -615,13 +615,23 @@ func takeSpare(n int) *engineMem {
 }
 
 // take installs m as the run's memory, allocating what m lacks. A new slab,
-// or one whose channels an abort closed, gets fresh wake channels and one
-// executor per slab node; a reused slab keeps its parked executors.
+// or one whose coroutines an abort stopped, gets one new coroutine per slab
+// node, and an empty slot (left by a Goexit) gets one too; a reused slab
+// keeps its suspended coroutines.
 func (r *run) take(m *engineMem) {
 	n, w := r.cfg.N, r.workers
 	if len(m.nodes) < n {
 		m.nodes = make([]Context, n)
 	}
+	if m.coros == nil {
+		m.coros = make([]coro, len(m.nodes))
+	}
+	for i := range m.coros {
+		if m.coros[i].next == nil {
+			m.coros[i] = newCoro(&m.nodes[i])
+		}
+	}
+	r.coros = m.coros
 	r.nodes = m.nodes[:n]
 	for i := range r.nodes {
 		c := &r.nodes[i]
@@ -631,14 +641,6 @@ func (r *run) take(m *engineMem) {
 		c.src = *rand.New(&c.pcg)
 		c.rng = &c.src
 	}
-	if m.tokens == nil {
-		m.tokens = make([]chan struct{}, len(m.nodes))
-		for i := range m.tokens {
-			m.tokens[i] = make(chan struct{}, 1)
-			go execute(&m.nodes[i], m.tokens[i])
-		}
-	}
-	r.bar = newBarrier(w, m.tokens[:n])
 	flat := make([][]Envelope, w*w)
 	copy(flat, m.buckets)
 	r.buckets = make([][][]Envelope, w)
@@ -693,11 +695,12 @@ func zeroed[E any](s []E, n int) []E {
 
 // recycle hands the run's memory to spareMem, dropping the spare it
 // replaces (a concurrent run's); Run calls it last, once every node's program
-// has ended. A clean run hands back its wake channels with their executors
-// parked on them, each empty: a node takes the last token it was sent
-// before its program returns. An aborted run's channels are closed, which
-// ends its executors, so it hands back the slab and buckets alone; so does a
-// run that lost an executor to runtime.Goexit, once it has closed the rest.
+// has ended. A clean run hands back its coroutines, each suspended at the end
+// of its node's program. An aborted run's coroutines are stopped, so it
+// hands back the slab and buckets alone. A coroutine suspended inside a
+// runtime.Goexit (see runNode) is ended by a stop on a goroutine of its own,
+// which the Goexit it re-raises ends in turn, and a clean run hands back an
+// empty slot in its place.
 //
 // The spare keeps no pointer to the finished run, and no more memory than
 // this run used or a dense run of its size needs, so a stream of runs does
@@ -706,12 +709,10 @@ func zeroed[E any](s []E, n int) []E {
 // inbox is sized to all it was offered), a word arena over MaxWords times
 // that, and a bucket over max(16, 2·its peak length in this run) are dropped.
 func (r *run) recycle() {
-	if r.lostExecutor.Load() {
-		r.bar.abort()
-	}
-	var tokens []chan struct{}
-	if !r.bar.aborted.Load() {
-		tokens = r.bar.tokens[:cap(r.bar.tokens)]
+	r.endGoexits()
+	coros := r.coros
+	if r.err != nil {
+		coros = nil // fail stopped them
 	}
 	nodes := r.nodes[:cap(r.nodes)]
 	for id := range nodes {
@@ -732,7 +733,7 @@ func (r *run) recycle() {
 		buckets[k] = within(b, max(16, 2*r.bucketPeak[k]))
 	}
 	m := r.mem
-	m.nodes, m.tokens, m.buckets = nodes, tokens, buckets
+	m.nodes, m.coros, m.buckets = nodes, coros, buckets
 	if old := spareMem.Swap(m); old != nil {
 		old.drop()
 	}
@@ -756,56 +757,37 @@ func Collect[T any](cfg Config, program func(*Context) T) ([]T, Stats, error) {
 	return out, st, err
 }
 
-// fail records the abort cause and aborts the barrier, unwinding every parked
-// or late-arriving node.
+// fail records the abort cause and stops every coroutine of the slab, the
+// run's and those past it, which unwinds each node's program from its
+// AwaitInput with errAborted. The coordinator calls it while no worker is
+// running.
 func (r *run) fail(err error) {
 	r.err = err
-	r.bar.abort()
+	r.endGoexits()
+	stopAll(r.coros)
+}
+
+// endGoexits ends the coroutines suspended inside a runtime.Goexit (see
+// runNode) and empties their slots. Each is stopped on a goroutine of its
+// own, which the Goexit, re-raised by the stop, ends in turn.
+func (r *run) endGoexits() {
+	for _, id := range r.goexits {
+		go r.coros[id].stop()
+		r.coros[id] = coro{}
+	}
+	r.goexits = nil
 }
 
 func (r *run) coordinate() {
 	r.alive = r.cfg.N
-	waiting := true // every node runs round 0
 	for {
-		// Barrier: every released node arrives exactly once per round (a
-		// node blocked at the barrier cannot finish, so the live set is
-		// stable once the countdown completes). When the last round released
-		// nobody — every live node sleeps in AwaitInput — no one can arrive,
-		// and the next round runs at once.
-		if waiting {
-			select {
-			case <-r.bar.wake:
-			case err := <-r.errCh:
-				r.fail(err)
-				return
-			case <-r.cfg.Cancel: // nil channel when cancellation is unused
-				r.fail(ErrCanceled)
-				return
-			}
+		if !r.resumeReleased() {
+			return
 		}
-		if r.probing {
-			r.wakeNanos = time.Now().UnixNano()
-		}
-		// A cancellation racing the barrier wake must still win this round:
-		// the select above picks arbitrarily among ready cases, and the
-		// "within one round barrier" guarantee would otherwise only hold in
-		// expectation. Rounds run without a barrier see it here too.
-		if r.cfg.Cancel != nil {
-			select {
-			case <-r.cfg.Cancel:
-				r.fail(ErrCanceled)
-				return
-			default:
-			}
-		}
-		// Retire nodes whose programs returned before this barrier. All
-		// live nodes are parked (or gone) here, so draining finQ and
-		// reusing its backing array cannot race with an append.
-		r.finMu.Lock()
-		fin := r.finQ
-		r.finQ = r.finQ[:0]
-		r.finMu.Unlock()
-		for _, id := range fin {
+		// Retire nodes whose programs ended in the resume phase. No node is
+		// running here, so draining finQ and reusing its backing array
+		// cannot race with an append.
+		for _, id := range r.finQ {
 			r.finished[id] = true
 			r.alive--
 			if r.down != nil && r.down[id] {
@@ -814,6 +796,7 @@ func (r *run) coordinate() {
 				r.downCount--
 			}
 		}
+		r.finQ = r.finQ[:0]
 		if r.alive == 0 {
 			return
 		}
@@ -830,13 +813,67 @@ func (r *run) coordinate() {
 		if !r.deliverRound() {
 			return
 		}
-		// Re-arm the countdowns before waking anyone: released nodes may
-		// arrive at the next barrier immediately.
-		waiting = r.bar.reset(r.woke)
-		r.bar.release(&r.next)
 		r.released, r.next = r.next, r.released
-		if !waiting && !r.skipQuiet() {
+		if r.releasedCount() == 0 && !r.skipQuiet() {
 			return
+		}
+	}
+}
+
+// releasedCount returns the number of nodes released for the round.
+func (r *run) releasedCount() int {
+	k := 0
+	for _, c := range r.woke {
+		k += int(c)
+	}
+	return k
+}
+
+// resumeReleased is the round's resume phase: it runs the program of every
+// node released for the round up to its next AwaitInput or its end. Each
+// shard's nodes are resumed in ascending id order by one delivery worker, or
+// by the coordinator itself when the round released fewer than
+// nodesPerWorker nodes, where a dispatch would cost more than it spreads.
+// It reports whether the run goes on: a node's panic that fails the run, or
+// a cancellation, fails it here.
+func (r *run) resumeReleased() bool {
+	if r.probing {
+		r.resumedAt = time.Now().UnixNano()
+	}
+	var err error
+	if r.releasedCount() < nodesPerWorker {
+		err = r.runShardsInline(r.resumeFn)
+	} else {
+		err = r.runShards(r.resumeFn)
+	}
+	if r.probing {
+		r.wakeNanos = time.Now().UnixNano()
+	}
+	if err != nil {
+		r.fail(err)
+		return false
+	}
+	select {
+	case err := <-r.errCh:
+		r.fail(err)
+		return false
+	case <-r.cfg.Cancel: // nil channel when cancellation is unused
+		r.fail(ErrCanceled)
+		return false
+	default:
+		return true
+	}
+}
+
+// resumeShard resumes shard j's released nodes in ascending id order.
+func (r *run) resumeShard(j int) {
+	for id := r.released.first(j); id >= 0; id = r.released.next(j, id+1) {
+		r.coros[id].next()
+	}
+	if r.probing {
+		r.shardDone[j] = 0
+		if r.woke[j] > 0 {
+			r.shardDone[j] = time.Now().UnixNano()
 		}
 	}
 }
@@ -846,18 +883,23 @@ func (r *run) coordinate() {
 // only if a timer comes due in it or the fault plan has a transition for
 // it; and the round count may not pass MaxRounds. So the coordinator moves
 // the round count straight to the first round that can do anything: the
-// smallest of the earliest timer's at-1 (a stale timer only ends the jump
-// early), the plan's NextEvent and MaxRounds. Transitions and Loss are not
-// asked about the rounds skipped. With a probe attached each skipped round
-// still gets its sample, the one stepping it would give, and Cancel is
-// checked after each; without one, the next round checks it. It returns
-// false when the run failed.
+// smallest of the earliest live timer's at-1, the plan's NextEvent and
+// MaxRounds. The stale timers on top of a heap are popped first, as the
+// round they come due in would drop them, so they do not end the jump early.
+// Transitions and Loss are not asked about the rounds skipped. With a probe
+// attached each skipped round still gets its sample, the one stepping it
+// would give, and Cancel is checked after each; without one, the next round
+// checks it. It returns false when the run failed.
 func (r *run) skipQuiet() bool {
 	round := r.stats.Rounds
 	to := r.cfg.MaxRounds
-	for _, h := range r.timers {
-		if len(h) > 0 {
-			to = min(to, h[0].at-1)
+	for j := range r.timers {
+		h := &r.timers[j]
+		for len(*h) > 0 && !r.timerLive((*h)[0]) {
+			h.pop()
+		}
+		if len(*h) > 0 {
+			to = min(to, (*h)[0].at-1)
 		}
 	}
 	if r.cfg.FaultPlan != nil && to > round {
@@ -913,8 +955,8 @@ func (r *run) probeQuiet() (err error) {
 }
 
 // applyFaults asks the fault plan for round's liveness transitions and link
-// loss, and applies the transitions, while every live node is parked at the
-// barrier. Outages hitting finished or already-down nodes are ignored (except
+// loss, and applies the transitions, while every live node is suspended.
+// Outages hitting finished or already-down nodes are ignored (except
 // to escalate an outage to a kill); revivals only lift plain outages — a kill
 // is permanent. A panicking plan is returned as an error.
 func (r *run) applyFaults(round int) (err error) {
@@ -1357,7 +1399,7 @@ func (r *run) deliverRound() bool {
 // cumulative-stats deltas and the per-shard scratch (which still holds phase-B
 // values here) and hands it to Config.Probe, with the same panic recovery as
 // the FaultPlan. Runs on the coordinator goroutine while every node is
-// parked, before the next sendPhase resets the buckets that Sent aliases.
+// suspended, before the next sendPhase resets the buckets that Sent aliases.
 func (r *run) probeRound() (err error) {
 	defer recoverDeliveryPanic(&err)
 	cur, prev := &r.stats, &r.prevStats
@@ -1386,15 +1428,15 @@ func (r *run) probeRound() (err error) {
 		t.RecvNanos = r.probeRecv[i]
 		t.Sent = r.buckets[i]
 		t.BarrierWaitNanos, t.ComputeNanos = 0, 0
-		// Shards with no node released for the round never arrive; their
-		// stale timestamp (and any clock oddity) reads as zero wait and zero
+		// Shards with no node released for the round resumed nobody; their
+		// zero timestamp (and any clock oddity) reads as zero wait and zero
 		// compute.
-		if at := r.bar.times[i]; r.bar.shards[i].armed > 0 && at != 0 {
+		if at := r.shardDone[i]; at != 0 {
 			if at < r.wakeNanos {
 				t.BarrierWaitNanos = r.wakeNanos - at
 			}
-			if at > r.bar.releasedAt {
-				t.ComputeNanos = at - r.bar.releasedAt
+			if at > r.resumedAt {
+				t.ComputeNanos = at - r.resumedAt
 			}
 		}
 	}
@@ -1447,15 +1489,20 @@ func sortReceivedByFrom(msgs []Received) {
 // is serial and on the worker pool otherwise. A panic inside fn (say, from a
 // LinkCut slice shorter than N) is returned as an error instead of crashing
 // the process.
-func (r *run) runShards(fn func(int)) (err error) {
+func (r *run) runShards(fn func(int)) error {
 	if r.pool == nil {
-		defer recoverDeliveryPanic(&err)
-		for i := 0; i < r.workers; i++ {
-			fn(i)
-		}
-		return nil
+		return r.runShardsInline(fn)
 	}
 	return r.pool.run(r.workers, fn)
+}
+
+// runShardsInline is runShards on the coordinator alone.
+func (r *run) runShardsInline(fn func(int)) (err error) {
+	defer recoverDeliveryPanic(&err)
+	for i := 0; i < r.workers; i++ {
+		fn(i)
+	}
+	return nil
 }
 
 // workerPool is a fixed set of goroutines executing round-delivery shards.

@@ -143,12 +143,12 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 
 // TestWarmRunAllocations pins what recycling saves: after a GC, a second
 // identical dense run allocates under 100 objects and under an eighth of the
-// bytes of the first, which pays for the node slab, the wake channels and
-// their executors, outboxes, inboxes, buckets and the per-node scratch. What
+// bytes of the first, which pays for the node slab, the node coroutines,
+// outboxes, inboxes, buckets and the per-node scratch. What
 // the second run allocates is per run and per pair of shards (the bucket
 // grid), nothing per node: under 8 KiB + 64 B per shard pair. The GC between
 // the runs empties the runtime's caches, as in a stream of runs with GCs
-// between them: a parked executor keeps what it needs through it.
+// between them: a suspended coroutine keeps what it needs through it.
 func TestWarmRunAllocations(t *testing.T) {
 	const n, rounds = 4096, 6
 	run := func() (bytes, objects uint64) {
@@ -186,11 +186,12 @@ func TestWarmRunAllocations(t *testing.T) {
 	}
 }
 
-// TestSpareExecutorStacksShrink bounds what the executors parked in the spare
-// cost between runs: after a run whose nodes grew their stacks to 64 KiB or
-// more, at most 8 GCs bring the heap's stack bytes back to within 8 KiB per
-// spare node of their level before the run, because the runtime shrinks the
-// stacks of parked goroutines that use little of them.
+// TestSpareExecutorStacksShrink bounds what the node coroutines suspended in
+// the spare cost between runs: after a run whose nodes grew their stacks to
+// 64 KiB or more, at most 8 GCs bring the heap's stack bytes back to within
+// twice restStack per spare node of their level before the run, because the
+// runtime shrinks the stacks of suspended coroutines, like those of parked
+// goroutines, when they use little of them.
 func TestSpareExecutorStacksShrink(t *testing.T) {
 	const n, deep = 1024, 64 << 10
 	sample := []metrics.Sample{{Name: "/memory/classes/heap/stacks:bytes"}}
@@ -209,7 +210,7 @@ func TestSpareExecutorStacksShrink(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ReleaseSpare()
-	limit := before + 8<<10*uint64(spareNodes())
+	limit := before + 2*restStack*uint64(spareNodes())
 	grown := stacks()
 	if spareNodes() != n || grown <= limit {
 		t.Fatalf("after the run: spare of %d nodes, stacks %d B against %d B before; want %d nodes over %d B",
@@ -222,9 +223,16 @@ func TestSpareExecutorStacksShrink(t *testing.T) {
 	}
 	t.Logf("stacks: %d B before the run, %d B after it, %d B after %d GCs (limit %d B)", before, grown, after, gcs, limit)
 	if after > limit {
-		t.Errorf("parked executors hold %d B of stacks after %d GCs, want at most %d B", after, gcs, limit)
+		t.Errorf("suspended coroutines hold %d B of stacks after %d GCs, want at most %d B", after, gcs, limit)
 	}
 }
+
+// restStack is the stack a suspended node coroutine shrinks to: the runtime
+// halves a stack while what it uses, plus a reserve for nosplit functions,
+// is under a quarter of it. iter.Pull's resting frames take some 450 B, so
+// with the 800 B reserve a coroutine keeps 4 KiB. A race build doubles the
+// reserve (see race_test.go), which keeps it at 8 KiB.
+var restStack uint64 = 4 << 10
 
 // growStack uses at least bytes of stack, in 1 KiB frames.
 //
@@ -354,7 +362,7 @@ func TestSpareRules(t *testing.T) {
 		{500, false, 1000}, // half the slab: reused, and handed back whole
 		{499, false, 499},  // under half: the large slab is dropped
 		{998, false, 998},  // the spare is too small: allocate
-		{998, true, 998},   // aborted: the slab and buckets handed back, without channels
+		{998, true, 998},   // aborted: the slab and buckets handed back, without coroutines
 	}
 	for _, s := range steps {
 		run(s.n, s.fail)
@@ -366,11 +374,12 @@ func TestSpareRules(t *testing.T) {
 
 // TestRunsLeakNoExecutor reuses a clean 500-node run's slab for 300-node
 // runs that abort, once each by a node panic, Cancel and MaxRounds. An abort
-// must end the executors of the whole slab, the 200 past the run's nodes
+// must stop the coroutines of the whole slab, the 200 past the run's nodes
 // too, and hand the slab back; once the spare is dropped, no goroutine of
-// either run is left. Neither may a run whose node ended its executor by
-// runtime.Goexit, nor a clean run followed by a larger one, which drops the
-// smaller spare.
+// either run is left. Neither may runs whose node called runtime.Goexit,
+// which leaves its coroutine suspended inside the Goexit, at one worker and
+// at two, whether the run ends cleanly or aborts, nor a clean run followed by
+// a larger one, which drops the smaller spare.
 func TestRunsLeakNoExecutor(t *testing.T) {
 	clean := func(t *testing.T, n int) {
 		t.Helper()
@@ -429,38 +438,35 @@ func TestRunsLeakNoExecutor(t *testing.T) {
 			settle(t, before)
 		})
 	}
-	// A program that calls runtime.Goexit ends as if it returned, but takes
-	// its executor with it: the run must not hand that slab's channels on, or
-	// the next run would wait forever for the node.
+	// A program that calls runtime.Goexit ends as if it returned; its
+	// coroutine is ended on a goroutine of its own, and a clean run hands back
+	// a slab with an empty slot, which the next run fills.
 	t.Run("goexit", func(t *testing.T) {
-		ReleaseSpare()
-		before := runtime.NumGoroutine()
-		done := make(chan error, 1)
-		go func() {
-			for k := 0; k < 2; k++ {
-				_, err := Run(Config{N: 50, Seed: 1}, func(ctx *Context) {
-					ctx.EndRound()
-					if ctx.ID() == 3 {
-						runtime.Goexit()
+		for _, w := range []int{1, 2} {
+			for _, abort := range []bool{false, true} {
+				t.Run(fmt.Sprintf("w=%d/abort=%v", w, abort), func(t *testing.T) {
+					ReleaseSpare()
+					before := runtime.NumGoroutine()
+					for k := 0; k < 2; k++ {
+						_, err := runReturns(t, Config{N: 300, Seed: 1, Workers: w}, func(ctx *Context) {
+							ctx.EndRound()
+							if ctx.ID() == 3 {
+								runtime.Goexit()
+							}
+							ctx.EndRound()
+							if abort && ctx.ID() == 7 {
+								panic("boom")
+							}
+							ctx.EndRound()
+						})
+						if (err != nil) != abort {
+							t.Fatalf("run %d: error %v, want one: %v", k, err, abort)
+						}
 					}
-					ctx.EndRound()
+					settle(t, before)
 				})
-				if err != nil {
-					done <- err
-					return
-				}
 			}
-			done <- nil
-		}()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("the run after a Goexit did not return")
 		}
-		settle(t, before)
 	})
 	t.Run("oversized", func(t *testing.T) {
 		ReleaseSpare()
@@ -472,13 +478,14 @@ func TestRunsLeakNoExecutor(t *testing.T) {
 }
 
 // TestReleaseSpareRelabelsExecutors pins what profiling relies on: node
-// executors carry the profiler labels of the goroutine whose run started
-// them, a reused one keeps them, and after ReleaseSpare the next run starts
-// executors that carry its caller's labels.
+// coroutines carry the profiler labels of the goroutine whose run created
+// them, whichever goroutine resumes them, a reused one keeps them, and after
+// ReleaseSpare the next run creates coroutines that carry its caller's
+// labels.
 func TestReleaseSpareRelabelsExecutors(t *testing.T) {
-	// executorLabels lists the label sets of the goroutines parked in
-	// execute, from the goroutine profile, which groups goroutines by stack
-	// and labels.
+	// executorLabels lists the label sets of the node coroutines, suspended
+	// in execute, from the goroutine profile, which groups goroutines by
+	// stack and labels.
 	executorLabels := func() map[string]bool {
 		var b strings.Builder
 		if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
@@ -486,7 +493,7 @@ func TestReleaseSpareRelabelsExecutors(t *testing.T) {
 		}
 		sets := map[string]bool{}
 		for _, group := range strings.Split(b.String(), "\n\n") {
-			if !strings.Contains(group, "ncc.execute+") {
+			if !strings.Contains(group, "ncc.(*Context).execute+") {
 				continue
 			}
 			labels := "none"
@@ -501,7 +508,7 @@ func TestReleaseSpareRelabelsExecutors(t *testing.T) {
 	}
 	runAs := func(label string) {
 		pprof.Do(context.Background(), pprof.Labels("run", label), func(context.Context) {
-			if _, err := Run(Config{N: 64, Seed: 1}, func(ctx *Context) { ctx.EndRound() }); err != nil {
+			if _, err := Run(Config{N: 256, Seed: 1, Workers: 2}, func(ctx *Context) { ctx.EndRound() }); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -511,7 +518,7 @@ func TestReleaseSpareRelabelsExecutors(t *testing.T) {
 		deadline := time.Now().Add(10 * time.Second)
 		for got := executorLabels(); len(got) != 1 || !got[labels]; got = executorLabels() {
 			if time.Now().After(deadline) {
-				t.Fatalf("executors carry the label sets %v, want only %s", got, labels)
+				t.Fatalf("node coroutines carry the label sets %v, want only %s", got, labels)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -520,9 +527,91 @@ func TestReleaseSpareRelabelsExecutors(t *testing.T) {
 	defer ReleaseSpare()
 	runAs("a")
 	want(`{"run":"a"}`)
-	runAs("b") // reuses the executors of run a
+	runAs("b") // reuses the coroutines of run a
 	want(`{"run":"a"}`)
 	ReleaseSpare()
 	runAs("b")
 	want(`{"run":"b"}`)
+}
+
+// runReturns runs program under cfg on a goroutine of its own and fails the
+// test unless Run returns to that goroutine within 30 s: a runtime.Goexit
+// that escaped a node's coroutine would end it instead.
+func runReturns(t *testing.T, cfg Config, program func(*Context)) (Stats, error) {
+	t.Helper()
+	type result struct {
+		st  Stats
+		err error
+	}
+	done := make(chan result, 1)
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		st, err := Run(cfg, program)
+		done <- result{st, err}
+	}()
+	select {
+	case <-ended:
+		select {
+		case res := <-done:
+			return res.st, res.err
+		default:
+			t.Fatalf("n=%d workers=%d: Run did not return to its caller: its goroutine exited", cfg.N, cfg.Workers)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("n=%d workers=%d: Run did not return", cfg.N, cfg.Workers)
+	}
+	return Stats{}, nil
+}
+
+// TestGoexitReturnsToCaller runs a program one of whose nodes calls
+// runtime.Goexit at one worker, where Run's caller resumes every node
+// itself, and at two, where delivery workers resume them. Run must return
+// to its caller with the node counted as finished, and the next run must
+// reuse the slab, with a new coroutine in the Goexit's slot.
+func TestGoexitReturnsToCaller(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
+			cfg := Config{N: 256, Seed: 1, Workers: w, FaultPlan: planFunc(func(int) ([]Outage, []Revival) { return nil, nil })}
+			ReleaseSpare()
+			defer ReleaseSpare()
+			var slab [2]*Context
+			for k := range slab {
+				st, err := runReturns(t, cfg, func(ctx *Context) {
+					if ctx.ID() == 0 {
+						slab[k] = ctx
+					}
+					ctx.EndRound()
+					if ctx.ID() == 5 {
+						runtime.Goexit()
+					}
+					ctx.SendWord((ctx.ID()+1)%ctx.N(), 1)
+					ctx.EndRound()
+				})
+				if err != nil || len(st.Unfinished) != 0 || st.Rounds != 2 {
+					t.Fatalf("run %d: error %v, unfinished %v, %d rounds; want a clean run of 2 rounds", k, err, st.Unfinished, st.Rounds)
+				}
+			}
+			if slab[0] != slab[1] {
+				t.Error("the run after a Goexit did not reuse the slab")
+			}
+		})
+	}
+}
+
+// TestNodePanicSurfacesAtFourWorkers pins the error a plan-less run returns
+// when a node panics while four delivery workers resume the nodes: the
+// panic fails the run with the node's id, its value and its stack.
+func TestNodePanicSurfacesAtFourWorkers(t *testing.T) {
+	_, err := runReturns(t, Config{N: 1024, Seed: 1, Workers: 4}, func(ctx *Context) {
+		ctx.EndRound()
+		if ctx.ID() == 777 {
+			panic("boom")
+		}
+		ctx.EndRound()
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "ncc: node 777 panicked: boom\n") ||
+		!strings.Contains(err.Error(), "TestNodePanicSurfacesAtFourWorkers") {
+		t.Fatalf("Run returned %v, want the node 777 panic with its stack", err)
+	}
 }

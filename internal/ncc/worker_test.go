@@ -151,7 +151,7 @@ func TestParallelWorkersDeliverOrdered(t *testing.T) {
 
 // TestFaultPlanPanicSurfaces checks that a panic inside either FaultPlan
 // method aborts the run with an error instead of escaping the coordinator,
-// crashing the process, and leaving every node goroutine parked.
+// crashing the process, and leaving every node suspended.
 func TestFaultPlanPanicSurfaces(t *testing.T) {
 	transitions := planFunc(func(round int) ([]Outage, []Revival) {
 		if round == 2 {

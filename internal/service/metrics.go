@@ -259,7 +259,7 @@ func (m *metrics) render(w io.Writer, budget, free, entries int, liveWorkers []W
 
 	heap, goroutines, gcPause := runtimeGauges()
 	gauge("nccd_heap_bytes", "Live heap memory (runtime/metrics heap objects).", heap)
-	gauge("nccd_goroutines", "Goroutines currently live, including the node executors parked in the engine's spare between runs (up to twice the last run's node count).", goroutines)
+	gauge("nccd_goroutines", "Goroutines currently live, including the node coroutines suspended in the engine's spare between runs (up to twice the last run's node count).", goroutines)
 	gauge("nccd_gc_pause_p99_seconds", "Approximate p99 stop-the-world GC pause since process start.", gcPause)
 
 	gauge("nccd_uptime_seconds", "Seconds since the daemon started.", time.Since(m.start).Seconds())
