@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	cacheDir := fs.String("cache-dir", "", "persist completed sweeps here as content-addressed NDJSON (empty: in-memory cache only)")
 	budget := fs.Int("budget", 0, "global engine-worker budget shared across jobs (0 = GOMAXPROCS)")
 	jobs := fs.Int("jobs", 2, "jobs executing concurrently (runs within a job are always sequential)")
-	queue := fs.Int("queue", 256, "queued-job limit; submissions beyond it get 503")
+	queue := fs.Int("queue", 256, "queued-job limit (jobs waiting for an executor or a worker slot); submissions beyond it get 429 with Retry-After: 1")
 	retain := fs.Int("retain", 1024, "jobs remembered before the oldest terminal ones are forgotten (results stay cached)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "grace period for running jobs on shutdown before they are canceled")
 	coordinator := fs.Bool("coordinator", false, "run as a cluster coordinator: execute nothing locally, shard jobs across registered workers")

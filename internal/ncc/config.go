@@ -135,8 +135,8 @@ type Config struct {
 	// Cancel, if non-nil, aborts the run when it becomes readable (typically
 	// by closing it). The coordinator checks it at every round barrier, so an
 	// in-flight run unwinds within one round of the cancellation: suspended
-	// nodes are stopped, unwinding into an abort, and Run returns
-	// ErrCanceled. A stretch
+	// nodes are resumed into an abort that unwinds their programs, and Run
+	// returns ErrCanceled. A stretch
 	// of rounds that release no node is skipped in one step and checked
 	// after it (with a Probe attached, after each skipped round's sample).
 	// Cancellation cannot preempt a node program that never reaches its next

@@ -24,6 +24,9 @@ type Context struct {
 	// false at AwaitInput, true at the program's end. It returns false once
 	// the coroutine is stopped.
 	yield func(bool) bool
+	// inProgram is set while the coroutine runs, or is suspended inside,
+	// the node's program (runNode): the nodes a failed run must unwind.
+	inProgram bool
 	// rng is &src, whose source is pcg, both held here so that seeding a
 	// node allocates nothing; a revival with reset gives the node a fresh
 	// source instead.
@@ -214,12 +217,17 @@ const NoDeadline = math.MaxInt
 // EndRound.
 func (c *Context) AwaitInput(deadline int) []Received {
 	r := c.r
+	if r.err != nil {
+		// The run failed: unwind without suspending, even from a deferred
+		// EndRound of a program that fail is unwinding.
+		panic(errAborted)
+	}
 	if len(c.out) > r.capOf(c.id) {
 		panic(&capacityError{fmt.Sprintf("ncc: node %d sent %d messages in round %d, capacity is %d",
 			c.id, len(c.out), c.round, r.capOf(c.id))})
 	}
 	c.deadline = deadline
-	if !c.yield(false) {
+	if !c.yield(false) || r.err != nil {
 		panic(errAborted)
 	}
 	if r.killed != nil && r.killed[c.id] {
@@ -274,7 +282,7 @@ type run struct {
 	errCh      chan error // capacity 1: the coordinator acts on the first error only
 	program    func(*Context)
 	stats      Stats
-	err        error // set only by fail, which stops every coroutine
+	err        error // set only by fail, which unwinds every node program
 	pool       *workerPool
 	resumeFn   func(int)
 
@@ -387,9 +395,9 @@ type run struct {
 // Config.MaxRounds exceeded).
 //
 // A run leaves its memory to the next run (see engineMem): no Context, inbox
-// or word view of a run may be used after Run returns. A clean run also
-// leaves its nodes' coroutines, suspended, so after Run returns up to 2N of
-// them (the spare's slab) stay alive until a later run drops the spare.
+// or word view of a run may be used after Run returns. It also leaves its
+// nodes' coroutines, suspended, so after Run returns up to 2N of them (the
+// spare's slab) stay alive until a later run drops the spare.
 //
 // Run resumes and stops node coroutines on its own goroutine and on its
 // delivery workers, so it must not be called from a goroutine locked to its
@@ -495,8 +503,10 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 // retirement, so the round completes without it; any other panic fails the
 // run.
 func (r *run) runNode(c *Context) {
+	c.inProgram = true
 	returned := false
 	defer func() {
+		c.inProgram = false
 		v := recover()
 		if v == errAborted {
 			return
@@ -551,7 +561,7 @@ func (r *run) runNode(c *Context) {
 // there by atomic swap instead of allocating; every field is re-initialised
 // on reuse, and only capacity carries over. The slab is len(nodes) long, the
 // size of the run that allocated it, and so is coros, whose coros[i] runs
-// the programs of nodes[i]; coros is nil when an aborted run stopped them.
+// the programs of nodes[i].
 // The scratch arrays are sized by the node count of a run on the slab, at
 // most len(nodes), or by its shards.
 type engineMem struct {
@@ -569,12 +579,10 @@ type engineMem struct {
 	bucketPeak                 []int
 }
 
-// drop stops m's coroutines; m must not be used afterwards.
-func (m *engineMem) drop() { stopAll(m.coros) }
-
-// stopAll stops every coroutine of coros but the empty slots.
-func stopAll(coros []coro) {
-	for _, co := range coros {
+// drop stops m's coroutines but the empty slots; m must not be used
+// afterwards.
+func (m *engineMem) drop() {
+	for _, co := range m.coros {
 		if co.stop != nil {
 			co.stop()
 		}
@@ -614,10 +622,9 @@ func takeSpare(n int) *engineMem {
 	return m
 }
 
-// take installs m as the run's memory, allocating what m lacks. A new slab,
-// or one whose coroutines an abort stopped, gets one new coroutine per slab
-// node, and an empty slot (left by a Goexit) gets one too; a reused slab
-// keeps its suspended coroutines.
+// take installs m as the run's memory, allocating what m lacks. A new slab
+// gets one new coroutine per slab node, and an empty slot (left by a Goexit)
+// gets one too; a reused slab keeps its suspended coroutines.
 func (r *run) take(m *engineMem) {
 	n, w := r.cfg.N, r.workers
 	if len(m.nodes) < n {
@@ -695,12 +702,11 @@ func zeroed[E any](s []E, n int) []E {
 
 // recycle hands the run's memory to spareMem, dropping the spare it
 // replaces (a concurrent run's); Run calls it last, once every node's program
-// has ended. A clean run hands back its coroutines, each suspended at the end
-// of its node's program. An aborted run's coroutines are stopped, so it
-// hands back the slab and buckets alone. A coroutine suspended inside a
-// runtime.Goexit (see runNode) is ended by a stop on a goroutine of its own,
-// which the Goexit it re-raises ends in turn, and a clean run hands back an
-// empty slot in its place.
+// has ended. It hands back the coroutines, each suspended at the end of its
+// node's program, whether the run ended cleanly or fail unwound it. A
+// coroutine suspended inside a runtime.Goexit (see runNode) is ended by a
+// stop on a goroutine of its own, which the Goexit it re-raises ends in
+// turn, and the run hands back an empty slot in its place.
 //
 // The spare keeps no pointer to the finished run, and no more memory than
 // this run used or a dense run of its size needs, so a stream of runs does
@@ -710,10 +716,6 @@ func zeroed[E any](s []E, n int) []E {
 // that, and a bucket over max(16, 2·its peak length in this run) are dropped.
 func (r *run) recycle() {
 	r.endGoexits()
-	coros := r.coros
-	if r.err != nil {
-		coros = nil // fail stopped them
-	}
 	nodes := r.nodes[:cap(r.nodes)]
 	for id := range nodes {
 		k := r.cap // the slab past this run's nodes: bound it by the base capacity
@@ -733,7 +735,7 @@ func (r *run) recycle() {
 		buckets[k] = within(b, max(16, 2*r.bucketPeak[k]))
 	}
 	m := r.mem
-	m.nodes, m.coros, m.buckets = nodes, coros, buckets
+	m.nodes, m.coros, m.buckets = nodes, r.coros, buckets
 	if old := spareMem.Swap(m); old != nil {
 		old.drop()
 	}
@@ -757,14 +759,19 @@ func Collect[T any](cfg Config, program func(*Context) T) ([]T, Stats, error) {
 	return out, st, err
 }
 
-// fail records the abort cause and stops every coroutine of the slab, the
-// run's and those past it, which unwinds each node's program from its
-// AwaitInput with errAborted. The coordinator calls it while no worker is
-// running.
+// fail records the abort cause and resumes, once, each node suspended
+// inside its program, whose AwaitInput then panics errAborted: the program
+// unwinds to its coroutine's end-of-program yield, where the next run resumes
+// it, as it would a finished node. A node whose panic failed the run already
+// sits there. The coordinator calls it while no worker is running.
 func (r *run) fail(err error) {
 	r.err = err
 	r.endGoexits()
-	stopAll(r.coros)
+	for id := range r.nodes {
+		if r.nodes[id].inProgram {
+			r.coros[id].next()
+		}
+	}
 }
 
 // endGoexits ends the coroutines suspended inside a runtime.Goexit (see

@@ -22,6 +22,20 @@ func spareNodes() int {
 	return 0
 }
 
+// spareCoros is the number of coroutines the spare holds, its empty slots
+// left out, or 0 when there is none.
+func spareCoros() int {
+	k := 0
+	if m := spareMem.Load(); m != nil {
+		for _, co := range m.coros {
+			if co.next != nil {
+				k++
+			}
+		}
+	}
+	return k
+}
+
 // spareBytes is the capacity, in bytes, of every arena and bucket the spare
 // holds, or 0 when there is none.
 func spareBytes() int {
@@ -374,9 +388,9 @@ func TestSpareRules(t *testing.T) {
 
 // TestRunsLeakNoExecutor reuses a clean 500-node run's slab for 300-node
 // runs that abort, once each by a node panic, Cancel and MaxRounds. An abort
-// must stop the coroutines of the whole slab, the 200 past the run's nodes
-// too, and hand the slab back; once the spare is dropped, no goroutine of
-// either run is left. Neither may runs whose node called runtime.Goexit,
+// must hand back the slab with all 500 coroutines live, the 200 past the
+// run's nodes too; once the spare is dropped, no goroutine of either run is
+// left. Neither may runs whose node called runtime.Goexit,
 // which leaves its coroutine suspended inside the Goexit, at one worker and
 // at two, whether the run ends cleanly or aborts, nor a clean run followed by
 // a larger one, which drops the smaller spare.
@@ -434,6 +448,9 @@ func TestRunsLeakNoExecutor(t *testing.T) {
 			}
 			if got := spareNodes(); got != 500 {
 				t.Errorf("after the aborted run the spare has %d nodes, want the slab of 500", got)
+			}
+			if got, live := spareCoros(), runtime.NumGoroutine()-before; got != 500 || live < 500 {
+				t.Errorf("after the aborted run the spare holds %d coroutines and %d goroutines are live, want 500 of each", got, live)
 			}
 			settle(t, before)
 		})

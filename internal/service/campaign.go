@@ -118,7 +118,7 @@ func (c *campaignRun) finish(rep *campaign.Report, errMsg string) {
 func (c *campaignRun) watch(m *metrics) {
 	for _, j := range c.jobs {
 		for {
-			_, terminal, changed := j.next(0)
+			_, terminal, changed := j.next(recordLog, 0)
 			if terminal {
 				break
 			}
@@ -146,7 +146,7 @@ func (c *campaignRun) watch(m *metrics) {
 		if _, ok := records[u.Hash]; ok {
 			continue
 		}
-		lines, trace := c.jobs[i].resultLines()
+		lines, trace := c.jobs[i].logs()
 		recs := make([]scenario.Record, 0, len(lines))
 		for _, line := range lines {
 			var rec scenario.Record
@@ -282,7 +282,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			// Units admitted before the failure keep running; their results
 			// land in the cache, so a retried campaign picks them up for free.
-			httpError(w, http.StatusServiceUnavailable, "unit %s/%s: %v", u.Entry, u.Variant, err)
+			refuse(w, err, "unit %s/%s: %v", u.Entry, u.Variant, err)
 			return
 		}
 		byHash[u.Hash] = j

@@ -227,40 +227,35 @@ func (r *workerRegistry) sums() (total, free int) {
 }
 
 // RemoteBackend is the coordinator's ExecBackend: it holds no executors of
-// its own, instead sharding queued jobs across registered worker daemons and
-// proxying each job's NDJSON record stream back into the Job's line log —
-// byte-identical to a local run, because workers stream the same marshaled
-// Records a LocalBackend produces. When a worker dies mid-run (broken stream,
-// missed heartbeats, deregistration) the job is re-dispatched to another
-// worker: execution is deterministic and idempotent (keyed by the canonical
-// scenario hash, deduped by the worker's own coalescing cache), so the retry
-// replays an identical stream and the proxy skips the lines it already has.
+// its own; its slots are the job slots of registered worker daemons, and a
+// job runs in one by proxying the worker's NDJSON record stream into the
+// Job's line log — byte-identical to a local run, because workers stream the
+// same marshaled Records a LocalBackend produces. When a worker dies mid-run
+// (broken stream, missed heartbeats, deregistration) the job is re-dispatched
+// to another worker: execution is deterministic and idempotent (keyed by the
+// canonical scenario hash, deduped by the worker's own coalescing cache), so
+// the retry replays an identical stream and the proxy skips the lines it
+// already has.
 type RemoteBackend struct {
 	cfg      Config
 	m        *metrics
-	cache    *cache
 	reg      *workerRegistry
-	queue    chan *Job
-	wg       sync.WaitGroup // dispatcher + in-flight proxies
-	stopScan chan struct{}  // stops the heartbeat-expiry loop
+	stopScan chan struct{} // stops the heartbeat-expiry loop
 }
 
-func newRemoteBackend(cfg Config, c *cache, m *metrics) *RemoteBackend {
+func newRemoteBackend(cfg Config, m *metrics) *RemoteBackend {
 	b := &RemoteBackend{
 		cfg:      cfg,
 		m:        m,
-		cache:    c,
 		reg:      newWorkerRegistry(cfg.WorkerTTL),
-		queue:    make(chan *Job, cfg.QueueLimit),
 		stopScan: make(chan struct{}),
 	}
-	b.wg.Add(1)
-	go b.dispatcher()
 	go b.expiryLoop()
 	return b
 }
 
-// expiryLoop sweeps the registry for workers that missed their heartbeats.
+// expiryLoop sweeps the registry for workers that missed their heartbeats,
+// until stop.
 func (b *RemoteBackend) expiryLoop() {
 	interval := max(b.cfg.WorkerTTL/4, 10*time.Millisecond)
 	t := time.NewTicker(interval)
@@ -275,21 +270,13 @@ func (b *RemoteBackend) expiryLoop() {
 	}
 }
 
+// stop ends the expiry loop; the server calls it once its jobs have drained.
+func (b *RemoteBackend) stop() { close(b.stopScan) }
+
 // api is the client of one worker's HTTP API. Workers run the same bearer
 // guard as the coordinator, so it carries the shared cluster token.
 func (b *RemoteBackend) api(w *remoteWorker) Client {
 	return NewClusterClient(w.url, b.cfg.ClusterToken)
-}
-
-// Submit enqueues a job for dispatch without blocking.
-func (b *RemoteBackend) Submit(j *Job) error {
-	select {
-	case b.queue <- j:
-		b.m.jobsQueued.Add(1)
-		return nil
-	default:
-		return errQueueFull
-	}
 }
 
 // Capacity reports the fleet's total and free job slots.
@@ -297,52 +284,27 @@ func (b *RemoteBackend) Capacity() (total, free int) {
 	return b.reg.sums()
 }
 
-// dispatcher assigns queued jobs to workers strictly FIFO: each job blocks
-// until the fleet has a free slot (capacity-aware placement happens inside
-// acquire), then proxies on its own goroutine so streams overlap.
-func (b *RemoteBackend) dispatcher() {
-	defer b.wg.Done()
-	for j := range b.queue {
-		b.m.jobsQueued.Add(-1)
-		// A twin of this job may have completed while it sat in the queue
-		// (admission only checks the cache once, before enqueueing). Serving
-		// the landed result here skips the dispatch entirely — no worker slot,
-		// no proxy stream — which matters most for campaigns, whose deduped
-		// units frequently re-enqueue recently finished hashes.
-		if lines, trace, ok := b.cache.get(j.Hash); ok {
-			if j.completeFromCache(lines, trace) {
-				b.m.dispatchCacheHits.Add(1)
-				b.m.jobsDone.Add(1)
-				continue
-			}
-			b.m.jobsCanceled.Add(1)
-			continue
-		}
-		w := b.reg.acquire(j.cancel)
-		if w == nil {
-			// Canceled while waiting for a slot; Job.Cancel already flipped
-			// the queued job to canceled.
-			b.m.jobsCanceled.Add(1)
-			continue
-		}
-		if !j.setRunning() {
-			b.reg.release(w)
-			b.m.jobsCanceled.Add(1)
-			continue
-		}
-		b.m.jobsRunning.Add(1)
-		b.cfg.Logger.Info("job dispatched", "job", j.ID, "trace", j.TraceID, "worker", w.name)
-		b.wg.Add(1)
-		go b.proxyLoop(j, w)
+// acquire reserves a slot on the live worker with the most free slots (see
+// workerRegistry.acquire).
+func (b *RemoteBackend) acquire(cancel <-chan struct{}) slot {
+	if w := b.reg.acquire(cancel); w != nil {
+		return workerSlot{b, w}
 	}
+	return nil
 }
 
-// proxyLoop drives one job to a terminal state, re-dispatching across worker
-// failures up to the attempt bound. The worker slot passed in is already
-// reserved.
-func (b *RemoteBackend) proxyLoop(j *Job, w *remoteWorker) {
-	defer b.wg.Done()
-	defer b.m.jobsRunning.Add(-1)
+// workerSlot is a job slot reserved on worker w.
+type workerSlot struct {
+	b *RemoteBackend
+	w *remoteWorker
+}
+
+func (d workerSlot) release() { d.b.reg.release(d.w) }
+
+// run drives j to a terminal state on d's worker, re-dispatching across
+// worker failures up to the attempt bound.
+func (d workerSlot) run(j *Job) (State, string) {
+	b, w := d.b, d.w
 	dispatched := time.Now()
 	for attempt := 1; ; attempt++ {
 		state, msg, err := b.runOn(j, w)
@@ -351,8 +313,7 @@ func (b *RemoteBackend) proxyLoop(j *Job, w *remoteWorker) {
 			if state == StateDone {
 				b.m.dispatchLatency.observeSince(dispatched)
 			}
-			b.finishJob(j, state, msg)
-			return
+			return state, msg
 		}
 		// The dispatch failed below the job level: drop the worker (it
 		// re-registers on its next heartbeat if it is actually alive) and try
@@ -360,38 +321,14 @@ func (b *RemoteBackend) proxyLoop(j *Job, w *remoteWorker) {
 		b.cfg.Logger.Warn("dispatch attempt failed", "job", j.ID, "trace", j.TraceID, "worker", w.name, "attempt", attempt, "err", err)
 		b.reg.fail(w)
 		if j.canceled() {
-			b.finishJob(j, StateCanceled, "")
-			return
+			return StateCanceled, ""
 		}
 		if attempt >= b.cfg.JobAttempts {
-			b.finishJob(j, StateFailed, fmt.Sprintf("dispatch attempt %d/%d on worker %s: %v", attempt, b.cfg.JobAttempts, w.name, err))
-			return
+			return StateFailed, fmt.Sprintf("dispatch attempt %d/%d on worker %s: %v", attempt, b.cfg.JobAttempts, w.name, err)
 		}
 		if w = b.reg.acquire(j.cancel); w == nil {
-			b.finishJob(j, StateCanceled, "")
-			return
+			return StateCanceled, ""
 		}
-	}
-}
-
-func (b *RemoteBackend) finishJob(j *Job, state State, msg string) {
-	if state == StateDone {
-		lines, trace := j.logs()
-		if err := b.cache.put(j.Hash, lines, trace); err != nil {
-			b.m.cacheWriteErrors.Add(1)
-		}
-	}
-	j.finish(state, msg)
-	switch state {
-	case StateDone:
-		b.m.jobsDone.Add(1)
-		b.cfg.Logger.Info("job done", "job", j.ID, "trace", j.TraceID, "records", j.lineCount())
-	case StateFailed:
-		b.m.jobsFailed.Add(1)
-		b.cfg.Logger.Error("job failed", "job", j.ID, "trace", j.TraceID, "cause", msg)
-	case StateCanceled:
-		b.m.jobsCanceled.Add(1)
-		b.cfg.Logger.Info("job canceled", "job", j.ID, "trace", j.TraceID)
 	}
 }
 
@@ -404,6 +341,7 @@ func (b *RemoteBackend) runOn(j *Job, w *remoteWorker) (State, string, error) {
 	if j.canceled() {
 		return StateCanceled, "", nil
 	}
+	b.cfg.Logger.Info("job dispatched", "job", j.ID, "trace", j.TraceID, "worker", w.name)
 	wm := b.m.worker(w.name)
 	wm.jobs.Add(1)
 	api := b.api(w)
@@ -449,7 +387,7 @@ func (b *RemoteBackend) runOn(j *Job, w *remoteWorker) (State, string, error) {
 	// On a retry the worker replays the full deterministic stream; skip the
 	// lines the previous attempt already published so clients see one
 	// seamless, byte-identical stream across the failover.
-	skip := j.lineCount()
+	skip := j.count(recordLog)
 	sc := bufio.NewScanner(stream)
 	sc.Buffer(nil, 16<<20) // starts small and grows to the longest record
 	for sc.Scan() {
@@ -461,7 +399,7 @@ func (b *RemoteBackend) runOn(j *Job, w *remoteWorker) (State, string, error) {
 			skip--
 			continue
 		}
-		j.appendLine(append([]byte(nil), line...))
+		j.append(recordLog, append([]byte(nil), line...))
 		b.m.recordsProduced.Add(1)
 		wm.records.Add(1)
 	}
@@ -524,8 +462,8 @@ func (b *RemoteBackend) fetchTrace(ctx context.Context, j *Job, w *remoteWorker,
 	if err != nil {
 		return fmt.Errorf("trace stream: %w", err)
 	}
-	batch := splitLines(data, j.traceCount())
-	j.appendTraceLines(batch)
+	batch := splitLines(data, j.count(traceLog))
+	j.append(traceLog, batch...)
 	b.m.traceLinesProduced.Add(int64(len(batch)))
 	return nil
 }
@@ -548,28 +486,6 @@ func splitLines(data []byte, skip int) [][]byte {
 		lines = append(lines, line)
 	}
 	return lines
-}
-
-// Drain stops the dispatcher after the already-queued jobs finish. If ctx
-// expires first, cancelAll cancels every live job — proxies propagate the
-// cancels to their workers — and Drain waits for the short tail.
-func (b *RemoteBackend) Drain(ctx context.Context, cancelAll func()) error {
-	close(b.queue)
-	done := make(chan struct{})
-	go func() {
-		b.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		cancelAll()
-		<-done
-		err = ctx.Err()
-	}
-	close(b.stopScan)
-	return err
 }
 
 // registerRequest is the body of POST /v1/workers: registration and

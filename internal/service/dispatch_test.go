@@ -8,62 +8,70 @@ import (
 	"ncc/internal/scenario"
 )
 
-// TestDispatchTimeCacheHit exercises the coordinator's second cache check: a
-// result that lands in the cache after a job was admitted (so the
-// admission-time lookup missed) is served when the dispatcher pops the job,
-// without ever needing a worker — observable because no worker is registered
-// here, so dispatch is the only path to completion.
+// TestDispatchTimeCacheHit exercises the dispatcher's second cache check, in
+// both modes: a result that lands in the cache after a job was admitted (so
+// the admission-time lookup missed) is served when the dispatcher takes the
+// job, without a slot. The coordinator has no worker registered, so dispatch
+// is the only path to completion; the local daemon would execute the job and
+// stream its real record instead of the stub.
 func TestDispatchTimeCacheHit(t *testing.T) {
-	svc, err := NewCoordinator(Config{WorkerTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-		defer cancel()
-		svc.Drain(ctx)
-	}()
+	for _, tc := range []struct {
+		name string
+		new  func(Config) (*Server, error)
+	}{{"New", New}, {"NewCoordinator", NewCoordinator}} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, err := tc.new(Config{WorkerTTL: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+				defer cancel()
+				svc.Drain(ctx)
+			}()
 
-	sc, err := scenario.Decode([]byte(`{"algo":"mis","graph":{"family":"kforest","params":{"n":12,"k":2},"seed":7},"model":{"seed":7}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash, err := sc.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := [][]byte{[]byte(`{"stub":"record"}`)}
-	if err := svc.cache.put(hash, lines, nil); err != nil {
-		t.Fatal(err)
-	}
+			sc, err := scenario.Decode([]byte(`{"algo":"mis","graph":{"family":"kforest","params":{"n":12,"k":2},"seed":7},"model":{"seed":7}}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash, err := sc.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := [][]byte{[]byte(`{"stub":"record"}`)}
+			if err := svc.cache.put(hash, lines, nil); err != nil {
+				t.Fatal(err)
+			}
 
-	// hit=false models the race: the admission lookup ran before the result
-	// landed. The dispatcher must still find it.
-	j, coalesced, err := svc.store.Admit(sc, hash, nil, nil, false, svc.backend.Submit)
-	if err != nil || coalesced {
-		t.Fatalf("admit: coalesced=%v err=%v", coalesced, err)
-	}
-	deadline := time.After(10 * time.Second)
-	for {
-		_, terminal, changed := j.next(0)
-		if terminal {
-			break
-		}
-		select {
-		case <-changed:
-		case <-deadline:
-			t.Fatal("job never completed from the dispatch-time cache check")
-		}
-	}
-	info := j.Info()
-	if info.State != StateDone || !info.Cached || info.Records != 1 {
-		t.Fatalf("job after dispatch-time hit: %+v", info)
-	}
-	if n := svc.m.dispatchCacheHits.Load(); n != 1 {
-		t.Fatalf("dispatchCacheHits = %d, want 1", n)
-	}
-	if n := svc.m.jobsDone.Load(); n != 1 {
-		t.Fatalf("jobsDone = %d, want 1", n)
+			// hit=false models the race: the admission lookup ran before the
+			// result landed. The dispatcher must still find it.
+			j, coalesced, err := svc.store.Admit(sc, hash, nil, nil, false, svc.jobs.submit)
+			if err != nil || coalesced {
+				t.Fatalf("admit: coalesced=%v err=%v", coalesced, err)
+			}
+			deadline := time.After(10 * time.Second)
+			for {
+				_, terminal, changed := j.next(recordLog, 0)
+				if terminal {
+					break
+				}
+				select {
+				case <-changed:
+				case <-deadline:
+					t.Fatal("job never completed from the dispatch-time cache check")
+				}
+			}
+			info := j.Info()
+			if info.State != StateDone || !info.Cached || info.Records != 1 {
+				t.Fatalf("job after dispatch-time hit: %+v", info)
+			}
+			if n := svc.m.dispatchCacheHits.Load(); n != 1 {
+				t.Fatalf("dispatchCacheHits = %d, want 1", n)
+			}
+			if n := svc.m.jobsDone.Load(); n != 1 {
+				t.Fatalf("jobsDone = %d, want 1", n)
+			}
+		})
 	}
 }
 

@@ -4,42 +4,57 @@
 // the algorithm and graph registries, executes it, and streams the resulting
 // scenario Records back as NDJSON — live, while the sweep is still running.
 //
-// # Architecture: four seams behind one HTTP surface
+// # Architecture: one job pipeline behind one HTTP surface
 //
-// Server is a thin HTTP layer over four components, each replaceable behind
-// an interface or a small struct:
+// Server is a thin HTTP layer over one job pipeline; only the backend at its
+// end differs between a daemon that runs jobs and a coordinator:
 //
-//	    ┌──────────────────────── Server (HTTP) ───────────────────────┐
-//	    │  POST /v1/jobs   GET /v1/jobs[/{id}[/records]]   /metrics    │
-//	    └──────┬──────────────────┬─────────────────────┬──────────────┘
-//	           │ admit            │ stream              │ lookup
-//	           ▼                  ▼                     ▼
-//	     ┌──────────┐       ┌───────────┐         ┌───────────┐
-//	     │ JobStore │       │ StreamHub │         │   cache   │ memory FIFO
-//	     └────┬─────┘       └───────────┘         └──┬─────┬──┘
-//	          │ Submit                       get/put │     │ refs + blobs
-//	          ▼                                      │     ▼
-//	┌───────────────────┐                            │  ┌────────────┐
-//	│    ExecBackend    │ ◄──────────────────────────┘  │ blob.Store │
-//	│ Local │  Remote   │                               │ (optional) │
-//	└───────────────────┘                               └────────────┘
+//	  ┌────────────────────────── Server (HTTP) ──────────────────────────┐
+//	  │  POST /v1/jobs   GET /v1/jobs[/{id}[/records|/trace]]   /metrics  │
+//	  └──────┬──────────────────┬──────────────────────┬──────────────────┘
+//	         │ admit            │ serveLog             │ lookup
+//	         ▼                  ▼                      ▼
+//	   ┌──────────┐       ┌───────────┐          ┌───────────┐
+//	   │ JobStore │       │    Job    │          │   cache   │ memory FIFO
+//	   └────┬─────┘       │ records,  │          └──┬─────┬──┘
+//	        │ submit      │ trace     │     get/put │     │ refs + blobs
+//	        ▼             └─────▲─────┘             │     ▼
+//	┌─────────────────┐         │ append            │  ┌────────────┐
+//	│    pipeline     │ ◄───────┼───────────────────┘  │ blob.Store │
+//	│ queue, dispatch │         │                      │ (optional) │
+//	│ finish, drain   │         │                      └────────────┘
+//	└────────┬────────┘         │
+//	         │ acquire, run     │
+//	         ▼                  │
+//	┌─────────────────┐         │
+//	│   ExecBackend   │ ────────┘
+//	│ Local │ Remote  │
+//	└─────────────────┘
 //
-// JobStore owns the job lifecycle: admission (with drain refusal and
-// in-flight coalescing under one lock), id assignment, retention pruning of
-// terminal jobs, lookup, and filtered listing. ExecBackend runs an admitted
-// job: LocalBackend executes in-process on the two-level scheduler below;
-// RemoteBackend (coordinator mode) shards jobs across registered worker
-// daemons and proxies their streams. StreamHub serves a job's NDJSON record
-// stream to any number of concurrent tails, live or replayed. The cache is
-// the content-addressed result cache: an in-memory FIFO over an optional
-// blob store on disk.
+// JobStore owns admission (with drain refusal and in-flight coalescing under
+// one lock), id assignment, retention pruning of terminal jobs, lookup, and
+// filtered listing. The pipeline owns the lifecycle of every job admitted on
+// a cache miss: a bounded FIFO queue (a full one answers 429 with
+// Retry-After), one dispatcher, one finish and one drain. The dispatcher
+// serves the head job from the cache if a twin's result landed there since
+// admission, or else waits for a free slot of the backend, marks the job
+// running and runs it there on a goroutine of its own; finish fills the
+// cache before a done job turns terminal, and keeps every jobs_* series, the
+// job latency histogram and the log line. A job counts as queued until it
+// has a slot. ExecBackend is what differs between the modes: LocalBackend's
+// slots are its executors, where a job runs its sweep on the two-level
+// scheduler below; RemoteBackend's are the job slots of registered workers,
+// where a job runs by proxying a worker's streams. Either way the records and
+// the trace are two append-only logs on the Job, which serveLog streams to
+// any number of tails, live or replayed. The cache is the content-addressed
+// result cache: an in-memory FIFO over an optional blob store on disk.
 //
 // # Local scheduling
 //
-// Scheduling is two-level. A fixed set of executors runs jobs concurrently
-// while each job's expanded runs stay sequential, so a job's record stream is
+// Scheduling is two-level. A fixed number of executor slots bounds the jobs
+// that run concurrently, while each job's expanded runs stay sequential, so a job's record stream is
 // ordered exactly like a local sweep. Engine parallelism comes from a global
-// worker budget shared across jobs: before each run an executor acquires
+// worker budget shared across jobs: before each run a job acquires
 // between 1 and ncc.DefaultWorkers(n) tokens — the count the engine would
 // use at the run's size, or the model's explicit worker count, as far as the
 // budget can spare — and hands the engine exactly that many delivery
@@ -73,10 +88,11 @@
 // coordinator executes nothing itself. Worker daemons — ordinary standalone
 // nccd processes plus a Joiner heartbeat loop — register via POST
 // /v1/workers with an advertised URL and capacity; registration doubles as
-// the heartbeat, and workers that miss the TTL are expired. A dispatcher
-// pulls admitted jobs FIFO and places each on the live worker with the most
-// free slots, then proxies the worker's record stream back into the job
-// byte-for-byte, so clients cannot tell a proxied stream from a local one.
+// the heartbeat, and workers that miss the TTL are expired. The pipeline's
+// dispatcher takes admitted jobs FIFO, as on any daemon; the backend places
+// each on the live worker with the most free slots, then proxies the
+// worker's record stream back into the job byte-for-byte, so clients cannot
+// tell a proxied stream from a local one.
 //
 // Failover leans on determinism: the engine is bit-identical for a given
 // scenario, and the canonical hash makes execution idempotent. When a worker
@@ -101,10 +117,12 @@
 // # Cancellation and drain
 //
 // Cancellation is wired through the engine's abort path (ncc.Config.Cancel):
-// canceling a job releases the round barrier with the abort bit set, so even
-// a run mid-sweep unwinds within one round. A coordinator forwards the cancel
-// to whichever worker holds the job. Drain uses the same machinery for
-// graceful shutdown: stop accepting (503), finish what is queued and running,
+// at the end of the round in which a job is canceled, the engine resumes
+// each node program suspended in the run into an abort that unwinds it, so
+// even a run mid-sweep ends within one round. A queued job is skipped by the
+// dispatcher. A coordinator forwards the cancel to whichever worker holds
+// the job. Drain uses the same machinery for graceful shutdown: stop
+// accepting (503), finish what is queued and running,
 // cancel whatever outlives the grace period. A draining worker deregisters
 // first, so its coordinator re-dispatches rather than waiting out the TTL.
 package service

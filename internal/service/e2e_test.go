@@ -211,7 +211,7 @@ func TestEndToEnd(t *testing.T) {
 
 // TestCancelInFlight cancels a job whose run never terminates on its own and
 // checks that the cancellation propagates through the engine's abort path
-// promptly — within one round barrier, not at MaxRounds.
+// promptly — within one round, not at MaxRounds.
 func TestCancelInFlight(t *testing.T) {
 	ts := newTestServer(t, service.Config{WorkerBudget: 2, Executors: 1})
 	info := submit(t, ts.URL, spinJSON)
@@ -300,6 +300,86 @@ func TestCancelQueued(t *testing.T) {
 	}
 	resp.Body.Close()
 	waitState(t, ts.URL, spinning.ID, service.StateCanceled, 10*time.Second)
+}
+
+// cancelAndWait cancels the job id and waits until it reads canceled.
+func cancelAndWait(t *testing.T, base, id string) {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/jobs/"+id+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitState(t, base, id, service.StateCanceled, 10*time.Second)
+}
+
+// TestWaitingJobCountsQueued pins nccd_jobs_queued in both modes: a job that
+// waits for a slot counts as queued until it gets one, whether it waits for
+// the single executor behind a running job or for a worker to join the
+// coordinator.
+func TestWaitingJobCountsQueued(t *testing.T) {
+	check := func(t *testing.T, base string, queued, running float64) {
+		t.Helper()
+		if n := metricValue(t, base, "nccd_jobs_queued"); n != queued {
+			t.Errorf("nccd_jobs_queued = %g, want %g", n, queued)
+		}
+		if n := metricValue(t, base, "nccd_jobs_running"); n != running {
+			t.Errorf("nccd_jobs_running = %g, want %g", n, running)
+		}
+	}
+	t.Run("local", func(t *testing.T) {
+		ts := newTestServer(t, service.Config{WorkerBudget: 2, Executors: 1})
+		spinning := submit(t, ts.URL, spinJSON)
+		waitState(t, ts.URL, spinning.ID, service.StateRunning, 10*time.Second)
+		waiting := submit(t, ts.URL, sweepJSON)
+		time.Sleep(50 * time.Millisecond) // the dispatcher has taken it by now
+		if st := jobInfo(t, ts.URL, waiting.ID).State; st != service.StateQueued {
+			t.Fatalf("second job state %q, want queued behind the single executor", st)
+		}
+		check(t, ts.URL, 1, 1)
+		cancelAndWait(t, ts.URL, waiting.ID)
+		cancelAndWait(t, ts.URL, spinning.ID)
+	})
+	t.Run("coordinator", func(t *testing.T) {
+		coord := newCoordinator(t, service.Config{WorkerTTL: time.Minute})
+		waiting := submit(t, coord.URL, sweepJSON)
+		time.Sleep(50 * time.Millisecond) // the dispatcher has taken it by now
+		if st := jobInfo(t, coord.URL, waiting.ID).State; st != service.StateQueued {
+			t.Fatalf("job state with no workers = %q, want queued", st)
+		}
+		check(t, coord.URL, 1, 0)
+		cancelAndWait(t, coord.URL, waiting.ID)
+		check(t, coord.URL, 0, 0)
+	})
+}
+
+// TestFullQueueAnswers429 fills a one-job queue behind a running job: a
+// further job and a campaign are both refused with 429 and Retry-After, the
+// answer a client retries, not the 503 of a draining daemon.
+func TestFullQueueAnswers429(t *testing.T) {
+	ts := newTestServer(t, service.Config{WorkerBudget: 2, Executors: 1, QueueLimit: 1})
+	spinning := submit(t, ts.URL, spinJSON)
+	waitState(t, ts.URL, spinning.ID, service.StateRunning, 10*time.Second)
+	queued := submit(t, ts.URL, sweepJSON)
+
+	other := strings.Replace(sweepJSON, `"seeds":[1,2]`, `"seeds":[3]`, 1)
+	campaignJSON := fmt.Sprintf(`{"name":"full","entries":[{"baseline":"none","scenario":%s}]}`, other)
+	for _, post := range []struct{ path, body string }{
+		{"/v1/jobs", other},
+		{"/v1/campaigns", campaignJSON},
+	} {
+		resp, err := http.Post(ts.URL+post.path, "application/json", strings.NewReader(post.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+			t.Errorf("POST %s with the queue full: status %d, Retry-After %q, want 429 and 1",
+				post.path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	cancelAndWait(t, ts.URL, queued.ID)
+	cancelAndWait(t, ts.URL, spinning.ID)
 }
 
 // TestQueuedStreamSendsHeaders pins that a record stream's headers go out

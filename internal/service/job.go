@@ -41,6 +41,15 @@ type JobInfo struct {
 	Submitted time.Time `json:"submitted"`
 }
 
+// logID names one of a job's two NDJSON logs. Each line is stored without
+// its trailing newline.
+type logID int
+
+const (
+	recordLog logID = iota // one marshaled Record per line
+	traceLog               // the telemetry trace (internal/obs format)
+)
+
 // Job is one submitted scenario execution. Results accumulate as
 // pre-marshaled NDJSON lines so every consumer — live streams, late streams,
 // the result cache — serves byte-identical records without re-encoding.
@@ -56,9 +65,9 @@ type Job struct {
 	// identity on the coordinator and on its worker.
 	TraceID string
 
-	// cancel is closed (once) to abort the job; the scheduler threads it
-	// into the engine's abort path, so an in-flight run unwinds within one
-	// round barrier.
+	// cancel is closed (once) to abort the job; the local backend threads
+	// it into the engine's abort path, so an in-flight run unwinds within
+	// one round.
 	cancel     chan struct{}
 	cancelOnce sync.Once
 
@@ -66,8 +75,7 @@ type Job struct {
 	state   State
 	cached  bool
 	err     string
-	lines   [][]byte      // one marshaled Record per line, no trailing newline
-	trace   [][]byte      // NDJSON trace lines (internal/obs format), same convention
+	log     [2][][]byte   // indexed by logID
 	changed chan struct{} // closed and replaced on every mutation
 }
 
@@ -101,8 +109,8 @@ func (j *Job) notifyLocked() {
 }
 
 // Cancel requests the job's abortion. A queued job flips to canceled
-// immediately (the scheduler skips it on dequeue); a running job unwinds
-// through the engine's abort path. Terminal jobs are unaffected.
+// immediately (the dispatcher skips it); a running job unwinds through the
+// engine's abort path. Terminal jobs are unaffected.
 func (j *Job) Cancel() {
 	j.cancelOnce.Do(func() { close(j.cancel) })
 	j.mu.Lock()
@@ -136,43 +144,27 @@ func (j *Job) setRunning() bool {
 	return true
 }
 
-// appendLine publishes one completed record to every stream.
-func (j *Job) appendLine(line []byte) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.lines = append(j.lines, line)
-	j.notifyLocked()
-}
-
-// lineCount reports how many record lines have been published. The cluster
-// proxy uses it as the replay offset when a job is re-dispatched after a
-// worker failure: the retry's stream skips this many lines (deterministic
-// execution makes them identical) so clients see one seamless byte stream.
-func (j *Job) lineCount() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.lines)
-}
-
-// appendTraceLines publishes completed trace segments to every trace stream.
-// Traces arrive run-at-a-time (a sealed collector segment locally, a proxied
-// worker trace in the cluster), so a batched append keeps wakeups cheap.
-func (j *Job) appendTraceLines(lines [][]byte) {
+// append publishes completed lines of one log to every stream of it. The
+// local backend appends a record at a time and a run's trace at once; the
+// cluster proxy appends each proxied record and a worker's whole trace.
+func (j *Job) append(log logID, lines ...[]byte) {
 	if len(lines) == 0 {
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.trace = append(j.trace, lines...)
+	j.log[log] = append(j.log[log], lines...)
 	j.notifyLocked()
 }
 
-// traceCount mirrors lineCount for the trace log: the cluster proxy's replay
-// offset when a job is re-dispatched.
-func (j *Job) traceCount() int {
+// count reports how many lines of one log have been published. The cluster
+// proxy uses it as the replay offset when a job is re-dispatched after a
+// worker failure: the retry's stream skips this many lines (deterministic
+// execution makes them identical) so clients see one seamless byte stream.
+func (j *Job) count(log logID) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.trace)
+	return len(j.log[log])
 }
 
 // finish moves the job to a terminal state. The queued->canceled transition
@@ -197,57 +189,34 @@ func (j *Job) completeFromCache(lines, trace [][]byte) bool {
 	if j.state.terminal() {
 		return false
 	}
-	j.lines = lines
-	j.trace = trace
+	j.log = [2][][]byte{lines, trace}
 	j.cached = true
 	j.state = StateDone
 	j.notifyLocked()
 	return true
 }
 
-// next returns the record lines from index from on, whether the job is
+// next returns one log's lines from index from on, whether the job is
 // terminal, and a channel that closes on the next mutation. A streaming
 // consumer loops: emit lines, advance, and — when not terminal — wait on
 // changed (or its own client context). The returned slice aliases the job's
-// append-only line log and must not be mutated.
-func (j *Job) next(from int) (lines [][]byte, terminal bool, changed <-chan struct{}) {
+// append-only log and must not be mutated.
+func (j *Job) next(log logID, from int) (lines [][]byte, terminal bool, changed <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if from < len(j.lines) {
-		lines = j.lines[from:]
+	if from < len(j.log[log]) {
+		lines = j.log[log][from:]
 	}
 	return lines, j.state.terminal(), j.changed
 }
 
-// nextTrace is next over the trace log.
-func (j *Job) nextTrace(from int) (lines [][]byte, terminal bool, changed <-chan struct{}) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if from < len(j.trace) {
-		lines = j.trace[from:]
-	}
-	return lines, j.state.terminal(), j.changed
-}
-
-// logs returns the record and trace logs as they stand. A backend reads them
-// after the job's last run, to fill the cache before finish ends the job's
-// stream: a client that resubmits the moment its stream ends must hit the
-// cache.
+// logs returns the record and trace logs as they stand. They are complete
+// once the backend has returned from running the job, which is when the
+// pipeline's finish reads them to fill the cache.
 func (j *Job) logs() (lines, trace [][]byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.lines, j.trace
-}
-
-// resultLines returns the complete record and trace logs of a terminal job
-// (nil otherwise) — what the cache stores.
-func (j *Job) resultLines() (lines, trace [][]byte) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.terminal() {
-		return nil, nil
-	}
-	return j.lines, j.trace
+	return j.log[recordLog], j.log[traceLog]
 }
 
 // Info snapshots the job for the status endpoints.
@@ -260,9 +229,9 @@ func (j *Job) Info() JobInfo {
 		Hash:      j.Hash,
 		State:     j.state,
 		Cached:    j.cached,
-		Records:   len(j.lines),
+		Records:   len(j.log[recordLog]),
 		TraceID:   j.TraceID,
-		Trace:     len(j.trace),
+		Trace:     len(j.log[traceLog]),
 		Error:     j.err,
 		Submitted: j.Submitted,
 	}

@@ -49,7 +49,7 @@ type metrics struct {
 	cacheHits         atomic.Int64
 	cacheMisses       atomic.Int64
 	cacheWriteErrors  atomic.Int64
-	dispatchCacheHits atomic.Int64 // coordinator: hits found at dispatch time
+	dispatchCacheHits atomic.Int64 // hits found at dispatch time
 
 	campaignsSubmitted atomic.Int64
 	campaignsDone      atomic.Int64
@@ -197,7 +197,7 @@ func (m *metrics) render(w io.Writer, budget, free, entries int, liveWorkers []W
 	counter("nccd_jobs_done_total", "Jobs that ran to completion.", m.jobsDone.Load())
 	counter("nccd_jobs_failed_total", "Jobs that failed internally.", m.jobsFailed.Load())
 	counter("nccd_jobs_canceled_total", "Jobs canceled before completion.", m.jobsCanceled.Load())
-	gauge("nccd_jobs_queued", "Jobs waiting for an executor.", float64(m.jobsQueued.Load()))
+	gauge("nccd_jobs_queued", "Jobs waiting for an executor or a worker slot.", float64(m.jobsQueued.Load()))
 	gauge("nccd_jobs_running", "Jobs currently executing.", float64(m.jobsRunning.Load()))
 
 	counter("nccd_records_produced_total", "Sweep records produced by executed runs.", m.recordsProduced.Load())
@@ -220,7 +220,7 @@ func (m *metrics) render(w io.Writer, budget, free, entries int, liveWorkers []W
 	}
 	gauge("nccd_cache_hit_ratio", "Lifetime cache hit ratio.", ratio)
 	counter("nccd_cache_write_errors_total", "Failed disk-cache writes (entries stay in memory).", m.cacheWriteErrors.Load())
-	counter("nccd_dispatch_cache_hits_total", "Queued jobs completed from a cache result that landed after admission.", m.dispatchCacheHits.Load())
+	counter("nccd_dispatch_cache_hits_total", "Queued jobs completed at dispatch, without an executor or a worker slot, from a cache result that landed after their admission.", m.dispatchCacheHits.Load())
 	gauge("nccd_cache_entries", "Result-cache entries held in memory.", float64(entries))
 
 	counter("nccd_campaigns_submitted_total", "Campaign specs accepted.", m.campaignsSubmitted.Load())

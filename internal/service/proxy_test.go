@@ -54,7 +54,7 @@ func TestFetchTrace(t *testing.T) {
 	// A retry: the previous attempt published two lines; the replayed stream
 	// (with a blank line inside the skipped prefix) contributes only the rest.
 	j = newJob("j1", "sha256:feed", scenario.Scenario{})
-	j.appendTraceLines([][]byte{[]byte("a"), []byte("b")})
+	j.append(traceLog, []byte("a"), []byte("b"))
 	serve("a\n\nb\nc\nd\n")
 	if err := b.fetchTrace(context.Background(), j, w, "w7"); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,9 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math"
 	"sync"
 	"time"
@@ -69,64 +67,42 @@ func (p *tokenPool) available() int {
 	return p.free
 }
 
-// LocalBackend executes jobs in-process on a fixed set of executor goroutines
-// pulling from a bounded FIFO queue. Each job's expanded runs execute
-// sequentially (the record stream is ordered), while distinct jobs proceed
-// concurrently, competing for engine workers through the token pool. It is
-// the ExecBackend of a plain nccd and of every nccd worker in a cluster.
+// LocalBackend executes jobs in-process, one per slot of Config.Executors.
+// Each job's expanded runs execute sequentially (the record stream is
+// ordered), while distinct jobs proceed concurrently, competing for engine
+// workers through the token pool. It is the ExecBackend of a plain nccd and
+// of every nccd worker in a cluster; its slots are interchangeable, so the
+// backend is its own slot.
 type LocalBackend struct {
 	budget int
-	queue  chan *Job
+	slots  chan struct{} // one element per occupied executor slot
 	pool   *tokenPool
-	wg     sync.WaitGroup
 	m      *metrics
-	cache  *cache
-	log    *slog.Logger
 }
 
-func newLocalBackend(budget, executors, queueLimit int, c *cache, m *metrics, log *slog.Logger) *LocalBackend {
-	b := &LocalBackend{
+func newLocalBackend(budget, executors int, m *metrics) *LocalBackend {
+	return &LocalBackend{
 		budget: budget,
-		queue:  make(chan *Job, queueLimit),
+		slots:  make(chan struct{}, executors),
 		pool:   newTokenPool(budget),
 		m:      m,
-		cache:  c,
-		log:    log,
 	}
-	for i := 0; i < executors; i++ {
-		b.wg.Add(1)
-		go b.executor()
-	}
-	return b
 }
 
-// errQueueFull rejects submissions beyond the queue limit.
-var errQueueFull = errors.New("job queue is full")
-
-// Submit adds a job without blocking. The caller serializes Submit against
-// Drain (the JobStore's admission lock), so sending on a closed queue cannot
-// happen.
-func (b *LocalBackend) Submit(j *Job) error {
+func (b *LocalBackend) acquire(cancel <-chan struct{}) slot {
 	select {
-	case b.queue <- j:
-		b.m.jobsQueued.Add(1)
+	case b.slots <- struct{}{}:
+		return b
+	case <-cancel:
 		return nil
-	default:
-		return errQueueFull
 	}
 }
+
+func (b *LocalBackend) release() { <-b.slots }
 
 // Capacity reports the engine-worker budget and its free share.
 func (b *LocalBackend) Capacity() (total, free int) {
 	return b.budget, b.pool.available()
-}
-
-func (b *LocalBackend) executor() {
-	defer b.wg.Done()
-	for j := range b.queue {
-		b.m.jobsQueued.Add(-1)
-		b.runJob(j)
-	}
 }
 
 // workersFor decides how many engine workers a run would ideally use: its
@@ -177,14 +153,9 @@ func specNodeCount(spec graph.Spec) int {
 	return 0
 }
 
-func (b *LocalBackend) runJob(j *Job) {
-	if !j.setRunning() {
-		b.m.jobsCanceled.Add(1) // canceled while queued
-		return
-	}
-	b.m.jobsRunning.Add(1)
-	defer b.m.jobsRunning.Add(-1)
-	b.log.Info("job running", "job", j.ID, "trace", j.TraceID)
+// run executes j's sweep in one executor slot.
+func (b *LocalBackend) run(j *Job) (State, string) {
+	defer b.release()
 	// Every executed job records its telemetry trace. The canonical lines are
 	// deterministic (no timing lines here — the collector stays canonical-only
 	// so local and cluster traces are byte-identical), so caching the trace
@@ -218,52 +189,17 @@ func (b *LocalBackend) runJob(j *Job) {
 		}
 		line, merr := json.Marshal(rec)
 		if merr != nil {
-			j.finish(StateFailed, fmt.Sprintf("encoding record: %v", merr))
-			b.m.jobsFailed.Add(1)
-			b.log.Error("job failed", "job", j.ID, "trace", j.TraceID, "err", merr)
-			return
+			return StateFailed, fmt.Sprintf("encoding record: %v", merr)
 		}
-		j.appendLine(line)
+		j.append(recordLog, line)
 		b.m.recordsProduced.Add(1)
 		if tl := col.TakeLines(); len(tl) > 0 {
-			j.appendTraceLines(tl)
+			j.append(traceLog, tl...)
 			b.m.traceLinesProduced.Add(int64(len(tl)))
 		}
 	}
 	if j.canceled() {
-		j.finish(StateCanceled, "")
-		b.m.jobsCanceled.Add(1)
-		b.log.Info("job canceled", "job", j.ID, "trace", j.TraceID)
-		return
+		return StateCanceled, ""
 	}
-	lines, trace := j.logs()
-	if err := b.cache.put(j.Hash, lines, trace); err != nil {
-		// Disk persistence is best-effort; the in-memory entry is in place.
-		b.m.cacheWriteErrors.Add(1)
-	}
-	j.finish(StateDone, "")
-	b.m.jobsDone.Add(1)
-	b.m.jobLatency.observeSince(j.Submitted)
-	b.log.Info("job done", "job", j.ID, "trace", j.TraceID, "records", j.lineCount())
-}
-
-// Drain stops the executors after the already-queued jobs finish. If ctx
-// expires first, cancelAll is invoked (the server cancels every live job,
-// which unwinds in-flight runs within one round barrier) and Drain waits for
-// the now-short tail.
-func (b *LocalBackend) Drain(ctx context.Context, cancelAll func()) error {
-	close(b.queue)
-	done := make(chan struct{})
-	go func() {
-		b.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		cancelAll()
-		<-done
-		return ctx.Err()
-	}
+	return StateDone, ""
 }

@@ -33,8 +33,9 @@ type Config struct {
 	// concurrency is the sum of registered worker capacities.
 	Executors int
 
-	// QueueLimit bounds the number of queued jobs; submissions beyond it are
-	// rejected with 503 (default 256).
+	// QueueLimit bounds the number of queued jobs, those waiting for an
+	// executor or a worker slot; submissions beyond it are refused with 429
+	// and Retry-After: 1 (default 256).
 	QueueLimit int
 
 	// CacheDir, when non-empty, persists completed sweeps in a blob store so
@@ -135,18 +136,18 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the scenario-execution service behind cmd/nccd: the HTTP surface
-// over four seams. It validates submitted scenarios against the registries,
-// admits them through the JobStore (coalescing identical in-flight work and
-// answering repeats from the result cache), hands admitted jobs to an
+// over one job pipeline. It validates submitted scenarios against the
+// registries, admits them through the JobStore (coalescing identical
+// in-flight work and answering repeats from the result cache), queues
+// admitted jobs in the pipeline, which runs each in a slot of its
 // ExecBackend — in-process executors (LocalBackend) or a worker cluster
-// (RemoteBackend) — and streams results through the StreamHub.
+// (RemoteBackend) — and streams each job's logs to its clients.
 type Server struct {
 	cfg       Config
 	m         *metrics
 	cache     *cache
 	store     *JobStore
-	hub       *StreamHub
-	backend   ExecBackend
+	jobs      *pipeline
 	cluster   *RemoteBackend // non-nil in coordinator mode; adds /v1/workers
 	campaigns *campaignStore
 	graphs    *graphio.Store // non-nil with GraphDir set; adds /v1/graphs
@@ -155,8 +156,8 @@ type Server struct {
 // New builds a single-process Server executing jobs on a LocalBackend
 // (creating the cache directory if configured).
 func New(cfg Config) (*Server, error) {
-	return build(cfg, func(cfg Config, c *cache, m *metrics) (ExecBackend, *RemoteBackend) {
-		return newLocalBackend(cfg.WorkerBudget, cfg.Executors, cfg.QueueLimit, c, m, cfg.Logger), nil
+	return build(cfg, func(cfg Config, m *metrics) (ExecBackend, *RemoteBackend) {
+		return newLocalBackend(cfg.WorkerBudget, cfg.Executors, m), nil
 	})
 }
 
@@ -164,13 +165,13 @@ func New(cfg Config) (*Server, error) {
 // nothing itself, instead sharding admitted jobs across worker daemons that
 // register via POST /v1/workers and proxying their record streams.
 func NewCoordinator(cfg Config) (*Server, error) {
-	return build(cfg, func(cfg Config, c *cache, m *metrics) (ExecBackend, *RemoteBackend) {
-		rb := newRemoteBackend(cfg, c, m)
+	return build(cfg, func(cfg Config, m *metrics) (ExecBackend, *RemoteBackend) {
+		rb := newRemoteBackend(cfg, m)
 		return rb, rb
 	})
 }
 
-func build(cfg Config, mk func(Config, *cache, *metrics) (ExecBackend, *RemoteBackend)) (*Server, error) {
+func build(cfg Config, mk func(Config, *metrics) (ExecBackend, *RemoteBackend)) (*Server, error) {
 	cfg = cfg.withDefaults()
 	c, err := newCache(cfg.CacheDir, cfg.CacheEntries)
 	if err != nil {
@@ -183,14 +184,13 @@ func build(cfg Config, mk func(Config, *cache, *metrics) (ExecBackend, *RemoteBa
 			return nil, err
 		}
 	}
-	backend, cluster := mk(cfg, c, m)
+	backend, cluster := mk(cfg, m)
 	return &Server{
 		cfg:       cfg,
 		m:         m,
 		cache:     c,
 		store:     newJobStore(cfg.RetainJobs),
-		hub:       newStreamHub(m),
-		backend:   backend,
+		jobs:      newPipeline(backend, cfg.QueueLimit, c, m, cfg.Logger),
 		cluster:   cluster,
 		campaigns: newCampaignStore(0),
 		graphs:    graphs,
@@ -199,12 +199,16 @@ func build(cfg Config, mk func(Config, *cache, *metrics) (ExecBackend, *RemoteBa
 
 // Drain stops accepting submissions and waits for queued and running jobs to
 // finish. If ctx expires first, every live job is canceled (in-flight runs
-// unwind within one round barrier; proxied jobs are canceled on their
-// workers) and Drain returns ctx.Err after the tail completes. Drain is
-// idempotent only in its refusal of new work; call it once.
+// unwind within one round; proxied jobs are canceled on their workers) and
+// Drain returns ctx.Err after the tail completes. Drain is idempotent only in
+// its refusal of new work; call it once.
 func (s *Server) Drain(ctx context.Context) error {
 	s.store.SetDraining()
-	return s.backend.Drain(ctx, s.store.CancelAll)
+	err := s.jobs.drain(ctx, s.store.CancelAll)
+	if s.cluster != nil {
+		s.cluster.stop()
+	}
+	return err
 }
 
 // Handler returns the service's HTTP API:
@@ -334,7 +338,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	j, coalesced, err := s.admitDetail(sc, hash)
 	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		refuse(w, err, "%v", err)
 		return
 	}
 	if coalesced {
@@ -344,9 +348,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, j.Info())
 }
 
+// refuse answers a refused admission: 429 with Retry-After while the queue is
+// full, which a later retry can get past, and 503 while the daemon drains.
+func refuse(w http.ResponseWriter, err error, format string, args ...any) {
+	status := http.StatusServiceUnavailable
+	if errors.Is(err, errQueueFull) {
+		w.Header().Set("Retry-After", "1")
+		status = http.StatusTooManyRequests
+	}
+	httpError(w, status, format, args...)
+}
+
 // admitDetail runs the shared admission path for one validated, hashed
 // scenario — cache lookup, JobStore admission (coalescing in-flight twins),
-// backend submit — and maintains the admission metrics.
+// pipeline submit — and maintains the admission metrics.
 func (s *Server) admitDetail(sc scenario.Scenario, hash string) (j *Job, coalesced bool, err error) {
 	// The cache lookup may touch disk; do it before the store's admission
 	// lock so submissions never serialize the status/health endpoints behind
@@ -355,7 +370,7 @@ func (s *Server) admitDetail(sc scenario.Scenario, hash string) (j *Job, coalesc
 	// in-flight twins.
 	cached, cachedTrace, hit := s.cache.get(hash)
 
-	j, coalesced, err = s.store.Admit(sc, hash, cached, cachedTrace, hit, s.backend.Submit)
+	j, coalesced, err = s.store.Admit(sc, hash, cached, cachedTrace, hit, s.jobs.submit)
 	if err != nil {
 		return nil, false, err
 	}
@@ -433,7 +448,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	s.hub.Serve(w, r, j)
+	serveLog(w, r, j, recordLog, &s.m.recordsStreamed)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -444,7 +459,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-NCC-Job-Id", j.ID)
 	w.Header().Set("X-NCC-Trace-Id", j.TraceID)
-	s.hub.ServeTrace(w, r, j)
+	serveLog(w, r, j, traceLog, &s.m.traceLinesStreamed)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -453,7 +468,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	total, free := s.backend.Capacity()
+	total, free := s.jobs.backend.Capacity()
 	var workers []WorkerInfo
 	if s.cluster != nil {
 		workers = s.cluster.reg.snapshot()

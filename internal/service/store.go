@@ -11,12 +11,12 @@ import (
 // ErrDraining rejects submissions while the server is shutting down.
 var ErrDraining = errors.New("draining, not accepting jobs")
 
-// JobStore owns job lifecycle bookkeeping: identity assignment, the job
-// index, in-flight coalescing by canonical scenario hash, retention pruning,
-// and the drain flag. It is execution-agnostic — the same store backs a
+// JobStore owns job bookkeeping: identity assignment, the job index,
+// in-flight coalescing by canonical scenario hash, retention pruning, and
+// the drain flag. It is execution-agnostic — the same store backs a
 // single-process daemon (LocalBackend) and a cluster coordinator
-// (RemoteBackend), because a Job is just an append-only record log plus a
-// state machine, however the records are produced.
+// (RemoteBackend), because a Job is just two append-only logs plus a state
+// machine, however the lines are produced.
 type JobStore struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -39,7 +39,7 @@ func newJobStore(retain int) *JobStore {
 // to coalescing and drain. An identical live job (same hash, not terminal) is
 // returned with coalesced = true and nothing new is created. With hit set,
 // the new job completes immediately from cachedLines and cachedTrace;
-// otherwise start — the backend's Submit — runs while the lock is held (so
+// otherwise start — the pipeline's submit — runs while the lock is held (so
 // two racing identical submissions cannot both enqueue), and its error aborts
 // the admission.
 func (st *JobStore) Admit(sc scenario.Scenario, hash string, cachedLines, cachedTrace [][]byte, hit bool, start func(*Job) error) (j *Job, coalesced bool, err error) {
