@@ -164,3 +164,175 @@ func TestCombineStepSwapRemove(t *testing.T) {
 		}
 	}
 }
+
+// spreadLevel is the level the hand-built spreading-router tests send from:
+// its up-edges lead to level selectLevel, side 0 to the node's own column
+// and side 1 to column 1<<selectLevel, the receiver of the combine tests.
+const spreadLevel = selectLevel + 1
+
+// spreadQueues distributes ps, in order, onto the two up-edge queues of a
+// spreading router level: a packet takes the side its destCol bit
+// selectLevel names, so selectPackets' per-edge minima stay groups 2 and 4.
+func spreadQueues(ps []pkt[uint64]) [2][]spreadItem[uint64] {
+	var qs [2][]spreadItem[uint64]
+	for _, p := range ps {
+		side := int(p.destCol>>selectLevel) & 1
+		qs[side] = append(qs[side], spreadItem[uint64]{group: p.group, rank: p.rank, val: p.val})
+	}
+	return qs
+}
+
+func itemGroups(its []spreadItem[uint64]) []uint64 {
+	gs := make([]uint64, len(its))
+	for i, it := range its {
+		gs[i] = it.group
+	}
+	slices.Sort(gs)
+	return gs
+}
+
+// TestSpreadStepSwapRemove is TestCombineStepSwapRemove for the spreading
+// router: for every insertion order of the two up-edge queues at node 0 of
+// an 8-node clique, one step sends each edge's minimum (rank, group), the
+// straight-edge winner staged locally and the cross-edge winner sent to
+// column 1<<selectLevel, and leaves each queue holding exactly its unsent
+// packets.
+func TestSpreadStepSwapRemove(t *testing.T) {
+	const n = 8
+	var orders [][]pkt[uint64]
+	permutations(selectPackets(), func(q []pkt[uint64]) { orders = append(orders, slices.Clone(q)) })
+	var mu sync.Mutex
+	var left [][2][]uint64
+	var staged [][]uint64
+	var sent []uint64
+	runAll(t, n, 1, func(s *Session) {
+		s.Synchronize() // both nodes below step and receive in the same rounds
+		switch s.Ctx.ID() {
+		case 0:
+			r := stateFor[uint64](s).spread(s, 1, U64Wire{}, nil, nil)
+			for _, q := range orders {
+				r.queues[spreadLevel] = spreadQueues(q)
+				r.nextItems = r.nextItems[:0]
+				if !r.step() {
+					t.Errorf("order %v: step moved nothing", groupsOf(q))
+				}
+				var st []uint64
+				for _, sp := range r.nextItems {
+					if sp.level != selectLevel {
+						t.Errorf("staged at level %d, want %d", sp.level, selectLevel)
+					}
+					st = append(st, sp.it.group)
+				}
+				mu.Lock()
+				left = append(left, [2][]uint64{itemGroups(r.queues[spreadLevel][0]), itemGroups(r.queues[spreadLevel][1])})
+				staged = append(staged, st)
+				mu.Unlock()
+				if slices.ContainsFunc(r.tokSent, func(ts [2]bool) bool { return ts[0] || ts[1] }) {
+					t.Errorf("order %v: token emitted with no level quiescent", groupsOf(q))
+				}
+				s.Advance()
+			}
+		case 1 << selectLevel:
+			for range orders {
+				s.Advance()
+				mu.Lock()
+				for _, m := range s.qSpread {
+					if m.level != selectLevel {
+						t.Errorf("sent into level %d, want %d", m.level, selectLevel)
+					}
+					sent = append(sent, m.group)
+				}
+				mu.Unlock()
+				s.qSpread = s.qSpread[:0]
+			}
+		}
+	})
+	if len(left) != len(orders) || len(sent) != len(orders) {
+		t.Fatalf("%d steps recorded, %d packets sent, want %d each", len(left), len(sent), len(orders))
+	}
+	want := [2][]uint64{{1, 5}, {0, 9}}
+	for k := range orders {
+		if !slices.Equal(left[k][0], want[0]) || !slices.Equal(left[k][1], want[1]) {
+			t.Errorf("order %v: queues left with %v, want %v", groupsOf(orders[k]), left[k], want)
+		}
+		if !slices.Equal(staged[k], []uint64{2}) {
+			t.Errorf("order %v: staged %v on the straight edge, want [2]", groupsOf(orders[k]), staged[k])
+		}
+		if sent[k] != 4 {
+			t.Errorf("order %v: sent group %d on the cross edge, want 4", groupsOf(orders[k]), sent[k])
+		}
+	}
+}
+
+// TestRouterTokenRules pins the two routers' quiescence rules with the
+// level's upper edges certified done and packets left only on the straight
+// edge. The combining router emits a level's two tokens only once the whole
+// level is empty, so its idle cross edge waits for the straight edge; the
+// spreading router emits per edge, so its idle cross edge gets its token in
+// the first step.
+func TestRouterTokenRules(t *testing.T) {
+	const n = 8
+	straight := selectPackets()[:2] // groups 5 and 2, both on edge 0
+	type tokens struct{ route, spread int }
+	var mu sync.Mutex
+	var got []tokens
+	var combineSent []bool
+	var spreadSent [][2]bool
+	var combineStaged, spreadStaged []int
+	runAll(t, n, 1, func(s *Session) {
+		s.Synchronize()
+		switch s.Ctx.ID() {
+		case 0:
+			st := stateFor[uint64](s)
+			cr := st.combine(s, 1, Sum, nil)
+			cr.tokSent[0] = true // level 0 stays empty; keep its token out of the way
+			cr.tokIn[selectLevel] = [2]bool{true, true}
+			cr.pend[selectLevel] = slices.Clone(straight)
+			for range 2 {
+				cr.step()
+				mu.Lock()
+				combineSent = append(combineSent, cr.tokSent[selectLevel])
+				combineStaged = append(combineStaged, len(cr.nextToks))
+				mu.Unlock()
+				s.Advance()
+			}
+			sr := st.spread(s, 2, U64Wire{}, nil, nil)
+			sr.tokIn[spreadLevel] = [2]bool{true, true}
+			sr.queues[spreadLevel] = spreadQueues(straight)
+			for range 2 {
+				sr.step()
+				mu.Lock()
+				spreadSent = append(spreadSent, sr.tokSent[spreadLevel])
+				spreadStaged = append(spreadStaged, len(sr.nextToks))
+				mu.Unlock()
+				s.Advance()
+			}
+		case 1 << selectLevel:
+			for range 4 {
+				s.Advance()
+				mu.Lock()
+				got = append(got, tokens{len(s.qRtTok), len(s.qSpTok)})
+				mu.Unlock()
+				s.qRtTok = s.qRtTok[:0]
+				s.qSpTok = s.qSpTok[:0]
+			}
+		}
+	})
+	if want := []bool{false, true}; !slices.Equal(combineSent, want) {
+		t.Errorf("combine tokens emitted after each step %v, want %v (whole level first)", combineSent, want)
+	}
+	if want := []int{0, 1}; !slices.Equal(combineStaged, want) {
+		t.Errorf("combine straight-edge tokens staged after each step %v, want %v", combineStaged, want)
+	}
+	if want := [][2]bool{{false, true}, {true, true}}; !slices.Equal(spreadSent, want) {
+		t.Errorf("spread tokens emitted after each step %v, want %v (per edge)", spreadSent, want)
+	}
+	if want := []int{0, 1}; !slices.Equal(spreadStaged, want) {
+		t.Errorf("spread straight-edge tokens staged after each step %v, want %v", spreadStaged, want)
+	}
+	// Cross-edge tokens reach column 1<<selectLevel one round after their
+	// step: combine's with its second step, spread's with its first.
+	if want := []tokens{{0, 0}, {1, 0}, {0, 1}, {0, 0}}; !slices.Equal(got, want) {
+		t.Errorf("cross-edge tokens received per round %v, want %v", got, want)
+	}
+}
