@@ -57,51 +57,25 @@ func multiAggregate[S, T any](s *Session, t *Trees, isSource bool, group uint64,
 	spreadPhase(s, sr, spreadSeq, sw, t, packets)
 
 	// Phase 2: every leaf maps each received packet p of group g to one
-	// packet (id(u), mapVal(p)) per member u recorded at the leaf, then
-	// redistributes the mapped packets to random level-0 columns.
+	// packet (id(u), mapVal(p)) per member u recorded at the leaf and
+	// injects the mapped packets; phase 3 aggregates them toward each
+	// member's own group. Each node is the target of exactly one group (its
+	// id), so the receive side needs no window, but a bottommost-level column
+	// may hold many completed groups; a shared window bounds the send load.
 	var cr *combineRouter[T]
 	if em {
 		cr = stateFor[T](s).combine(s, combSeq, c, nil)
 	}
-	batch := s.batchSize()
-	sent := 0
+	in := newInjector(s, cr, h, combSeq, c.Wire)
 	if sr != nil {
 		for _, gv := range sr.leafGot {
 			for _, origin := range t.leafOrigins[gv.Group] {
-				g := uint64(origin)
-				p := pkt[T]{
-					group:   g,
-					destCol: h.destCol(g),
-					rank:    h.rankOf(g),
-					target:  origin,
-					origin:  origin,
-					val:     mapVal(gv.Val),
-				}
-				col := ctx.Rand().IntN(s.BF.Cols)
-				if cr != nil && col == cr.col {
-					cr.stageLocal(p)
-				} else {
-					sendRoute(s, s.BF.Host(col), combSeq, 0, c.Wire, p)
-				}
-				sent++
-				if sent%batch == 0 {
-					s.Advance()
-				}
+				in.add(uint64(origin), origin, origin, mapVal(gv.Val))
 			}
 		}
 		sr.leafGot = sr.leafGot[:0]
 	}
-	if sent%batch != 0 || sent == 0 {
-		s.Advance()
-	}
-	s.Synchronize()
-
-	// Phase 3: aggregate the mapped packets toward each member's own group
-	// and deliver. Each node is the target of exactly one group (its id), so
-	// the receive side needs no window, but a bottommost-level column may
-	// hold many completed groups; a shared window bounds the send load.
-	runCombine(s, cr)
-	s.Synchronize()
+	in.combine()
 
 	completed := 0
 	if cr != nil {

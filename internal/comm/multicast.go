@@ -1,8 +1,6 @@
 package comm
 
 import (
-	"fmt"
-
 	"ncc/internal/hashing"
 	"ncc/internal/ncc"
 )
@@ -40,14 +38,6 @@ type spreadItem[T any] struct {
 	group uint64
 	rank  uint32
 	val   T
-}
-
-// leafPlan is one planned leaf delivery of deliverLeaves.
-type leafPlan[T any] struct {
-	to    int
-	group uint64
-	val   T
-	rnd   int
 }
 
 func (r *spreadRouter[T]) rankOf(g uint64) uint32 { return uint32(r.rank.Hash(g)) }
@@ -97,7 +87,7 @@ func (r *spreadRouter[T]) arrive(level int, it spreadItem[T]) {
 	}
 }
 
-func (r *spreadRouter[T]) absorb() {
+func (r *spreadRouter[T]) absorb() (done bool) {
 	s := r.s
 	staged := r.nextItems
 	r.nextItems = r.nextItems[:0]
@@ -110,11 +100,8 @@ func (r *spreadRouter[T]) absorb() {
 		r.tokIn[st.level][st.side] = true
 	}
 	for _, m := range s.qInit {
-		if m.seq != r.seq {
-			if s.patience > 0 {
-				continue // straggler from a collective that gave up early
-			}
-			panic(fmt.Sprintf("comm: multicast init from invocation %d received during %d", m.seq, r.seq))
+		if !s.current("multicast init", m.seq, r.seq) {
+			continue
 		}
 		if s.patience > 0 && int(m.val.n) != r.w.Words() {
 			continue // corrupted frame; drop rather than fault the node
@@ -123,11 +110,8 @@ func (r *spreadRouter[T]) absorb() {
 	}
 	s.qInit = s.qInit[:0]
 	for _, m := range s.qSpread {
-		if m.seq != r.seq {
-			if s.patience > 0 {
-				continue
-			}
-			panic(fmt.Sprintf("comm: spread packet from invocation %d received during %d", m.seq, r.seq))
+		if !s.current("spread packet", m.seq, r.seq) {
+			continue
 		}
 		if s.patience > 0 && (int(m.val.n) != r.w.Words() || int(m.level) < 0 || int(m.level) >= len(r.queues)) {
 			continue
@@ -136,11 +120,8 @@ func (r *spreadRouter[T]) absorb() {
 	}
 	s.qSpread = s.qSpread[:0]
 	for _, m := range s.qSpTok {
-		if m.seq != r.seq {
-			if s.patience > 0 {
-				continue
-			}
-			panic(fmt.Sprintf("comm: spread token from invocation %d received during %d", m.seq, r.seq))
+		if !s.current("spread token", m.seq, r.seq) {
+			continue
 		}
 		if s.patience > 0 && (int(m.level) < 0 || int(m.level) >= len(r.tokIn)) {
 			continue
@@ -148,6 +129,7 @@ func (r *spreadRouter[T]) absorb() {
 		r.tokIn[m.level][m.side] = true
 	}
 	s.qSpTok = s.qSpTok[:0]
+	return r.done()
 }
 
 // sendSpread encodes a packet moving down a tree edge into `level`.
@@ -160,9 +142,9 @@ func sendSpread[T any](s *Session, to ncc.NodeID, seq uint32, level int, w Wire[
 	s.Ctx.SendWords(to, enc)
 }
 
-// step reports whether it moved anything (sent or staged a packet or token);
-// a step that moved nothing changed no state, so the next one does nothing
-// either until input arrives.
+// step performs one butterfly routing round: per up-edge, forward the
+// minimum (rank, group) queued packet, then emit that edge's token once its
+// own queue is empty and the level's up-edges are done.
 func (r *spreadRouter[T]) step() (moved bool) {
 	bf := r.s.BF
 	for level := bf.D; level >= 1; level-- {
@@ -216,24 +198,6 @@ func (r *spreadRouter[T]) done() bool {
 		}
 	}
 	return r.tokIn[0][0] && r.tokIn[0][1]
-}
-
-// runSpread drives the spreading router to quiescence; like runCombine it
-// sleeps while a step moves nothing and is bounded by the patience budget
-// under faults so a lost token cannot spin the phase to MaxRounds.
-func runSpread[T any](s *Session, r *spreadRouter[T]) {
-	if r == nil {
-		return
-	}
-	deadline := s.giveUp(s.Ctx.Round(), 8*s.patience)
-	for !r.done() && s.Ctx.Round() < deadline {
-		if r.step() {
-			s.Advance()
-		} else {
-			s.wait(deadline)
-		}
-		r.absorb()
-	}
 }
 
 // sendInit delivers a source's packet to its tree root (or stages it locally
@@ -318,47 +282,27 @@ func spreadPhase[T any](s *Session, r *spreadRouter[T], seq uint32, w Wire[T], t
 	}
 	if r != nil {
 		r.initsDone = true
+		route(s, r)
 	}
-	runSpread(s, r)
 	s.Synchronize()
 }
 
-// deliverLeaves fans each leaf packet out to the group members recorded at
-// this column's leaf, each at a uniformly random round of the window, and
-// collects the packets addressed to this node. Like deliverResults it sleeps
-// between its planned sends.
+// deliverLeaves plans each leaf packet's fan-out to the group members
+// recorded at this column's leaf, each at a uniformly random round of the
+// window, delivers the plan, and collects the packets addressed to this node.
 func deliverLeaves[T any](s *Session, r *spreadRouter[T], w Wire[T], window int) []GroupVal[T] {
-	ctx := s.Ctx
 	st := stateFor[T](s)
-	mine := st.out[:0]
-	sched := st.sched[:0]
+	plan := st.planWindow(window)
 	if r != nil {
 		for _, gv := range r.leafGot {
 			for _, origin := range r.t.leafOrigins[gv.Group] {
-				sched = append(sched, leafPlan[T]{to: int(origin), group: gv.Group, val: gv.Val, rnd: randRound(ctx.Rand(), window)})
+				t := randRound(s.Ctx.Rand(), window)
+				plan[t] = append(plan[t], pkt[T]{group: gv.Group, target: origin, val: gv.Val})
 			}
 		}
 		r.leafGot = r.leafGot[:0]
 	}
-	st.sched = sched
-	start := ctx.Round()
-	for t := 0; t < window; t = ctx.Round() - start {
-		next := window
-		for _, p := range sched {
-			if p.rnd > t {
-				next = min(next, p.rnd)
-			}
-			if p.rnd != t {
-				continue
-			}
-			if p.to == ctx.ID() {
-				mine = append(mine, GroupVal[T]{Group: p.group, Val: p.val})
-			} else {
-				sendGroupVal(s, p.to, tagLeaf, w, p.group, p.val)
-			}
-		}
-		s.wait(start + next)
-	}
+	mine := deliver(s, st, tagLeaf, w)
 	for _, lm := range s.qLeaf {
 		if s.patience > 0 && int(lm.val.n) != w.Words() {
 			continue // corrupted frame; drop rather than fault the node

@@ -1,10 +1,158 @@
 package comm
 
-import (
-	"fmt"
+import "ncc/internal/ncc"
 
-	"ncc/internal/ncc"
-)
+// The three steps the routing collectives share (see "Routing collectives"
+// in the package doc), each written once: the injector, route and deliver.
+
+// injector is the injection step (Appendix B.2's preprocessing): add
+// sends each packet to a uniformly random level-0 column as the caller
+// builds it, ending the round after every batchSize packets. Drawing the
+// column as the packet is added keeps the node's random stream in packet
+// order whatever the caller draws in between (MultiAggregatePick's
+// annotations). A packet drawn for the node's own column is staged locally:
+// the hop costs a round whether or not it crosses columns. A nil router
+// means this node is attached (no butterfly column).
+type injector[T any] struct {
+	s     *Session
+	r     *combineRouter[T]
+	h     pktHash
+	seq   uint32
+	w     Wire[T]
+	batch int
+	sent  int
+}
+
+func newInjector[T any](s *Session, r *combineRouter[T], h pktHash, seq uint32, w Wire[T]) injector[T] {
+	return injector[T]{s: s, r: r, h: h, seq: seq, w: w, batch: s.batchSize()}
+}
+
+// add injects a packet of group g; its destination column and rank come
+// from the invocation's hash pair.
+func (in *injector[T]) add(g uint64, target, origin int32, val T) {
+	s := in.s
+	p := pkt[T]{group: g, destCol: in.h.destCol(g), rank: in.h.rankOf(g), target: target, origin: origin, val: val}
+	col := s.Ctx.Rand().IntN(s.BF.Cols)
+	if in.r != nil && col == in.r.col {
+		in.r.nextPkts = append(in.r.nextPkts, stagedPkt[T]{level: 0, p: p})
+	} else {
+		sendRoute(s, s.BF.Host(col), in.seq, 0, in.w, p)
+	}
+	in.sent++
+	if in.sent%in.batch == 0 {
+		s.Advance()
+	}
+}
+
+// combine ends the injection with the last, partial round (the only one
+// when nothing was added), then routes the packets to their groups'
+// destination columns, with the clique synchronized before and after.
+func (in *injector[T]) combine() {
+	s := in.s
+	if in.sent%in.batch != 0 || in.sent == 0 {
+		s.Advance()
+	}
+	s.Synchronize()
+	if in.r != nil {
+		route(s, in.r)
+	}
+	s.Synchronize()
+}
+
+// sendRoute encodes a packet crossing into `level` toward node `to`.
+func sendRoute[T any](s *Session, to ncc.NodeID, seq uint32, level int, w Wire[T], p pkt[T]) {
+	n := w.Words()
+	enc := s.encode(4 + n)
+	enc[0] = tagRoute<<56 | uint64(seq&seqMask)<<32 | uint64(uint8(level))<<24
+	enc[1] = p.group
+	enc[2] = uint64(uint32(p.destCol))<<32 | uint64(p.rank)
+	enc[3] = uint64(uint32(p.target))<<32 | uint64(uint32(p.origin))
+	w.Encode(p.val, enc[4:])
+	s.Ctx.SendWords(to, enc)
+}
+
+// router is one column's share of a butterfly routing phase: absorb takes
+// in what the last round delivered and staged and reports whether the
+// column is now quiescent; step moves packets and tokens one butterfly
+// round and reports whether it moved anything (a step that moved nothing
+// changed no state, so the next one does nothing either until input
+// arrives).
+type router interface {
+	absorb() (done bool)
+	step() (moved bool)
+}
+
+// route drives r until quiescent, sleeping through the rounds in which a
+// step moves nothing. Under faults a lost token would spin this loop to
+// MaxRounds, so the whole phase is bounded by a multiple of the patience
+// budget; giving up strands whatever packets are still pending (their groups
+// degrade to partial values downstream).
+func route(s *Session, r router) {
+	done := r.absorb()
+	deadline := s.giveUp(s.Ctx.Round(), 8*s.patience)
+	for !done && s.Ctx.Round() < deadline {
+		if r.step() {
+			s.Advance()
+		} else {
+			s.wait(deadline)
+		}
+		done = r.absorb()
+	}
+}
+
+// planWindow resets st's per-round delivery buckets to a window of the
+// given length; the caller appends each planned packet to the bucket of
+// its round.
+func (st *commState[T]) planWindow(window int) [][]pkt[T] {
+	plan := st.plan
+	if cap(plan) < window {
+		plan = make([][]pkt[T], window)
+	} else {
+		plan = plan[:window]
+	}
+	for i := range plan {
+		plan[i] = plan[i][:0]
+	}
+	st.plan = plan
+	return plan
+}
+
+// deliver sends every packet of st's plan to its target under tag at its
+// bucket's round, and returns, in st.out's storage, the values planned for
+// this node itself. Between planned rounds the node sleeps: arrivals only
+// queue until the window closes, and the caller collects them.
+func deliver[T any](s *Session, st *commState[T], tag uint64, w Wire[T]) []GroupVal[T] {
+	ctx := s.Ctx
+	mine := st.out[:0]
+	plan := st.plan
+	start := ctx.Round()
+	for t := 0; t < len(plan); t = ctx.Round() - start {
+		for _, p := range plan[t] {
+			if int(p.target) == ctx.ID() {
+				mine = append(mine, GroupVal[T]{Group: p.group, Val: p.val})
+			} else {
+				sendGroupVal(s, int(p.target), tag, w, p.group, p.val)
+			}
+		}
+		next := t + 1
+		for next < len(plan) && len(plan[next]) == 0 {
+			next++
+		}
+		s.wait(start + next)
+	}
+	return mine
+}
+
+// sendGroupVal encodes a final-hop (group, value) delivery under the given
+// tag (tagResult for aggregations, tagLeaf for multicast leaves).
+func sendGroupVal[T any](s *Session, to ncc.NodeID, tag uint64, w Wire[T], group uint64, val T) {
+	n := w.Words()
+	enc := s.encode(2 + n)
+	enc[0] = tag << 56
+	enc[1] = group
+	w.Encode(val, enc[2:])
+	s.Ctx.SendWords(to, enc)
+}
 
 // combineRouter executes the combining phase of the Aggregation Algorithm
 // (Appendix B.2) for the butterfly column emulated by one clique node, typed
@@ -80,16 +228,10 @@ func (st *commState[T]) combine(s *Session, seq uint32, c Combiner[T], rec *Tree
 	return r
 }
 
-// stageLocal queues a locally injected packet for arrival at level 0 next
-// round (the injection hop costs a round whether or not it crosses columns).
-func (r *combineRouter[T]) stageLocal(p pkt[T]) {
-	r.nextPkts = append(r.nextPkts, stagedPkt[T]{level: 0, p: p})
-}
-
 // absorb applies staged internal moves and drains the session's routing
 // queues — decoding payload words with the invocation's codec — into the
-// per-level queues.
-func (r *combineRouter[T]) absorb() {
+// per-level queues, then reports whether the column is quiescent.
+func (r *combineRouter[T]) absorb() (done bool) {
 	s := r.s
 	staged := r.nextPkts
 	r.nextPkts = r.nextPkts[:0]
@@ -102,11 +244,8 @@ func (r *combineRouter[T]) absorb() {
 		r.tokIn[st.level][st.side] = true
 	}
 	for _, m := range s.qRoute {
-		if m.seq != r.seq {
-			if s.patience > 0 {
-				continue // straggler from a collective that gave up early
-			}
-			panic(fmt.Sprintf("comm: route packet from invocation %d received during %d", m.seq, r.seq))
+		if !s.current("route packet", m.seq, r.seq) {
+			continue
 		}
 		if s.patience > 0 && (int(m.val.n) != r.w.Words() || int(m.level) < 0 || int(m.level) >= len(r.pend)) {
 			continue // corrupted frame; drop rather than fault the node
@@ -122,11 +261,8 @@ func (r *combineRouter[T]) absorb() {
 	}
 	s.qRoute = s.qRoute[:0]
 	for _, m := range s.qRtTok {
-		if m.seq != r.seq {
-			if s.patience > 0 {
-				continue
-			}
-			panic(fmt.Sprintf("comm: route token from invocation %d received during %d", m.seq, r.seq))
+		if !s.current("route token", m.seq, r.seq) {
+			continue
 		}
 		if s.patience > 0 && (int(m.level) < 0 || int(m.level) >= len(r.tokIn)) {
 			continue
@@ -134,6 +270,7 @@ func (r *combineRouter[T]) absorb() {
 		r.tokIn[m.level][m.side] = true
 	}
 	s.qRtTok = s.qRtTok[:0]
+	return r.done()
 }
 
 func (r *combineRouter[T]) arrive(level int, p pkt[T], side int) {
@@ -154,11 +291,9 @@ func (r *combineRouter[T]) arrive(level int, p pkt[T], side int) {
 }
 
 // step performs one butterfly routing round: per down-edge, forward the
-// minimum-rank pending packet, then emit per-edge tokens where quiescent.
-// Empty levels are skipped, so a step costs O(pending packets). It reports
-// whether it moved anything (sent or staged a packet or token); a step that
-// moved nothing changed no state, so the next one does nothing either until
-// input arrives.
+// minimum-rank pending packet, then emit the level's two tokens once the
+// whole level is empty and its up-edges are done. Empty levels are skipped,
+// so a step costs O(pending packets).
 func (r *combineRouter[T]) step() (moved bool) {
 	bf := r.s.BF
 	for level := 0; level < bf.D; level++ {
@@ -217,8 +352,8 @@ func (r *combineRouter[T]) selectMin(level, bit int) (int, bool) {
 
 func (r *combineRouter[T]) upDone(level int) bool {
 	if level == 0 {
-		// Injection finished before the combining phase started (the callers
-		// synchronize in between), so level 0 receives nothing new.
+		// Injection finished before the combining phase started (the
+		// injector synchronizes in between), so level 0 receives nothing new.
 		return true
 	}
 	return r.tokIn[level][0] && r.tokIn[level][1]
@@ -239,26 +374,4 @@ func (r *combineRouter[T]) done() bool {
 // column, one per aggregation group, fully combined, in arrival order.
 func (r *combineRouter[T]) completed() []pkt[T] {
 	return r.pend[r.s.BF.D]
-}
-
-// runCombine drives the router until quiescent, sleeping through the rounds
-// in which a step moves nothing. Attached nodes (no butterfly column) pass a
-// nil router and return immediately. Under faults a lost token would spin
-// this loop to MaxRounds, so the whole phase is bounded by a multiple of the
-// patience budget; giving up strands whatever packets are still pending
-// (their groups degrade to partial aggregates downstream).
-func runCombine[T any](s *Session, r *combineRouter[T]) {
-	if r == nil {
-		return
-	}
-	r.absorb()
-	deadline := s.giveUp(s.Ctx.Round(), 8*s.patience)
-	for !r.done() && s.Ctx.Round() < deadline {
-		if r.step() {
-			s.Advance()
-		} else {
-			s.wait(deadline)
-		}
-		r.absorb()
-	}
 }

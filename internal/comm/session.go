@@ -18,6 +18,30 @@
 // is what keeps steady-state primitive traffic at ~0 allocations per
 // message (pinned by TestCollectiveSteadyStateAllocs).
 //
+// # Routing collectives
+//
+// Aggregate, SetupTrees, Multicast and MultiAggregate are built from the
+// same three steps on the emulated butterfly (Appendix B.2–B.4), each
+// written once in router.go:
+//
+//   - the injector sends packets to uniformly random level-0 columns,
+//     ceil(log n) per round;
+//   - route drives a column's router level by level until quiescent: every
+//     edge carries its pending packet with the minimum (rank, group) each
+//     round, and tokens certify that an edge will carry nothing more;
+//   - deliver sends the final values to their targets, each at a uniformly
+//     random round of a window sized by the load bound.
+//
+// Aggregate runs all three over the combining router, SetupTrees the first
+// two. Multicast places its packets at the tree roots, then routes over the
+// spreading router and delivers. MultiAggregate spreads to the leaves, then
+// injects, routes and delivers over the combining router. The two routers
+// keep their own arrival rule (merge into the group's packet, or fan out
+// along the recorded tree edges) and token rule: the combining router emits
+// a level's two tokens only once the whole level is empty, while the
+// spreading router emits each edge's token as soon as that edge's queue is
+// empty.
+//
 // # SPMD call order
 //
 // All primitives are SPMD collectives: every node of the clique must call
@@ -347,6 +371,18 @@ func (s *Session) assertDrained(what string) {
 	}
 }
 
+// current reports whether a routing frame of invocation seq belongs to the
+// running invocation want. A frame of another invocation is a straggler from
+// a collective that gave up early, skipped under patience; on a reliable
+// network it breaks the SPMD call order, and the session panics naming the
+// frame's kind.
+func (s *Session) current(kind string, seq, want uint32) bool {
+	if seq != want && s.patience == 0 {
+		panic(fmt.Sprintf("comm: %s from invocation %d received during %d", kind, seq, want))
+	}
+	return seq == want
+}
+
 // randRound picks a uniform round offset in [0, w).
 func randRound(rng *rand.Rand, w int) int {
 	if w <= 1 {
@@ -381,13 +417,12 @@ type commState[T any] struct {
 	cr combineRouter[T]
 	sr spreadRouter[T]
 
-	// Delivery-window scratch: the per-round send plan of deliverResults,
-	// the leaf fan-out schedule of deliverLeaves, and the result buffer the
-	// collectives return views of (reused by the next invocation with the
-	// same payload type, exactly like the engine's EndRound inbox).
-	plan  [][]pkt[T]
-	sched []leafPlan[T]
-	out   []GroupVal[T]
+	// Delivery scratch: the per-round buckets deliver sends from, and the
+	// result buffer the collectives return views of (reused by the next
+	// invocation with the same payload type, exactly like the engine's
+	// EndRound inbox).
+	plan [][]pkt[T]
+	out  []GroupVal[T]
 }
 
 // stateFor fetches (or creates) the session's pooled state for payload type

@@ -93,37 +93,12 @@ func (s *Session) SetupTrees(items []TreeItem) *Trees {
 	if s.BF.IsEmulator(s.Ctx.ID()) {
 		r = stateFor[uint64](s).combine(s, seq, Sum, t)
 	}
-
-	// Inject with per-item origins (the Aggregate inject is not reusable here
-	// because the origin differs from the sender for on-behalf memberships,
-	// and there is no delivery target).
-	ctx := s.Ctx
-	batch := s.batchSize()
-	for i, it := range items {
-		p := pkt[uint64]{
-			group:   it.Group,
-			destCol: h.destCol(it.Group),
-			rank:    h.rankOf(it.Group),
-			target:  -1,
-			origin:  int32(it.Origin),
-			val:     1,
-		}
-		col := ctx.Rand().IntN(s.BF.Cols)
-		if r != nil && col == r.col {
-			r.stageLocal(p)
-		} else {
-			sendRoute(s, s.BF.Host(col), seq, 0, U64Wire{}, p)
-		}
-		if (i+1)%batch == 0 {
-			s.Advance()
-		}
+	// Each membership enters with its own origin (on-behalf memberships
+	// differ from the sender) and no delivery target.
+	in := newInjector(s, r, h, seq, U64Wire{})
+	for _, it := range items {
+		in.add(it.Group, -1, int32(it.Origin), 1)
 	}
-	if len(items)%batch != 0 || len(items) == 0 {
-		s.Advance()
-	}
-	s.Synchronize()
-
-	runCombine(s, r)
-	s.Synchronize()
+	in.combine()
 	return t
 }
