@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"ncc/internal/graph"
 )
 
 func runCmd(t *testing.T, args ...string) (string, string, int) {
@@ -83,14 +81,12 @@ func TestInfoJSON(t *testing.T) {
 		t.Fatalf("info failed (%d): %s", code, errOut)
 	}
 	var info struct {
-		Hash             string `json:"hash"`
-		N                int    `json:"n"`
-		M                int    `json:"m"`
-		Degeneracy       int    `json:"degeneracy"`
-		Components       int    `json:"components"`
-		CapacityPolicies []struct {
-			Name string `json:"name"`
-		} `json:"capacityPolicies"`
+		Hash             string          `json:"hash"`
+		N                int             `json:"n"`
+		M                int             `json:"m"`
+		Degeneracy       int             `json:"degeneracy"`
+		Components       int             `json:"components"`
+		CapacityPolicies json.RawMessage `json:"capacityPolicies"`
 	}
 	if err := json.Unmarshal([]byte(out), &info); err != nil {
 		t.Fatalf("info -json output is not JSON: %v\n%s", err, out)
@@ -98,14 +94,15 @@ func TestInfoJSON(t *testing.T) {
 	if info.Hash != hash || info.N != 128 || info.M == 0 {
 		t.Fatalf("info mismatch: %+v", info)
 	}
-	names := map[string]bool{}
-	for _, p := range info.CapacityPolicies {
-		names[p.Name] = true
+	// The policy listing is pinned byte for byte. Regenerate after a
+	// deliberate registry change from the capacityPolicies array of
+	// nccgraph info -json.
+	golden, err := os.ReadFile(filepath.Join("testdata", "capacity_policies.golden.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range graph.CapacityPolicyNames() {
-		if !names[want] {
-			t.Fatalf("info -json capacityPolicies missing %q: %v", want, names)
-		}
+	if got := string(info.CapacityPolicies) + "\n"; got != string(golden) {
+		t.Fatalf("info -json capacityPolicies differs from testdata/capacity_policies.golden.json:\n%s", got)
 	}
 }
 

@@ -199,6 +199,16 @@ func TestRunListsRegistries(t *testing.T) {
 			t.Errorf("-list output missing %q:\n%s", want, out)
 		}
 	}
+	// The whole listing is pinned: every registry entry, its order, its
+	// description and its parameter defaults. The golden file is the test
+	// binary's listing, so it includes the test-only spin-test algorithm.
+	golden, err := os.ReadFile(filepath.Join("testdata", "list.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(golden) {
+		t.Errorf("-list output differs from testdata/list.golden:\n%s", out)
+	}
 }
 
 func TestRunListScenarioHashes(t *testing.T) {
