@@ -256,7 +256,7 @@ type policyInfo struct {
 
 func policyRegistry() []policyInfo {
 	var out []policyInfo
-	for _, p := range graph.CapacityPolicies() {
+	for _, p := range graph.CapacityPolicies.All() {
 		out = append(out, policyInfo{
 			Name: p.Name, Desc: p.Desc, Params: param.Describe(p.Params), NeedsValues: p.NeedsValues,
 		})

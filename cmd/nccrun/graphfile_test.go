@@ -138,7 +138,7 @@ func TestListIncludesCapacityPolicies(t *testing.T) {
 	if !strings.Contains(out, "capacity policies:") {
 		t.Fatalf("-list missing capacity policies section:\n%s", out)
 	}
-	for _, name := range graph.CapacityPolicyNames() {
+	for _, name := range graph.CapacityPolicies.Names() {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list missing capacity policy %q", name)
 		}

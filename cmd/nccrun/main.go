@@ -287,14 +287,13 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 // parameters that have no dedicated flag (e.g. bipartite's n1/n2).
 func fromFlags(algoName, gname string, flagVals param.Values, explicit map[string]bool,
 	gparam, aparam string, seed int64, capf, workers int) (scenario.Scenario, error) {
-	d, ok := algo.Get(algoName)
-	if !ok {
-		return scenario.Scenario{}, algo.ErrUnknown(algoName)
+	d, _, err := algo.Algorithms.Resolve(algoName, nil)
+	if err != nil {
+		return scenario.Scenario{}, err
 	}
-	f, ok := graph.GetFamily(gname)
-	if !ok {
-		return scenario.Scenario{}, fmt.Errorf("unknown graph family %q (have %s)",
-			gname, strings.Join(graph.FamilyNames(), ", "))
+	f, _, err := graph.Families.Resolve(gname, nil)
+	if err != nil {
+		return scenario.Scenario{}, err
 	}
 	declared := func(defs []param.Def, name string) bool {
 		for _, def := range defs {
@@ -496,14 +495,14 @@ func listScenario(path string, stdout, stderr io.Writer) int {
 
 func printRegistries(w io.Writer) {
 	fmt.Fprintln(w, "algorithms:")
-	for _, d := range algo.All() {
+	for _, d := range algo.Algorithms.All() {
 		fmt.Fprintf(w, "  %-12s %s\n", d.Name, d.Desc)
 		if len(d.Params) > 0 {
 			fmt.Fprintf(w, "  %-12s params: %s\n", "", param.Describe(d.Params))
 		}
 	}
 	fmt.Fprintln(w, "graph families:")
-	for _, f := range graph.Families() {
+	for _, f := range graph.Families.All() {
 		seeded := ""
 		if f.Seeded {
 			seeded = " [seeded]"
@@ -512,7 +511,7 @@ func printRegistries(w io.Writer) {
 		fmt.Fprintf(w, "  %-12s params: %s\n", "", param.Describe(f.Params))
 	}
 	fmt.Fprintln(w, "capacity policies:")
-	for _, p := range graph.CapacityPolicies() {
+	for _, p := range graph.CapacityPolicies.All() {
 		values := ""
 		if p.NeedsValues {
 			values = " [takes a values list]"
@@ -523,7 +522,7 @@ func printRegistries(w io.Writer) {
 		}
 	}
 	fmt.Fprintln(w, "fault models:")
-	for _, m := range faultmodel.All() {
+	for _, m := range faultmodel.Models.All() {
 		links := ""
 		if m.Links {
 			links = " [takes to/from link sets]"

@@ -9,8 +9,6 @@ package algo
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"ncc/internal/comm"
 	"ncc/internal/graph"
@@ -244,18 +242,18 @@ func (d Descriptor) Execute(cfg ncc.Config, g *graph.Graph, p param.Values) (*Re
 	return d.run(cfg, g, p)
 }
 
-var registry = map[string]Descriptor{}
+// Algorithms is the algorithm registry; Register fills it.
+var Algorithms = param.NewRegistry("algorithm", func(d Descriptor) (string, []param.Def) {
+	return d.Name, d.Params
+})
 
-// Register adds a typed algorithm to the registry; duplicate or incomplete
-// registrations are programming errors.
+// Register adds a typed algorithm to the registry. An algorithm without a
+// node program is a programming error.
 func Register[T any](a Algorithm[T]) {
-	if a.Name == "" || a.Node == nil {
-		panic("algo: Register needs a name and a node program")
+	if a.Node == nil {
+		panic(fmt.Sprintf("algo: algorithm %q has no node program", a.Name))
 	}
-	if _, dup := registry[a.Name]; dup {
-		panic(fmt.Sprintf("algo: algorithm %q registered twice", a.Name))
-	}
-	registry[a.Name] = Descriptor{
+	Algorithms.Register(Descriptor{
 		Name:   a.Name,
 		Desc:   a.Desc,
 		Params: a.Params,
@@ -263,44 +261,14 @@ func Register[T any](a Algorithm[T]) {
 			res, _, err := Run(a, cfg, g, p)
 			return res, err
 		},
-	}
+	})
 }
 
-// Get looks up a registered algorithm.
-func Get(name string) (Descriptor, bool) {
-	d, ok := registry[name]
-	return d, ok
-}
-
-// MustGet is Get for algorithm names fixed at compile time.
+// MustGet looks up an algorithm whose name is fixed at compile time.
 func MustGet(name string) Descriptor {
-	d, ok := registry[name]
+	d, ok := Algorithms.Get(name)
 	if !ok {
 		panic(fmt.Sprintf("algo: unknown algorithm %q", name))
 	}
 	return d
-}
-
-// Names lists registered algorithms in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// All returns every registered algorithm, ordered by name.
-func All() []Descriptor {
-	out := make([]Descriptor, 0, len(registry))
-	for _, n := range Names() {
-		out = append(out, registry[n])
-	}
-	return out
-}
-
-// ErrUnknown formats the canonical unknown-algorithm error.
-func ErrUnknown(name string) error {
-	return fmt.Errorf("unknown algorithm %q (have %s)", name, strings.Join(Names(), ", "))
 }

@@ -22,7 +22,7 @@ func testGraph(t *testing.T) *graph.Graph {
 
 func TestEveryAlgorithmRunsAndVerifies(t *testing.T) {
 	g := testGraph(t)
-	for _, d := range algo.All() {
+	for _, d := range algo.Algorithms.All() {
 		t.Run(d.Name, func(t *testing.T) {
 			res, err := d.Execute(ncc.Config{Seed: 3}, g, nil)
 			if err != nil {
@@ -46,7 +46,7 @@ var suite = []string{"orientation", "bfs", "mis", "matching", "coloring", "mst",
 
 func TestRegistryContainsTheSuite(t *testing.T) {
 	for _, want := range suite {
-		if _, ok := algo.Get(want); !ok {
+		if _, ok := algo.Algorithms.Get(want); !ok {
 			t.Errorf("algorithm %q not registered", want)
 		}
 	}

@@ -165,8 +165,8 @@ func (e Entry) baselineAlgo() (string, error) {
 		b, _ := algo.BaselineFor(e.Scenario.Algo)
 		return b, nil
 	default:
-		if _, ok := algo.Get(e.Baseline); !ok {
-			return "", fmt.Errorf("baseline: %w", algo.ErrUnknown(e.Baseline))
+		if _, _, err := algo.Algorithms.Resolve(e.Baseline, nil); err != nil {
+			return "", fmt.Errorf("baseline: %w", err)
 		}
 		return e.Baseline, nil
 	}

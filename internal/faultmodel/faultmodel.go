@@ -20,7 +20,6 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sort"
-	"strings"
 
 	"ncc/internal/graph"
 	"ncc/internal/ncc"
@@ -176,62 +175,29 @@ func merge(a, b *Schedule) *Schedule {
 	return a
 }
 
-var registry = map[string]Model{}
-
-// Register adds a fault model to the registry; duplicate or incomplete
-// registrations are programming errors.
-func Register(m Model) {
-	if m.Name == "" || m.Compile == nil {
-		panic("faultmodel: Register needs a name and a compile function")
+// Models is the fault-model registry. A model needs a compile function.
+var Models = param.NewRegistry("fault model", func(m Model) (string, []param.Def) {
+	if m.Compile == nil {
+		panic(fmt.Sprintf("faultmodel: model %q has no compile function", m.Name))
 	}
-	if _, dup := registry[m.Name]; dup {
-		panic(fmt.Sprintf("faultmodel: model %q registered twice", m.Name))
-	}
-	registry[m.Name] = m
-}
-
-// Get looks up a registered fault model.
-func Get(name string) (Model, bool) {
-	m, ok := registry[name]
-	return m, ok
-}
-
-// Names lists registered models in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// All returns every registered model, ordered by name.
-func All() []Model {
-	out := make([]Model, 0, len(registry))
-	for _, n := range Names() {
-		out = append(out, registry[n])
-	}
-	return out
-}
-
-// ErrUnknown formats the canonical unknown-model error.
-func ErrUnknown(name string) error {
-	return fmt.Errorf("unknown fault model %q (have %s)", name, strings.Join(Names(), ", "))
-}
+	return m.Name, m.Params
+})
 
 // Validate statically checks one spec against the registry without compiling:
 // the model exists, its parameter bag resolves, link sets are only given to
 // link models, and — when n > 0 — link-set ids are in [0, n). Errors name the
 // offending field relative to the spec.
 func Validate(sp Spec, n int) error {
-	m, ok := Get(sp.Model)
-	if !ok {
-		return fmt.Errorf("model: %w", ErrUnknown(sp.Model))
+	m, _, err := Models.Resolve(sp.Model, sp.Params)
+	if err != nil {
+		return param.FieldError(err, "model")
 	}
-	if _, err := param.Resolve(sp.Params, m.Params); err != nil {
-		return fmt.Errorf("params: %w", err)
-	}
+	return checkLinks(m, sp, n)
+}
+
+// checkLinks checks a spec's link sets against its model and the clique size
+// n (0 when not statically known).
+func checkLinks(m Model, sp Spec, n int) error {
 	if !m.Links && (len(sp.To) > 0 || len(sp.From) > 0) {
 		return fmt.Errorf("model %s takes no to/from link sets", m.Name)
 	}
@@ -260,15 +226,11 @@ func Build(specs []Spec, env Env) (*Schedule, error) {
 	}
 	var out *Schedule
 	for i, sp := range specs {
-		m, ok := Get(sp.Model)
-		if !ok {
-			return nil, ErrUnknown(sp.Model)
-		}
-		if err := Validate(sp, env.N); err != nil {
-			return nil, fmt.Errorf("fault model %s: %w", sp.Model, err)
-		}
-		vals, err := param.Resolve(sp.Params, m.Params)
+		m, vals, err := Models.Resolve(sp.Model, sp.Params)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkLinks(m, sp, env.N); err != nil {
 			return nil, fmt.Errorf("fault model %s: %w", sp.Model, err)
 		}
 		rng := specRand(env.Seed, sp.Model, i)

@@ -26,7 +26,7 @@ func TestScheduleDeterminism(t *testing.T) {
 		return sp
 	}
 	e := Env{N: 64, Seed: 42, G: graph.KForest(64, 2, 7)}
-	for _, name := range Names() {
+	for _, name := range Models.Names() {
 		sp := specFor(name)
 		a, err := Build([]Spec{sp}, e)
 		if err != nil {

@@ -17,7 +17,7 @@ import (
 const churnEventCap = 1 << 13
 
 func init() {
-	Register(Model{
+	Models.Register(Model{
 		Name:   "iid-drop",
 		Desc:   "drop each transmitted message independently with probability p",
 		Params: []param.Def{param.Float("p", 0.05, "per-message drop probability")},
@@ -30,7 +30,7 @@ func init() {
 		},
 	})
 
-	Register(Model{
+	Models.Register(Model{
 		Name: "link-cut",
 		Desc: "drop every message into the to-set or out of the from-set, from a given round on",
 		Params: []param.Def{
@@ -50,7 +50,7 @@ func init() {
 		},
 	})
 
-	Register(Model{
+	Models.Register(Model{
 		Name: "crash",
 		Desc: "fail-stop a seeded-random set of nodes at one round",
 		Params: []param.Def{
@@ -66,7 +66,7 @@ func init() {
 		},
 	})
 
-	Register(Model{
+	Models.Register(Model{
 		Name: "crash-recover",
 		Desc: "take a seeded-random set of nodes out of service for a fixed window, then revive them",
 		Params: []param.Def{
@@ -97,7 +97,7 @@ func init() {
 		},
 	})
 
-	Register(Model{
+	Models.Register(Model{
 		Name: "churn",
 		Desc: "Poisson node churn: random outages arrive over a horizon, each reviving after an exponential stay",
 		Params: []param.Def{
@@ -139,7 +139,7 @@ func init() {
 		},
 	})
 
-	Register(Model{
+	Models.Register(Model{
 		Name: "adversarial",
 		Desc: "kill the structurally most critical nodes (articulation points, then top degree) at one round",
 		Params: []param.Def{

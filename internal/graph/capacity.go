@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"strings"
 
 	"ncc/internal/param"
 )
@@ -41,44 +39,14 @@ type CapacityPolicy struct {
 	Build       func(g *Graph, base int, v param.Values, values []float64) ([]int, error)
 }
 
-var capacityPolicies = map[string]CapacityPolicy{}
-
-// RegisterCapacityPolicy adds a policy to the registry; duplicate or anonymous
-// registrations are programming errors.
-func RegisterCapacityPolicy(p CapacityPolicy) {
-	if p.Name == "" || p.Build == nil {
-		panic("graph: RegisterCapacityPolicy needs a name and a build function")
+// CapacityPolicies is the capacity-policy registry. A policy needs a build
+// function.
+var CapacityPolicies = param.NewRegistry("capacity policy", func(p CapacityPolicy) (string, []param.Def) {
+	if p.Build == nil {
+		panic(fmt.Sprintf("graph: capacity policy %q has no build function", p.Name))
 	}
-	if _, dup := capacityPolicies[p.Name]; dup {
-		panic(fmt.Sprintf("graph: capacity policy %q registered twice", p.Name))
-	}
-	capacityPolicies[p.Name] = p
-}
-
-// GetCapacityPolicy looks up a registered policy.
-func GetCapacityPolicy(name string) (CapacityPolicy, bool) {
-	p, ok := capacityPolicies[name]
-	return p, ok
-}
-
-// CapacityPolicyNames lists registered policies in sorted order.
-func CapacityPolicyNames() []string {
-	out := make([]string, 0, len(capacityPolicies))
-	for n := range capacityPolicies {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CapacityPolicies returns every registered policy, ordered by name.
-func CapacityPolicies() []CapacityPolicy {
-	out := make([]CapacityPolicy, 0, len(capacityPolicies))
-	for _, n := range CapacityPolicyNames() {
-		out = append(out, capacityPolicies[n])
-	}
-	return out
-}
+	return p.Name, p.Params
+})
 
 // ValidateCapacitySpec statically checks a spec: the policy exists, its
 // parameter bag resolves, and explicit values (where the policy takes them)
@@ -87,12 +55,9 @@ func CapacityPolicies() []CapacityPolicy {
 // name the offending field relative to the spec, so callers can prefix their
 // own path.
 func ValidateCapacitySpec(s CapacitySpec, n int) error {
-	p, ok := capacityPolicies[s.Policy]
-	if !ok {
-		return fmt.Errorf("policy %q unknown (have %s)", s.Policy, strings.Join(CapacityPolicyNames(), ", "))
-	}
-	if _, err := param.Resolve(s.Params, p.Params); err != nil {
-		return fmt.Errorf("params: %w", err)
+	p, _, err := CapacityPolicies.Resolve(s.Policy, s.Params)
+	if err != nil {
+		return param.FieldError(err, "policy")
 	}
 	if len(s.Values) > 0 && !p.NeedsValues {
 		return fmt.Errorf("values: policy %s takes no explicit values", s.Policy)
@@ -117,13 +82,9 @@ func ValidateCapacitySpec(s CapacitySpec, n int) error {
 // uniform base capacity. A nil result means uniform capacities (every node
 // gets base); a non-nil result has exactly g.N() entries, each >= 1.
 func BuildCapacities(s CapacitySpec, g *Graph, base int) ([]int, error) {
-	p, ok := capacityPolicies[s.Policy]
-	if !ok {
-		return nil, fmt.Errorf("capacity policy %q unknown (have %s)", s.Policy, strings.Join(CapacityPolicyNames(), ", "))
-	}
-	v, err := param.Resolve(s.Params, p.Params)
+	p, v, err := CapacityPolicies.Resolve(s.Policy, s.Params)
 	if err != nil {
-		return nil, fmt.Errorf("capacity policy %s: %w", s.Policy, err)
+		return nil, err
 	}
 	if len(s.Values) > 0 && !p.NeedsValues {
 		return nil, fmt.Errorf("capacity policy %s takes no explicit values", s.Policy)
@@ -169,14 +130,14 @@ func scaleCaps(base, floor int, n int, weight func(u int) float64) []int {
 
 func init() {
 	minDef := param.Int("min", 0, "capacity floor in messages (0 = ceil(log2 n), the collectives' minimum)")
-	RegisterCapacityPolicy(CapacityPolicy{
+	CapacityPolicies.Register(CapacityPolicy{
 		Name: "uniform",
 		Desc: "every node gets the model's base capacity (the canonical homogeneous spelling)",
 		Build: func(g *Graph, base int, v param.Values, _ []float64) ([]int, error) {
 			return nil, nil
 		},
 	})
-	RegisterCapacityPolicy(CapacityPolicy{
+	CapacityPolicies.Register(CapacityPolicy{
 		Name:   "degree",
 		Desc:   "capacity proportional to degree, normalized to the base at the average degree (the paper's weighted-capacity extension)",
 		Params: []param.Def{minDef},
@@ -188,7 +149,7 @@ func init() {
 			return scaleCaps(base, floor, g.N(), func(u int) float64 { return float64(g.Degree(u)) }), nil
 		},
 	})
-	RegisterCapacityPolicy(CapacityPolicy{
+	CapacityPolicies.Register(CapacityPolicy{
 		Name:   "file",
 		Desc:   "capacity proportional to the graph's embedded per-node weights (from its .nccg capacity array)",
 		Params: []param.Def{minDef},
@@ -204,7 +165,7 @@ func init() {
 			return scaleCaps(base, floor, g.N(), func(u int) float64 { return float64(w[u]) }), nil
 		},
 	})
-	RegisterCapacityPolicy(CapacityPolicy{
+	CapacityPolicies.Register(CapacityPolicy{
 		Name:        "explicit",
 		Desc:        "absolute per-node capacities listed in the scenario's values array (no log-floor: you own the consequences)",
 		NeedsValues: true,

@@ -9,11 +9,11 @@ import (
 
 func TestCapacityRegistryHasCorePolicies(t *testing.T) {
 	for _, name := range []string{"uniform", "degree", "file", "explicit"} {
-		if _, ok := GetCapacityPolicy(name); !ok {
+		if _, ok := CapacityPolicies.Get(name); !ok {
 			t.Errorf("policy %q not registered", name)
 		}
 	}
-	names := CapacityPolicyNames()
+	names := CapacityPolicies.Names()
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
 			t.Fatalf("names not sorted: %v", names)

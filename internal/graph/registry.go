@@ -73,53 +73,21 @@ func SetFileResolver(fn func(ref string) (*Graph, error)) {
 	fileResolver = fn
 }
 
-var families = map[string]Family{}
-
-// RegisterFamily adds a family to the registry; duplicate or anonymous
-// registrations are programming errors.
-func RegisterFamily(f Family) {
-	if f.Name == "" || f.Build == nil {
-		panic("graph: RegisterFamily needs a name and a build function")
+// Families is the graph-family registry. A family needs a build function.
+var Families = param.NewRegistry("graph family", func(f Family) (string, []param.Def) {
+	if f.Build == nil {
+		panic(fmt.Sprintf("graph: family %q has no build function", f.Name))
 	}
-	if _, dup := families[f.Name]; dup {
-		panic(fmt.Sprintf("graph: family %q registered twice", f.Name))
-	}
-	families[f.Name] = f
-}
-
-// GetFamily looks up a registered family.
-func GetFamily(name string) (Family, bool) {
-	f, ok := families[name]
-	return f, ok
-}
-
-// FamilyNames lists registered families in sorted order.
-func FamilyNames() []string {
-	out := make([]string, 0, len(families))
-	for n := range families {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Families returns every registered family, ordered by name.
-func Families() []Family {
-	out := make([]Family, 0, len(families))
-	for _, n := range FamilyNames() {
-		out = append(out, families[n])
-	}
-	return out
-}
+	return f.Name, f.Params
+})
 
 // Build materializes a Spec: it resolves the family, validates and defaults
 // the parameters, and runs the generator (or, for FromFile families, the
 // installed file resolver).
 func Build(s Spec) (*Graph, error) {
-	f, ok := families[s.Family]
-	if !ok {
-		return nil, fmt.Errorf("unknown graph family %q (have %s)",
-			s.Family, strings.Join(FamilyNames(), ", "))
+	f, v, err := Families.Resolve(s.Family, s.Params)
+	if err != nil {
+		return nil, err
 	}
 	if f.FromFile {
 		if s.File == "" {
@@ -133,10 +101,6 @@ func Build(s Spec) (*Graph, error) {
 	}
 	if s.File != "" {
 		return nil, fmt.Errorf("graph family %s: file reference only valid for the file family", s.Family)
-	}
-	v, err := param.Resolve(s.Params, f.Params)
-	if err != nil {
-		return nil, fmt.Errorf("graph family %s: %w", s.Family, err)
 	}
 	g, err := f.Build(v, s.Seed)
 	if err != nil {
@@ -158,7 +122,7 @@ func needPositive(v param.Values, names ...string) error {
 
 func init() {
 	nDef := param.Int("n", 64, "number of nodes")
-	RegisterFamily(Family{
+	Families.Register(Family{
 		Name: "gnm", Desc: "uniform random graph with exactly m edges", Seeded: true,
 		Params: []param.Def{nDef, param.Int("m", 0, "edge count (0 = 3n)")},
 		Build: func(v param.Values, seed int64) (*Graph, error) {
@@ -172,7 +136,7 @@ func init() {
 			return GNM(v.Int("n"), m, seed), nil
 		},
 	})
-	RegisterFamily(Family{
+	Families.Register(Family{
 		Name: "gnp", Desc: "Erdos-Renyi G(n, p)", Seeded: true,
 		Params: []param.Def{nDef, param.Float("p", 0.1, "edge probability")},
 		Build: func(v param.Values, seed int64) (*Graph, error) {
@@ -185,7 +149,7 @@ func init() {
 			return GNP(v.Int("n"), v.Float("p"), seed), nil
 		},
 	})
-	RegisterFamily(Family{
+	Families.Register(Family{
 		Name: "kforest", Desc: "union of k random spanning trees (arboricity <= k)", Seeded: true,
 		Params: []param.Def{nDef, param.Int("k", 2, "number of superimposed trees")},
 		Build: func(v param.Values, seed int64) (*Graph, error) {
@@ -195,7 +159,7 @@ func init() {
 			return KForest(v.Int("n"), v.Int("k"), seed), nil
 		},
 	})
-	RegisterFamily(Family{
+	Families.Register(Family{
 		Name: "pa", Desc: "preferential attachment with k links per new node (heavy-tailed degrees)", Seeded: true,
 		Params: []param.Def{nDef, param.Int("k", 2, "attachments per node")},
 		Build: func(v param.Values, seed int64) (*Graph, error) {
@@ -205,7 +169,7 @@ func init() {
 			return PreferentialAttachment(v.Int("n"), v.Int("k"), seed), nil
 		},
 	})
-	RegisterFamily(Family{
+	Families.Register(Family{
 		Name: "tree", Desc: "uniform-attachment random tree", Seeded: true,
 		Params: []param.Def{nDef},
 		Build: func(v param.Values, seed int64) (*Graph, error) {
@@ -215,7 +179,7 @@ func init() {
 			return RandomTree(v.Int("n"), seed), nil
 		},
 	})
-	RegisterFamily(Family{
+	Families.Register(Family{
 		Name: "bipartite", Desc: "random bipartite graph between parts of size n1 and n2", Seeded: true,
 		Params: []param.Def{
 			param.Int("n1", 32, "size of the first part"),
@@ -229,7 +193,7 @@ func init() {
 			return Bipartite(v.Int("n1"), v.Int("n2"), v.Float("p"), seed), nil
 		},
 	})
-	RegisterFamily(Family{
+	Families.Register(Family{
 		Name: "grid", Desc: "rows x cols grid (planar, arboricity <= 3)",
 		Params: []param.Def{param.Int("rows", 8, "grid rows"), param.Int("cols", 8, "grid cols")},
 		Build: func(v param.Values, _ int64) (*Graph, error) {
@@ -239,7 +203,7 @@ func init() {
 			return Grid(v.Int("rows"), v.Int("cols")), nil
 		},
 	})
-	RegisterFamily(Family{
+	Families.Register(Family{
 		Name: "torus", Desc: "rows x cols torus (grid with wraparound)",
 		Params: []param.Def{param.Int("rows", 8, "torus rows"), param.Int("cols", 8, "torus cols")},
 		Build: func(v param.Values, _ int64) (*Graph, error) {
@@ -249,7 +213,7 @@ func init() {
 			return Torus(v.Int("rows"), v.Int("cols")), nil
 		},
 	})
-	RegisterFamily(Family{
+	Families.Register(Family{
 		Name: "hypercube", Desc: "k-dimensional hypercube on 2^k nodes",
 		Params: []param.Def{param.Int("k", 2, "dimension (n = 2^k)")},
 		Build: func(v param.Values, _ int64) (*Graph, error) {
@@ -273,7 +237,7 @@ func init() {
 		{"empty", "the edgeless graph", Empty},
 	} {
 		build := simple.build
-		RegisterFamily(Family{
+		Families.Register(Family{
 			Name: simple.name, Desc: simple.desc,
 			Params: []param.Def{nDef},
 			Build: func(v param.Values, _ int64) (*Graph, error) {
@@ -284,14 +248,14 @@ func init() {
 			},
 		})
 	}
-	RegisterFamily(Family{
+	Families.Register(Family{
 		Name: "file", Desc: "ingested graph loaded from the content-addressed store by .nccg hash",
 		FromFile: true,
 		Build: func(param.Values, int64) (*Graph, error) {
 			return nil, fmt.Errorf("file family builds through the file resolver")
 		},
 	})
-	RegisterFamily(Family{
+	Families.Register(Family{
 		Name: "disjoint", Desc: "disjoint union of `parts` cliques of size `size`",
 		Params: []param.Def{param.Int("parts", 4, "number of cliques"), param.Int("size", 8, "clique size")},
 		Build: func(v param.Values, _ int64) (*Graph, error) {

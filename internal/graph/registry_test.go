@@ -8,7 +8,7 @@ import (
 )
 
 func TestBuildEveryFamilyWithDefaults(t *testing.T) {
-	for _, f := range Families() {
+	for _, f := range Families.All() {
 		if f.FromFile {
 			continue // needs a stored graph, not defaults; covered in graphio tests
 		}

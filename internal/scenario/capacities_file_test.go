@@ -40,7 +40,7 @@ func TestValidateFieldPaths(t *testing.T) {
 			name: "unknown capacity policy",
 			s: Scenario{Algo: "mis", Graph: graph.Spec{Family: "kforest"},
 				Capacities: &graph.CapacitySpec{Policy: "bogus"}},
-			want: `capacities.policy "bogus" unknown`,
+			want: `capacities.policy: unknown capacity policy "bogus"`,
 		},
 		{
 			name: "unknown capacity policy param",

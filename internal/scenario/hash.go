@@ -11,7 +11,6 @@ import (
 	"ncc/internal/faultmodel"
 	"ncc/internal/graph"
 	"ncc/internal/ncc"
-	"ncc/internal/param"
 )
 
 // Canonical returns the semantic normal form of a scenario: two scenarios
@@ -49,21 +48,15 @@ import (
 func (s Scenario) Canonical() (Scenario, error) {
 	c := s
 	c.Name = ""
-	d, ok := algo.Get(s.Algo)
-	if !ok {
-		return c, algo.ErrUnknown(s.Algo)
-	}
 	var err error
-	if c.Params, err = param.Resolve(s.Params, d.Params); err != nil {
-		return c, fmt.Errorf("algorithm %s: %w", s.Algo, err)
+	if _, c.Params, err = algo.Algorithms.Resolve(s.Algo, s.Params); err != nil {
+		return c, err
 	}
-	f, ok := graph.GetFamily(s.Graph.Family)
-	if !ok {
-		return c, fmt.Errorf("unknown graph family %q", s.Graph.Family)
+	f, gp, err := graph.Families.Resolve(s.Graph.Family, s.Graph.Params)
+	if err != nil {
+		return c, err
 	}
-	if c.Graph.Params, err = param.Resolve(s.Graph.Params, f.Params); err != nil {
-		return c, fmt.Errorf("graph family %s: %w", s.Graph.Family, err)
-	}
+	c.Graph.Params = gp
 	if !f.Seeded {
 		c.Graph.Seed = 0
 	}
@@ -112,13 +105,9 @@ func canonicalCapacities(cs *graph.CapacitySpec) (*graph.CapacitySpec, error) {
 	if cs == nil {
 		return nil, nil
 	}
-	p, ok := graph.GetCapacityPolicy(cs.Policy)
-	if !ok {
-		return nil, fmt.Errorf("unknown capacity policy %q", cs.Policy)
-	}
-	v, err := param.Resolve(cs.Params, p.Params)
+	_, v, err := graph.CapacityPolicies.Resolve(cs.Policy, cs.Params)
 	if err != nil {
-		return nil, fmt.Errorf("capacity policy %s: %w", cs.Policy, err)
+		return nil, err
 	}
 	if cs.Policy == "uniform" {
 		return nil, nil
@@ -137,13 +126,9 @@ func canonicalFaults(f *Faults) (*Faults, error) {
 	}
 	out := make([]faultmodel.Spec, len(specs))
 	for i, sp := range specs {
-		m, ok := faultmodel.Get(sp.Model)
-		if !ok {
-			return nil, fmt.Errorf("faults.models[%d]: %w", i, faultmodel.ErrUnknown(sp.Model))
-		}
-		p, err := param.Resolve(sp.Params, m.Params)
+		_, p, err := faultmodel.Models.Resolve(sp.Model, sp.Params)
 		if err != nil {
-			return nil, fmt.Errorf("fault model %s: %w", sp.Model, err)
+			return nil, fmt.Errorf("faults.models[%d]: %w", i, err)
 		}
 		out[i] = faultmodel.Spec{Model: sp.Model, Params: p, To: sortedCopy(sp.To), From: sortedCopy(sp.From)}
 	}

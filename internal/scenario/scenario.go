@@ -171,19 +171,12 @@ func Load(path string) (Scenario, error) {
 // and graph family exist and both parameter bags resolve. Usage errors caught
 // here are distinguishable from run failures (CLI exit 2 vs 1).
 func (s Scenario) Validate() error {
-	d, ok := algo.Get(s.Algo)
-	if !ok {
-		return algo.ErrUnknown(s.Algo)
+	if _, _, err := algo.Algorithms.Resolve(s.Algo, s.Params); err != nil {
+		return err
 	}
-	if _, err := param.Resolve(s.Params, d.Params); err != nil {
-		return fmt.Errorf("algorithm %s: %w", s.Algo, err)
-	}
-	f, ok := graph.GetFamily(s.Graph.Family)
-	if !ok {
-		return fmt.Errorf("unknown graph family %q", s.Graph.Family)
-	}
-	if _, err := param.Resolve(s.Graph.Params, f.Params); err != nil {
-		return fmt.Errorf("graph family %s: %w", s.Graph.Family, err)
+	f, gp, err := graph.Families.Resolve(s.Graph.Family, s.Graph.Params)
+	if err != nil {
+		return err
 	}
 	if f.FromFile {
 		if s.Graph.File == "" {
@@ -206,10 +199,8 @@ func (s Scenario) Validate() error {
 	// Bound fault node ids against the clique size when it is statically
 	// known (the resolved graph "n" parameter, unless a sweep overrides n).
 	n := 0
-	if gp, err := param.Resolve(s.Graph.Params, f.Params); err == nil {
-		if v, ok := gp["n"]; ok && (s.Sweep == nil || len(s.Sweep.N) == 0) {
-			n = int(v)
-		}
+	if v, ok := gp["n"]; ok && (s.Sweep == nil || len(s.Sweep.N) == 0) {
+		n = int(v)
 	}
 	if s.Capacities != nil {
 		if err := graph.ValidateCapacitySpec(*s.Capacities, n); err != nil {
@@ -344,9 +335,9 @@ func RunOneWith(s Scenario, opts RunOpts) (Record, error) {
 	if s.Sweep != nil {
 		return rec, fmt.Errorf("scenario %s: RunOne on an unexpanded sweep", s.Name)
 	}
-	d, ok := algo.Get(s.Algo)
-	if !ok {
-		return rec, algo.ErrUnknown(s.Algo)
+	d, _, err := algo.Algorithms.Resolve(s.Algo, s.Params)
+	if err != nil {
+		return rec, err
 	}
 	g, err := graph.Build(s.Graph)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"ncc/internal/graph"
 	"ncc/internal/ncc"
 	"ncc/internal/obs"
-	"ncc/internal/param"
 	"ncc/internal/scenario"
 )
 
@@ -128,11 +127,7 @@ func (b *LocalBackend) workersFor(c scenario.Scenario) int {
 // Returns 0 when the family is unknown or unsized — callers treat that as
 // "no cap". This is a scheduling hint only; results never depend on it.
 func specNodeCount(spec graph.Spec) int {
-	f, ok := graph.GetFamily(spec.Family)
-	if !ok {
-		return 0
-	}
-	v, err := param.Resolve(spec.Params, f.Params)
+	_, v, err := graph.Families.Resolve(spec.Family, spec.Params)
 	if err != nil {
 		return 0
 	}
