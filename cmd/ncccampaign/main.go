@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	} else {
-		rep, err = campaign.Execute(sp, campaign.Local())
+		rep, err = campaign.Execute(sp)
 		if err != nil {
 			fmt.Fprintln(stderr, "ncccampaign:", err)
 			return 1

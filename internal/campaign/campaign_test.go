@@ -172,7 +172,7 @@ func TestExecuteLocalAndReport(t *testing.T) {
 	if err := sp.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	rep, err := Execute(sp, Local())
+	rep, err := Execute(sp)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestExecuteLocalAndReport(t *testing.T) {
 	}
 
 	// Determinism end to end: a second execution marshals byte-identically.
-	rep2, err := Execute(sp, Local())
+	rep2, err := Execute(sp)
 	if err != nil {
 		t.Fatalf("second Execute: %v", err)
 	}
@@ -282,7 +282,7 @@ func TestShippedCampaignReportsPinned(t *testing.T) {
 			if err := sp.Resolve(dir); err != nil {
 				t.Fatal(err)
 			}
-			rep, err := Execute(sp, Local())
+			rep, err := Execute(sp)
 			if err != nil {
 				t.Fatal(err)
 			}

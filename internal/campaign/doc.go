@@ -5,9 +5,10 @@
 // paired naive baseline (automatic via algo.BaselineFor, or explicit), and an
 // optional k-machine-accounted run. Expansion is deterministic and every
 // variant is a single canonical-hashed scenario, so campaign units flow
-// through the same execution seams as ordinary jobs: the local runner calls
-// scenario.Run directly, the service runner submits them as nccd jobs where
-// the result cache and cluster workers apply unchanged.
+// through the same execution seams as ordinary jobs: the local runner,
+// Execute, calls scenario.RunTraced in process, and the service runner
+// submits them as nccd jobs where the result cache and cluster workers apply
+// unchanged.
 //
 // The report builder merges per-unit Records into comparative tables — round,
 // message and word totals per variant, verification pass counts, and the

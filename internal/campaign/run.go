@@ -1,61 +1,17 @@
 package campaign
 
 import (
-	"fmt"
-
 	"ncc/internal/obs"
 	"ncc/internal/scenario"
 )
 
-// UnitResult is one executed campaign unit: its Records (one per
-// sweep-expanded run) and the content hash of its telemetry trace. TraceHash
-// is empty when the runner recorded no trace; when present it is the
-// "sha256:..." canonical trace hash (see internal/obs), identical for the
-// same unit whether it ran locally, on a daemon, or out of the result cache.
-type UnitResult struct {
-	Records   []scenario.Record
-	TraceHash string
-}
-
-// Runner executes one campaign unit. Individual run failures belong in
-// Record.Error; a Runner error means the unit could not be executed at all
-// (bad spec, unreachable service) and aborts the campaign.
-type Runner interface {
-	RunUnit(u Unit) (UnitResult, error)
-}
-
-// RunnerFunc adapts a function to the Runner interface.
-type RunnerFunc func(u Unit) (UnitResult, error)
-
-// RunUnit calls f.
-func (f RunnerFunc) RunUnit(u Unit) (UnitResult, error) { return f(u) }
-
-// Local returns the in-process Runner: each unit's expanded scenarios run on
-// the calling machine with telemetry collected, so the report's trace refs
-// match what a daemon executing the same units would produce.
-func Local() Runner {
-	return RunnerFunc(func(u Unit) (UnitResult, error) {
-		col := &obs.Collector{}
-		var recs []scenario.Record
-		for _, c := range u.Scenario.Expand() {
-			rec, err := scenario.RunTraced(c, col, scenario.RunOpts{})
-			if err != nil {
-				rec.Error = err.Error()
-			}
-			recs = append(recs, rec)
-		}
-		res := UnitResult{Records: recs}
-		if len(col.Lines()) > 0 {
-			res.TraceHash = col.Hash()
-		}
-		return res, nil
-	})
-}
-
-// Execute expands the campaign, runs every distinct unit once (units sharing
-// a canonical hash share one execution and one result), and builds the
-// report. Units run in deterministic expansion order.
-func Execute(sp Spec, r Runner) (Report, error) {
+// Execute expands the campaign, runs every distinct unit once in process
+// (units sharing a canonical hash share one execution and one result), and
+// builds the report. Units run in deterministic expansion order. A failed run
+// is recorded in its Record.Error. Each unit's telemetry is collected, so
+// the report's trace refs match what a daemon executing the same units would
+// produce.
+func Execute(sp Spec) (Report, error) {
 	units, err := sp.Expand()
 	if err != nil {
 		return Report{}, err
@@ -66,13 +22,18 @@ func Execute(sp Spec, r Runner) (Report, error) {
 		if _, done := records[u.Hash]; done {
 			continue
 		}
-		res, err := r.RunUnit(u)
-		if err != nil {
-			return Report{}, fmt.Errorf("entry %s, %s variant: %w", u.Entry, u.Variant, err)
+		col := &obs.Collector{}
+		var recs []scenario.Record
+		for _, c := range u.Scenario.Expand() {
+			rec, err := scenario.RunTraced(c, col, scenario.RunOpts{})
+			if err != nil {
+				rec.Error = err.Error()
+			}
+			recs = append(recs, rec)
 		}
-		records[u.Hash] = res.Records
-		if res.TraceHash != "" {
-			traces[u.Hash] = res.TraceHash
+		records[u.Hash] = recs
+		if len(col.Lines()) > 0 {
+			traces[u.Hash] = col.Hash()
 		}
 	}
 	return BuildReport(sp.Name, units, records, traces)

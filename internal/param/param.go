@@ -1,6 +1,7 @@
-// Package param declares named, typed, defaultable numeric parameters — the
-// shared vocabulary of the graph-family and algorithm registries. Values are
-// float64 because that is what JSON numbers decode to; integer parameters are
+// Package param declares named, typed, defaultable numeric parameters, and
+// the one generic Registry that the graph-family, capacity-policy,
+// fault-model and algorithm registries are values of. Values are float64
+// because that is what JSON numbers decode to; integer parameters are
 // declared as such and validated for integrality.
 package param
 

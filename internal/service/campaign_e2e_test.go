@@ -69,7 +69,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	localRep, err := campaign.Execute(sp, campaign.Local())
+	localRep, err := campaign.Execute(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
