@@ -19,61 +19,15 @@ const dtagPlainEdge uint64 = comm.DirectTagMin + 0x12
 // word per node; it is the sequential reference the paper's polylog
 // algorithms (MIS, coloring, ...) are measured against.
 func CentralizedSolve(s *comm.Session, g *graph.Graph, solve func(g *graph.Graph) []uint64) uint64 {
-	ctx := s.Ctx
-	me := ctx.ID()
-	capacity := ctx.MinCap()
-	n := ctx.N()
-	// The gather wire format packs both edge endpoints into 24 bits each of
-	// one word; beyond 2^24 nodes the ids would silently wrap.
-	if n > 1<<24 {
-		panic("baseline: CentralizedSolve edge encoding caps n at 2^24")
-	}
-
-	// Count edges globally (each edge counted at its smaller endpoint).
-	local := 0
-	for _, v := range g.Neighbors(me) {
-		if int(v) > me {
-			local++
-		}
-	}
-	mU, _ := s.SumCount(uint64(local), true)
-	m := int(mU)
-
-	// Gather at node 0 over a randomized window, like the MST baseline: the
-	// window length keeps the expected per-round offered load at node 0
-	// under half its receive capacity.
-	window := 2*(m+capacity-1)/capacity + 4
-	type job struct {
-		at   int
-		u, v int32
-	}
-	var jobs []job
+	me := s.Ctx.ID()
+	n := s.Ctx.N()
 	b := graph.NewBuilder(n)
-	if me != 0 {
-		for _, v32 := range g.Neighbors(me) {
-			v := int(v32)
-			if v > me {
-				jobs = append(jobs, job{at: ctx.Rand().IntN(window), u: int32(me), v: int32(v)})
-			}
-		}
-	} else {
+	if me == 0 {
 		for _, v32 := range g.Neighbors(0) {
 			b.AddEdge(0, int(v32))
 		}
 	}
-	for t := 0; t < window; t++ {
-		for _, j := range jobs {
-			if j.at == t {
-				ctx.SendWord(0, ncc.Word(dtagPlainEdge<<56|uint64(uint32(j.u)&0xFFFFFF)<<24|uint64(uint32(j.v)&0xFFFFFF)))
-			}
-		}
-		s.Advance()
-		s.DrainDirect(func(from ncc.NodeID, ws []uint64) {
-			if me == 0 && ws[0]>>56 == dtagPlainEdge {
-				b.AddEdge(int(ws[0]>>24&0xFFFFFF), int(ws[0]&0xFFFFFF))
-			}
-		})
-	}
+	gatherEdges(s, g, dtagPlainEdge, nil, func(u, v int, _ int64) { b.AddEdge(u, v) })
 
 	// Solve locally at node 0, then broadcast the n-word answer vector.
 	var words []uint64
@@ -85,4 +39,73 @@ func CentralizedSolve(s *comm.Session, g *graph.Graph, solve func(g *graph.Graph
 	}
 	answers := s.BroadcastWords(0, words, n)
 	return answers[me]
+}
+
+// gatherEdges ships every edge of g to node 0, the gather half of the
+// centralized baselines. Each node other than 0 sends each incident edge
+// {me, v} with v > me in a round drawn uniformly from a window whose length
+// keeps node 0's expected offered load under half its receive capacity, so
+// the gather takes Theta(m / log n) rounds. A frame's first word packs tag
+// and both endpoints (24 bits each); a non-nil weight adds the edge weight as
+// a second word. Node 0 passes each received edge to got; its own edges are
+// the caller's to add.
+func gatherEdges(s *comm.Session, g *graph.Graph, tag uint64, weight func(u, v int) int64, got func(u, v int, w int64)) {
+	ctx := s.Ctx
+	me := ctx.ID()
+	// Beyond 2^24 nodes the packed endpoint ids would silently wrap.
+	if ctx.N() > 1<<24 {
+		panic("baseline: the edge gather's encoding caps n at 2^24")
+	}
+
+	// Count edges globally (each edge counted at its smaller endpoint).
+	local := 0
+	for _, v := range g.Neighbors(me) {
+		if int(v) > me {
+			local++
+		}
+	}
+	mU, _ := s.SumCount(uint64(local), true)
+	capacity := ctx.MinCap()
+	window := 2*(int(mU)+capacity-1)/capacity + 4
+
+	type job struct {
+		at   int
+		head uint64
+		w    int64
+	}
+	var jobs []job
+	if me != 0 {
+		for _, v32 := range g.Neighbors(me) {
+			if v := int(v32); v > me {
+				j := job{at: ctx.Rand().IntN(window), head: tag<<56 | uint64(me)<<24 | uint64(v)}
+				if weight != nil {
+					j.w = weight(me, v)
+				}
+				jobs = append(jobs, j)
+			}
+		}
+	}
+	for t := 0; t < window; t++ {
+		for _, j := range jobs {
+			if j.at != t {
+				continue
+			}
+			if weight != nil {
+				ctx.SendWords2(0, ncc.Words2{j.head, uint64(j.w)})
+			} else {
+				ctx.SendWord(0, ncc.Word(j.head))
+			}
+		}
+		s.Advance()
+		s.DrainDirect(func(_ ncc.NodeID, ws []uint64) {
+			if me != 0 || ws[0]>>56 != tag {
+				return
+			}
+			var w int64
+			if weight != nil {
+				w = int64(ws[1])
+			}
+			got(int(ws[0]>>24&0xFFFFFF), int(ws[0]&0xFFFFFF), w)
+		})
+	}
 }

@@ -3,7 +3,6 @@ package baseline
 import (
 	"ncc/internal/comm"
 	"ncc/internal/graph"
-	"ncc/internal/ncc"
 	"ncc/internal/seq"
 )
 
@@ -21,42 +20,6 @@ const dtagEdge uint64 = comm.DirectTagMin + 0x11
 func CentralizedMST(s *comm.Session, wg *graph.Weighted) [][2]int {
 	ctx := s.Ctx
 	me := ctx.ID()
-	capacity := ctx.MinCap()
-	// The gather wire format packs both edge endpoints into 24 bits each of
-	// one header word; beyond 2^24 nodes the ids would silently wrap.
-	if ctx.N() > 1<<24 {
-		panic("baseline: CentralizedMST edge encoding caps n at 2^24")
-	}
-
-	// Count edges globally (each edge counted at its smaller endpoint).
-	local := 0
-	for _, v := range wg.Neighbors(me) {
-		if int(v) > me {
-			local++
-		}
-	}
-	mU, _ := s.SumCount(uint64(local), true)
-	m := int(mU)
-
-	// Gather at node 0.
-	window := 2*(m+capacity-1)/capacity + 4
-	type job struct {
-		at   int
-		u, v int32
-		w    int64
-	}
-	var jobs []job
-	if me != 0 {
-		for _, v32 := range wg.Neighbors(me) {
-			v := int(v32)
-			if v > me {
-				jobs = append(jobs, job{
-					at: ctx.Rand().IntN(window),
-					u:  int32(me), v: int32(v), w: wg.Weight(me, v),
-				})
-			}
-		}
-	}
 	var edges []seq.Edge
 	if me == 0 {
 		for _, v32 := range wg.Neighbors(0) {
@@ -66,26 +29,9 @@ func CentralizedMST(s *comm.Session, wg *graph.Weighted) [][2]int {
 			}
 		}
 	}
-	for t := 0; t < window; t++ {
-		for _, j := range jobs {
-			if j.at == t {
-				ctx.SendWords2(0, ncc.Words2{
-					dtagEdge<<56 | uint64(uint32(j.u)&0xFFFFFF)<<24 | uint64(uint32(j.v)&0xFFFFFF),
-					uint64(j.w),
-				})
-			}
-		}
-		s.Advance()
-		s.DrainDirect(func(from ncc.NodeID, ws []uint64) {
-			if me == 0 && ws[0]>>56 == dtagEdge {
-				edges = append(edges, seq.Edge{
-					U: int(ws[0] >> 24 & 0xFFFFFF),
-					V: int(ws[0] & 0xFFFFFF),
-					W: int64(ws[1]),
-				})
-			}
-		})
-	}
+	gatherEdges(s, wg.Graph, dtagEdge, wg.Weight, func(u, v int, w int64) {
+		edges = append(edges, seq.Edge{U: u, V: v, W: w})
+	})
 
 	// Solve locally at node 0.
 	var forest [][2]int
