@@ -335,7 +335,7 @@ func RunOneWith(s Scenario, opts RunOpts) (Record, error) {
 	if s.Sweep != nil {
 		return rec, fmt.Errorf("scenario %s: RunOne on an unexpanded sweep", s.Name)
 	}
-	d, _, err := algo.Algorithms.Resolve(s.Algo, s.Params)
+	d, _, err := algo.Algorithms.Resolve(s.Algo, nil)
 	if err != nil {
 		return rec, err
 	}
