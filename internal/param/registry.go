@@ -70,50 +70,52 @@ func (r *Registry[E]) All() []E {
 }
 
 // Resolve looks name up and resolves the parameter bag v against the entry's
-// declarations (see the package-level Resolve). Its error is a *LookupError.
+// declarations (see the package-level Resolve). An unknown name fails with
+// `unknown <kind> "<name>" (have a, b, ...)`, a bag that does not resolve with
+// `<kind> <name>: <bag error>`.
 func (r *Registry[E]) Resolve(name string, v Values) (E, Values, error) {
 	reg, ok := r.entries[name]
 	if !ok {
 		var zero E
-		return zero, nil, &LookupError{Kind: r.kind, Name: name, Have: r.Names()}
+		return zero, nil, &lookupError{kind: r.kind, name: name, have: r.Names()}
 	}
 	vals, err := Resolve(v, reg.params)
 	if err != nil {
-		return reg.entry, nil, &LookupError{Kind: r.kind, Name: name, Err: err}
+		return reg.entry, nil, &lookupError{kind: r.kind, name: name, err: err}
 	}
 	return reg.entry, vals, nil
 }
 
-// LookupError is a failed Registry.Resolve: either Name is not registered
-// (Err is nil and Have lists the registered names) or its parameter bag does
-// not resolve (Err says why).
-type LookupError struct {
-	Kind, Name string
-	Have       []string
-	Err        error
+// lookupError is a failed Registry.Resolve: either name is not registered
+// (err is nil and have lists the registered names) or its parameter bag does
+// not resolve (err says why).
+type lookupError struct {
+	kind, name string
+	have       []string
+	err        error
 }
 
-func (e *LookupError) Error() string {
-	if e.Err == nil {
-		return fmt.Sprintf("unknown %s %q (have %s)", e.Kind, e.Name, strings.Join(e.Have, ", "))
+func (e *lookupError) Error() string {
+	if e.err == nil {
+		return fmt.Sprintf("unknown %s %q (have %s)", e.kind, e.name, strings.Join(e.have, ", "))
 	}
-	return fmt.Sprintf("%s %s: %v", e.Kind, e.Name, e.Err)
+	return fmt.Sprintf("%s %s: %v", e.kind, e.name, e.err)
 }
 
-func (e *LookupError) Unwrap() error { return e.Err }
+func (e *lookupError) Unwrap() error { return e.err }
 
 // FieldError re-spells a Resolve error for a validator that names the
 // spec's fields: an unknown name under nameField, a bag error under "params"
 // without the kind and name the field path already implies. Other errors
 // pass through unchanged.
 func FieldError(err error, nameField string) error {
-	var le *LookupError
+	var le *lookupError
 	switch {
 	case !errors.As(err, &le):
 		return err
-	case le.Err == nil:
+	case le.err == nil:
 		return fmt.Errorf("%s: %w", nameField, err)
 	default:
-		return fmt.Errorf("params: %w", le.Err)
+		return fmt.Errorf("params: %w", le.err)
 	}
 }
