@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -155,5 +156,92 @@ func TestRefsRoundTrip(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "escape.ref")); err != nil {
 		t.Fatalf("ref name not confined to the store: %v", err)
+	}
+}
+
+// readerOnly hides every method but Read, as an HTTP response body does.
+type readerOnly struct{ io.Reader }
+
+// TestPutAllocatesNoCopyBuffer pins the pooled copy: a source without
+// WriteTo (an HTTP body) costs Put no more allocations than a bytes.Reader,
+// and neither pays a 32 KiB copy buffer per call.
+func TestPutAllocatesNoCopyBuffer(t *testing.T) {
+	s, err := Open(t.TempDir(), ".bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("node-capacitated clique\n"), 8192) // 192 KiB
+	br := bytes.NewReader(data)
+	put := func(r io.Reader) func() {
+		return func() {
+			br.Reset(data)
+			if _, err := s.Put(r, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	withWriteTo := testing.AllocsPerRun(50, put(br))
+	bodyLike := testing.AllocsPerRun(50, put(readerOnly{br}))
+	if bodyLike > withWriteTo {
+		t.Errorf("Put of a reader without WriteTo: %v allocs, bytes.Reader: %v", bodyLike, withWriteTo)
+	}
+
+	var before, after runtime.MemStats
+	const calls = 50
+	runtime.ReadMemStats(&before)
+	f := put(readerOnly{br})
+	for i := 0; i < calls; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 16<<10 {
+		t.Errorf("Put of a reader without WriteTo allocates %d B per call, want under 16 KiB", per)
+	}
+}
+
+// TestStreamVerifiesAtEnd reads an object through Stream: intact bytes
+// arrive with a clean end, a flipped byte turns the end into an error, and
+// WriteTo reports the same.
+func TestStreamVerifiesAtEnd(t *testing.T) {
+	s, err := Open(t.TempDir(), ".bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("trace line\n"), 10000) // several copy buffers
+	hash, err := s.Put(bytes.NewReader(data), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(viaWriteTo bool) ([]byte, error) {
+		r, err := s.Stream(hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		var buf bytes.Buffer
+		if viaWriteTo {
+			_, err = r.WriteTo(&buf)
+		} else {
+			_, err = buf.ReadFrom(readerOnly{r})
+		}
+		return buf.Bytes(), err
+	}
+	for _, viaWriteTo := range []bool{false, true} {
+		if got, err := read(viaWriteTo); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("intact stream (WriteTo %v): %d bytes, %v", viaWriteTo, len(got), err)
+		}
+	}
+	flipped := bytes.Clone(data)
+	flipped[len(flipped)/2] ^= 1
+	if err := os.WriteFile(s.Path(hash), flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, viaWriteTo := range []bool{false, true} {
+		if _, err := read(viaWriteTo); err == nil || !strings.Contains(err.Error(), "corrupted") {
+			t.Fatalf("stream of a flipped byte (WriteTo %v): %v", viaWriteTo, err)
+		}
+	}
+	if _, err := s.Stream("zz"); err == nil {
+		t.Fatal("Stream accepted a malformed hash")
 	}
 }

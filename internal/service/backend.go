@@ -39,7 +39,7 @@ var errQueueFull = errors.New("job queue is full")
 // pipeline carries every queued job of a Server through its lifecycle
 // (queued -> running -> done/failed/canceled): a bounded FIFO queue, one
 // dispatcher that moves the head job into a backend slot, one goroutine per
-// running job, and one finish for every job that leaves the queue.
+// running job, and one finish for every job that ran.
 type pipeline struct {
 	backend ExecBackend
 	queue   chan *Job
@@ -58,23 +58,47 @@ func newPipeline(b ExecBackend, queueLimit int, c *cache, m *metrics, log *slog.
 
 // submit enqueues a queued job without blocking, or fails with errQueueFull
 // and the caller rolls the admission back. A job counts in the queued gauge
-// until it has a slot, the head job the dispatcher holds included, so
-// bounding the gauge by the channel's capacity leaves the send room. The
-// caller serializes submit against itself and against drain (the JobStore's
-// admission lock), so the check holds until the send, and sending on a closed
+// until it leaves the queued state (see dequeued), the head job the
+// dispatcher holds included. A job canceled in the queue leaves the gauge at
+// once but its channel slot only when the dispatcher reaches it, so the send
+// does not block either way. The caller serializes submit against itself and
+// against drain (the JobStore's admission lock), so sending on a closed
 // queue cannot happen.
 func (p *pipeline) submit(j *Job) error {
 	if p.m.jobsQueued.Load() >= int64(cap(p.queue)) {
 		return errQueueFull
 	}
+	j.dequeue = p.dequeued
 	p.m.jobsQueued.Add(1)
-	p.queue <- j
-	return nil
+	select {
+	case p.queue <- j:
+		return nil
+	default:
+		p.m.jobsQueued.Add(-1)
+		return errQueueFull
+	}
+}
+
+// dequeued counts a job's move out of the queued state, before the job shows
+// its new state: the dispatcher gave it a slot (running) or completed it
+// from the cache (done), or it was canceled while it waited.
+func (p *pipeline) dequeued(to State) {
+	p.m.jobsQueued.Add(-1)
+	switch to {
+	case StateRunning:
+		p.m.jobsRunning.Add(1)
+	case StateDone:
+		p.m.dispatchCacheHits.Add(1)
+		p.m.jobsDone.Add(1)
+	case StateCanceled:
+		p.m.jobsCanceled.Add(1)
+	}
 }
 
 // dispatch moves jobs from the queue into backend slots, strictly FIFO: the
 // head job waits for a free slot, then runs on its own goroutine so jobs
-// overlap.
+// overlap. A job canceled while queued is already counted and terminal, and
+// is only logged here.
 func (p *pipeline) dispatch() {
 	defer p.wg.Done()
 	for j := range p.queue {
@@ -83,68 +107,67 @@ func (p *pipeline) dispatch() {
 		// landed result here takes no slot, which matters most for
 		// campaigns, whose deduped units often repeat recently finished
 		// hashes.
-		if lines, trace, ok := p.cache.get(j.Hash); ok {
-			p.m.jobsQueued.Add(-1)
-			state := StateCanceled // canceled while queued: stays canceled
-			if j.completeFromCache(lines, trace) {
-				p.m.dispatchCacheHits.Add(1)
-				state = StateDone
+		if e, ok := p.cache.get(j.Hash); ok {
+			if j.completeFromCache(e) {
+				p.log.Info("job done", "job", j.ID, "trace", j.TraceID, "records", len(e.lines), "cached", true)
+			} else {
+				p.logCanceled(j)
 			}
-			p.finish(j, state, "")
 			continue
 		}
 		s := p.backend.acquire(j.cancel)
-		p.m.jobsQueued.Add(-1)
 		if s == nil {
-			// Canceled while waiting for a slot; Job.Cancel already flipped
-			// the queued job to canceled.
-			p.finish(j, StateCanceled, "")
+			p.logCanceled(j)
 			continue
 		}
 		if !j.setRunning() {
 			s.release()
-			p.finish(j, StateCanceled, "")
+			p.logCanceled(j)
 			continue
 		}
-		p.m.jobsRunning.Add(1)
 		p.log.Info("job running", "job", j.ID, "trace", j.TraceID)
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
 			state, msg := s.run(j)
 			p.finish(j, state, msg)
-			p.m.jobsRunning.Add(-1)
 		}()
 	}
 }
 
-// finish ends j, which has left the queue, in state, and counts and logs it.
-// A job that ran to completion fills the cache first, so a client that
-// resubmits the moment the job's stream ends hits the cache. A job the
-// dispatcher completed from the cache is only counted.
+func (p *pipeline) logCanceled(j *Job) {
+	p.log.Info("job canceled", "job", j.ID, "trace", j.TraceID)
+}
+
+// finish ends the running job j in state, and counts and logs it, counting
+// before the job turns terminal. A job that ran to completion fills the
+// cache first, so a client that resubmits the moment the job's stream ends
+// hits the cache.
 func (p *pipeline) finish(j *Job, state State, msg string) {
-	info := j.Info()
-	if state == StateDone && !info.Cached {
-		lines, trace := j.logs()
-		if err := p.cache.put(j.Hash, lines, trace); err != nil {
+	if state == StateDone {
+		if err := p.cache.put(j.Hash, j.result()); err != nil {
 			// Disk persistence is best-effort; the in-memory entry is in place.
 			p.m.cacheWriteErrors.Add(1)
 		}
 	}
-	j.finish(state, msg)
+	p.m.jobsRunning.Add(-1)
 	switch state {
 	case StateDone:
 		p.m.jobsDone.Add(1)
-		if !info.Cached {
-			p.m.jobLatency.observeSince(j.Submitted)
-		}
-		p.log.Info("job done", "job", j.ID, "trace", j.TraceID, "records", info.Records)
+		p.m.jobLatency.observeSince(j.Submitted)
 	case StateFailed:
 		p.m.jobsFailed.Add(1)
-		p.log.Error("job failed", "job", j.ID, "trace", j.TraceID, "cause", msg)
 	case StateCanceled:
 		p.m.jobsCanceled.Add(1)
-		p.log.Info("job canceled", "job", j.ID, "trace", j.TraceID)
+	}
+	j.finish(state, msg)
+	switch state {
+	case StateDone:
+		p.log.Info("job done", "job", j.ID, "trace", j.TraceID, "records", j.count(recordLog))
+	case StateFailed:
+		p.log.Error("job failed", "job", j.ID, "trace", j.TraceID, "cause", msg)
+	case StateCanceled:
+		p.logCanceled(j)
 	}
 }
 

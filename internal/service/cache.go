@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"ncc/internal/blob"
-	"ncc/internal/obs"
 )
 
 // cache is the content-addressed result cache: canonical scenario hash -> the
@@ -15,7 +14,10 @@ import (
 // (traces are deterministic). Entries live in a memory FIFO and, with a
 // directory, in a blob store: each stream is a verified <sha256>.ndjson blob
 // and <scenarioHash>.ref names the pair, so a restarted daemon keeps serving
-// past results and a damaged entry reads as a miss.
+// past results and a damaged entry reads as a miss. With a directory, a
+// trace that did not come from this process's own engine (a disk hit, or a
+// trace a coordinator proxied from a worker) stays in the blob store: the
+// memory entry holds a reference to it, and serving it streams the blob.
 type cache struct {
 	mu   sync.Mutex // held across disk reads; cache traffic is not a hot path
 	mem  map[string]cacheEntry
@@ -24,7 +26,12 @@ type cache struct {
 	disk *blob.Store // nil without a cache directory
 }
 
-type cacheEntry struct{ lines, trace [][]byte }
+// cacheEntry is one completed sweep: its record lines and its trace, which
+// is either lines in memory or, when traceBlob is set, a blob in the store.
+type cacheEntry struct {
+	lines, trace [][]byte
+	traceBlob    blobRef
+}
 
 func newCache(dir string, maxEntries int) (c *cache, err error) {
 	c = &cache{mem: map[string]cacheEntry{}, max: maxEntries}
@@ -34,38 +41,53 @@ func newCache(dir string, maxEntries int) (c *cache, err error) {
 	return c, err
 }
 
-// get returns the cached record and trace lines for hash, consulting memory
-// first and the disk second (a disk hit is promoted into memory). The trace
-// is nil when the populating run recorded none.
-func (c *cache) get(hash string) (lines, trace [][]byte, ok bool) {
+// get returns the cached sweep for hash, consulting memory first and the
+// disk second (a disk hit is promoted into memory). A disk hit loads the
+// records and verifies the trace blob without loading it: the entry keeps
+// the trace as a blob reference.
+func (c *cache) get(hash string) (e cacheEntry, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.mem[hash]; ok {
-		return e.lines, e.trace, true
+		return e, true
 	}
 	if c.disk == nil {
-		return nil, nil, false
+		return e, false
 	}
 	// The ref holds "<recordsHash> <traceHash>"; any unreadable, truncated
 	// or corrupted piece is a miss, so the job re-executes and re-puts.
 	ref, err := c.disk.Ref(hash)
 	hashes := strings.Fields(string(ref))
 	if err != nil || len(hashes) != 2 {
-		return nil, nil, false
+		return e, false
 	}
-	var streams [2][][]byte
-	for i, h := range hashes {
-		data, err := c.disk.Get(h)
-		if err != nil {
-			return nil, nil, false
-		}
-		if len(data) > 0 {
-			streams[i] = bytes.Split(data[:len(data)-1], []byte{'\n'})
-		}
+	data, err := c.disk.Get(hashes[0])
+	if err != nil {
+		return e, false
 	}
-	e := cacheEntry{lines: streams[0], trace: streams[1]}
+	if len(data) > 0 {
+		e.lines = bytes.Split(data[:len(data)-1], newline)
+	}
+	if e.traceBlob, err = c.verifyTrace(hashes[1]); err != nil {
+		return cacheEntry{}, false
+	}
 	c.storeLocked(hash, e)
-	return e.lines, e.trace, true
+	return e, true
+}
+
+// verifyTrace reads the trace blob under hash through, checking its bytes
+// and counting its lines, and returns a reference to it.
+func (c *cache) verifyTrace(hash string) (blobRef, error) {
+	r, err := c.disk.Stream(hash)
+	if err != nil {
+		return blobRef{}, err
+	}
+	defer r.Close()
+	var lc lineCounter
+	if _, err := r.WriteTo(&lc); err != nil {
+		return blobRef{}, err
+	}
+	return blobRef{store: c.disk, hash: hash, lines: lc.lines}, nil
 }
 
 // storeLocked inserts an in-memory entry, evicting the oldest entries beyond
@@ -87,26 +109,29 @@ func (c *cache) storeLocked(hash string, e cacheEntry) {
 	}
 }
 
-// put stores a completed sweep's record and trace lines under hash. It is
-// best-effort: an error means the entry may not persist, not that the job
-// failed. The ref is written last, so a crash never leaves it naming a
-// missing blob.
-func (c *cache) put(hash string, lines, trace [][]byte) error {
+// put stores a completed sweep under hash. It is best-effort: an error
+// means the entry may not persist, not that the job failed. Lines go
+// straight into their blob files; a trace already in the store (proxied by a
+// coordinator, or a disk hit) is not written again. The ref is written last,
+// so a crash never leaves it naming a missing blob.
+func (c *cache) put(hash string, e cacheEntry) error {
 	c.mu.Lock()
-	c.storeLocked(hash, cacheEntry{lines: lines, trace: trace})
+	c.storeLocked(hash, e)
 	c.mu.Unlock()
 	if c.disk == nil {
 		return nil
 	}
-	var hashes []string
-	for _, stream := range [][][]byte{lines, trace} {
-		h, err := c.disk.Put(bytes.NewReader(obs.Join(stream)), nil)
-		if err != nil {
+	records, err := c.disk.Put(&linesReader{lines: e.lines}, nil)
+	if err != nil {
+		return err
+	}
+	trace := e.traceBlob.hash
+	if !e.traceBlob.ok() {
+		if trace, err = c.disk.Put(&linesReader{lines: e.trace}, nil); err != nil {
 			return err
 		}
-		hashes = append(hashes, h)
 	}
-	return c.disk.PutRef(hash, []byte(strings.Join(hashes, " ")))
+	return c.disk.PutRef(hash, []byte(records+" "+trace))
 }
 
 // len reports the number of in-memory entries (metrics).

@@ -118,7 +118,7 @@ func (c *campaignRun) finish(rep *campaign.Report, errMsg string) {
 func (c *campaignRun) watch(m *metrics) {
 	for _, j := range c.jobs {
 		for {
-			_, terminal, changed := j.next(recordLog, 0)
+			_, _, terminal, changed := j.next(recordLog, 0)
 			if terminal {
 				break
 			}
@@ -146,9 +146,9 @@ func (c *campaignRun) watch(m *metrics) {
 		if _, ok := records[u.Hash]; ok {
 			continue
 		}
-		lines, trace := c.jobs[i].logs()
-		recs := make([]scenario.Record, 0, len(lines))
-		for _, line := range lines {
+		res := c.jobs[i].result()
+		recs := make([]scenario.Record, 0, len(res.lines))
+		for _, line := range res.lines {
 			var rec scenario.Record
 			if err := json.Unmarshal(line, &rec); err != nil {
 				c.finish(nil, fmt.Sprintf("unit %s/%s: decoding record: %v", u.Entry, u.Variant, err))
@@ -158,10 +158,15 @@ func (c *campaignRun) watch(m *metrics) {
 			recs = append(recs, rec)
 		}
 		records[u.Hash] = recs
-		if len(trace) > 0 {
-			// The canonical content hash, so the report row matches a local
-			// run's trace ref byte-for-byte.
-			traces[u.Hash] = obs.Hash(trace)
+		// The canonical content hash, so the report row matches a local run's
+		// trace ref byte-for-byte. A daemon's traces carry no timing lines,
+		// so a stored trace's blob hash is that hash, read without loading
+		// the blob.
+		switch {
+		case res.traceBlob.lines > 0:
+			traces[u.Hash] = "sha256:" + res.traceBlob.hash
+		case len(res.trace) > 0:
+			traces[u.Hash] = obs.Hash(res.trace)
 		}
 	}
 	rep, err := campaign.BuildReport(c.spec.Name, c.units, records, traces)

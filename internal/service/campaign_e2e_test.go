@@ -52,8 +52,9 @@ func waitCampaign(t *testing.T, base, id string, timeout time.Duration) service.
 }
 
 // TestCampaignEndToEnd is the campaign acceptance test, run against the
-// checked-in example campaign: POST /v1/campaigns produces report JSON
-// byte-identical to a local ncccampaign-style Execute of the same spec, an
+// checked-in example campaign on a daemon and on two coordinators: POST
+// /v1/campaigns produces report JSON byte-identical to a local
+// ncccampaign-style Execute of the same spec, an
 // immediate re-submission is served entirely from the result cache (asserted
 // via the daemon's cache metrics), and the text rendering is served at
 // ?format=text.
@@ -78,74 +79,98 @@ func TestCampaignEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	localBytes = append(localBytes, '\n')
-
-	ts := newTestServer(t, service.Config{WorkerBudget: 4, Executors: 2})
-	info, status := submitCampaign(t, ts.URL, string(specJSON))
-	if status != http.StatusCreated {
-		t.Fatalf("POST /v1/campaigns: status %d, want 201", status)
-	}
-	units, _ := sp.Expand()
-	if len(info.Units) != len(units) {
-		t.Fatalf("campaign has %d units, want %d", len(info.Units), len(units))
-	}
-	for i, u := range info.Units {
-		if u.Hash == "" || u.JobID == "" {
-			t.Fatalf("unit %d (%s/%s) missing hash or job id: %+v", i, u.Entry, u.Variant, u)
-		}
-		if u.Hash != units[i].Hash {
-			t.Fatalf("unit %d hash %s differs from expansion hash %s", i, u.Hash, units[i].Hash)
-		}
+	if !bytes.Contains(localBytes, []byte(`"trace":"sha256:`)) {
+		t.Fatalf("local report carries no trace hashes to compare:\n%s", localBytes)
 	}
 
-	final := waitCampaign(t, ts.URL, info.ID, 120*time.Second)
-	if final.State != service.StateDone {
-		t.Fatalf("campaign ended %s: %s", final.State, final.Error)
-	}
-	gotBytes := fetch(t, ts.URL+"/v1/campaigns/"+info.ID+"/report")
-	if !bytes.Equal(gotBytes, localBytes) {
-		t.Fatalf("server report differs from local execution:\nlocal:  %s\nserver: %s", localBytes, gotBytes)
-	}
+	// The same spec through a daemon, through a coordinator with its traces
+	// in memory, and through one whose traces go to its blob store: there
+	// the report's trace hashes are the blobs' names, and the bytes must
+	// not move.
+	for _, tc := range []struct {
+		name  string
+		front func(t *testing.T) string
+	}{
+		{"local", func(t *testing.T) string {
+			return newTestServer(t, service.Config{WorkerBudget: 4, Executors: 2}).URL
+		}},
+		{"coordinator", func(t *testing.T) string {
+			return newCluster(t, service.Config{WorkerTTL: time.Minute})
+		}},
+		{"coordinator-cache-dir", func(t *testing.T) string {
+			return newCluster(t, service.Config{WorkerTTL: time.Minute, CacheDir: t.TempDir()})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := tc.front(t)
+			info, status := submitCampaign(t, base, string(specJSON))
+			if status != http.StatusCreated {
+				t.Fatalf("POST /v1/campaigns: status %d, want 201", status)
+			}
+			units, _ := sp.Expand()
+			if len(info.Units) != len(units) {
+				t.Fatalf("campaign has %d units, want %d", len(info.Units), len(units))
+			}
+			for i, u := range info.Units {
+				if u.Hash == "" || u.JobID == "" {
+					t.Fatalf("unit %d (%s/%s) missing hash or job id: %+v", i, u.Entry, u.Variant, u)
+				}
+				if u.Hash != units[i].Hash {
+					t.Fatalf("unit %d hash %s differs from expansion hash %s", i, u.Hash, units[i].Hash)
+				}
+			}
 
-	text := string(fetch(t, ts.URL+"/v1/campaigns/"+info.ID+"/report?format=text"))
-	if !strings.Contains(text, "campaign "+sp.Name) || !strings.Contains(text, "baseline") {
-		t.Fatalf("text report missing header or baseline rows:\n%s", text)
-	}
+			final := waitCampaign(t, base, info.ID, 120*time.Second)
+			if final.State != service.StateDone {
+				t.Fatalf("campaign ended %s: %s", final.State, final.Error)
+			}
+			gotBytes := fetch(t, base+"/v1/campaigns/"+info.ID+"/report")
+			if !bytes.Equal(gotBytes, localBytes) {
+				t.Fatalf("server report differs from local execution:\nlocal:  %s\nserver: %s", localBytes, gotBytes)
+			}
 
-	// Immediate re-run: every unit is answered from the result cache, the
-	// report bytes do not move. Acceptance floor is >= 50% served from cache;
-	// with all hashes already resident it is 100%.
-	misses := metricValue(t, ts.URL, "nccd_cache_misses_total")
-	info2, status := submitCampaign(t, ts.URL, string(specJSON))
-	if status != http.StatusCreated {
-		t.Fatalf("re-submission: status %d, want 201", status)
-	}
-	final2 := waitCampaign(t, ts.URL, info2.ID, 60*time.Second)
-	if final2.State != service.StateDone {
-		t.Fatalf("re-run campaign ended %s: %s", final2.State, final2.Error)
-	}
-	hits := metricValue(t, ts.URL, "nccd_cache_hits_total")
-	if distinct := distinctHashes(units); hits < float64(distinct+1)/2 {
-		t.Fatalf("re-run cache hits = %g, want >= half of %d units", hits, distinct)
-	}
-	if m := metricValue(t, ts.URL, "nccd_cache_misses_total"); m != misses {
-		t.Fatalf("re-run executed %g fresh units, want 0", m-misses)
-	}
-	if got2 := fetch(t, ts.URL+"/v1/campaigns/"+info2.ID+"/report"); !bytes.Equal(got2, gotBytes) {
-		t.Fatal("cached re-run report differs from the original")
-	}
+			text := string(fetch(t, base+"/v1/campaigns/"+info.ID+"/report?format=text"))
+			if !strings.Contains(text, "campaign "+sp.Name) || !strings.Contains(text, "baseline") {
+				t.Fatalf("text report missing header or baseline rows:\n%s", text)
+			}
 
-	// The campaign listing holds both runs, newest-counted metrics agree.
-	var list struct {
-		Campaigns []service.CampaignInfo `json:"campaigns"`
-	}
-	if err := json.Unmarshal(fetch(t, ts.URL+"/v1/campaigns"), &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Campaigns) != 2 {
-		t.Fatalf("campaign listing has %d entries, want 2", len(list.Campaigns))
-	}
-	if n := metricValue(t, ts.URL, "nccd_campaigns_done_total"); n != 2 {
-		t.Fatalf("nccd_campaigns_done_total = %g, want 2", n)
+			// Immediate re-run: every unit is answered from the result cache, the
+			// report bytes do not move. Acceptance floor is >= 50% served from cache;
+			// with all hashes already resident it is 100%.
+			misses := metricValue(t, base, "nccd_cache_misses_total")
+			info2, status := submitCampaign(t, base, string(specJSON))
+			if status != http.StatusCreated {
+				t.Fatalf("re-submission: status %d, want 201", status)
+			}
+			final2 := waitCampaign(t, base, info2.ID, 60*time.Second)
+			if final2.State != service.StateDone {
+				t.Fatalf("re-run campaign ended %s: %s", final2.State, final2.Error)
+			}
+			hits := metricValue(t, base, "nccd_cache_hits_total")
+			if distinct := distinctHashes(units); hits < float64(distinct+1)/2 {
+				t.Fatalf("re-run cache hits = %g, want >= half of %d units", hits, distinct)
+			}
+			if m := metricValue(t, base, "nccd_cache_misses_total"); m != misses {
+				t.Fatalf("re-run executed %g fresh units, want 0", m-misses)
+			}
+			if got2 := fetch(t, base+"/v1/campaigns/"+info2.ID+"/report"); !bytes.Equal(got2, gotBytes) {
+				t.Fatal("cached re-run report differs from the original")
+			}
+
+			// The campaign listing holds both runs, newest-counted metrics agree.
+			var list struct {
+				Campaigns []service.CampaignInfo `json:"campaigns"`
+			}
+			if err := json.Unmarshal(fetch(t, base+"/v1/campaigns"), &list); err != nil {
+				t.Fatal(err)
+			}
+			if len(list.Campaigns) != 2 {
+				t.Fatalf("campaign listing has %d entries, want 2", len(list.Campaigns))
+			}
+			if n := metricValue(t, base, "nccd_campaigns_done_total"); n != 2 {
+				t.Fatalf("nccd_campaigns_done_total = %g, want 2", n)
+			}
+		})
 	}
 }
 

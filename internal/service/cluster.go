@@ -9,10 +9,13 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"os"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"ncc/internal/blob"
 )
 
 // WorkerInfo is the JSON view of a registered worker (GET /v1/workers).
@@ -240,14 +243,16 @@ type RemoteBackend struct {
 	cfg      Config
 	m        *metrics
 	reg      *workerRegistry
+	traces   *blob.Store   // the result cache's blob store; nil without CacheDir
 	stopScan chan struct{} // stops the heartbeat-expiry loop
 }
 
-func newRemoteBackend(cfg Config, m *metrics) *RemoteBackend {
+func newRemoteBackend(cfg Config, m *metrics, traces *blob.Store) *RemoteBackend {
 	b := &RemoteBackend{
 		cfg:      cfg,
 		m:        m,
 		reg:      newWorkerRegistry(cfg.WorkerTTL),
+		traces:   traces,
 		stopScan: make(chan struct{}),
 	}
 	go b.expiryLoop()
@@ -445,14 +450,22 @@ func (b *RemoteBackend) runOn(j *Job, w *remoteWorker) (State, string, error) {
 	}
 }
 
-// fetchTrace proxies the worker job's telemetry trace into j's trace log,
-// byte-for-byte. The trace is deterministic, so a retry after a worker
-// failure replays an identical stream and the proxy skips the prefix it
-// already published — the same seamless-failover contract as the record
-// stream. The worker job is terminal when this runs (its record stream hit
-// clean EOF), so the trace stream is complete and EOF-bounded: it is read
-// in one piece, and the published lines alias that buffer.
+// fetchTrace proxies the worker job's telemetry trace into j, byte-for-byte.
+// The worker job is terminal when this runs (its record stream hit clean
+// EOF), so the trace stream is complete and EOF-bounded. With a blob store
+// the stream goes straight into it and j keeps a reference; without one it
+// is read in one piece, and the published lines alias that buffer. The trace
+// is deterministic, so a retry after a worker failure replays an identical
+// stream: the in-memory path skips the prefix it already published, the same
+// seamless-failover contract as the record stream, and a job that already
+// holds a stored trace keeps it.
 func (b *RemoteBackend) fetchTrace(ctx context.Context, j *Job, w *remoteWorker, remoteID string) error {
+	if b.traces != nil {
+		stored, err := b.storeTrace(ctx, j, w, remoteID)
+		if stored || err != nil {
+			return err
+		}
+	}
 	rc, err := b.api(w).Trace(ctx, remoteID)
 	if err != nil {
 		return fmt.Errorf("opening trace stream: %w", err)
@@ -466,6 +479,56 @@ func (b *RemoteBackend) fetchTrace(ctx context.Context, j *Job, w *remoteWorker,
 	j.append(traceLog, batch...)
 	b.m.traceLinesProduced.Add(int64(len(batch)))
 	return nil
+}
+
+// storeTrace streams the worker job's trace into the blob store and
+// publishes it on j as a blob reference. It reports false, with no error,
+// when the store cannot take the trace — a disk failure, or a stream that
+// is not canonical NDJSON — and the caller keeps it in memory instead.
+func (b *RemoteBackend) storeTrace(ctx context.Context, j *Job, w *remoteWorker, remoteID string) (bool, error) {
+	if j.result().traceBlob.ok() {
+		return true, nil
+	}
+	rc, err := b.api(w).Trace(ctx, remoteID)
+	if err != nil {
+		return false, fmt.Errorf("opening trace stream: %w", err)
+	}
+	defer rc.Close()
+	body := &countingBody{r: rc}
+	hash, err := b.traces.Put(body, func(*os.File, int64) error {
+		if !body.lc.canonical() {
+			return errNotCanonical
+		}
+		return nil
+	})
+	if body.err != nil {
+		return false, fmt.Errorf("trace stream: %w", body.err)
+	}
+	if err != nil {
+		b.cfg.Logger.Warn("trace kept in memory", "job", j.ID, "trace", j.TraceID, "err", err)
+		return false, nil
+	}
+	j.setTraceBlob(blobRef{store: b.traces, hash: hash, lines: body.lc.lines})
+	b.m.traceLinesProduced.Add(int64(body.lc.lines))
+	return true, nil
+}
+
+// countingBody passes an HTTP body on, counting its NDJSON lines and
+// keeping the first read error, which tells a broken stream from a failed
+// disk write.
+type countingBody struct {
+	r   io.Reader
+	lc  lineCounter
+	err error
+}
+
+func (c *countingBody) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.lc.Write(p[:n])
+	if err != nil && err != io.EOF && c.err == nil {
+		c.err = err
+	}
+	return n, err
 }
 
 // splitLines slices NDJSON data into lines that alias it: blank lines are

@@ -58,6 +58,18 @@ func newCoordinator(t *testing.T, cfg service.Config) *httptest.Server {
 	return ts
 }
 
+// newCluster starts a coordinator with cfg and two registered workers of
+// one job slot each, and returns the coordinator's URL.
+func newCluster(t *testing.T, cfg service.Config) string {
+	t.Helper()
+	coord := newCoordinator(t, cfg)
+	for _, name := range []string{"w1", "w2"} {
+		w := newTestServer(t, service.Config{WorkerBudget: 2, Executors: 1})
+		registerWorker(t, coord.URL, name, w.URL, 1)
+	}
+	return coord.URL
+}
+
 // registerWorker registers a worker daemon with the coordinator directly (the
 // test plays the heartbeat loop, so a "crashed" worker stays registered until
 // the coordinator notices on its own).
@@ -177,44 +189,60 @@ func TestClusterFaultedSweepByteIdentity(t *testing.T) {
 // worker that is executing a sweep mid-run and the coordinator re-dispatches
 // the job to the surviving worker, with the client-visible NDJSON stream
 // byte-identical to a local `nccrun -json` run — the replayed deterministic
-// prefix is skipped, not duplicated.
+// prefix is skipped, not duplicated. So is the trace, kept in memory or
+// stored in the coordinator's blob store.
 func TestClusterFailoverMidRun(t *testing.T) {
-	coord := newCoordinator(t, service.Config{WorkerTTL: time.Minute, JobAttempts: 3})
-	w1 := newTestServer(t, service.Config{WorkerBudget: 2, Executors: 1})
-	w2 := newTestServer(t, service.Config{WorkerBudget: 2, Executors: 1})
-	registerWorker(t, coord.URL, "w1", w1.URL, 1)
-	registerWorker(t, coord.URL, "w2", w2.URL, 1)
+	want, wantTrace := localLines(t, slowSweepJSON), localTrace(t, slowSweepJSON)
+	for _, cacheDir := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache-dir=%v", cacheDir), func(t *testing.T) {
+			cfg := service.Config{WorkerTTL: time.Minute, JobAttempts: 3}
+			if cacheDir {
+				cfg.CacheDir = t.TempDir()
+			}
+			coord := newCoordinator(t, cfg)
+			w1 := newTestServer(t, service.Config{WorkerBudget: 2, Executors: 1})
+			w2 := newTestServer(t, service.Config{WorkerBudget: 2, Executors: 1})
+			registerWorker(t, coord.URL, "w1", w1.URL, 1)
+			registerWorker(t, coord.URL, "w2", w2.URL, 1)
 
-	want := localLines(t, slowSweepJSON)
-	info := submit(t, coord.URL, slowSweepJSON)
-	waitRecords(t, coord.URL, info.ID, 1, 30*time.Second)
+			info := submit(t, coord.URL, slowSweepJSON)
+			waitRecords(t, coord.URL, info.ID, 1, 30*time.Second)
 
-	// The whole sweep runs on one worker; find which and kill it mid-run.
-	victim, survivorName := w1, "w2"
-	var vlist struct {
-		Jobs []service.JobInfo `json:"jobs"`
-	}
-	if err := json.Unmarshal(fetch(t, w2.URL+"/v1/jobs?state=running"), &vlist); err != nil {
-		t.Fatal(err)
-	}
-	if len(vlist.Jobs) > 0 {
-		victim, survivorName = w2, "w1"
-	}
-	victim.CloseClientConnections()
-	victim.Close()
+			// The whole sweep runs on one worker; find which and kill it mid-run.
+			victim, survivorName := w1, "w2"
+			var vlist struct {
+				Jobs []service.JobInfo `json:"jobs"`
+			}
+			if err := json.Unmarshal(fetch(t, w2.URL+"/v1/jobs?state=running"), &vlist); err != nil {
+				t.Fatal(err)
+			}
+			if len(vlist.Jobs) > 0 {
+				victim, survivorName = w2, "w1"
+			}
+			victim.CloseClientConnections()
+			victim.Close()
 
-	waitState(t, coord.URL, info.ID, service.StateDone, 60*time.Second)
-	got := fetch(t, coord.URL+"/v1/jobs/"+info.ID+"/records")
-	if !bytes.Equal(got, want) {
-		t.Fatalf("post-failover stream differs from local run:\nlocal:   %q\ncluster: %q", want, got)
-	}
-	// The dead worker was dropped from the registry on the broken stream.
-	if n := metricValue(t, coord.URL, "nccd_workers_live"); n != 1 {
-		t.Fatalf("nccd_workers_live = %g after the kill, want 1", n)
-	}
-	metrics := string(fetch(t, coord.URL+"/metrics"))
-	if !strings.Contains(metrics, fmt.Sprintf("nccd_worker_jobs_total{worker=%q} 1", survivorName)) {
-		t.Fatalf("survivor %s has no dispatch attempt:\n%s", survivorName, metrics)
+			waitState(t, coord.URL, info.ID, service.StateDone, 60*time.Second)
+			got := fetch(t, coord.URL+"/v1/jobs/"+info.ID+"/records")
+			if !bytes.Equal(got, want) {
+				t.Fatalf("post-failover stream differs from local run:\nlocal:   %q\ncluster: %q", want, got)
+			}
+			// The retried dispatch published exactly one trace.
+			if got, _, _ := fetchTrace(t, coord.URL, info.ID); !bytes.Equal(got, wantTrace) {
+				t.Fatalf("post-failover trace differs from local run: %d bytes, want %d", len(got), len(wantTrace))
+			}
+			if n, want := jobInfo(t, coord.URL, info.ID).Trace, bytes.Count(wantTrace, []byte("\n")); n != want {
+				t.Fatalf("JobInfo.Trace = %d after the failover, want %d", n, want)
+			}
+			// The dead worker was dropped from the registry on the broken stream.
+			if n := metricValue(t, coord.URL, "nccd_workers_live"); n != 1 {
+				t.Fatalf("nccd_workers_live = %g after the kill, want 1", n)
+			}
+			metrics := string(fetch(t, coord.URL+"/metrics"))
+			if !strings.Contains(metrics, fmt.Sprintf("nccd_worker_jobs_total{worker=%q} 1", survivorName)) {
+				t.Fatalf("survivor %s has no dispatch attempt:\n%s", survivorName, metrics)
+			}
+		})
 	}
 }
 

@@ -39,19 +39,19 @@ func TestDispatchTimeCacheHit(t *testing.T) {
 				t.Fatal(err)
 			}
 			lines := [][]byte{[]byte(`{"stub":"record"}`)}
-			if err := svc.cache.put(hash, lines, nil); err != nil {
+			if err := svc.cache.put(hash, cacheEntry{lines: lines}); err != nil {
 				t.Fatal(err)
 			}
 
 			// hit=false models the race: the admission lookup ran before the
 			// result landed. The dispatcher must still find it.
-			j, coalesced, err := svc.store.Admit(sc, hash, nil, nil, false, svc.jobs.submit)
+			j, coalesced, err := svc.store.Admit(sc, hash, cacheEntry{}, false, svc.jobs.submit)
 			if err != nil || coalesced {
 				t.Fatalf("admit: coalesced=%v err=%v", coalesced, err)
 			}
 			deadline := time.After(10 * time.Second)
 			for {
-				_, terminal, changed := j.next(recordLog, 0)
+				_, _, terminal, changed := j.next(recordLog, 0)
 				if terminal {
 					break
 				}
@@ -80,7 +80,7 @@ func TestDispatchTimeCacheHit(t *testing.T) {
 func TestCompleteFromCacheGuardsTerminal(t *testing.T) {
 	j := newJob("j1", "h", scenario.Scenario{})
 	j.Cancel()
-	if j.completeFromCache([][]byte{[]byte(`{"stub":true}`)}, nil) {
+	if j.completeFromCache(cacheEntry{lines: [][]byte{[]byte(`{"stub":true}`)}}) {
 		t.Fatal("completeFromCache resurrected a canceled job")
 	}
 	if info := j.Info(); info.State != StateCanceled || info.Records != 0 {

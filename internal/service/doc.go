@@ -39,14 +39,17 @@
 // serves the head job from the cache if a twin's result landed there since
 // admission, or else waits for a free slot of the backend, marks the job
 // running and runs it there on a goroutine of its own; finish fills the
-// cache before a done job turns terminal, and keeps every jobs_* series, the
-// job latency histogram and the log line. A job counts as queued until it
-// has a slot. ExecBackend is what differs between the modes: LocalBackend's
-// slots are its executors, where a job runs its sweep on the two-level
-// scheduler below; RemoteBackend's are the job slots of registered workers,
-// where a job runs by proxying a worker's streams. Either way the records and
-// the trace are two append-only logs on the Job, which serveLog streams to
-// any number of tails, live or replayed. The cache is the content-addressed
+// cache before a job that ran to completion turns terminal. The pipeline
+// keeps every jobs_* series, the job latency histogram and the log lines,
+// and its counters move before the state a client reads: a job leaves the
+// queued gauge the moment it gets a slot, a cached result or a cancel, and
+// is counted done before it reads done. ExecBackend is what differs between
+// the modes: LocalBackend's slots are its executors, where a job runs its
+// sweep on the two-level scheduler below; RemoteBackend's are the job slots
+// of registered workers, where a job runs by proxying a worker's streams.
+// Either way the records and the trace are two append-only logs on the Job
+// (the trace may instead be one stored blob, see below), which serveLog
+// streams to any number of tails, live or replayed. The cache is the content-addressed
 // result cache: an in-memory FIFO over an optional blob store on disk.
 //
 // # Local scheduling
@@ -76,7 +79,18 @@
 // records and trace blobs (<sha256>.ndjson), which are checked on read, so a
 // damaged entry is a miss that re-executes. A sweep enters the cache
 // before its job turns done, so a re-submission sent the moment the first
-// stream ends is already a hit. Cached streams replay the exact bytes the
+// stream ends is already a hit. A put writes each stream's lines straight
+// into its blob file.
+//
+// Where a trace lives: a daemon that ran the simulation keeps the trace
+// lines in memory, in the job and its memory-cache entry. With a cache
+// directory, a trace that reaches the daemon over the network — a worker's
+// trace proxied by a coordinator — is streamed straight into the blob
+// store, and a disk hit verifies its trace blob without loading it. Either
+// way the job and the entry hold only a reference (hash and line count),
+// and GET /v1/jobs/{id}/trace streams the blob, hashing as it goes and
+// aborting the response on a mismatch. Without a cache directory every
+// trace stays in memory. Cached streams replay the exact bytes the
 // original execution produced. The same hash also coalesces
 // in-flight duplicates: submitting a scenario identical to one still queued
 // or running returns that job (HTTP 200 instead of 201) rather than
@@ -92,7 +106,9 @@
 // dispatcher takes admitted jobs FIFO, as on any daemon; the backend places
 // each on the live worker with the most free slots, then proxies the
 // worker's record stream back into the job byte-for-byte, so clients cannot
-// tell a proxied stream from a local one.
+// tell a proxied stream from a local one. The worker's trace follows the
+// record stream, into the blob store when the coordinator has a cache
+// directory.
 //
 // Failover leans on determinism: the engine is bit-identical for a given
 // scenario, and the canonical hash makes execution idempotent. When a worker

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"ncc/internal/blob"
 	"ncc/internal/scenario"
 )
 
@@ -50,6 +51,17 @@ const (
 	traceLog               // the telemetry trace (internal/obs format)
 )
 
+// blobRef names an NDJSON stream held in a blob store instead of in memory:
+// the store, the blob's hash and its line count. A zero blobRef names
+// nothing.
+type blobRef struct {
+	store *blob.Store
+	hash  string
+	lines int
+}
+
+func (r blobRef) ok() bool { return r.store != nil }
+
 // Job is one submitted scenario execution. Results accumulate as
 // pre-marshaled NDJSON lines so every consumer — live streams, late streams,
 // the result cache — serves byte-identical records without re-encoding.
@@ -71,12 +83,22 @@ type Job struct {
 	cancel     chan struct{}
 	cancelOnce sync.Once
 
-	mu      sync.Mutex
-	state   State
-	cached  bool
-	err     string
-	log     [2][][]byte   // indexed by logID
-	changed chan struct{} // closed and replaced on every mutation
+	// dequeue, when set, runs once, under mu, as the job leaves the queued
+	// state, with the state it enters and before a reader can see it. The
+	// pipeline counts the move there, so its counters never trail the
+	// job's visible state.
+	dequeue func(to State)
+
+	mu     sync.Mutex
+	state  State
+	cached bool
+	err    string
+	log    [2][][]byte // indexed by logID
+	// traceBlob holds the trace instead of log[traceLog] when it was
+	// written to the blob store rather than kept in memory: proxied from
+	// a worker by a coordinator with a cache directory, or a disk hit.
+	traceBlob blobRef
+	changed   chan struct{} // closed and replaced on every mutation
 }
 
 func newJob(id, hash string, sc scenario.Scenario) *Job {
@@ -116,9 +138,18 @@ func (j *Job) Cancel() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state == StateQueued {
-		j.state = StateCanceled
+		j.leaveQueueLocked(StateCanceled)
 		j.notifyLocked()
 	}
+}
+
+// leaveQueueLocked moves a queued job to state to, counting the move first.
+// Callers hold j.mu.
+func (j *Job) leaveQueueLocked(to State) {
+	if j.dequeue != nil {
+		j.dequeue(to)
+	}
+	j.state = to
 }
 
 // canceled reports whether cancellation has been requested.
@@ -139,7 +170,7 @@ func (j *Job) setRunning() bool {
 	if j.state != StateQueued {
 		return false
 	}
-	j.state = StateRunning
+	j.leaveQueueLocked(StateRunning)
 	j.notifyLocked()
 	return true
 }
@@ -167,6 +198,15 @@ func (j *Job) count(log logID) int {
 	return len(j.log[log])
 }
 
+// setTraceBlob publishes the job's whole trace as a stored blob. The job
+// holds no trace lines then: the proxy stores a trace only in one piece.
+func (j *Job) setTraceBlob(ref blobRef) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.traceBlob = ref
+	j.notifyLocked()
+}
+
 // finish moves the job to a terminal state. The queued->canceled transition
 // in Cancel may have beaten a racing finish; terminal states never change.
 func (j *Job) finish(state State, errMsg string) {
@@ -180,43 +220,48 @@ func (j *Job) finish(state State, errMsg string) {
 	j.notifyLocked()
 }
 
-// completeFromCache marks a job done with a cached result stream. It reports
+// completeFromCache marks a queued job done with a cached result. It reports
 // false on a job already terminal — a dispatch-time hit must not resurrect a
 // job canceled while queued.
-func (j *Job) completeFromCache(lines, trace [][]byte) bool {
+func (j *Job) completeFromCache(e cacheEntry) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.terminal() {
 		return false
 	}
-	j.log = [2][][]byte{lines, trace}
+	j.log = [2][][]byte{e.lines, e.trace}
+	j.traceBlob = e.traceBlob
 	j.cached = true
-	j.state = StateDone
+	j.leaveQueueLocked(StateDone)
 	j.notifyLocked()
 	return true
 }
 
-// next returns one log's lines from index from on, whether the job is
+// next returns one log's lines from index from on, the blob that holds the
+// whole log instead (trace only; see setTraceBlob), whether the job is
 // terminal, and a channel that closes on the next mutation. A streaming
 // consumer loops: emit lines, advance, and — when not terminal — wait on
 // changed (or its own client context). The returned slice aliases the job's
 // append-only log and must not be mutated.
-func (j *Job) next(log logID, from int) (lines [][]byte, terminal bool, changed <-chan struct{}) {
+func (j *Job) next(log logID, from int) (lines [][]byte, stored blobRef, terminal bool, changed <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if from < len(j.log[log]) {
 		lines = j.log[log][from:]
 	}
-	return lines, j.state.terminal(), j.changed
+	if log == traceLog {
+		stored = j.traceBlob
+	}
+	return lines, stored, j.state.terminal(), j.changed
 }
 
-// logs returns the record and trace logs as they stand. They are complete
-// once the backend has returned from running the job, which is when the
-// pipeline's finish reads them to fill the cache.
-func (j *Job) logs() (lines, trace [][]byte) {
+// result returns the job's records and trace as they stand, as a cache
+// entry. They are complete once the backend has returned from running the
+// job, which is when the pipeline's finish reads them to fill the cache.
+func (j *Job) result() cacheEntry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.log[recordLog], j.log[traceLog]
+	return cacheEntry{lines: j.log[recordLog], trace: j.log[traceLog], traceBlob: j.traceBlob}
 }
 
 // Info snapshots the job for the status endpoints.
@@ -231,7 +276,7 @@ func (j *Job) Info() JobInfo {
 		Cached:    j.cached,
 		Records:   len(j.log[recordLog]),
 		TraceID:   j.TraceID,
-		Trace:     len(j.log[traceLog]),
+		Trace:     len(j.log[traceLog]) + j.traceBlob.lines,
 		Error:     j.err,
 		Submitted: j.Submitted,
 	}

@@ -8,14 +8,18 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
+	"ncc/internal/blob"
+	"ncc/internal/obs"
 	"ncc/internal/scenario"
 )
 
-// TestFetchTrace drives the coordinator's trace proxy against a stub worker:
-// blank and whitespace-only lines are skipped, a last line without its
-// newline is kept, and a retried dispatch skips as many non-blank lines as
-// the job already published.
+// TestFetchTrace drives the coordinator's trace proxy against a stub worker.
+// In memory, blank and whitespace-only lines are skipped, a last line
+// without its newline is kept, and a retried dispatch skips as many
+// non-blank lines as the job already published. With a blob store, the
+// trace is stored and referenced, once.
 func TestFetchTrace(t *testing.T) {
 	var mu sync.Mutex
 	body := ""
@@ -43,7 +47,7 @@ func TestFetchTrace(t *testing.T) {
 	if err := b.fetchTrace(context.Background(), j, w, "w7"); err != nil {
 		t.Fatal(err)
 	}
-	_, trace := j.logs()
+	trace := j.result().trace
 	if s := string(bytes.Join(trace, []byte("|"))); s != `{"t":"h"}|{"t":"r"}|{"t":"e"}` {
 		t.Errorf("first attempt published %q", s)
 	}
@@ -59,7 +63,7 @@ func TestFetchTrace(t *testing.T) {
 	if err := b.fetchTrace(context.Background(), j, w, "w7"); err != nil {
 		t.Fatal(err)
 	}
-	_, trace = j.logs()
+	trace = j.result().trace
 	if s := string(bytes.Join(trace, []byte("|"))); s != "a|b|c|d" {
 		t.Errorf("retry published %q, want a|b|c|d", s)
 	}
@@ -70,6 +74,114 @@ func TestFetchTrace(t *testing.T) {
 	// A worker that answers with an error status fails the attempt.
 	if err := b.fetchTrace(context.Background(), j, w, "nope"); err == nil {
 		t.Error("fetchTrace of a missing worker job succeeded")
+	}
+
+	// With a blob store, a canonical stream goes straight into it: the job
+	// holds a reference with the line count and no lines, and a retry keeps
+	// the one stored trace.
+	store, err := blob.Open(t.TempDir(), ".ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = &RemoteBackend{m: newMetrics(), traces: store, cfg: Config{}.withDefaults()}
+	const canonical = "{\"t\":\"h\"}\n{\"t\":\"r\"}\n{\"t\":\"e\"}\n"
+	j = newJob("j2", "sha256:feed", scenario.Scenario{})
+	serve(canonical)
+	for attempt := 1; attempt <= 2; attempt++ {
+		if err := b.fetchTrace(context.Background(), j, w, "w7"); err != nil {
+			t.Fatal(err)
+		}
+		res := j.result()
+		if res.trace != nil || res.traceBlob.lines != 3 || j.Info().Trace != 3 {
+			t.Fatalf("attempt %d: %d lines in memory, ref %+v, JobInfo.Trace %d; want a 3-line ref", attempt, len(res.trace), res.traceBlob, j.Info().Trace)
+		}
+		if data, err := store.Get(res.traceBlob.hash); err != nil || string(data) != canonical {
+			t.Fatalf("attempt %d: blob holds %q, %v", attempt, data, err)
+		}
+	}
+	if n := b.m.traceLinesProduced.Load(); n != 3 {
+		t.Errorf("traceLinesProduced = %d after a stored trace and a retry, want 3", n)
+	}
+
+	// A stream that is not canonical NDJSON takes no address: the trace is
+	// kept in memory, normalized as without a store.
+	j = newJob("j3", "sha256:feed", scenario.Scenario{})
+	serve("{\"t\":\"h\"}\n\n{\"t\":\"e\"}")
+	if err := b.fetchTrace(context.Background(), j, w, "w7"); err != nil {
+		t.Fatal(err)
+	}
+	if res := j.result(); res.traceBlob.ok() || string(bytes.Join(res.trace, []byte("|"))) != `{"t":"h"}|{"t":"e"}` {
+		t.Fatalf("non-canonical stream: ref %+v, lines %q", res.traceBlob, res.trace)
+	}
+}
+
+// TestCoordinatorKeepsTraceReference runs a job through a coordinator with a
+// cache directory: the finished job and its memory-cache entry hold the
+// trace as a blob reference and no lines, JobInfo.Trace still gives the line
+// count, and the blob is the trace's canonical bytes.
+func TestCoordinatorKeepsTraceReference(t *testing.T) {
+	worker, err := New(Config{WorkerBudget: 2, Executors: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wts := httptest.NewServer(worker.Handler())
+	defer wts.Close()
+	coord, err := NewCoordinator(Config{WorkerTTL: time.Minute, CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		coord.Drain(ctx)
+	}()
+	coord.cluster.reg.register("w1", wts.URL, 1)
+
+	sc, err := scenario.Decode([]byte(`{"algo":"mis","graph":{"family":"kforest","params":{"n":12,"k":2},"seed":7},"model":{"seed":7},"sweep":{"seeds":[1,2]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := sc.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := coord.admit(sc, hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		_, _, terminal, changed := j.next(recordLog, 0)
+		if terminal {
+			break
+		}
+		select {
+		case <-changed:
+		case <-time.After(30 * time.Second):
+			t.Fatal("job never finished")
+		}
+	}
+	col := &obs.Collector{}
+	for _, c := range sc.Expand() {
+		if _, err := scenario.RunTraced(c, col, scenario.RunOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := col.Bytes()
+	wantLines := bytes.Count(want, newline)
+
+	res := j.result()
+	if info := j.Info(); info.State != StateDone || info.Trace != wantLines {
+		t.Fatalf("job %+v, want done with %d trace lines", info, wantLines)
+	}
+	if res.trace != nil || !res.traceBlob.ok() || res.traceBlob.lines != wantLines {
+		t.Fatalf("job holds %d trace lines and ref %+v; want no lines and a %d-line ref", len(res.trace), res.traceBlob, wantLines)
+	}
+	if data, err := coord.cache.disk.Get(res.traceBlob.hash); err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("trace blob: %d bytes, %v; want the local trace's %d", len(data), err, len(want))
+	}
+	e, ok := coord.cache.get(hash)
+	if !ok || e.trace != nil || e.traceBlob != res.traceBlob {
+		t.Fatalf("cache entry: hit %v, %d trace lines, ref %+v; want the job's ref and no lines", ok, len(e.trace), e.traceBlob)
 	}
 }
 

@@ -41,7 +41,11 @@ type Config struct {
 	// CacheDir, when non-empty, persists completed sweeps in a blob store so
 	// the cache survives restarts: the records and the trace of a sweep are
 	// verified <sha256>.ndjson blobs, and <scenarioHash>.ref names the pair.
-	// Empty keeps the cache in memory only.
+	// It also decides where a trace lives. A trace this daemon's own engine
+	// produced stays in memory, in its job and memory-cache entry. A trace a
+	// coordinator proxies from a worker, or one a disk hit finds, stays in
+	// the blob store: job and entry hold a reference, and the trace route
+	// streams the blob. Empty keeps the cache, and every trace, in memory.
 	CacheDir string
 
 	// MaxBodyBytes bounds a submission body (default 1 MiB).
@@ -156,7 +160,7 @@ type Server struct {
 // New builds a single-process Server executing jobs on a LocalBackend
 // (creating the cache directory if configured).
 func New(cfg Config) (*Server, error) {
-	return build(cfg, func(cfg Config, m *metrics) (ExecBackend, *RemoteBackend) {
+	return build(cfg, func(cfg Config, m *metrics, _ *cache) (ExecBackend, *RemoteBackend) {
 		return newLocalBackend(cfg.WorkerBudget, cfg.Executors, m), nil
 	})
 }
@@ -165,13 +169,13 @@ func New(cfg Config) (*Server, error) {
 // nothing itself, instead sharding admitted jobs across worker daemons that
 // register via POST /v1/workers and proxying their record streams.
 func NewCoordinator(cfg Config) (*Server, error) {
-	return build(cfg, func(cfg Config, m *metrics) (ExecBackend, *RemoteBackend) {
-		rb := newRemoteBackend(cfg, m)
+	return build(cfg, func(cfg Config, m *metrics, c *cache) (ExecBackend, *RemoteBackend) {
+		rb := newRemoteBackend(cfg, m, c.disk)
 		return rb, rb
 	})
 }
 
-func build(cfg Config, mk func(Config, *metrics) (ExecBackend, *RemoteBackend)) (*Server, error) {
+func build(cfg Config, mk func(Config, *metrics, *cache) (ExecBackend, *RemoteBackend)) (*Server, error) {
 	cfg = cfg.withDefaults()
 	c, err := newCache(cfg.CacheDir, cfg.CacheEntries)
 	if err != nil {
@@ -184,7 +188,7 @@ func build(cfg Config, mk func(Config, *metrics) (ExecBackend, *RemoteBackend)) 
 			return nil, err
 		}
 	}
-	backend, cluster := mk(cfg, m)
+	backend, cluster := mk(cfg, m, c)
 	return &Server{
 		cfg:       cfg,
 		m:         m,
@@ -368,9 +372,8 @@ func (s *Server) admitDetail(sc scenario.Scenario, hash string) (j *Job, coalesc
 	// file I/O. A hit that lands between this lookup and the lock merely
 	// costs a redundant execution — coalescing in Admit still catches
 	// in-flight twins.
-	cached, cachedTrace, hit := s.cache.get(hash)
-
-	j, coalesced, err = s.store.Admit(sc, hash, cached, cachedTrace, hit, s.jobs.submit)
+	cached, hit := s.cache.get(hash)
+	j, coalesced, err = s.store.Admit(sc, hash, cached, hit, s.jobs.submit)
 	if err != nil {
 		return nil, false, err
 	}

@@ -38,11 +38,11 @@ func newJobStore(retain int) *JobStore {
 // Admit registers a submission under the store lock, atomically with respect
 // to coalescing and drain. An identical live job (same hash, not terminal) is
 // returned with coalesced = true and nothing new is created. With hit set,
-// the new job completes immediately from cachedLines and cachedTrace;
+// the new job completes immediately from the cached result;
 // otherwise start — the pipeline's submit — runs while the lock is held (so
 // two racing identical submissions cannot both enqueue), and its error aborts
 // the admission.
-func (st *JobStore) Admit(sc scenario.Scenario, hash string, cachedLines, cachedTrace [][]byte, hit bool, start func(*Job) error) (j *Job, coalesced bool, err error) {
+func (st *JobStore) Admit(sc scenario.Scenario, hash string, cached cacheEntry, hit bool, start func(*Job) error) (j *Job, coalesced bool, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.draining {
@@ -61,7 +61,7 @@ func (st *JobStore) Admit(sc scenario.Scenario, hash string, cachedLines, cached
 	st.nextID++
 	j = newJob(fmt.Sprintf("j%06d", st.nextID), hash, sc)
 	if hit {
-		j.completeFromCache(cachedLines, cachedTrace)
+		j.completeFromCache(cached)
 	} else {
 		if err := start(j); err != nil {
 			st.nextID--

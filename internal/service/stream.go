@@ -1,6 +1,9 @@
 package service
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"net/http"
 	"sync/atomic"
 )
@@ -16,14 +19,22 @@ var newline = []byte{'\n'}
 // `nccrun -json` would print for the scenario the job *executed*; a cache hit
 // or coalesced submission replays the original submission's stream verbatim,
 // so a semantically identical re-spelling sees the first submission's record
-// echoes (display name, workers, sweep-axis order).
+// echoes (display name, workers, sweep-axis order). A trace held in the blob
+// store is streamed from its blob, checked as it goes: a blob that no longer
+// matches its hash aborts the response, so the client reads an error instead
+// of a clean end.
 func serveLog(w http.ResponseWriter, r *http.Request, j *Job, log logID, streamed *atomic.Int64) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	sent := 0
 	for {
-		lines, terminal, changed := j.next(log, sent)
+		lines, stored, terminal, changed := j.next(log, sent)
+		if stored.ok() {
+			serveBlob(w, stored)
+			streamed.Add(int64(stored.lines))
+			return
+		}
 		for _, ln := range lines {
 			if _, err := w.Write(ln); err != nil {
 				return
@@ -54,3 +65,96 @@ func serveLog(w http.ResponseWriter, r *http.Request, j *Job, log logID, streame
 		}
 	}
 }
+
+// serveBlob streams a stored log to w, or aborts the response when the blob
+// cannot be read through or no longer matches its hash. The status line is
+// already out by then, so the abort is net/http's: panicking with
+// ErrAbortHandler closes the connection without ending the body.
+func serveBlob(w http.ResponseWriter, ref blobRef) {
+	rd, err := ref.store.Stream(ref.hash)
+	if err == nil {
+		_, err = rd.WriteTo(w)
+		rd.Close()
+	}
+	if err != nil {
+		panic(http.ErrAbortHandler)
+	}
+}
+
+// linesReader reads NDJSON lines as one stream, a newline after each line,
+// without joining them into one buffer. WriteTo hands the lines to the
+// destination one by one, so blob.Put copies them into its pooled buffer.
+type linesReader struct {
+	lines [][]byte
+	off   int // bytes of lines[0] already read; len(lines[0]) leaves its newline
+}
+
+func (r *linesReader) Read(p []byte) (n int, err error) {
+	for n < len(p) && len(r.lines) > 0 {
+		if ln := r.lines[0]; r.off < len(ln) {
+			c := copy(p[n:], ln[r.off:])
+			n += c
+			r.off += c
+			continue
+		}
+		p[n] = '\n'
+		n++
+		r.lines, r.off = r.lines[1:], 0
+	}
+	if n == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+func (r *linesReader) WriteTo(w io.Writer) (n int64, err error) {
+	for ; len(r.lines) > 0; r.lines, r.off = r.lines[1:], 0 {
+		m, err := w.Write(r.lines[0][r.off:])
+		n += int64(m)
+		if err == nil {
+			m, err = w.Write(newline)
+			n += int64(m)
+		}
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// errNotCanonical rejects an NDJSON stream that holds a blank line or ends
+// without a newline: its bytes are not the join of its lines.
+var errNotCanonical = errors.New("NDJSON stream is not canonical (a blank line, or no newline at its end)")
+
+// lineCounter counts the lines of an NDJSON stream written to it and notes
+// whether the stream is canonical: every line has a non-space byte, and the
+// last ends with a newline.
+type lineCounter struct {
+	lines   int
+	blank   bool // a line held only whitespace
+	open    bool // bytes after the last newline
+	content bool // the open line has a non-space byte
+}
+
+func (c *lineCounter) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		seg, rest, found := bytes.Cut(p, newline)
+		if !c.content && len(bytes.TrimSpace(seg)) > 0 {
+			c.content = true
+		}
+		if !found {
+			c.open = true
+			break
+		}
+		if !c.content {
+			c.blank = true
+		}
+		c.lines++
+		c.open, c.content = false, false
+		p = rest
+	}
+	return n, nil
+}
+
+func (c *lineCounter) canonical() bool { return !c.blank && !c.open }

@@ -2,7 +2,13 @@ package service_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -91,27 +97,89 @@ func TestTraceEndToEnd(t *testing.T) {
 
 // TestTraceClusterByteIdentity pins the cross-deployment guarantee: the trace
 // a coordinator proxies from a worker fleet is byte-identical to a local
-// in-process execution of the same (faulted) sweep.
+// in-process execution of the same (faulted) sweep, whether the coordinator
+// keeps it in memory or streams it into its blob store — and so is the
+// replay of the coordinator's cached result.
 func TestTraceClusterByteIdentity(t *testing.T) {
 	const faulted = `{"name":"trace-faulted","algo":"mis","graph":{"family":"kforest","params":{"n":24,"k":2},"seed":3},"model":{"seed":3},"faults":{"models":[{"model":"crash","params":{"count":4,"round":2}}]},"sweep":{"seeds":[1,2,3]}}`
 	want := localTrace(t, faulted)
-
-	coord := newCoordinator(t, service.Config{WorkerTTL: time.Minute})
-	w1 := newTestServer(t, service.Config{WorkerBudget: 2, Executors: 1})
-	w2 := newTestServer(t, service.Config{WorkerBudget: 2, Executors: 1})
-	registerWorker(t, coord.URL, "w1", w1.URL, 1)
-	registerWorker(t, coord.URL, "w2", w2.URL, 1)
-
-	info := submit(t, coord.URL, faulted)
-	waitState(t, coord.URL, info.ID, service.StateDone, 60*time.Second)
-	got, _, traceID := fetchTrace(t, coord.URL, info.ID)
-	if err := obs.Validate(got); err != nil {
-		t.Fatalf("proxied trace invalid: %v", err)
+	for _, cacheDir := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache-dir=%v", cacheDir), func(t *testing.T) {
+			cfg := service.Config{WorkerTTL: time.Minute}
+			if cacheDir {
+				cfg.CacheDir = t.TempDir()
+			}
+			coord := newCluster(t, cfg)
+			info := submit(t, coord, faulted)
+			waitState(t, coord, info.ID, service.StateDone, 60*time.Second)
+			got, _, traceID := fetchTrace(t, coord, info.ID)
+			if err := obs.Validate(got); err != nil {
+				t.Fatalf("proxied trace invalid: %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("cluster trace differs from local execution:\nlocal: %d bytes\ncluster: %d bytes", len(want), len(got))
+			}
+			if traceID != info.TraceID {
+				t.Fatalf("proxied trace id %q, want %q", traceID, info.TraceID)
+			}
+			wantLines := bytes.Count(want, []byte("\n"))
+			if n := jobInfo(t, coord, info.ID).Trace; n != wantLines {
+				t.Fatalf("JobInfo.Trace = %d, want %d", n, wantLines)
+			}
+			again := submit(t, coord, faulted)
+			if !again.Cached || again.Trace != wantLines {
+				t.Fatalf("re-submission: cached=%v trace=%d, want a hit of %d lines", again.Cached, again.Trace, wantLines)
+			}
+			if got, _, _ := fetchTrace(t, coord, again.ID); !bytes.Equal(got, want) {
+				t.Fatal("cached trace differs from local execution")
+			}
+		})
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("cluster trace differs from local execution:\nlocal: %d bytes\ncluster: %d bytes", len(want), len(got))
+}
+
+// TestCoordinatorCorruptTraceBlob damages one byte of a trace a coordinator
+// stored in its blob store: serving the trace must then fail instead of
+// ending cleanly, and a fresh coordinator over the same directory must treat
+// the entry as a miss and re-execute, which repairs the blob.
+func TestCoordinatorCorruptTraceBlob(t *testing.T) {
+	dir := t.TempDir()
+	want := localTrace(t, sweepJSON)
+	sum := sha256.Sum256(want)
+	blobPath := filepath.Join(dir, hex.EncodeToString(sum[:])+".ndjson")
+
+	coord := newCluster(t, service.Config{WorkerTTL: time.Minute, CacheDir: dir})
+	info := submit(t, coord, sweepJSON)
+	waitState(t, coord, info.ID, service.StateDone, 60*time.Second)
+	if got, _, _ := fetchTrace(t, coord, info.ID); !bytes.Equal(got, want) {
+		t.Fatal("stored trace differs from local execution")
 	}
-	if traceID != info.TraceID {
-		t.Fatalf("proxied trace id %q, want %q", traceID, info.TraceID)
+	data, err := os.ReadFile(blobPath)
+	if err != nil {
+		t.Fatalf("trace blob not at its content address: %v", err)
+	}
+	data[len(data)/2] ^= 1
+	if err := os.WriteFile(blobPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(coord + "/v1/jobs/" + info.ID + "/trace")
+	if err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	if err == nil {
+		t.Fatalf("trace of a damaged blob answered %d and ended cleanly", resp.StatusCode)
+	}
+
+	fresh := newCluster(t, service.Config{WorkerTTL: time.Minute, CacheDir: dir})
+	again := submit(t, fresh, sweepJSON)
+	if again.Cached {
+		t.Fatal("a disk hit served a damaged trace blob")
+	}
+	waitState(t, fresh, again.ID, service.StateDone, 60*time.Second)
+	if got, _, _ := fetchTrace(t, fresh, again.ID); !bytes.Equal(got, want) {
+		t.Fatal("re-executed trace differs from local execution")
+	}
+	if data, err := os.ReadFile(blobPath); err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("re-execution did not repair the trace blob: %v", err)
 	}
 }
