@@ -66,15 +66,14 @@ func Aggregate[T any](s *Session, items []Agg[T], c Combiner[T], lhat2 int) []Gr
 // addressed to this node.
 func deliverResults[T any](s *Session, r *combineRouter[T], w Wire[T], window int) []GroupVal[T] {
 	st := stateFor[T](s)
-	plan := st.planWindow(window)
+	st.planWindow(window)
 	if r != nil {
 		// Draw the window rounds in group order, so which group gets which
 		// draw does not depend on how the packets reached the bottom level.
 		done := r.completed()
 		slices.SortFunc(done, func(a, b pkt[T]) int { return cmp.Compare(a.group, b.group) })
 		for _, p := range done {
-			t := randRound(s.Ctx.Rand(), window)
-			plan[t] = append(plan[t], p)
+			st.planAt(randRound(s.Ctx.Rand(), window), p)
 		}
 	}
 	mine := deliver(s, st, tagResult, w)

@@ -69,8 +69,8 @@ func multiAggregate[S, T any](s *Session, t *Trees, isSource bool, group uint64,
 	in := newInjector(s, cr, h, combSeq, c.Wire)
 	if sr != nil {
 		for _, gv := range sr.leafGot {
-			for _, origin := range t.leafOrigins[gv.Group] {
-				in.add(uint64(origin), origin, origin, mapVal(gv.Val))
+			for _, l := range t.leaves(gv.Group) {
+				in.add(uint64(l.origin), l.origin, l.origin, mapVal(gv.Val))
 			}
 		}
 		sr.leafGot = sr.leafGot[:0]

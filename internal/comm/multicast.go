@@ -79,7 +79,7 @@ func (r *spreadRouter[T]) arrive(level int, it spreadItem[T]) {
 		r.leafGot = append(r.leafGot, GroupVal[T]{Group: it.group, Val: it.val})
 		return
 	}
-	mask := r.t.children[level][it.group]
+	mask := r.t.mask(level, it.group)
 	for side := 0; side <= 1; side++ {
 		if mask&(1<<side) != 0 {
 			r.queues[level][side] = append(r.queues[level][side], it)
@@ -292,12 +292,11 @@ func spreadPhase[T any](s *Session, r *spreadRouter[T], seq uint32, w Wire[T], t
 // window, delivers the plan, and collects the packets addressed to this node.
 func deliverLeaves[T any](s *Session, r *spreadRouter[T], w Wire[T], window int) []GroupVal[T] {
 	st := stateFor[T](s)
-	plan := st.planWindow(window)
+	st.planWindow(window)
 	if r != nil {
 		for _, gv := range r.leafGot {
-			for _, origin := range r.t.leafOrigins[gv.Group] {
-				t := randRound(s.Ctx.Rand(), window)
-				plan[t] = append(plan[t], pkt[T]{group: gv.Group, target: origin, val: gv.Val})
+			for _, l := range r.t.leaves(gv.Group) {
+				st.planAt(randRound(s.Ctx.Rand(), window), pkt[T]{group: gv.Group, target: l.origin, val: gv.Val})
 			}
 		}
 		r.leafGot = r.leafGot[:0]

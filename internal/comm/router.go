@@ -1,6 +1,11 @@
 package comm
 
-import "ncc/internal/ncc"
+import (
+	"cmp"
+	"slices"
+
+	"ncc/internal/ncc"
+)
 
 // The three steps the routing collectives share (see "Routing collectives"
 // in the package doc), each written once: the injector, route and deliver.
@@ -100,43 +105,50 @@ func route(s *Session, r router) {
 	}
 }
 
-// planWindow resets st's per-round delivery buckets to a window of the
-// given length; the caller appends each planned packet to the bucket of
-// its round.
-func (st *commState[T]) planWindow(window int) [][]pkt[T] {
-	plan := st.plan
-	if cap(plan) < window {
-		plan = make([][]pkt[T], window)
-	} else {
-		plan = plan[:window]
-	}
-	for i := range plan {
-		plan[i] = plan[i][:0]
-	}
-	st.plan = plan
-	return plan
+// planned is one packet of a delivery plan and the window round it goes
+// out in.
+type planned[T any] struct {
+	t int
+	p pkt[T]
+}
+
+// planWindow empties st's delivery plan for a window of the given length;
+// the caller appends each packet with its round via planAt, in draw order.
+func (st *commState[T]) planWindow(window int) {
+	st.plan = st.plan[:0]
+	st.window = window
+}
+
+// planAt adds p to st's plan for round t of the window.
+func (st *commState[T]) planAt(t int, p pkt[T]) {
+	st.plan = append(st.plan, planned[T]{t: t, p: p})
 }
 
 // deliver sends every packet of st's plan to its target under tag at its
-// bucket's round, and returns, in st.out's storage, the values planned for
-// this node itself. Between planned rounds the node sleeps: arrivals only
-// queue until the window closes, and the caller collects them.
+// planned round, and returns, in st.out's storage, the values planned for
+// this node itself. The plan is stable-sorted by round first, so packets of
+// one round go out in the order they were planned. Between planned rounds
+// the node sleeps: arrivals only queue until the window closes, and the
+// caller collects them.
 func deliver[T any](s *Session, st *commState[T], tag uint64, w Wire[T]) []GroupVal[T] {
 	ctx := s.Ctx
 	mine := st.out[:0]
 	plan := st.plan
+	slices.SortStableFunc(plan, func(a, b planned[T]) int { return cmp.Compare(a.t, b.t) })
 	start := ctx.Round()
-	for t := 0; t < len(plan); t = ctx.Round() - start {
-		for _, p := range plan[t] {
+	i := 0
+	for t := 0; t < st.window; t = ctx.Round() - start {
+		for ; i < len(plan) && plan[i].t <= t; i++ {
+			p := &plan[i].p
 			if int(p.target) == ctx.ID() {
 				mine = append(mine, GroupVal[T]{Group: p.group, Val: p.val})
 			} else {
 				sendGroupVal(s, int(p.target), tag, w, p.group, p.val)
 			}
 		}
-		next := t + 1
-		for next < len(plan) && len(plan[next]) == 0 {
-			next++
+		next := st.window
+		if i < len(plan) {
+			next = plan[i].t
 		}
 		s.wait(start + next)
 	}
@@ -283,9 +295,6 @@ func (r *combineRouter[T]) arrive(level int, p pkt[T], side int) {
 			q[i].val = r.merge(q[i].val, p.val)
 			return
 		}
-	}
-	if cap(q) == 0 {
-		q = make([]pkt[T], 0, 8) // levels that never see a packet stay unallocated
 	}
 	r.pend[level] = append(q, p)
 }

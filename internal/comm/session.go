@@ -30,7 +30,10 @@
 //     edge carries its pending packet with the minimum (rank, group) each
 //     round, and tokens certify that an edge will carry nothing more;
 //   - deliver sends the final values to their targets, each at a uniformly
-//     random round of a window sized by the load bound.
+//     random round of a window sized by the load bound. The plan is one
+//     flat slice of (round, packet) pairs, appended in draw order and
+//     stable-sorted by round before sending, so a round's packets go out in
+//     the order they were drawn.
 //
 // Aggregate runs all three over the combining router, SetupTrees the first
 // two. Multicast places its packets at the tree roots, then routes over the
@@ -41,6 +44,15 @@
 // a level's two tokens only once the whole level is empty, while the
 // spreading router emits each edge's token as soon as that edge's queue is
 // empty.
+//
+// SetupTrees records each arrival at a column into two flat slices of the
+// Trees: (level, group, side) tree edges and (group, origin) leaf members.
+// It seals them when routing ends: edges sorted by level and group with one
+// OR-merged side mask each, found by binary search, and leaf members stably
+// sorted by group, so each group keeps its members in arrival order. The
+// per-column router state (level queues, staging queues, the delivery plan)
+// is pooled per payload type for the session's lifetime and grows only to
+// what it holds.
 //
 // # SPMD call order
 //
@@ -273,15 +285,10 @@ func (s *Session) nextCall() uint64 {
 	return s.calls
 }
 
-// hashFamily derives a Theta(log n)-wise independent function for collective
-// invocation `call` and the given salt, identical at every node.
-func (s *Session) hashFamily(call, salt uint64) *hashing.Family {
-	k := max(4, ncc.CeilLog2(s.Ctx.N())+2)
-	return hashing.NewFamily(k, hashing.NewSeedStream(s.seed, hashing.Mix(call)^salt))
-}
-
-// pooledFamily reseeds (or first allocates) one of the session's pooled hash
-// families for the given invocation and salt.
+// pooledFamily derives into *slot the Theta(log n)-wise independent function
+// of collective invocation `call` and the given salt, identical at every
+// node: it reseeds the family held there in place, or allocates one when the
+// slot is empty.
 func (s *Session) pooledFamily(slot **hashing.Family, call, salt uint64) *hashing.Family {
 	k := max(4, ncc.CeilLog2(s.Ctx.N())+2)
 	st := hashing.StreamFrom(s.seed, hashing.Mix(call)^salt)
@@ -392,12 +399,14 @@ func randRound(rng *rand.Rand, w int) int {
 }
 
 // SharedFamily derives a fresh Theta(log n)-wise independent hash family from
-// the session's shared randomness, identical at every node. It advances the
-// collective invocation counter, so all nodes must call it in the same order
-// (the usual SPMD discipline).
-func (s *Session) SharedFamily(salt uint64) *hashing.Family {
-	call := s.nextCall()
-	return s.hashFamily(call, salt)
+// the session's shared randomness, identical at every node, into the
+// caller's slot: the family held there is reseeded in place (allocated while
+// the slot is nil), so a caller that drops the family before its next call
+// with the same slot allocates nothing, and one that holds two families at
+// once uses two slots. It advances the collective invocation counter, so all
+// nodes must call it in the same order (the usual SPMD discipline).
+func (s *Session) SharedFamily(slot **hashing.Family, salt uint64) *hashing.Family {
+	return s.pooledFamily(slot, s.nextCall(), salt)
 }
 
 // SharedStream derives a deterministic word stream from the shared
@@ -417,12 +426,13 @@ type commState[T any] struct {
 	cr combineRouter[T]
 	sr spreadRouter[T]
 
-	// Delivery scratch: the per-round buckets deliver sends from, and the
-	// result buffer the collectives return views of (reused by the next
-	// invocation with the same payload type, exactly like the engine's
-	// EndRound inbox).
-	plan [][]pkt[T]
-	out  []GroupVal[T]
+	// Delivery scratch: the flat plan deliver sends from (each packet with
+	// its round of a window of the given length), and the result buffer the
+	// collectives return views of (reused by the next invocation with the
+	// same payload type, exactly like the engine's EndRound inbox).
+	plan   []planned[T]
+	window int
+	out    []GroupVal[T]
 }
 
 // stateFor fetches (or creates) the session's pooled state for payload type

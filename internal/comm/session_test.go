@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"ncc/internal/hashing"
 	"ncc/internal/ncc"
 )
 
@@ -218,7 +219,8 @@ func TestSessionsShareSeed(t *testing.T) {
 	const n = 16
 	hashes := make([]uint64, n)
 	runAll(t, n, 21, func(s *Session) {
-		f := s.hashFamily(1, 42)
+		var f *hashing.Family
+		s.pooledFamily(&f, 1, 42)
 		hashes[s.Ctx.ID()] = f.Hash(12345)
 	})
 	for id := 1; id < n; id++ {

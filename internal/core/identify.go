@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ncc/internal/comm"
 	"ncc/internal/hashing"
@@ -16,46 +18,66 @@ import (
 
 // trialFns holds the s shared hash functions mapping directed edge ids to
 // trials; every node derives the same functions from the session's shared
-// randomness.
+// randomness. Its storage is reused from one identification to the next.
 type trialFns struct {
-	fams []*hashing.Family
+	fams []*hashing.Family // len is this call's s; the families beyond it are kept for reuse
 	q    int
+	out  []int // trials' result
 }
 
-func newTrialFns(s *comm.Session, count, q int) *trialFns {
+// reseed derives this call's count functions into t, reseeding the families
+// it already holds in place; the words are drawn from the same stream in the
+// same order as fresh families would draw them.
+func (t *trialFns) reseed(s *comm.Session, count, q int) {
 	stream := s.SharedStream(0x747269616c) // "trial"
 	k := max(4, ncc.CeilLog2(s.Ctx.N())+2)
-	fams := make([]*hashing.Family, count)
-	for i := range fams {
-		fams[i] = hashing.NewFamily(k, stream)
+	t.fams = slices.Grow(t.fams[:0], count)[:count]
+	for i, f := range t.fams {
+		if f == nil || f.K() != k {
+			t.fams[i] = hashing.NewFamily(k, stream)
+		} else {
+			f.Reseed(stream)
+		}
 	}
-	return &trialFns{fams: fams, q: q}
+	t.q = q
 }
 
-// trials returns the sorted distinct trials the directed edge participates in.
+// trials returns the distinct trials the directed edge participates in, in
+// a slice that the next call reuses.
 func (t *trialFns) trials(edge uint64) []int {
-	out := make([]int, 0, len(t.fams))
+	out := t.out[:0]
 	for _, f := range t.fams {
 		tr := int(f.Range(edge, uint64(t.q)))
-		dup := false
-		for _, x := range out {
-			if x == tr {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(out, tr) {
 			out = append(out, tr)
 		}
 	}
+	t.out = out
 	return out
+}
+
+// identScratch is one node's reusable storage for runIdentification, kept
+// across the orientation's phases.
+type identScratch struct {
+	fns   trialFns
+	items []comm.Agg[comm.XorCount]
+	cells []idCell
+	reds  []int
+}
+
+// idCell is one trial's difference cell: the XOR and the count of the red
+// edges hashed into trial tr.
+type idCell struct {
+	x  uint64
+	tr int32
+	c  int32
 }
 
 // identifySpec describes one node's role in an identification round.
 type identifySpec struct {
-	// Learning side: candidate neighbor ids with unknown status and the known
-	// number of red (playing-complement) edges among them, which equals
-	// d_i(u) in the orientation algorithm.
+	// Learning side: candidate neighbor ids with unknown status, in
+	// ascending order, and the known number of red (playing-complement)
+	// edges among them, which equals d_i(u) in the orientation algorithm.
 	learning   bool
 	candidates []int
 	redCount   int
@@ -69,20 +91,23 @@ type identifySpec struct {
 
 // identifyResult reports what a learning node discovered.
 type identifyResult struct {
-	reds []int // identified red (non-playing) neighbors
+	reds []int // identified red (non-playing) neighbors; valid until the next call
 	ok   bool  // all redCount red edges identified
 }
 
 // runIdentification executes one collective identification. Every node must
 // call it (with zeroed spec fields when it is neither learning nor playing).
-func runIdentification(s *comm.Session, spec identifySpec) identifyResult {
+// It works in sc's storage.
+func runIdentification(s *comm.Session, sc *identScratch, spec identifySpec) identifyResult {
 	me := s.Ctx.ID()
-	fns := newTrialFns(s, spec.s, spec.q)
+	fns := &sc.fns
+	fns.reseed(s, spec.s, spec.q)
 
 	// Playing side: contribute blue-edge sketches to the learners' trial
 	// groups. Group id of learner w's trial t is w*q + t.
-	var items []comm.Agg[comm.XorCount]
+	items := sc.items[:0]
 	if spec.playing {
+		items = slices.Grow(items, len(spec.playFor)*spec.s)
 		for _, w := range spec.playFor {
 			e := hashing.PackEdge(w, me)
 			for _, tr := range fns.trials(e) {
@@ -94,76 +119,64 @@ func runIdentification(s *comm.Session, spec identifySpec) identifyResult {
 			}
 		}
 	}
+	sc.items = items
 	res := comm.Aggregate(s, items, comm.MergeXorCount, spec.lhat2)
 
 	if !spec.learning {
 		return identifyResult{ok: true}
 	}
 
-	// Local cells over all candidate edges.
-	type cell struct {
-		x uint64
-		c int64
-	}
-	cells := make(map[int]*cell)
+	// Cells over all candidate edges, minus the aggregated blue
+	// contributions: one entry per contribution, sorted by trial and merged.
+	cells := slices.Grow(sc.cells[:0], len(spec.candidates)*spec.s+len(res))
 	for _, v := range spec.candidates {
 		e := hashing.PackEdge(me, v)
 		for _, tr := range fns.trials(e) {
-			cl := cells[tr]
-			if cl == nil {
-				cl = &cell{}
-				cells[tr] = cl
-			}
-			cl.x ^= e
-			cl.c++
+			cells = append(cells, idCell{x: e, tr: int32(tr), c: 1})
 		}
 	}
-	// Subtract the aggregated blue contributions.
 	for _, gv := range res {
-		tr := int(gv.Group % uint64(spec.q))
 		if int(gv.Group/uint64(spec.q)) != me {
 			panic(fmt.Sprintf("core: node %d received identification group %d for another learner", me, gv.Group))
 		}
-		xc := gv.Val
-		cl := cells[tr]
-		if cl == nil {
-			cl = &cell{}
-			cells[tr] = cl
-		}
-		cl.x ^= xc.X
-		cl.c -= int64(xc.C)
+		cells = append(cells, idCell{x: gv.Val.X, tr: int32(gv.Group % uint64(spec.q)), c: -int32(gv.Val.C)})
 	}
+	slices.SortFunc(cells, func(a, b idCell) int { return cmp.Compare(a.tr, b.tr) })
+	merged := cells[:0]
+	for _, cl := range cells {
+		if k := len(merged) - 1; k >= 0 && merged[k].tr == cl.tr {
+			merged[k].x ^= cl.x
+			merged[k].c += cl.c
+			continue
+		}
+		merged = append(merged, cl)
+	}
+	cells = merged
+	sc.cells = cells
 
-	// Peel: any cell holding exactly one red edge reveals it.
-	candidateSet := make(map[int]bool, len(spec.candidates))
-	for _, v := range spec.candidates {
-		candidateSet[v] = true
-	}
-	var reds []int
+	// Peel: any cell holding exactly one red edge reveals it. Peeling is
+	// confluent, so the order the cells are scanned in does not change the
+	// set of edges found.
+	reds := sc.reds[:0]
 	for {
-		found := -1
-		for tr, cl := range cells {
-			if cl.c == 1 {
-				found = tr
-				break
-			}
-		}
-		if found == -1 {
+		i := slices.IndexFunc(cells, func(cl idCell) bool { return cl.c == 1 })
+		if i < 0 {
 			break
 		}
-		e := cells[found].x
+		e := cells[i].x
 		u, v := hashing.UnpackEdge(e)
-		if u != me || !candidateSet[v] {
+		if _, ok := slices.BinarySearch(spec.candidates, v); u != me || !ok {
 			// A corrupted cell would indicate a protocol bug, not a sketch
 			// failure: counts are exact.
 			panic(fmt.Sprintf("core: node %d peeled inconsistent edge (%d,%d)", me, u, v))
 		}
 		reds = append(reds, v)
 		for _, tr := range fns.trials(e) {
-			cl := cells[tr]
-			cl.x ^= e
-			cl.c--
+			j, _ := slices.BinarySearchFunc(cells, int32(tr), func(cl idCell, tr int32) int { return cmp.Compare(cl.tr, tr) })
+			cells[j].x ^= e
+			cells[j].c--
 		}
 	}
+	sc.reds = reds
 	return identifyResult{reds: reds, ok: len(reds) == spec.redCount}
 }

@@ -194,6 +194,7 @@ func findLightest(s *comm.Session, wg *graph.Weighted, trees *comm.Trees, leader
 
 	lo, hi := minKey, maxKey
 	exists := false
+	var fam *hashing.Family // reseeded for each step
 
 	for step := 0; step <= steps; step++ {
 		// Leader shares the current range; bit 63 flags an active search.
@@ -214,7 +215,7 @@ func findLightest(s *comm.Session, wg *graph.Weighted, trees *comm.Trees, leader
 
 		// Members sketch their incident edges over three prefixes of the
 		// range (full range in step 0 for the existence test).
-		fam := s.SharedFamily(0x736b65746368) // fresh trial functions per step
+		fam = s.SharedFamily(&fam, 0x736b65746368) // fresh trial functions per step
 		var sk comm.Sketch3
 		var m [3]uint64
 		if step == 0 {

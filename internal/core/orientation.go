@@ -63,9 +63,14 @@ type Orientation struct {
 	Rescues int
 }
 
-// directBuf demultiplexes algorithm-level direct messages by tag so that a
-// stage can consume its own messages without disturbing others'.
+// directBuf is one node's orientation scratch, kept across phases. It
+// demultiplexes algorithm-level direct messages by tag so that a stage can
+// consume its own messages without disturbing others', and holds the
+// identification's storage and stage 3's two hash-family slots.
 type directBuf struct {
+	ident  identScratch
+	fH, fR *hashing.Family
+
 	uhighIDs  []int32
 	announces []ncc.NodeID
 	probes    []ncc.NodeID
@@ -227,7 +232,7 @@ func Orient(s *comm.Session, g *graph.Graph, p OrientParams) *Orientation {
 				candidates = append(candidates, int(v))
 			}
 		}
-		r1 := runIdentification(s, identifySpec{
+		r1 := runIdentification(s, &buf.ident, identifySpec{
 			learning: status == stActive, candidates: candidates, redCount: di,
 			playing: status == stInactive && result != nil && result.Level < phase, playFor: playFor,
 			s: p.CHash, q: q1, lhat2: lhat21,
@@ -280,7 +285,7 @@ func Orient(s *comm.Session, g *graph.Graph, p OrientParams) *Orientation {
 			}
 			s2 := p.CHash * logn
 			q2 := max(64, 11*p.CHash*logn*logn)
-			r2 := runIdentification(s, identifySpec{
+			r2 := runIdentification(s, &buf.ident, identifySpec{
 				learning: isLow, candidates: cand2, redCount: di - len(reds),
 				playing: status == stInactive, playFor: playFor2,
 				s: s2, q: q2, lhat2: min(q2, s2*int(maxBlueU)+1),
@@ -465,8 +470,8 @@ func stage2Rescue(s *comm.Session, buf *directBuf, me, maxUnk, logn int, needRes
 // rendezvous observes the collision and notifies both (Section 4.2, Stage 3).
 func stage3(s *comm.Session, buf *directBuf, me, n, dsi int, active bool, redList []int) []int {
 	ctx := s.Ctx
-	fH := s.SharedFamily(0x73746167653361)
-	fR := s.SharedFamily(0x73746167653362)
+	fH := s.SharedFamily(&buf.fH, 0x73746167653361)
+	fR := s.SharedFamily(&buf.fR, 0x73746167653362)
 	w := max(dsi, 1)
 
 	type job struct {

@@ -17,9 +17,8 @@ import (
 // run's node slab, which the next run reuses: a *Context must not be used
 // after Run returns.
 type Context struct {
-	id    NodeID
-	shard int
-	r     *run
+	id NodeID
+	r  *run
 	// yield hands control back to the engine from the node's coroutine:
 	// false at AwaitInput, true at the program's end. It returns false once
 	// the coroutine is stopped.
@@ -642,7 +641,7 @@ func (r *run) take(m *engineMem) {
 	r.nodes = m.nodes[:n]
 	for i := range r.nodes {
 		c := &r.nodes[i]
-		*c = Context{id: i, shard: i / r.shardWidth, r: r,
+		*c = Context{id: i, r: r,
 			out: c.out[:0], inbox: c.inbox[:0], sendWords: c.sendWords[:0], inWords: c.inWords[:0]}
 		c.pcg.Seed(uint64(r.cfg.Seed)^0x5851f42d4c957f2d, uint64(i)+1)
 		c.src = *rand.New(&c.pcg)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 
@@ -107,6 +108,20 @@ func (c *cache) storeLocked(hash string, e cacheEntry) {
 		}
 		delete(c.mem, old)
 	}
+}
+
+// drop removes hash's memory entry if it still references the trace blob
+// blobHash, found damaged while serving it. The next lookup then reads the
+// disk tier, which verifies the blob and misses, so the scenario
+// re-executes and its put repairs the blob.
+func (c *cache) drop(hash, blobHash string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.mem[hash]; !ok || e.traceBlob.hash != blobHash {
+		return
+	}
+	delete(c.mem, hash)
+	c.fifo = slices.DeleteFunc(c.fifo, func(k string) bool { return k == hash })
 }
 
 // put stores a completed sweep under hash. It is best-effort: an error

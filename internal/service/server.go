@@ -451,7 +451,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	serveLog(w, r, j, recordLog, &s.m.recordsStreamed)
+	serveLog(w, r, j, recordLog, &s.m.recordsStreamed, s.cache)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -462,7 +462,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-NCC-Job-Id", j.ID)
 	w.Header().Set("X-NCC-Trace-Id", j.TraceID)
-	serveLog(w, r, j, traceLog, &s.m.traceLinesStreamed)
+	serveLog(w, r, j, traceLog, &s.m.traceLinesStreamed, s.cache)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

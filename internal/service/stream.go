@@ -22,8 +22,9 @@ var newline = []byte{'\n'}
 // echoes (display name, workers, sweep-axis order). A trace held in the blob
 // store is streamed from its blob, checked as it goes: a blob that no longer
 // matches its hash aborts the response, so the client reads an error instead
-// of a clean end.
-func serveLog(w http.ResponseWriter, r *http.Request, j *Job, log logID, streamed *atomic.Int64) {
+// of a clean end, and drops the job's entry from c's memory tier, so the
+// next submission of the scenario re-executes and repairs the blob.
+func serveLog(w http.ResponseWriter, r *http.Request, j *Job, log logID, streamed *atomic.Int64, c *cache) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -31,7 +32,16 @@ func serveLog(w http.ResponseWriter, r *http.Request, j *Job, log logID, streame
 	for {
 		lines, stored, terminal, changed := j.next(log, sent)
 		if stored.ok() {
-			serveBlob(w, stored)
+			damaged, err := serveBlob(w, stored)
+			if damaged {
+				c.drop(j.Hash, stored.hash)
+			}
+			if err != nil {
+				// The status line is already out, so the abort is
+				// net/http's: panicking with ErrAbortHandler closes the
+				// connection without ending the body.
+				panic(http.ErrAbortHandler)
+			}
 			streamed.Add(int64(stored.lines))
 			return
 		}
@@ -66,19 +76,33 @@ func serveLog(w http.ResponseWriter, r *http.Request, j *Job, log logID, streame
 	}
 }
 
-// serveBlob streams a stored log to w, or aborts the response when the blob
-// cannot be read through or no longer matches its hash. The status line is
-// already out by then, so the abort is net/http's: panicking with
-// ErrAbortHandler closes the connection without ending the body.
-func serveBlob(w http.ResponseWriter, ref blobRef) {
+// serveBlob streams a stored log to w. It fails when the blob cannot be
+// read through or no longer matches its hash, which it reports as damaged,
+// or when a write to w fails (the client went away), which it does not.
+func serveBlob(w io.Writer, ref blobRef) (damaged bool, err error) {
 	rd, err := ref.store.Stream(ref.hash)
-	if err == nil {
-		_, err = rd.WriteTo(w)
-		rd.Close()
-	}
 	if err != nil {
-		panic(http.ErrAbortHandler)
+		return true, err
 	}
+	defer rd.Close()
+	dst := &writeErr{w: w}
+	_, err = rd.WriteTo(dst)
+	return err != nil && dst.err == nil, err
+}
+
+// writeErr passes writes on to w and keeps the error of a failed one, so a
+// copy's caller can tell a failed destination from a failed source.
+type writeErr struct {
+	w   io.Writer
+	err error
+}
+
+func (e *writeErr) Write(p []byte) (int, error) {
+	n, err := e.w.Write(p)
+	if err != nil {
+		e.err = err
+	}
+	return n, err
 }
 
 // linesReader reads NDJSON lines as one stream, a newline after each line,

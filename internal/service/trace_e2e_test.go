@@ -183,3 +183,54 @@ func TestCoordinatorCorruptTraceBlob(t *testing.T) {
 		t.Fatalf("re-execution did not repair the trace blob: %v", err)
 	}
 }
+
+// TestDamagedTraceBlobReexecutesOnHit damages one byte of a trace a
+// coordinator stored in its blob store while the scenario is still in its
+// memory cache. Serving the trace must fail, and that failure must drop the
+// memory entry: the same coordinator answers the next submission with
+// "cached":false and a complete trace, and the re-execution repairs the
+// blob.
+func TestDamagedTraceBlobReexecutesOnHit(t *testing.T) {
+	dir := t.TempDir()
+	want := localTrace(t, sweepJSON)
+	sum := sha256.Sum256(want)
+	blobPath := filepath.Join(dir, hex.EncodeToString(sum[:])+".ndjson")
+
+	coord := newCluster(t, service.Config{WorkerTTL: time.Minute, CacheDir: dir})
+	info := submit(t, coord, sweepJSON)
+	waitState(t, coord, info.ID, service.StateDone, 60*time.Second)
+	if got, _, _ := fetchTrace(t, coord, info.ID); !bytes.Equal(got, want) {
+		t.Fatal("stored trace differs from local execution")
+	}
+	if hit := submit(t, coord, sweepJSON); !hit.Cached {
+		t.Fatal("an intact stored trace was not a memory hit")
+	}
+	data, err := os.ReadFile(blobPath)
+	if err != nil {
+		t.Fatalf("trace blob not at its content address: %v", err)
+	}
+	data[len(data)/2] ^= 1
+	if err := os.WriteFile(blobPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(coord + "/v1/jobs/" + info.ID + "/trace")
+	if err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	if err == nil {
+		t.Fatalf("trace of a damaged blob answered %d and ended cleanly", resp.StatusCode)
+	}
+
+	again := submit(t, coord, sweepJSON)
+	if again.Cached {
+		t.Fatal(`a submission after the damaged blob was served answered "cached":true`)
+	}
+	waitState(t, coord, again.ID, service.StateDone, 60*time.Second)
+	if got, _, _ := fetchTrace(t, coord, again.ID); !bytes.Equal(got, want) {
+		t.Fatal("re-executed trace differs from local execution")
+	}
+	if data, err := os.ReadFile(blobPath); err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("re-execution did not repair the trace blob: %v", err)
+	}
+}
