@@ -1,11 +1,6 @@
 package comm
 
-import (
-	"cmp"
-	"slices"
-
-	"ncc/internal/ncc"
-)
+import "ncc/internal/ncc"
 
 // The three steps the routing collectives share (see "Routing collectives"
 // in the package doc), each written once: the injector, route and deliver.
@@ -124,22 +119,51 @@ func (st *commState[T]) planAt(t int, p pkt[T]) {
 	st.plan = append(st.plan, planned[T]{t: t, p: p})
 }
 
+// byRound returns the indexes of st's plan ordered by round, packets of one
+// round in the order they were planned: a counting pass over the window's
+// rounds and a prefix-sum scatter, both into reused storage.
+func (st *commState[T]) byRound() []int32 {
+	first := resize(st.first, st.window+1)
+	clear(first)
+	for i := range st.plan {
+		first[st.plan[i].t+1]++
+	}
+	for t := 1; t <= st.window; t++ {
+		first[t] += first[t-1]
+	}
+	order := resize(st.order, len(st.plan))
+	for i := range st.plan {
+		t := st.plan[i].t
+		order[first[t]] = int32(i)
+		first[t]++
+	}
+	st.first, st.order = first, order
+	return order
+}
+
+// resize returns buf with length n, reallocated only if it is too short.
+func resize(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
+}
+
 // deliver sends every packet of st's plan to its target under tag at its
 // planned round, and returns, in st.out's storage, the values planned for
-// this node itself. The plan is stable-sorted by round first, so packets of
-// one round go out in the order they were planned. Between planned rounds
-// the node sleeps: arrivals only queue until the window closes, and the
-// caller collects them.
+// this node itself. A round's packets go out in the order they were
+// planned. Between planned rounds the node sleeps: arrivals only queue
+// until the window closes, and the caller collects them.
 func deliver[T any](s *Session, st *commState[T], tag uint64, w Wire[T]) []GroupVal[T] {
 	ctx := s.Ctx
 	mine := st.out[:0]
 	plan := st.plan
-	slices.SortStableFunc(plan, func(a, b planned[T]) int { return cmp.Compare(a.t, b.t) })
+	order := st.byRound()
 	start := ctx.Round()
 	i := 0
 	for t := 0; t < st.window; t = ctx.Round() - start {
-		for ; i < len(plan) && plan[i].t <= t; i++ {
-			p := &plan[i].p
+		for ; i < len(order) && plan[order[i]].t <= t; i++ {
+			p := &plan[order[i]].p
 			if int(p.target) == ctx.ID() {
 				mine = append(mine, GroupVal[T]{Group: p.group, Val: p.val})
 			} else {
@@ -147,8 +171,8 @@ func deliver[T any](s *Session, st *commState[T], tag uint64, w Wire[T]) []Group
 			}
 		}
 		next := st.window
-		if i < len(plan) {
-			next = plan[i].t
+		if i < len(order) {
+			next = plan[order[i]].t
 		}
 		s.wait(start + next)
 	}

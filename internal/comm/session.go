@@ -31,9 +31,9 @@
 //     round, and tokens certify that an edge will carry nothing more;
 //   - deliver sends the final values to their targets, each at a uniformly
 //     random round of a window sized by the load bound. The plan is one
-//     flat slice of (round, packet) pairs, appended in draw order and
-//     stable-sorted by round before sending, so a round's packets go out in
-//     the order they were drawn.
+//     flat slice of (round, packet) pairs, appended in draw order; a
+//     counting pass over the window's rounds orders it by round before
+//     sending, so a round's packets go out in the order they were drawn.
 //
 // Aggregate runs all three over the combining router, SetupTrees the first
 // two. Multicast places its packets at the tree roots, then routes over the
@@ -427,11 +427,14 @@ type commState[T any] struct {
 	sr spreadRouter[T]
 
 	// Delivery scratch: the flat plan deliver sends from (each packet with
-	// its round of a window of the given length), and the result buffer the
+	// its round of a window of the given length), the per-round counts and
+	// round order byRound builds over it, and the result buffer the
 	// collectives return views of (reused by the next invocation with the
 	// same payload type, exactly like the engine's EndRound inbox).
 	plan   []planned[T]
 	window int
+	first  []int32
+	order  []int32
 	out    []GroupVal[T]
 }
 

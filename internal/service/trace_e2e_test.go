@@ -139,98 +139,59 @@ func TestTraceClusterByteIdentity(t *testing.T) {
 
 // TestCoordinatorCorruptTraceBlob damages one byte of a trace a coordinator
 // stored in its blob store: serving the trace must then fail instead of
-// ending cleanly, and a fresh coordinator over the same directory must treat
-// the entry as a miss and re-execute, which repairs the blob.
+// ending cleanly, and the next submission must re-execute, which repairs the
+// blob. A fresh coordinator over the same directory finds the damage on its
+// disk hit; the same coordinator, whose memory cache still holds the
+// scenario, must have dropped that entry when serving the trace failed.
 func TestCoordinatorCorruptTraceBlob(t *testing.T) {
-	dir := t.TempDir()
-	want := localTrace(t, sweepJSON)
-	sum := sha256.Sum256(want)
-	blobPath := filepath.Join(dir, hex.EncodeToString(sum[:])+".ndjson")
+	for _, sameCoord := range []bool{false, true} {
+		t.Run(fmt.Sprintf("same-coordinator=%v", sameCoord), func(t *testing.T) {
+			dir := t.TempDir()
+			want := localTrace(t, sweepJSON)
+			sum := sha256.Sum256(want)
+			blobPath := filepath.Join(dir, hex.EncodeToString(sum[:])+".ndjson")
 
-	coord := newCluster(t, service.Config{WorkerTTL: time.Minute, CacheDir: dir})
-	info := submit(t, coord, sweepJSON)
-	waitState(t, coord, info.ID, service.StateDone, 60*time.Second)
-	if got, _, _ := fetchTrace(t, coord, info.ID); !bytes.Equal(got, want) {
-		t.Fatal("stored trace differs from local execution")
-	}
-	data, err := os.ReadFile(blobPath)
-	if err != nil {
-		t.Fatalf("trace blob not at its content address: %v", err)
-	}
-	data[len(data)/2] ^= 1
-	if err := os.WriteFile(blobPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(coord + "/v1/jobs/" + info.ID + "/trace")
-	if err == nil {
-		_, err = io.ReadAll(resp.Body)
-		resp.Body.Close()
-	}
-	if err == nil {
-		t.Fatalf("trace of a damaged blob answered %d and ended cleanly", resp.StatusCode)
-	}
+			coord := newCluster(t, service.Config{WorkerTTL: time.Minute, CacheDir: dir})
+			info := submit(t, coord, sweepJSON)
+			waitState(t, coord, info.ID, service.StateDone, 60*time.Second)
+			if got, _, _ := fetchTrace(t, coord, info.ID); !bytes.Equal(got, want) {
+				t.Fatal("stored trace differs from local execution")
+			}
+			if hit := submit(t, coord, sweepJSON); !hit.Cached {
+				t.Fatal("an intact stored trace was not a memory hit")
+			}
+			data, err := os.ReadFile(blobPath)
+			if err != nil {
+				t.Fatalf("trace blob not at its content address: %v", err)
+			}
+			data[len(data)/2] ^= 1
+			if err := os.WriteFile(blobPath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Get(coord + "/v1/jobs/" + info.ID + "/trace")
+			if err == nil {
+				_, err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+			}
+			if err == nil {
+				t.Fatalf("trace of a damaged blob answered %d and ended cleanly", resp.StatusCode)
+			}
 
-	fresh := newCluster(t, service.Config{WorkerTTL: time.Minute, CacheDir: dir})
-	again := submit(t, fresh, sweepJSON)
-	if again.Cached {
-		t.Fatal("a disk hit served a damaged trace blob")
-	}
-	waitState(t, fresh, again.ID, service.StateDone, 60*time.Second)
-	if got, _, _ := fetchTrace(t, fresh, again.ID); !bytes.Equal(got, want) {
-		t.Fatal("re-executed trace differs from local execution")
-	}
-	if data, err := os.ReadFile(blobPath); err != nil || !bytes.Equal(data, want) {
-		t.Fatalf("re-execution did not repair the trace blob: %v", err)
-	}
-}
-
-// TestDamagedTraceBlobReexecutesOnHit damages one byte of a trace a
-// coordinator stored in its blob store while the scenario is still in its
-// memory cache. Serving the trace must fail, and that failure must drop the
-// memory entry: the same coordinator answers the next submission with
-// "cached":false and a complete trace, and the re-execution repairs the
-// blob.
-func TestDamagedTraceBlobReexecutesOnHit(t *testing.T) {
-	dir := t.TempDir()
-	want := localTrace(t, sweepJSON)
-	sum := sha256.Sum256(want)
-	blobPath := filepath.Join(dir, hex.EncodeToString(sum[:])+".ndjson")
-
-	coord := newCluster(t, service.Config{WorkerTTL: time.Minute, CacheDir: dir})
-	info := submit(t, coord, sweepJSON)
-	waitState(t, coord, info.ID, service.StateDone, 60*time.Second)
-	if got, _, _ := fetchTrace(t, coord, info.ID); !bytes.Equal(got, want) {
-		t.Fatal("stored trace differs from local execution")
-	}
-	if hit := submit(t, coord, sweepJSON); !hit.Cached {
-		t.Fatal("an intact stored trace was not a memory hit")
-	}
-	data, err := os.ReadFile(blobPath)
-	if err != nil {
-		t.Fatalf("trace blob not at its content address: %v", err)
-	}
-	data[len(data)/2] ^= 1
-	if err := os.WriteFile(blobPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(coord + "/v1/jobs/" + info.ID + "/trace")
-	if err == nil {
-		_, err = io.ReadAll(resp.Body)
-		resp.Body.Close()
-	}
-	if err == nil {
-		t.Fatalf("trace of a damaged blob answered %d and ended cleanly", resp.StatusCode)
-	}
-
-	again := submit(t, coord, sweepJSON)
-	if again.Cached {
-		t.Fatal(`a submission after the damaged blob was served answered "cached":true`)
-	}
-	waitState(t, coord, again.ID, service.StateDone, 60*time.Second)
-	if got, _, _ := fetchTrace(t, coord, again.ID); !bytes.Equal(got, want) {
-		t.Fatal("re-executed trace differs from local execution")
-	}
-	if data, err := os.ReadFile(blobPath); err != nil || !bytes.Equal(data, want) {
-		t.Fatalf("re-execution did not repair the trace blob: %v", err)
+			next := coord
+			if !sameCoord {
+				next = newCluster(t, service.Config{WorkerTTL: time.Minute, CacheDir: dir})
+			}
+			again := submit(t, next, sweepJSON)
+			if again.Cached {
+				t.Fatal(`a submission after the damaged blob was served answered "cached":true`)
+			}
+			waitState(t, next, again.ID, service.StateDone, 60*time.Second)
+			if got, _, _ := fetchTrace(t, next, again.ID); !bytes.Equal(got, want) {
+				t.Fatal("re-executed trace differs from local execution")
+			}
+			if data, err := os.ReadFile(blobPath); err != nil || !bytes.Equal(data, want) {
+				t.Fatalf("re-execution did not repair the trace blob: %v", err)
+			}
+		})
 	}
 }
